@@ -17,7 +17,7 @@
 //! more than the threshold, disappearing, or appearing fresh is a failure.
 //! `repro --baseline <file>` wires this to CI.
 
-use crate::json::Json;
+use xquec_obs::json::Json;
 
 /// Field names whose values are wall-clock or throughput measurements:
 /// excluded from baselines and comparisons wherever they appear.

@@ -24,7 +24,7 @@
 use std::fs;
 use std::path::Path;
 use xquec_bench::experiments::{self, Profile};
-use xquec_bench::json::{Json, ToJson};
+use xquec_obs::json::{Json, ToJson};
 use xquec_bench::{baseline, human_bytes, print_table, snapshot_delta};
 
 /// Default relative drift tolerance for `--baseline`.

@@ -200,7 +200,7 @@ pub struct QetRow {
     pub xquec_decompressions: usize,
     /// Compressed-domain comparisons XQueC performed.
     pub xquec_compressed_ops: usize,
-    /// Result sizes agree between the engines (sanity).
+    /// Both engines produced byte-identical output.
     pub results_match: Option<bool>,
 }
 
@@ -234,12 +234,12 @@ pub fn fig7(p: Profile) -> Fig7Report {
         let reps = if p.quick { 1 } else { 3 };
         let (xq_out, xquec_s) =
             time_median(reps, || engine.run(q.text).expect("xquec query"));
-        let stats = engine.stats.borrow().clone();
+        let stats = *engine.stats.borrow();
 
         galax.set_timeout(p.galax_timeout());
         let (g_out, galax_elapsed) = time(|| galax.run(q.text));
         let (galax_s, results_match) = match g_out {
-            Ok(out) => (Some(galax_elapsed), Some(out.len() == xq_out.len())),
+            Ok(out) => (Some(galax_elapsed), Some(out == xq_out)),
             Err(_) => (None, None),
         };
         rows.push(QetRow {
@@ -621,7 +621,7 @@ pub fn calibration(p: Profile) -> xquec_core::CalibrationReport {
 
 // ---- JSON emission ----------------------------------------------------------
 
-use crate::json::{Json, ToJson};
+use xquec_obs::json::{Json, ToJson};
 
 /// Implement [`ToJson`] field-by-field, preserving declaration order (the
 /// layout `serde_json` used to emit for these rows).

@@ -7,7 +7,6 @@
 
 pub mod baseline;
 pub mod experiments;
-pub mod json;
 
 use std::time::Instant;
 

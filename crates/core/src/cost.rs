@@ -230,13 +230,31 @@ impl<'a> CostModel<'a> {
     }
 
     /// Measured `(per-container compression ratios, model size)` for a group
-    /// under an algorithm, trained on the union of the group's samples.
-    fn group_profile(&self, containers: &[ContainerId], alg: CodecKind) -> (Vec<f64>, usize) {
+    /// under an algorithm, with the ratios in `containers`' order. Profiles
+    /// are measured and cached in sorted container order, so every order of
+    /// one group gets the same numbers, each paired with its own container.
+    fn group_profile(&self, containers: &[ContainerId], alg: CodecKind) -> GroupProfile {
         let mut key: Vec<ContainerId> = containers.to_vec();
         key.sort();
-        if let Some(v) = self.cache.lock().expect("cost cache lock").get(&(key.clone(), alg)) {
-            return v.clone();
-        }
+        let cached = self.cache.lock().expect("cost cache lock").get(&(key.clone(), alg)).cloned();
+        let (sorted_ratios, model) = match cached {
+            Some(profile) => profile,
+            None => {
+                let profile = self.measure_group(&key, alg);
+                self.cache.lock().expect("cost cache lock").insert((key.clone(), alg), profile.clone());
+                profile
+            }
+        };
+        let ratios = containers
+            .iter()
+            .map(|c| sorted_ratios[key.binary_search(c).expect("container is in its group key")])
+            .collect();
+        (ratios, model)
+    }
+
+    /// Train `alg` on the union of the containers' samples and estimate each
+    /// container's ratio, in the given order.
+    fn measure_group(&self, containers: &[ContainerId], alg: CodecKind) -> GroupProfile {
         let corpus: Vec<&[u8]> = containers
             .iter()
             .flat_map(|&c| self.stats[c.0 as usize].sample.iter().map(|s| s.as_bytes()))
@@ -268,7 +286,6 @@ impl<'a> CostModel<'a> {
         } else {
             (ratios, codec.model_size())
         };
-        self.cache.lock().expect("cost cache lock").insert((key, alg), (ratios.clone(), model));
         (ratios, model)
     }
 }
@@ -369,6 +386,29 @@ mod tests {
         total += models.values().map(|&m| m as f64).sum::<f64>();
         let direct = cm.storage_cost(&cfg);
         assert!((total - direct).abs() < 1e-9, "{total} vs {direct}");
+    }
+
+    /// A group costed in two container orders gets each container's own
+    /// ratio both times, whichever order filled the cache.
+    #[test]
+    fn group_profile_follows_caller_order() {
+        let stats = stats3();
+        let w = Workload::new();
+        let m = w.matrices(3);
+        let cm = CostModel::new(&stats, &m, CostWeights::default());
+        let forward = [ContainerId(2), ContainerId(0), ContainerId(1)];
+        let backward = [ContainerId(1), ContainerId(0), ContainerId(2)];
+        let (a, model_a) = cm.group_profile(&forward, CodecKind::Huffman);
+        let (b, model_b) = cm.group_profile(&backward, CodecKind::Huffman);
+        assert_eq!(model_a, model_b);
+        assert_eq!(a, [b[2], b[1], b[0]]);
+        // The numbers are those of a fresh model asked in sorted order.
+        let fresh = CostModel::new(&stats, &m, CostWeights::default());
+        let (sorted, _) = fresh.group_profile(&[ContainerId(0), ContainerId(1), ContainerId(2)], CodecKind::Huffman);
+        assert_eq!(a, [sorted[2], sorted[0], sorted[1]]);
+        // Distinct containers really have distinct ratios here, so a
+        // misordered cache entry could not pass the checks above.
+        assert!(sorted[0] != sorted[2] && sorted[1] != sorted[2], "{sorted:?}");
     }
 
     #[test]

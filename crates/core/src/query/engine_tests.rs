@@ -1,6 +1,7 @@
 //! End-to-end tests of the query engine over a small compressed repository.
 
-use super::exec::Engine;
+use super::exec::{Engine, ExecStats};
+use super::plan::{PlanNode, QueryPlan};
 use crate::loader::{load, load_with, LoaderOptions, WorkloadSpec};
 use crate::repo::Repository;
 use crate::workload::PredOp;
@@ -77,8 +78,8 @@ fn q1_style_equality_where() {
         .unwrap();
     assert_eq!(out, "Alice Smith");
     // The predicate must have been answered by a container range.
-    let trace = e.stats.borrow().operators.join("\n");
-    assert!(trace.contains("ContAccess"), "{trace}");
+    let plan = e.last_plan().render_stable();
+    assert!(plan.contains("ContAccess"), "{plan}");
 }
 
 #[test]
@@ -117,8 +118,8 @@ fn numeric_range_predicate() {
         )
         .unwrap();
     assert_eq!(out, "1");
-    let trace = e.stats.borrow().operators.join("\n");
-    assert!(trace.contains("ContAccess"), "index expected: {trace}");
+    let plan = e.last_plan().render_stable();
+    assert!(plan.contains("ContAccess"), "index expected: {plan}");
 }
 
 #[test]
@@ -163,9 +164,9 @@ fn q8_style_join_uses_hash_join() {
          <item person=\"Bob Jones\">1</item>\
          <item person=\"Carol King\">0</item>"
     );
+    let plan = e.last_plan().render_stable();
+    assert!(plan.contains("HashJoin"), "{plan}");
     let stats = e.stats.borrow();
-    let trace = stats.operators.join("\n");
-    assert!(trace.contains("HashJoin"), "{trace}");
     // Join keys shared one source model => probes on compressed bytes.
     assert!(stats.compressed_eq > 0, "{stats:?}");
 }
@@ -453,14 +454,14 @@ fn block_container_decompressed_once_across_reads() {
 
     let e = Engine::new(&r);
     e.run("//person/@id").unwrap();
-    let first = e.stats.borrow().clone();
+    let first = *e.stats.borrow();
     assert!(first.decompressions > 0, "{first:?}");
     assert_eq!(first.cache_misses, 1, "one wholesale inflation: {first:?}");
 
     // Second query over the same block container: the LRU survives across
     // queries, so no further decompression happens at all.
     e.run("//person/@id").unwrap();
-    let second = e.stats.borrow().clone();
+    let second = *e.stats.borrow();
     assert_eq!(second.decompressions, 0, "{second:?}");
     assert!(second.cache_hits > 0, "{second:?}");
 }
@@ -492,7 +493,7 @@ fn cache_hit_is_not_a_decompression() {
            return $p/name/text()"#,
     )
     .unwrap();
-    let stats = e.stats.borrow().clone();
+    let stats = *e.stats.borrow();
     assert!(stats.cache_hits > 0, "{stats:?}");
     assert!(stats.decompressions > 0, "{stats:?}");
     // Every fetch is either codec work or a hit — hits are not double
@@ -510,14 +511,14 @@ fn exec_stats_merge_display_json() {
     let r = repo();
     let e = Engine::new(&r);
     e.run("//person/name/text()").unwrap();
-    let a = e.stats.borrow().clone();
+    let a = *e.stats.borrow();
     e.run("sum(//closed_auction/price/text())").unwrap();
-    let b = e.stats.borrow().clone();
-    let mut merged = a.clone();
+    let b = *e.stats.borrow();
+    let mut merged = a;
     merged.merge(&b);
     assert_eq!(merged.decompressions, a.decompressions + b.decompressions);
     assert_eq!(merged.value_fetches, a.value_fetches + b.value_fetches);
-    assert_eq!(merged.operators.len(), a.operators.len() + b.operators.len());
+    assert_eq!(merged.since(&b), a);
     // Display is a single line naming every counter.
     let line = merged.to_string();
     for key in ["decompressions=", "cache_hits=", "value_fetches="] {
@@ -541,7 +542,7 @@ fn lifetime_stats_survive_per_query_resets() {
         .unwrap();
     let e = Engine::new(&r);
     e.run("//person/@id").unwrap();
-    let first = e.stats.borrow().clone();
+    let first = *e.stats.borrow();
     assert!(first.decompressions > 0);
     e.run("//person/@id").unwrap();
     // The per-query view forgot the first query's work...
@@ -569,7 +570,7 @@ fn profile_reports_phases_and_counters_for_distinct_queries() {
         let profile = e.profile(q).unwrap();
         assert_eq!(profile.query, q);
         let names: Vec<&str> = profile.phases.iter().map(|p| p.name).collect();
-        assert_eq!(names, ["parse", "compile", "execute", "serialize"], "{q}");
+        assert_eq!(names, ["parse", "execute", "serialize"], "{q}");
         assert!(profile.phase_nanos("execute").unwrap() > 0, "{q}");
         assert!(profile.total_nanos() > 0, "{q}");
         assert!(profile.output_bytes > 0, "{q}");
@@ -579,7 +580,7 @@ fn profile_reports_phases_and_counters_for_distinct_queries() {
         assert_eq!(e.run(q).unwrap().len(), profile.output_bytes, "{q}");
         // The text report mentions every phase.
         let report = profile.render();
-        for phase in ["parse", "compile", "execute", "serialize"] {
+        for phase in ["parse", "execute", "serialize"] {
             assert!(report.contains(phase), "{report}");
         }
         // With ambient metrics on, the report also carries cross-run
@@ -606,4 +607,41 @@ fn query_results_unchanged_by_caching() {
         // Run twice: warm-cache results identical too.
         assert_eq!(cached.run(q).unwrap(), uncached.run(q).unwrap(), "{q} (warm)");
     }
+}
+
+/// A long-running engine keeps no per-query state beyond fixed-size
+/// counters: over 10,000 runs of one query, the lifetime counters are
+/// exactly the sum of the per-query counters, and the plan of the last run
+/// is the plan of the second (the first warms the block cache).
+#[test]
+fn ten_thousand_queries_keep_counters_and_plan_steady() {
+    fn untimed(nodes: &mut [PlanNode]) {
+        for n in nodes {
+            n.stats.nanos = 0;
+            untimed(&mut n.children);
+        }
+    }
+    let r = repo_with_workload();
+    let e = Engine::new(&r);
+    let q = r#"for $p in /site/people/person
+               let $a := for $t in /site/closed_auctions/closed_auction
+                         where $t/buyer/@person = $p/@id
+                         return $t
+               where count($a) > 0
+               return <buyer name=$p/name/text()>{ $a/price/text() }</buyer>"#;
+    let mut summed = ExecStats::default();
+    let mut second = QueryPlan::default();
+    for run in 1..=10_000 {
+        e.run(q).unwrap();
+        summed.merge(&e.stats.borrow());
+        let mut plan = e.last_plan();
+        untimed(&mut plan.roots);
+        if run == 2 {
+            second = plan;
+        } else if run == 10_000 {
+            assert_eq!(plan, second, "plan drifted:\n{}", plan.render_stable());
+        }
+    }
+    assert_eq!(e.lifetime_stats(), summed);
+    assert!(summed.compressed_eq > 0 && summed.value_fetches > 0, "{summed:?}");
 }

@@ -36,9 +36,9 @@ use crate::container::{ContainerLeaf, ValueType};
 use crate::ids::{ContainerId, ElemId, PathId, TagCode};
 use crate::repo::Repository;
 use crate::summary::PathKind;
-use super::plan::{CounterBase, OpStats, PlanRecorder, QueryPlan};
-use super::profile::{QueryPhase, QueryProfile};
-use std::cell::RefCell;
+use super::plan::{OpStats, PlanRecorder, QueryPlan};
+use super::profile::{QueryPhase, QueryProfile, PHASES};
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -91,7 +91,11 @@ fn err<T>(msg: impl Into<String>) -> Result<T, QueryError> {
 /// served from the per-query value memo or the cross-query block LRU
 /// increments `cache_hits` and **not** `decompressions` — asserted by
 /// `cache_hit_is_not_a_decompression` in the engine tests.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+///
+/// This is the engine's one counter set: per query in [`Engine::stats`],
+/// accumulated in [`Engine::lifetime_stats`], and as per-operator deltas in
+/// the plan's [`OpStats`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
     /// Values decompressed.
     pub decompressions: usize,
@@ -107,12 +111,10 @@ pub struct ExecStats {
     pub cache_misses: usize,
     /// Container-value fetches requested by operators (hit or miss).
     pub value_fetches: usize,
-    /// Physical-operator trace (one entry per operator instantiation).
-    pub operators: Vec<String>,
 }
 
 impl ExecStats {
-    /// Fold `other` into `self`: counters add, operator traces concatenate.
+    /// Fold `other` into `self`: every counter adds.
     pub fn merge(&mut self, other: &ExecStats) {
         self.decompressions += other.decompressions;
         self.bytes_decompressed += other.bytes_decompressed;
@@ -121,7 +123,20 @@ impl ExecStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.value_fetches += other.value_fetches;
-        self.operators.extend(other.operators.iter().cloned());
+    }
+
+    /// Counter-wise `self - earlier`: the work done since `earlier` was
+    /// sampled (counters only grow within a query).
+    pub(crate) fn since(&self, earlier: &ExecStats) -> ExecStats {
+        ExecStats {
+            decompressions: self.decompressions - earlier.decompressions,
+            bytes_decompressed: self.bytes_decompressed - earlier.bytes_decompressed,
+            compressed_eq: self.compressed_eq - earlier.compressed_eq,
+            compressed_cmp: self.compressed_cmp - earlier.compressed_cmp,
+            cache_hits: self.cache_hits - earlier.cache_hits,
+            cache_misses: self.cache_misses - earlier.cache_misses,
+            value_fetches: self.value_fetches - earlier.value_fetches,
+        }
     }
 }
 
@@ -130,15 +145,14 @@ impl std::fmt::Display for ExecStats {
         write!(
             f,
             "decompressions={} bytes_decompressed={} compressed_eq={} compressed_cmp={} \
-             cache_hits={} cache_misses={} value_fetches={} operators={}",
+             cache_hits={} cache_misses={} value_fetches={}",
             self.decompressions,
             self.bytes_decompressed,
             self.compressed_eq,
             self.compressed_cmp,
             self.cache_hits,
             self.cache_misses,
-            self.value_fetches,
-            self.operators.len()
+            self.value_fetches
         )
     }
 }
@@ -153,7 +167,6 @@ impl ToJson for ExecStats {
             ("cache_hits", self.cache_hits.to_json()),
             ("cache_misses", self.cache_misses.to_json()),
             ("value_fetches", self.value_fetches.to_json()),
-            ("operators", self.operators.to_json()),
         ])
     }
 }
@@ -239,6 +252,8 @@ pub struct Engine<'r> {
     /// Observed-physical-plan recorder for the current query (reset at every
     /// query start; read through [`Engine::last_plan`]).
     plan: RefCell<PlanRecorder>,
+    /// Wall time of the most recent query's phases, in [`PHASES`] order.
+    phase_nanos: Cell<[u64; 3]>,
 }
 
 /// Interned plaintexts of one container, keyed by compressed bytes.
@@ -273,6 +288,7 @@ impl<'r> Engine<'r> {
             block_cache: RefCell::new(BlockLru::new(capacity)),
             value_cache: RefCell::new(HashMap::new()),
             plan: RefCell::new(PlanRecorder::default()),
+            phase_nanos: Cell::new([0; 3]),
         }
     }
 
@@ -295,7 +311,7 @@ impl<'r> Engine<'r> {
     /// including the (not yet retired) current ones. Cross-query block-LRU
     /// traffic shows up here even after per-query resets.
     pub fn lifetime_stats(&self) -> ExecStats {
-        let mut total = self.lifetime.borrow().clone();
+        let mut total = *self.lifetime.borrow();
         total.merge(&self.stats.borrow());
         total
     }
@@ -308,20 +324,19 @@ impl<'r> Engine<'r> {
         self.plan.borrow().snapshot()
     }
 
-    /// Sample the current per-query counters for operator delta attribution.
-    /// `None` when ambient instrumentation is compiled out (`off` feature):
-    /// operators then record cardinalities only and [`OpStats`] stays zero.
-    fn counter_now(&self) -> Option<CounterBase> {
-        if !xquec_obs::enabled() {
-            return None;
-        }
-        let st = self.stats.borrow();
-        Some(CounterBase {
-            value_fetches: st.value_fetches,
-            cache_hits: st.cache_hits,
-            cache_misses: st.cache_misses,
-            decompressions: st.decompressions,
-            bytes_decompressed: st.bytes_decompressed,
+    /// Clock and counters at operator entry. `None` when ambient
+    /// instrumentation is compiled out (`off` feature): operators then record
+    /// cardinalities only and [`OpStats`] stays zero.
+    fn mark(&self) -> Option<(Instant, ExecStats)> {
+        xquec_obs::enabled().then(|| (Instant::now(), *self.stats.borrow()))
+    }
+
+    /// The cost of the work done since `mark`: wall time and the growth of
+    /// every counter.
+    fn cost_since(&self, mark: Option<(Instant, ExecStats)>) -> OpStats {
+        mark.map_or_else(OpStats::default, |(start, base)| OpStats {
+            nanos: elapsed_ns(start),
+            counters: self.stats.borrow().since(&base),
         })
     }
 
@@ -336,43 +351,44 @@ impl<'r> Engine<'r> {
         f: impl FnOnce() -> Result<T, QueryError>,
         rows_out: impl FnOnce(&T) -> usize,
     ) -> Result<T, QueryError> {
-        self.plan.borrow_mut().enter(op, detail, rows_in, self.counter_now());
+        let mark = self.mark();
+        self.plan.borrow_mut().enter(op, detail, rows_in);
         let result = f();
         let rows = match &result {
             Ok(t) => rows_out(t),
             Err(_) => 0,
         };
-        self.plan.borrow_mut().exit(rows, None, self.counter_now());
+        self.plan.borrow_mut().exit(rows, self.cost_since(mark));
         result
     }
 
-    /// Record an already-finished operator: deltas against `base` (sampled
-    /// via [`Engine::op_base`] before the work) are attributed to it.
+    /// Record an already-finished operator (per-container pushdown ranges,
+    /// index builds, whose control flow makes [`Engine::traced`] awkward):
+    /// the work since `mark` is attributed to it.
     fn op_leaf(
         &self,
         op: &'static str,
         detail: String,
         rows_in: usize,
         rows_out: usize,
-        base: Option<(CounterBase, Instant)>,
+        mark: Option<(Instant, ExecStats)>,
     ) {
-        let stats = match (base, self.counter_now()) {
-            (Some((b, start)), Some(now)) => OpStats {
-                nanos: start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                value_fetches: now.value_fetches - b.value_fetches,
-                cache_hits: now.cache_hits - b.cache_hits,
-                cache_misses: now.cache_misses - b.cache_misses,
-                decompressions: now.decompressions - b.decompressions,
-                bytes_decompressed: now.bytes_decompressed - b.bytes_decompressed,
-            },
-            _ => OpStats::default(),
-        };
-        self.plan.borrow_mut().leaf(op, detail, rows_in, rows_out, stats);
+        let stats = self.cost_since(mark);
+        let mut plan = self.plan.borrow_mut();
+        plan.enter(op, detail, rows_in);
+        plan.exit(rows_out, stats);
     }
 
-    /// Counter + clock sample paired for [`Engine::op_leaf`].
-    fn op_base(&self) -> Option<(CounterBase, Instant)> {
-        self.counter_now().map(|b| (b, Instant::now()))
+    /// Run one pipeline phase under its `query.phase.*` span, recording its
+    /// wall time as phase `i` of [`PHASES`].
+    fn phase<T>(&self, i: usize, span_name: &'static str, f: impl FnOnce() -> T) -> T {
+        let _span = span(span_name);
+        let start = Instant::now();
+        let out = f();
+        let mut nanos = self.phase_nanos.get();
+        nanos[i] = elapsed_ns(start);
+        self.phase_nanos.set(nanos);
+        out
     }
 
     /// Read one value of a block container, inflating the whole container on
@@ -415,91 +431,7 @@ impl<'r> Engine<'r> {
     /// Parse, evaluate and serialize a query.
     pub fn run(&self, query: &str) -> Result<String, QueryError> {
         let seq = self.eval_query(query)?;
-        let _span = span("query.phase.serialize");
-        self.traced(
-            "Serialize",
-            String::new(),
-            seq.len(),
-            || {
-                let out = self.serialize(&seq)?;
-                self.plan.borrow_mut().annotate(None, Some(format!("{} bytes", out.len())));
-                Ok(out)
-            },
-            |_| seq.len(),
-        )
-    }
-
-    /// Parse and evaluate a query, returning the raw sequence.
-    pub fn eval_query(&self, query: &str) -> Result<Sequence, QueryError> {
-        self.retire_stats();
-        counter!("query.exec.queries").inc();
-        self.value_cache.borrow_mut().clear();
-        self.plan.borrow_mut().reset();
-        let ast = {
-            let _span = span("query.phase.parse");
-            parse(query)?
-        };
-        let ctx = Ctx { join_cache: RefCell::new(HashMap::new()) };
-        let mut env: Env = Vec::new();
-        let _span = span("query.phase.execute");
-        self.traced("Execute", String::new(), 0, || self.eval(&ast, &mut env, &ctx), Vec::len)
-    }
-
-    /// Run a query and return the annotated physical plan as text — the
-    /// `EXPLAIN ANALYZE` view: every observed operator with its detail,
-    /// input/output cardinalities, wall time and decompression counters.
-    /// Use [`Engine::explain_plan`] for the structured ([`ToJson`]) form.
-    pub fn explain(&self, query: &str) -> Result<String, QueryError> {
-        self.run(query)?;
-        Ok(self.last_plan().render())
-    }
-
-    /// Run a query and return the observed physical plan as a structured
-    /// tree (serializable to JSON through `xquec-obs`).
-    pub fn explain_plan(&self, query: &str) -> Result<QueryPlan, QueryError> {
-        self.run(query)?;
-        Ok(self.last_plan())
-    }
-
-    /// Run a query with per-phase wall-clock timing and return a structured
-    /// [`QueryProfile`]: parse/compile/execute/serialize times, result
-    /// shape, per-query counters, and the operator trace. Times come from
-    /// `std::time::Instant` directly, so profiling works even when the
-    /// ambient instrumentation is compiled out (`off` feature).
-    pub fn profile(&self, query: &str) -> Result<QueryProfile, QueryError> {
-        fn elapsed_ns(start: Instant) -> u64 {
-            start.elapsed().as_nanos().min(u64::MAX as u128) as u64
-        }
-        self.retire_stats();
-        counter!("query.exec.queries").inc();
-        self.value_cache.borrow_mut().clear();
-        self.plan.borrow_mut().reset();
-
-        let t = Instant::now();
-        let ast = {
-            let _span = span("query.phase.parse");
-            parse(query)?
-        };
-        let parse_nanos = elapsed_ns(t);
-
-        // "Compile": plan-context setup. The planner is fused into the
-        // evaluator (pushdown and join decorrelation happen inside eval),
-        // so this phase is cheap but kept distinct for report stability.
-        let t = Instant::now();
-        let ctx = Ctx { join_cache: RefCell::new(HashMap::new()) };
-        let mut env: Env = Vec::new();
-        let compile_nanos = elapsed_ns(t);
-
-        let t = Instant::now();
-        let seq = {
-            let _span = span("query.phase.execute");
-            self.traced("Execute", String::new(), 0, || self.eval(&ast, &mut env, &ctx), Vec::len)?
-        };
-        let execute_nanos = elapsed_ns(t);
-
-        let t = Instant::now();
-        let output = {
-            let _span = span("query.phase.serialize");
+        self.phase(2, "query.phase.serialize", || {
             self.traced(
                 "Serialize",
                 String::new(),
@@ -510,22 +442,54 @@ impl<'r> Engine<'r> {
                     Ok(out)
                 },
                 |_| seq.len(),
-            )?
-        };
-        let serialize_nanos = elapsed_ns(t);
+            )
+        })
+    }
 
+    /// Parse and evaluate a query, returning the raw sequence. Starts a new
+    /// query: the previous one's counters retire into the lifetime totals,
+    /// and its plan and phase times are discarded.
+    pub fn eval_query(&self, query: &str) -> Result<Sequence, QueryError> {
+        self.retire_stats();
+        counter!("query.exec.queries").inc();
+        self.value_cache.borrow_mut().clear();
+        self.plan.borrow_mut().reset();
+        self.phase_nanos.set([0; 3]);
+        let ast = self.phase(0, "query.phase.parse", || parse(query))?;
+        let ctx = Ctx { join_cache: RefCell::new(HashMap::new()) };
+        let mut env: Env = Vec::new();
+        self.phase(1, "query.phase.execute", || {
+            self.traced("Execute", String::new(), 0, || self.eval(&ast, &mut env, &ctx), Vec::len)
+        })
+    }
+
+    /// Run a query and return the annotated physical plan as text — the
+    /// `EXPLAIN ANALYZE` view: every observed operator with its detail,
+    /// input/output cardinalities, wall time and counters. The structured
+    /// tree is [`Engine::last_plan`].
+    pub fn explain(&self, query: &str) -> Result<String, QueryError> {
+        self.run(query)?;
+        Ok(self.last_plan().render())
+    }
+
+    /// [`Engine::run`] a query and return its [`QueryProfile`]: per-phase
+    /// wall times, result shape, counters and plan. Times come from
+    /// `std::time::Instant` directly, so profiling works even when the
+    /// ambient instrumentation is compiled out (`off` feature).
+    pub fn profile(&self, query: &str) -> Result<QueryProfile, QueryError> {
+        let output = self.run(query)?;
+        let plan = self.last_plan();
         Ok(QueryProfile {
             query: query.to_owned(),
-            phases: vec![
-                QueryPhase { name: "parse", nanos: parse_nanos },
-                QueryPhase { name: "compile", nanos: compile_nanos },
-                QueryPhase { name: "execute", nanos: execute_nanos },
-                QueryPhase { name: "serialize", nanos: serialize_nanos },
-            ],
-            result_items: seq.len(),
+            phases: PHASES
+                .iter()
+                .zip(self.phase_nanos.get())
+                .map(|(&name, nanos)| QueryPhase { name, nanos })
+                .collect(),
+            result_items: plan.roots.first().map_or(0, |execute| execute.rows_out),
             output_bytes: output.len(),
-            stats: self.stats.borrow().clone(),
-            plan: self.last_plan(),
+            stats: *self.stats.borrow(),
+            plan,
         })
     }
 
@@ -725,44 +689,53 @@ impl<'r> Engine<'r> {
             return Ok(());
         }
         match clauses[idx] {
-            Clause::For(v, src) => {
-                let mut seq = self.eval(src, env, ctx)?;
-                // Index pushdown: apply indexable Where conjuncts that
-                // constrain this variable before iterating.
-                if seq.iter().all(|i| matches!(i, Item::Node(_))) {
-                    let nodes: Vec<ElemId> = seq
-                        .iter()
-                        .map(|i| match i {
-                            Item::Node(n) => *n,
-                            _ => unreachable!(),
-                        })
-                        .collect();
-                    let mut nodes = nodes;
-                    for clause in &clauses[idx + 1..] {
-                        let Clause::Where(w) = clause else { continue };
-                        for conj in conjuncts(w) {
-                            if consumed.borrow().contains(&(conj as *const Expr as usize)) {
-                                continue;
-                            }
-                            if let Some(filtered) =
-                                self.try_index_conjunct(&nodes, v, conj)?
-                            {
-                                nodes = filtered;
-                                consumed.borrow_mut().insert(conj as *const Expr as usize);
+            // The loop runs under its own `For` operator: the source, any
+            // pushed-down conjuncts and every per-row operator nest beneath
+            // it (rows: bindings in -> FLWOR rows out).
+            Clause::For(v, src) => self.traced(
+                "For",
+                format!("${v}"),
+                0,
+                || {
+                    let mut seq = self.eval(src, env, ctx)?;
+                    // Index pushdown: apply indexable Where conjuncts that
+                    // constrain this variable before iterating.
+                    if seq.iter().all(|i| matches!(i, Item::Node(_))) {
+                        let mut nodes: Vec<ElemId> = seq
+                            .iter()
+                            .map(|i| match i {
+                                Item::Node(n) => *n,
+                                _ => unreachable!(),
+                            })
+                            .collect();
+                        for clause in &clauses[idx + 1..] {
+                            let Clause::Where(w) = clause else { continue };
+                            for conj in conjuncts(w) {
+                                if consumed.borrow().contains(&(conj as *const Expr as usize)) {
+                                    continue;
+                                }
+                                if let Some(filtered) = self.try_index_conjunct(&nodes, v, conj)? {
+                                    nodes = filtered;
+                                    consumed.borrow_mut().insert(conj as *const Expr as usize);
+                                }
                             }
                         }
+                        seq = nodes.into_iter().map(Item::Node).collect();
                     }
-                    seq = nodes.into_iter().map(Item::Node).collect();
-                }
-                for item in seq {
-                    env.push((v.clone(), vec![item]));
-                    let r =
-                        self.flwor_rec(clauses, idx + 1, ret, order_key, env, ctx, consumed, rows);
-                    env.pop();
-                    r?;
-                }
-                Ok(())
-            }
+                    self.plan.borrow_mut().annotate(Some(seq.len()), None);
+                    let before = rows.len();
+                    for item in seq {
+                        env.push((v.clone(), vec![item]));
+                        let r = self
+                            .flwor_rec(clauses, idx + 1, ret, order_key, env, ctx, consumed, rows);
+                        env.pop();
+                        r?;
+                    }
+                    Ok(rows.len() - before)
+                },
+                |n| *n,
+            )
+            .map(drop),
             Clause::Let(v, src) => {
                 let seq = self.eval(src, env, ctx)?;
                 env.push((v.clone(), seq));
@@ -846,19 +819,14 @@ impl<'r> Engine<'r> {
                 let index = match index {
                     Some(i) => i,
                     None => {
-                        let base = self.op_base();
+                        let mark = self.mark();
                         let built = self.build_join_index(src2, v2, inner_side, ctx)?;
-                        self.stats.borrow_mut().operators.push(format!(
-                            "HashJoin[build rows={} compressed_keys={}]",
-                            built.rows.len(),
-                            built.codec.is_some()
-                        ));
                         self.op_leaf(
                             "JoinIndexBuild",
                             format!("compressed_keys={}", built.codec.is_some()),
                             0,
                             built.rows.len(),
-                            base,
+                            mark,
                         );
                         let rc = Rc::new(built);
                         ctx.join_cache.borrow_mut().insert(key, rc.clone());
@@ -1039,7 +1007,7 @@ impl<'r> Engine<'r> {
         env: &mut Env,
         ctx: &Ctx,
     ) -> Result<Sequence, QueryError> {
-        let base = self.op_base();
+        let mark = self.mark();
         let mut spaths: Vec<PathId> = vec![self.repo.summary.root()];
         let mut i = 0usize;
         while i < steps.len() {
@@ -1098,16 +1066,12 @@ impl<'r> Engine<'r> {
         nodes.sort();
         nodes.dedup();
         if i > 0 {
-            self.stats
-                .borrow_mut()
-                .operators
-                .push(format!("StructureSummaryAccess[paths={} nodes={}]", spaths.len(), nodes.len()));
             self.op_leaf(
                 "StructureSummaryAccess",
                 format!("paths={} steps={}", spaths.len(), i),
                 0,
                 nodes.len(),
-                base,
+                mark,
             );
         }
         self.apply_steps(nodes, &steps[i..], env, ctx)
@@ -1410,7 +1374,7 @@ impl<'r> Engine<'r> {
                 return Ok(None);
             }
             let Some(bound) = self.bound_string(c, konst) else { return Ok(None) };
-            let base = self.op_base();
+            let mark = self.mark();
             let range = match op {
                 CmpOp::Eq => c.equal_range(bound.as_bytes())?,
                 CmpOp::Lt => 0..c.lower_bound(bound.as_bytes())?,
@@ -1421,10 +1385,6 @@ impl<'r> Engine<'r> {
             };
             let path = self.repo.container_path_string(cid);
             let range_len = range.len();
-            self.stats.borrow_mut().operators.push(format!(
-                "ContAccess[{path} {} {bound:?} -> {range_len} records]",
-                op.as_str(),
-            ));
             for idx in range {
                 let mut owner = c.parent_of(idx);
                 for _ in 0..up {
@@ -1440,7 +1400,7 @@ impl<'r> Engine<'r> {
                 format!("{path} {} {bound:?}", op.as_str()),
                 candidates.len(),
                 range_len,
-                base,
+                mark,
             );
         }
         Ok(Some(candidates.iter().copied().filter(|c| hits.contains(c)).collect()))
@@ -2083,6 +2043,11 @@ impl Drop for Engine<'_> {
 }
 
 // ---- helpers -------------------------------------------------------------
+
+/// Nanoseconds since `start`, saturating.
+fn elapsed_ns(start: Instant) -> u64 {
+    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
 
 /// `axis::test` rendering of a step for plan-node details (deterministic for
 /// a given query, so golden explain tests can compare it verbatim).

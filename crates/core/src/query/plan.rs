@@ -6,60 +6,52 @@
 //! plan from that interpreter: every operator instantiation opens a
 //! [`PlanNode`] on a recorder stack, runs, and closes with its measured
 //! cardinalities and — when ambient instrumentation is compiled in — wall
-//! time and the deltas of the engine's [`super::exec::ExecStats`] counters
-//! (value fetches, cache traffic, decompression work) attributed to the
-//! time the operator was open.
+//! time and the delta of the engine's [`ExecStats`] counters over the time
+//! the operator was open.
 //!
 //! Two invariants make the tree useful for reports and tests:
 //!
 //! * **Coalescing.** An operator re-instantiated with the same name and
-//!   detail under the same parent (a navigation step re-run per FLWOR row,
-//!   a hash-join probe per outer binding) merges into one node whose
-//!   `invocations` counts the repeats and whose stats accumulate — the tree
-//!   stays bounded by the *plan shape*, not the data size.
+//!   detail as *any* sibling under the same parent (a navigation step re-run
+//!   per FLWOR row, a hash-join probe per outer binding) merges into that
+//!   sibling, whose `invocations` counts the repeats and whose stats
+//!   accumulate. Each FLWOR `for` clause runs under its own `For[$var]`
+//!   operator, so per-row operators nest under their loop and operators of
+//!   different loops never merge. No two siblings share `(op, detail)`, and
+//!   the tree stays bounded by the *plan shape*, not the data size.
 //! * **Reconciliation.** Stats are recorded *inclusively* (a parent's
 //!   counters cover its children), and every phase of a query runs under a
 //!   root operator (`Execute`, `Serialize`). The sum of the root nodes'
-//!   inclusive [`OpStats`] therefore equals the per-query `ExecStats`
-//!   totals — asserted by `crates/core/tests/explain_golden.rs`.
+//!   [`OpStats`] counters therefore equals the per-query `ExecStats` —
+//!   asserted by `crates/core/tests/explain_golden.rs`.
 //!
 //! Cardinalities (`rows_in`/`rows_out`) and the tree structure are
 //! deterministic and always recorded, so golden tests hold under the
 //! `off` feature too; [`OpStats`] is all-zero in that build
 //! ([`QueryPlan::render_stable`] prints only the deterministic fields).
 
+use super::exec::ExecStats;
 use xquec_obs::json::{Json, ToJson};
 
-/// Measured per-operator counters (inclusive of child operators).
+/// Measured per-operator cost, inclusive of child operators: wall time plus
+/// the growth of every [`ExecStats`] counter while the operator was open.
 ///
-/// All-zero when `xquec-obs` is built with the `off` feature: the deltas
+/// All-zero when `xquec-obs` is built with the `off` feature: the counters
 /// are never sampled, so operator instrumentation compiles down to the
 /// cardinality bookkeeping alone.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct OpStats {
     /// Wall time the operator was open, in nanoseconds.
     pub nanos: u64,
-    /// Container-value fetches requested while the operator was open.
-    pub value_fetches: usize,
-    /// Decompression-cache hits.
-    pub cache_hits: usize,
-    /// Decompression-cache misses.
-    pub cache_misses: usize,
-    /// Values decompressed (codec work, not cache reads).
-    pub decompressions: usize,
-    /// Plaintext bytes produced by that codec work.
-    pub bytes_decompressed: usize,
+    /// Counter deltas attributed to the operator.
+    pub counters: ExecStats,
 }
 
 impl OpStats {
     /// Fold `other` into `self` (used when coalescing repeated operators).
     pub fn merge(&mut self, other: &OpStats) {
         self.nanos += other.nanos;
-        self.value_fetches += other.value_fetches;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.decompressions += other.decompressions;
-        self.bytes_decompressed += other.bytes_decompressed;
+        self.counters.merge(&other.counters);
     }
 
     fn is_zero(&self) -> bool {
@@ -71,11 +63,7 @@ impl ToJson for OpStats {
     fn to_json(&self) -> Json {
         Json::obj(vec![
             ("nanos", Json::Num(self.nanos as f64)),
-            ("value_fetches", self.value_fetches.to_json()),
-            ("cache_hits", self.cache_hits.to_json()),
-            ("cache_misses", self.cache_misses.to_json()),
-            ("decompressions", self.decompressions.to_json()),
-            ("bytes_decompressed", self.bytes_decompressed.to_json()),
+            ("counters", self.counters.to_json()),
         ])
     }
 }
@@ -84,7 +72,8 @@ impl ToJson for OpStats {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanNode {
     /// Operator name (`StructureSummaryAccess`, `ContAccess`, `HashJoin`,
-    /// `StructureNav`, `Predicate`, `Sort`, `TextContent`, `Serialize`, …).
+    /// `For`, `StructureNav`, `Predicate`, `Sort`, `TextContent`,
+    /// `Serialize`, …).
     pub op: &'static str,
     /// Operator-specific detail (path, axis/test, predicate, bound).
     /// Deterministic for a given query and document — golden-testable.
@@ -95,19 +84,13 @@ pub struct PlanNode {
     pub rows_out: usize,
     /// Times this operator was instantiated at this tree position.
     pub invocations: usize,
-    /// Measured counters, inclusive of `children`.
+    /// Measured cost, inclusive of `children`.
     pub stats: OpStats,
     /// Child operators, in first-open order.
     pub children: Vec<PlanNode>,
 }
 
 impl PlanNode {
-    /// Can `other` coalesce into `self`? Same operator at the same tree
-    /// position with the same detail — a re-instantiation, not a new shape.
-    fn same_shape(&self, other: &PlanNode) -> bool {
-        self.op == other.op && self.detail == other.detail
-    }
-
     /// Merge a repeated instantiation into this node.
     fn absorb(&mut self, other: PlanNode) {
         self.rows_in += other.rows_in;
@@ -138,8 +121,8 @@ impl PlanNode {
             let _ = write!(out, " loops={}", self.invocations);
         }
         if !stable && !self.stats.is_zero() {
-            let s = &self.stats;
-            let _ = write!(out, " time={:.3}ms", s.nanos as f64 / 1e6);
+            let s = &self.stats.counters;
+            let _ = write!(out, " time={:.3}ms", self.stats.nanos as f64 / 1e6);
             if s.value_fetches > 0 {
                 let _ = write!(out, " fetches={}", s.value_fetches);
             }
@@ -152,6 +135,12 @@ impl PlanNode {
                     " decomp={} ({} bytes)",
                     s.decompressions, s.bytes_decompressed
                 );
+            }
+            if s.compressed_eq > 0 {
+                let _ = write!(out, " compressed_eq={}", s.compressed_eq);
+            }
+            if s.compressed_cmp > 0 {
+                let _ = write!(out, " compressed_cmp={}", s.compressed_cmp);
             }
         }
         out.push('\n');
@@ -179,14 +168,14 @@ impl ToJson for PlanNode {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryPlan {
     /// Root operators in phase order (`Execute`, then `Serialize` when the
-    /// query was run through [`super::exec::Engine::run`] or `profile`).
+    /// query was run through [`super::exec::Engine::run`]).
     pub roots: Vec<PlanNode>,
 }
 
 impl QueryPlan {
     /// Sum of the root operators' inclusive stats. Because every evaluation
-    /// phase runs under a root operator, this reconciles with the per-query
-    /// [`super::exec::ExecStats`] counters.
+    /// phase runs under a root operator, its counters equal the per-query
+    /// [`ExecStats`].
     pub fn totals(&self) -> OpStats {
         let mut total = OpStats::default();
         for r in &self.roots {
@@ -240,16 +229,13 @@ impl ToJson for QueryPlan {
     }
 }
 
-/// Append `node` under `siblings`, coalescing into the previous sibling
-/// when it has the same shape (same op + detail).
+/// Append `node` under `siblings`, coalescing it into the sibling with the
+/// same op and detail when there is one.
 fn attach(siblings: &mut Vec<PlanNode>, node: PlanNode) {
-    if let Some(last) = siblings.last_mut() {
-        if last.same_shape(&node) {
-            last.absorb(node);
-            return;
-        }
+    match siblings.iter_mut().find(|s| s.op == node.op && s.detail == node.detail) {
+        Some(same) => same.absorb(node),
+        None => siblings.push(node),
     }
-    siblings.push(node);
 }
 
 // ---------------------------------------------------------------------------
@@ -262,21 +248,7 @@ struct OpenOp {
     op: &'static str,
     detail: String,
     rows_in: usize,
-    /// Entry wall clock (absent in `off` builds — no clock read).
-    start: Option<std::time::Instant>,
-    /// `ExecStats` counter snapshot at entry (absent in `off` builds).
-    base: Option<CounterBase>,
     children: Vec<PlanNode>,
-}
-
-/// The `ExecStats` counters sampled at operator entry.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct CounterBase {
-    pub value_fetches: usize,
-    pub cache_hits: usize,
-    pub cache_misses: usize,
-    pub decompressions: usize,
-    pub bytes_decompressed: usize,
 }
 
 /// Builds one [`QueryPlan`] per query. Owned by the engine behind a
@@ -295,60 +267,23 @@ impl PlanRecorder {
         self.roots.clear();
     }
 
-    pub fn enter(
-        &mut self,
-        op: &'static str,
-        detail: String,
-        rows_in: usize,
-        base: Option<CounterBase>,
-    ) {
-        let start = base.as_ref().map(|_| std::time::Instant::now());
-        self.stack.push(OpenOp { op, detail, rows_in, start, base, children: Vec::new() });
+    pub fn enter(&mut self, op: &'static str, detail: String, rows_in: usize) {
+        self.stack.push(OpenOp { op, detail, rows_in, children: Vec::new() });
     }
 
-    /// Close the innermost open operator with its measured deltas.
-    pub fn exit(&mut self, rows_out: usize, detail: Option<String>, now: Option<CounterBase>) {
+    /// Close the innermost open operator with its measured cost and attach
+    /// it under the operator below it (or as a root).
+    pub fn exit(&mut self, rows_out: usize, stats: OpStats) {
         let Some(open) = self.stack.pop() else { return };
-        let stats = match (open.base, now, open.start) {
-            (Some(base), Some(now), Some(start)) => OpStats {
-                nanos: start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                value_fetches: now.value_fetches - base.value_fetches,
-                cache_hits: now.cache_hits - base.cache_hits,
-                cache_misses: now.cache_misses - base.cache_misses,
-                decompressions: now.decompressions - base.decompressions,
-                bytes_decompressed: now.bytes_decompressed - base.bytes_decompressed,
-            },
-            _ => OpStats::default(),
-        };
         let node = PlanNode {
             op: open.op,
-            detail: detail.unwrap_or(open.detail),
+            detail: open.detail,
             rows_in: open.rows_in,
             rows_out,
             invocations: 1,
             stats,
             children: open.children,
         };
-        match self.stack.last_mut() {
-            Some(parent) => attach(&mut parent.children, node),
-            None => attach(&mut self.roots, node),
-        }
-    }
-
-    /// Attach an already-closed operator under the innermost open one (or as
-    /// a root). Used for operators whose control flow makes balanced
-    /// enter/exit awkward (per-container pushdown ranges, index builds):
-    /// the caller measures the deltas itself and reports the finished node,
-    /// so no error path can ever leave the stack unbalanced.
-    pub fn leaf(
-        &mut self,
-        op: &'static str,
-        detail: String,
-        rows_in: usize,
-        rows_out: usize,
-        stats: OpStats,
-    ) {
-        let node = PlanNode { op, detail, rows_in, rows_out, invocations: 1, stats, children: Vec::new() };
         match self.stack.last_mut() {
             Some(parent) => attach(&mut parent.children, node),
             None => attach(&mut self.roots, node),
@@ -394,13 +329,12 @@ mod tests {
     #[test]
     fn coalesces_repeated_siblings() {
         let mut rec = PlanRecorder::default();
-        rec.enter("Execute", String::new(), 0, None);
-        for i in 0..100 {
-            rec.enter("StructureNav", "child::name".into(), 1, None);
-            rec.exit(1, None, None);
-            let _ = i;
+        rec.enter("Execute", String::new(), 0);
+        for _ in 0..100 {
+            rec.enter("StructureNav", "child::name".into(), 1);
+            rec.exit(1, OpStats::default());
         }
-        rec.exit(100, None, None);
+        rec.exit(100, OpStats::default());
         let plan = rec.snapshot();
         assert_eq!(plan.size(), 2, "{}", plan.render_stable());
         let nav = &plan.roots[0].children[0];
@@ -412,24 +346,42 @@ mod tests {
     #[test]
     fn distinct_details_stay_separate() {
         let mut rec = PlanRecorder::default();
-        rec.enter("Execute", String::new(), 0, None);
-        rec.enter("StructureNav", "child::a".into(), 1, None);
-        rec.exit(2, None, None);
-        rec.enter("StructureNav", "child::b".into(), 2, None);
-        rec.exit(3, None, None);
-        rec.exit(3, None, None);
+        rec.enter("Execute", String::new(), 0);
+        rec.enter("StructureNav", "child::a".into(), 1);
+        rec.exit(2, OpStats::default());
+        rec.enter("StructureNav", "child::b".into(), 2);
+        rec.exit(3, OpStats::default());
+        rec.exit(3, OpStats::default());
         let plan = rec.snapshot();
         assert_eq!(plan.roots[0].children.len(), 2);
+    }
+
+    /// A per-row body with two operators interleaves them; each still merges
+    /// into its own first instance, not just into the last sibling.
+    #[test]
+    fn coalesces_interleaved_siblings() {
+        let mut rec = PlanRecorder::default();
+        rec.enter("For", "$p".into(), 0);
+        for _ in 0..50 {
+            for step in ["child::name", "child::age"] {
+                rec.enter("StructureNav", step.into(), 1);
+                rec.exit(1, OpStats::default());
+            }
+        }
+        rec.exit(50, OpStats::default());
+        let plan = rec.snapshot();
+        assert_eq!(plan.size(), 3, "{}", plan.render_stable());
+        assert!(plan.roots[0].children.iter().all(|c| c.invocations == 50));
     }
 
     #[test]
     fn reset_discards_unbalanced_stack() {
         let mut rec = PlanRecorder::default();
-        rec.enter("Execute", String::new(), 0, None);
-        rec.enter("StructureNav", "child::a".into(), 1, None);
+        rec.enter("Execute", String::new(), 0);
+        rec.enter("StructureNav", "child::a".into(), 1);
         rec.reset();
-        rec.enter("Execute", String::new(), 0, None);
-        rec.exit(1, None, None);
+        rec.enter("Execute", String::new(), 0);
+        rec.exit(1, OpStats::default());
         let plan = rec.snapshot();
         assert_eq!(plan.roots.len(), 1);
         assert!(plan.roots[0].children.is_empty());
@@ -453,13 +405,13 @@ mod tests {
     #[test]
     fn totals_sum_roots() {
         let mut a = leaf("Execute", "", 0, 1);
-        a.stats.decompressions = 3;
-        a.stats.bytes_decompressed = 120;
+        a.stats.counters.decompressions = 3;
+        a.stats.counters.bytes_decompressed = 120;
         let mut b = leaf("Serialize", "", 1, 1);
-        b.stats.decompressions = 2;
+        b.stats.counters.decompressions = 2;
         let plan = QueryPlan { roots: vec![a, b] };
         let t = plan.totals();
-        assert_eq!(t.decompressions, 5);
-        assert_eq!(t.bytes_decompressed, 120);
+        assert_eq!(t.counters.decompressions, 5);
+        assert_eq!(t.counters.bytes_decompressed, 120);
     }
 }

@@ -1,8 +1,9 @@
 //! Structured per-query profiles returned by [`crate::Engine::profile`].
 //!
-//! A [`QueryProfile`] captures wall time per query phase, the result shape,
-//! and the per-query [`ExecStats`] counters. It serializes to JSON through
-//! the workspace serde stand-in ([`xquec_obs::json`]) and renders a
+//! A [`QueryProfile`] is what one [`crate::Engine::run`] leaves behind: wall
+//! time per pipeline phase, the result shape, the per-query [`ExecStats`]
+//! counters and the observed plan. It serializes to JSON through the
+//! workspace serde stand-in ([`xquec_obs::json`]) and renders a
 //! human-readable `--explain`-style report via [`QueryProfile::render`].
 //! Phase times are measured with `std::time::Instant` directly, so
 //! profiles stay meaningful when ambient instrumentation is compiled out.
@@ -11,11 +12,14 @@ use super::exec::ExecStats;
 use super::plan::QueryPlan;
 use xquec_obs::json::{Json, ToJson};
 
+/// The query pipeline's phases, in execution order (the last segment of the
+/// matching `query.phase.*` span names).
+pub const PHASES: [&str; 3] = ["parse", "execute", "serialize"];
+
 /// Wall time of one query phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPhase {
-    /// Phase name: `parse`, `compile`, `execute`, or `serialize` (matching
-    /// the `query.phase.*` span names, last segment).
+    /// Phase name, one of [`PHASES`].
     pub name: &'static str,
     /// Elapsed wall time in nanoseconds.
     pub nanos: u64,
@@ -33,7 +37,7 @@ pub struct QueryProfile {
     /// Bytes of serialized XML output.
     pub output_bytes: usize,
     /// Per-query execution counters (decompressions, compressed-domain
-    /// comparisons, cache traffic, value fetches, operator trace).
+    /// comparisons, cache traffic, value fetches).
     pub stats: ExecStats,
     /// The observed physical plan: per-operator cardinalities, wall time
     /// and decompression counters (the `EXPLAIN ANALYZE` tree).
@@ -52,7 +56,7 @@ impl QueryProfile {
     }
 
     /// Human-readable `--explain`-style report: phase timings, counters,
-    /// then the physical-operator trace.
+    /// then the physical plan.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -66,16 +70,9 @@ impl QueryProfile {
             self.result_items, self.output_bytes
         );
         let _ = writeln!(out, "  counters: {}", self.stats);
-        if self.plan.roots.is_empty() {
-            // Engines predating plan capture (or a hand-built profile).
-            for op in &self.stats.operators {
-                let _ = writeln!(out, "  operator {op}");
-            }
-        } else {
-            let _ = writeln!(out, "  plan:");
-            for line in self.plan.render().lines() {
-                let _ = writeln!(out, "    {line}");
-            }
+        let _ = writeln!(out, "  plan:");
+        for line in self.plan.render().lines() {
+            let _ = writeln!(out, "    {line}");
         }
         if xquec_obs::enabled() {
             // Ambient per-phase latency percentiles across every query this

@@ -1,4 +1,4 @@
-//! Golden tests for `Engine::explain`: the *stable* plan rendering
+//! Golden tests for the observed plan: the *stable* rendering
 //! (operators, details, cardinalities) is compared verbatim for three
 //! XMark-style queries, so any change to operator naming, tree shape or
 //! cardinality accounting shows up as a reviewable diff here — on every
@@ -7,7 +7,7 @@
 //!
 //! Also asserts the reconciliation invariant from `query::plan`: operator
 //! stats are inclusive and every phase runs under a root operator, so the
-//! sum of root `OpStats` equals the per-query `ExecStats` totals.
+//! counters of the summed root `OpStats` equal the per-query `ExecStats`.
 
 use xquec_core::loader::{load_with, LoaderOptions, WorkloadSpec};
 use xquec_core::query::Engine;
@@ -76,67 +76,26 @@ const Q_JOIN: &str = r#"for $c in //closed_auction
            return $p/name/text()"#;
 const GOLDEN_JOIN: &str = "\
 Execute rows=0->3
-  StructureSummaryAccess[paths=1 steps=1] rows=0->6 loops=2
-  Predicate[where] rows=1->1
-    StructureNav[child::buyer] rows=1->1
-    TextContent[@person] rows=1->1
-    TextContent[@id] rows=1->1
-  StructureNav[child::name] rows=1->1
-  TextContent[text()] rows=1->1
-  Predicate[where] rows=2->0 loops=2
-    StructureNav[child::buyer] rows=1->1
-    TextContent[@person] rows=1->1
-    TextContent[@id] rows=1->1
-    StructureNav[child::buyer] rows=1->1
-    TextContent[@person] rows=1->1
-    TextContent[@id] rows=1->1
-  StructureSummaryAccess[paths=1 steps=1] rows=0->3
-  Predicate[where] rows=2->1 loops=2
-    StructureNav[child::buyer] rows=1->1
-    TextContent[@person] rows=1->1
-    TextContent[@id] rows=1->1
-    StructureNav[child::buyer] rows=1->1
-    TextContent[@person] rows=1->1
-    TextContent[@id] rows=1->1
-  StructureNav[child::name] rows=1->1
-  TextContent[text()] rows=1->1
-  Predicate[where] rows=1->0
-    StructureNav[child::buyer] rows=1->1
-    TextContent[@person] rows=1->1
-    TextContent[@id] rows=1->1
-  StructureSummaryAccess[paths=1 steps=1] rows=0->3
-  Predicate[where] rows=1->1
-    StructureNav[child::buyer] rows=1->1
-    TextContent[@person] rows=1->1
-    TextContent[@id] rows=1->1
-  StructureNav[child::name] rows=1->1
-  TextContent[text()] rows=1->1
-  Predicate[where] rows=2->0 loops=2
-    StructureNav[child::buyer] rows=1->1
-    TextContent[@person] rows=1->1
-    TextContent[@id] rows=1->1
-    StructureNav[child::buyer] rows=1->1
-    TextContent[@person] rows=1->1
-    TextContent[@id] rows=1->1
+  For[$c] rows=3->3
+    StructureSummaryAccess[paths=1 steps=1] rows=0->3
+    For[$p] rows=9->3 loops=3
+      StructureSummaryAccess[paths=1 steps=1] rows=0->9 loops=3
+      Predicate[where] rows=9->3 loops=9
+        StructureNav[child::buyer] rows=9->9 loops=9
+        TextContent[@person] rows=9->9 loops=9
+        TextContent[@id] rows=9->9 loops=9
+      StructureNav[child::name] rows=3->3 loops=3
+      TextContent[text()] rows=3->3 loops=3
 Serialize[33 bytes] rows=3->3
 ";
 
 const Q_SORT: &str = "for $p in //person order by $p/age/text() return $p/age/text()";
 const GOLDEN_SORT: &str = "\
 Execute rows=0->3
-  StructureSummaryAccess[paths=1 steps=1] rows=0->3
-  StructureNav[child::age] rows=1->1
-  TextContent[text()] rows=1->1
-  StructureNav[child::age] rows=1->1
-  TextContent[text()] rows=1->1
-  StructureNav[child::age] rows=1->1
-  TextContent[text()] rows=1->1
-  StructureNav[child::age] rows=1->1
-  TextContent[text()] rows=1->1
-  StructureNav[child::age] rows=1->1
-  TextContent[text()] rows=1->1
-  StructureNav[child::age] rows=1->1
-  TextContent[text()] rows=1->1
+  For[$p] rows=3->3
+    StructureSummaryAccess[paths=1 steps=1] rows=0->3
+    StructureNav[child::age] rows=6->6 loops=6
+    TextContent[text()] rows=6->6 loops=6
   Sort[ascending] rows=3->3
 Serialize[8 bytes] rows=3->3
 ";
@@ -146,8 +105,8 @@ fn explain_plans_match_goldens() {
     let r = repo();
     let e = Engine::new(&r);
     for (q, golden) in [(Q_PATH, GOLDEN_PATH), (Q_JOIN, GOLDEN_JOIN), (Q_SORT, GOLDEN_SORT)] {
-        let plan = e.explain_plan(q).unwrap();
-        assert_eq!(plan.render_stable(), golden, "stable plan drifted for: {q}");
+        e.run(q).unwrap();
+        assert_eq!(e.last_plan().render_stable(), golden, "stable plan drifted for: {q}");
     }
 }
 
@@ -168,9 +127,10 @@ fn explain_text_covers_stable_operators() {
 }
 
 /// Reconciliation: root operators cover every phase inclusively, so the
-/// plan's summed `OpStats` equal the engine's per-query `ExecStats` for
-/// each counter both sides track. Under the `off` feature the deltas are
-/// never sampled and the totals must be exactly zero.
+/// counters of the plan's summed `OpStats` equal the engine's per-query
+/// `ExecStats` — every counter, compared as one struct. Under the `off`
+/// feature the deltas are never sampled and the totals must be exactly
+/// zero.
 #[test]
 fn plan_totals_reconcile_with_exec_stats() {
     let r = repo();
@@ -179,11 +139,7 @@ fn plan_totals_reconcile_with_exec_stats() {
         let profile = e.profile(q).unwrap();
         let t = profile.plan.totals();
         if xquec_obs::enabled() {
-            assert_eq!(t.value_fetches, profile.stats.value_fetches, "{q}");
-            assert_eq!(t.cache_hits, profile.stats.cache_hits, "{q}");
-            assert_eq!(t.cache_misses, profile.stats.cache_misses, "{q}");
-            assert_eq!(t.decompressions, profile.stats.decompressions, "{q}");
-            assert_eq!(t.bytes_decompressed, profile.stats.bytes_decompressed, "{q}");
+            assert_eq!(t.counters, profile.stats, "{q}");
             assert!(profile.stats.value_fetches > 0, "{q} fetched nothing");
         } else {
             assert_eq!(t, Default::default(), "off build must record no stats: {q}");

@@ -212,7 +212,7 @@ fn query_profile_json_round_trip() {
     };
     let names: Vec<&str> =
         phases.iter().filter_map(|p| p.get("name").and_then(Json::as_str)).collect();
-    assert_eq!(names, ["parse", "compile", "execute", "serialize"]);
+    assert_eq!(names, ["parse", "execute", "serialize"]);
     assert!(phases
         .iter()
         .all(|p| p.get("nanos").and_then(Json::as_num).is_some()));

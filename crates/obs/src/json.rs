@@ -7,9 +7,8 @@
 //! `serde_json::to_string_pretty` produced. [`Json::parse`] is the inverse,
 //! used by round-trip golden tests and the CI metrics-snapshot check.
 //!
-//! This module lives in `xquec-obs` (rather than `xquec-bench`, its original
-//! home) so the storage, core, and bench crates can all serialize through it
-//! without a dependency cycle; `xquec_bench::json` re-exports it.
+//! This module lives in `xquec-obs` so the storage, core, and bench crates
+//! can all serialize through it without a dependency cycle.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
