@@ -201,13 +201,14 @@ impl GalaxEngine {
                 for (n, e) in &c.attrs {
                     let v = self.eval(e, env)?;
                     let text: Vec<String> = v.iter().map(|i| self.string(i)).collect();
-                    attrs.push((n.clone(), text.join(" ")));
+                    attrs.push((n.to_string(), text.join(" ")));
                 }
                 let mut children = Vec::new();
                 for e in &c.children {
                     children.push(self.eval(e, env)?);
                 }
-                Ok(vec![GItem::Frag(Rc::new(GFragment { tag: c.tag.clone(), attrs, children }))])
+                let tag = c.tag.to_string();
+                Ok(vec![GItem::Frag(Rc::new(GFragment { tag, attrs, children }))])
             }
             Expr::Path(p) => self.eval_path(p, env),
             Expr::Flwor(clauses, ret) => {

@@ -30,6 +30,7 @@ pub const VOLATILE_KEYS: &[&str] = &[
     "xquec_load_s",
     "galax_load_s",
     "nanos",
+    "self_nanos",
     "decompress_mb_s",
 ];
 

@@ -609,8 +609,13 @@ pub fn profile(p: Profile) -> ProfileReport {
 /// pure functions of the deterministic generator and codecs, so this report
 /// is machine-stable — `repro --baseline` gates on it to catch estimator
 /// drift (sampling changes, codec regressions) in CI.
+///
+/// The quick profile loads 575 KB, the smallest size on a 25 KB grid at
+/// which a predicted container (`person/@id`, 262 values) holds more values
+/// than the cost model samples: below it every prediction sees its whole
+/// container and reads 0% error by construction.
 pub fn calibration(p: Profile) -> xquec_core::CalibrationReport {
-    let bytes = if p.quick { 250_000 } else { 2_000_000 };
+    let bytes = if p.quick { 575_000 } else { 2_000_000 };
     let xml = Dataset::Xmark.generate(bytes);
     let opts = LoaderOptions { workload: Some(xmark_workload()), ..Default::default() };
     let (_repo, profile) = xquec_core::load_profiled(&xml, &opts).expect("load");

@@ -39,6 +39,11 @@ pub struct CalibrationRow {
     pub actual_codec: &'static str,
     /// Records in the container.
     pub values: usize,
+    /// Values in the sample the prediction was made on. Equal to `values`
+    /// when the whole container fits the statistics' sample cap — the
+    /// prediction then saw all the data and its error measures nothing but
+    /// the bookkeeping.
+    pub sample: usize,
     /// Plaintext bytes the container represents.
     pub raw_bytes: usize,
     /// Measured compressed payload bytes.
@@ -90,6 +95,7 @@ impl CalibrationReport {
                     predicted_alg: p.alg,
                     actual_codec: c.codec,
                     values: c.values,
+                    sample: p.sample,
                     raw_bytes: c.raw_bytes,
                     compressed_bytes: c.compressed_bytes,
                     predicted_ratio: p.ratio,
@@ -152,10 +158,13 @@ impl CalibrationReport {
             let marker = if r.alg_match { ' ' } else { '!' };
             let _ = writeln!(
                 out,
-                "  {marker} {:<44} {:>8} -> {:<8} pred {:.3} actual {:.3} err {:>6.1}%",
+                "  {marker} {:<44} {:>8} -> {:<8} values {:>6} sample {:>4} pred {:.3} actual {:.3} \
+                 err {:>6.1}%",
                 r.path,
                 r.predicted_alg,
                 r.actual_codec,
+                r.values,
+                r.sample,
                 r.predicted_ratio,
                 r.actual_ratio,
                 r.rel_error * 100.0
@@ -178,6 +187,7 @@ impl ToJson for CalibrationRow {
             ("predicted_alg", self.predicted_alg.to_json()),
             ("actual_codec", self.actual_codec.to_json()),
             ("values", self.values.to_json()),
+            ("sample", self.sample.to_json()),
             ("raw_bytes", self.raw_bytes.to_json()),
             ("compressed_bytes", self.compressed_bytes.to_json()),
             ("predicted_ratio", Json::Num(self.predicted_ratio)),

@@ -318,13 +318,23 @@ impl Container {
     /// Decompress the whole container in record order (the only way to read
     /// a block container — deliberately expensive, as in XMill).
     pub fn decompress_all(&self) -> Result<Vec<String>, ContainerError> {
+        self.decompress_all_with(str::to_owned)
+    }
+
+    /// [`Container::decompress_all`], handing each value to `make` as it is
+    /// decoded, so callers build the form they keep (`Rc<str>`, say) with
+    /// no intermediate `String`.
+    pub fn decompress_all_with<T>(
+        &self,
+        mut make: impl FnMut(&str) -> T,
+    ) -> Result<Vec<T>, ContainerError> {
         match &self.store {
             Store::Individual { comps } => comps
                 .iter()
                 .map(|c| {
                     self.codec
                         .decompress(c)
-                        .map(|p| String::from_utf8_lossy(&p).into_owned())
+                        .map(|p| make(&String::from_utf8_lossy(&p)))
                         .map_err(|e| self.codec_err(e))
                 })
                 .collect(),
@@ -340,7 +350,7 @@ impl Container {
                         .checked_add(len)
                         .filter(|&e| e <= concat.len())
                         .ok_or_else(|| self.err("block value leaves the blob"))?;
-                    out.push(String::from_utf8_lossy(&concat[pos..end]).into_owned());
+                    out.push(make(&String::from_utf8_lossy(&concat[pos..end])));
                     pos = end;
                 }
                 Ok(out)

@@ -72,6 +72,9 @@ pub struct Prediction {
     pub alg: CodecKind,
     /// Predicted compressed/plain payload ratio (estimated on the sample).
     pub ratio: f64,
+    /// Values in the container's sample the ratio was estimated on (at
+    /// most the statistics' sample cap).
+    pub sample: usize,
     /// Index of the configuration group holding the container.
     pub group: usize,
     /// Bytes of the group's shared source model (0 for block storage).
@@ -220,6 +223,7 @@ impl<'a> CostModel<'a> {
                     container: c,
                     alg: g.alg,
                     ratio: ratios[k],
+                    sample: self.stats[c.0 as usize].sample.len(),
                     group: gi,
                     group_model_bytes: model,
                 });

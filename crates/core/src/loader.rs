@@ -182,6 +182,8 @@ pub struct PredictedRow {
     pub alg: &'static str,
     /// Predicted compressed/plain payload ratio (sample-based estimate).
     pub ratio: f64,
+    /// Values in the sample the ratio was estimated on.
+    pub sample: usize,
     /// Configuration group index (containers sharing one source model).
     pub group: usize,
     /// Predicted bytes of the group's shared source model.
@@ -247,6 +249,7 @@ impl LoadProfile {
                 path: repo.container_path_string(p.container),
                 alg: p.alg.name(),
                 ratio: p.ratio,
+                sample: p.sample,
                 group: p.group,
                 group_model_bytes: p.group_model_bytes,
             })
@@ -323,6 +326,7 @@ impl ToJson for PredictedRow {
             ("path", self.path.to_json()),
             ("alg", self.alg.to_json()),
             ("ratio", Json::Num(self.ratio)),
+            ("sample", self.sample.to_json()),
             ("group", self.group.to_json()),
             ("group_model_bytes", self.group_model_bytes.to_json()),
         ])

@@ -9,6 +9,8 @@
 //! quantified `some … satisfies`, `if/then/else`, and direct element
 //! constructors with embedded expressions.
 
+use std::rc::Rc;
+
 /// Comparison operators (general comparison semantics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
@@ -145,13 +147,14 @@ pub enum Clause {
     OrderBy(Expr, bool),
 }
 
-/// Direct element constructor.
+/// Direct element constructor. Names are shared with every fragment the
+/// constructor builds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElemCtor {
     /// Element name.
-    pub tag: String,
+    pub tag: Rc<str>,
     /// Attributes (name, value expression).
-    pub attrs: Vec<(String, Expr)>,
+    pub attrs: Vec<(Rc<str>, Expr)>,
     /// Content expressions in order.
     pub children: Vec<Expr>,
 }

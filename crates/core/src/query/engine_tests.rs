@@ -645,3 +645,28 @@ fn ten_thousand_queries_keep_counters_and_plan_steady() {
     assert_eq!(e.lifetime_stats(), summed);
     assert!(summed.compressed_eq > 0 && summed.value_fetches > 0, "{summed:?}");
 }
+
+/// Exclusive times telescope: over every node of a real plan, the `self`
+/// times sum to the roots' inclusive time (no child is timed outside its
+/// parent, so no self time saturates), and `EXPLAIN ANALYZE` prints them.
+#[test]
+fn self_times_sum_to_root_time() {
+    let r = repo_with_workload();
+    let e = Engine::new(&r);
+    for q in [
+        "/site/people/person/name/text()",
+        "for $p in //person order by $p/age/text() return $p/age/text()",
+        r#"for $c in //closed_auction for $p in //person
+           where $c/buyer/@person = $p/@id return <b>{ $p/name/text() }</b>"#,
+    ] {
+        let text = e.explain(q).unwrap();
+        let plan = e.last_plan();
+        let mut self_sum = 0;
+        plan.walk(&mut |n| self_sum += n.self_nanos());
+        assert_eq!(self_sum, plan.totals().nanos, "{q}\n{text}");
+        if xquec_obs::enabled() {
+            assert!(plan.totals().nanos > 0, "{q}");
+            assert!(text.contains(" self="), "{text}");
+        }
+    }
+}

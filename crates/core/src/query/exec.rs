@@ -28,16 +28,28 @@
 //! that survives across queries ([`Engine::with_block_cache_capacity`]).
 //! Cache traffic is visible through [`ExecStats::cache_hits`] /
 //! [`ExecStats::cache_misses`]; a hit does not count as a decompression.
+//!
+//! How values are owned on the per-row path:
+//!
+//! * A decoded value is an `Rc<str>` from the cache it is decoded into (the
+//!   per-query memo, or a block container's shared `Rc<[Rc<str>]>` in the
+//!   LRU) to the serializer, which escapes it straight into the output;
+//!   `Item::Str` shares that `Rc` and no operator copies it into a `String`.
+//! * The environment binds variable names borrowed from the query's AST,
+//!   and a path rooted at `$v` or `.` reads the bound nodes in place.
+//! * Constructed elements share their tag and attribute names with the AST.
+//! * Plan details are borrowed text the recorder copies only when it creates
+//!   a plan node (see [`super::plan`]).
 
 use super::ast::*;
 use super::parser::{parse, ParseError};
+use super::plan::{Detail, OpStats, PlanRecorder, QueryPlan};
+use super::profile::{QueryPhase, QueryProfile, PHASES};
 use super::value::{effective_boolean, Fragment, Item, Sequence};
 use crate::container::{ContainerLeaf, ValueType};
 use crate::ids::{ContainerId, ElemId, PathId, TagCode};
 use crate::repo::Repository;
 use crate::summary::PathKind;
-use super::plan::{OpStats, PlanRecorder, QueryPlan};
-use super::profile::{QueryPhase, QueryProfile, PHASES};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -47,6 +59,7 @@ use std::time::Instant;
 use xquec_compress::ValueCodec;
 use xquec_obs::json::{Json, ToJson};
 use xquec_obs::{counter, span};
+use xquec_xml::escape::{escape_attr, escape_text};
 
 /// Query-evaluation error.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,7 +184,24 @@ impl ToJson for ExecStats {
     }
 }
 
-type Env = Vec<(String, Sequence)>;
+/// Variable bindings, innermost last; names are borrowed from the AST.
+type Env<'q> = Vec<(&'q str, Bound)>;
+
+/// A variable's value. A `for` row binds a single item, which needs no
+/// `Vec` of its own.
+enum Bound {
+    One(Item),
+    Seq(Sequence),
+}
+
+impl Bound {
+    fn items(&self) -> &[Item] {
+        match self {
+            Bound::One(item) => std::slice::from_ref(item),
+            Bound::Seq(seq) => seq,
+        }
+    }
+}
 
 struct JoinIndex {
     rows: Vec<Item>,
@@ -191,13 +221,17 @@ struct Ctx {
 /// re-inflate all of them on every pass.
 pub const DEFAULT_BLOCK_CACHE_CAPACITY: usize = 64;
 
+/// The values of one inflated block container, in record order, shared by
+/// the LRU and every item read from it.
+type BlockValues = Rc<[Rc<str>]>;
+
 /// LRU of wholesale-inflated block containers. `capacity` bounds how many
 /// containers stay inflated; `0` disables retention entirely (every read
 /// re-inflates, the literal XMill cost model).
 struct BlockLru {
     capacity: usize,
     tick: u64,
-    entries: HashMap<ContainerId, (Rc<Vec<String>>, u64)>,
+    entries: HashMap<ContainerId, (BlockValues, u64)>,
 }
 
 impl BlockLru {
@@ -205,7 +239,7 @@ impl BlockLru {
         BlockLru { capacity, tick: 0, entries: HashMap::new() }
     }
 
-    fn get(&mut self, cid: ContainerId) -> Option<Rc<Vec<String>>> {
+    fn get(&mut self, cid: ContainerId) -> Option<BlockValues> {
         self.tick += 1;
         let tick = self.tick;
         self.entries.get_mut(&cid).map(|e| {
@@ -214,7 +248,7 @@ impl BlockLru {
         })
     }
 
-    fn insert(&mut self, cid: ContainerId, values: Rc<Vec<String>>) {
+    fn insert(&mut self, cid: ContainerId, values: BlockValues) {
         if self.capacity == 0 {
             return;
         }
@@ -346,7 +380,7 @@ impl<'r> Engine<'r> {
     fn traced<T>(
         &self,
         op: &'static str,
-        detail: String,
+        detail: Detail<'_>,
         rows_in: usize,
         f: impl FnOnce() -> Result<T, QueryError>,
         rows_out: impl FnOnce(&T) -> usize,
@@ -368,7 +402,7 @@ impl<'r> Engine<'r> {
     fn op_leaf(
         &self,
         op: &'static str,
-        detail: String,
+        detail: Detail<'_>,
         rows_in: usize,
         rows_out: usize,
         mark: Option<(Instant, ExecStats)>,
@@ -393,8 +427,8 @@ impl<'r> Engine<'r> {
 
     /// Read one value of a block container, inflating the whole container on
     /// first touch (the deliberate cost of XMill-style storage).
-    fn block_value(&self, cid: ContainerId, idx: u32) -> Result<String, QueryError> {
-        let fetch = |all: &Rc<Vec<String>>| -> Result<String, QueryError> {
+    fn block_value(&self, cid: ContainerId, idx: u32) -> Result<Rc<str>, QueryError> {
+        let fetch = |all: &BlockValues| -> Result<Rc<str>, QueryError> {
             all.get(idx as usize).cloned().ok_or_else(|| QueryError {
                 message: format!("value {idx} out of range in container {}", cid.0),
             })
@@ -409,20 +443,19 @@ impl<'r> Engine<'r> {
             st.cache_misses += 1;
             st.decompressions += c.len();
         }
-        let all = Rc::new(c.decompress_all()?);
-        self.stats.borrow_mut().bytes_decompressed +=
-            all.iter().map(String::len).sum::<usize>();
+        let all: BlockValues = c.decompress_all_with(|v| Rc::from(v))?.into();
+        self.stats.borrow_mut().bytes_decompressed += all.iter().map(|v| v.len()).sum::<usize>();
         self.block_cache.borrow_mut().insert(cid, all.clone());
         fetch(&all)
     }
 
     /// Read one container value as plaintext, going through the block cache
     /// for block containers and the per-value memo otherwise.
-    fn read_value(&self, cid: ContainerId, idx: u32) -> Result<String, QueryError> {
+    fn read_value(&self, cid: ContainerId, idx: u32) -> Result<Rc<str>, QueryError> {
         self.stats.borrow_mut().value_fetches += 1;
         let c = self.repo.container(cid);
         if c.is_individual() {
-            Ok(self.decompress_interned(cid, c.compressed(idx)?)?.to_string())
+            self.decompress_interned(cid, c.compressed(idx)?)
         } else {
             self.block_value(cid, idx)
         }
@@ -434,11 +467,12 @@ impl<'r> Engine<'r> {
         self.phase(2, "query.phase.serialize", || {
             self.traced(
                 "Serialize",
-                String::new(),
+                Detail::Static(""),
                 seq.len(),
                 || {
                     let out = self.serialize(&seq)?;
-                    self.plan.borrow_mut().annotate(None, Some(format!("{} bytes", out.len())));
+                    let bytes = Detail::Fmt(format_args!("{} bytes", out.len()));
+                    self.plan.borrow_mut().annotate_detail(bytes);
                     Ok(out)
                 },
                 |_| seq.len(),
@@ -459,7 +493,13 @@ impl<'r> Engine<'r> {
         let ctx = Ctx { join_cache: RefCell::new(HashMap::new()) };
         let mut env: Env = Vec::new();
         self.phase(1, "query.phase.execute", || {
-            self.traced("Execute", String::new(), 0, || self.eval(&ast, &mut env, &ctx), Vec::len)
+            self.traced(
+                "Execute",
+                Detail::Static(""),
+                0,
+                || self.eval(&ast, &mut env, &ctx),
+                Vec::len,
+            )
         })
     }
 
@@ -495,11 +535,16 @@ impl<'r> Engine<'r> {
 
     // ---- core evaluation ------------------------------------------------
 
-    fn eval(&self, expr: &Expr, env: &mut Env, ctx: &Ctx) -> Result<Sequence, QueryError> {
+    fn eval<'q>(
+        &self,
+        expr: &'q Expr,
+        env: &mut Env<'q>,
+        ctx: &Ctx,
+    ) -> Result<Sequence, QueryError> {
         match expr {
             Expr::Str(s) => Ok(vec![Item::Str(Rc::from(s.as_str()))]),
             Expr::Num(n) => Ok(vec![Item::Num(*n)]),
-            Expr::Var(v) => self.lookup(env, v),
+            Expr::Var(v) => self.lookup(env, v).map(<[Item]>::to_vec),
             Expr::Seq(items) => {
                 let mut out = Vec::new();
                 for e in items {
@@ -554,7 +599,7 @@ impl<'r> Engine<'r> {
             Expr::Some { var, source, satisfies, every } => {
                 let src = self.eval(source, env, ctx)?;
                 for item in src {
-                    env.push((var.clone(), vec![item]));
+                    env.push((var, Bound::One(item)));
                     let ok = self.ebv(satisfies, env, ctx);
                     env.pop();
                     if ok? != *every {
@@ -587,13 +632,14 @@ impl<'r> Engine<'r> {
             Expr::Elem(ctor) => {
                 let mut attrs = Vec::with_capacity(ctor.attrs.len());
                 for (n, e) in &ctor.attrs {
-                    attrs.push((n.clone(), self.eval(e, env, ctx)?));
+                    attrs.push((Rc::clone(n), self.eval(e, env, ctx)?));
                 }
                 let mut children = Vec::with_capacity(ctor.children.len());
                 for e in &ctor.children {
                     children.push(self.eval(e, env, ctx)?);
                 }
-                Ok(vec![Item::Tree(Rc::new(Fragment { tag: ctor.tag.clone(), attrs, children }))])
+                let tag = Rc::clone(&ctor.tag);
+                Ok(vec![Item::Tree(Rc::new(Fragment { tag, attrs, children }))])
             }
             Expr::Path(p) => self.eval_path(p, env, ctx),
             Expr::Flwor(clauses, ret) => {
@@ -602,47 +648,45 @@ impl<'r> Engine<'r> {
         }
     }
 
-    fn lookup(&self, env: &Env, var: &str) -> Result<Sequence, QueryError> {
+    fn lookup<'e>(&self, env: &'e Env, var: &str) -> Result<&'e [Item], QueryError> {
         env.iter()
             .rev()
-            .find(|(n, _)| n == var)
-            .map(|(_, s)| s.clone())
+            .find(|(n, _)| *n == var)
+            .map(|(_, b)| b.items())
             .ok_or_else(|| QueryError { message: format!("unbound variable ${var}") })
     }
 
-    fn ebv(&self, expr: &Expr, env: &mut Env, ctx: &Ctx) -> Result<bool, QueryError> {
+    fn ebv<'q>(&self, expr: &'q Expr, env: &mut Env<'q>, ctx: &Ctx) -> Result<bool, QueryError> {
         let seq = self.eval(expr, env, ctx)?;
         Ok(effective_boolean(&seq))
     }
 
     // ---- FLWOR ------------------------------------------------------------
 
-    fn eval_flwor(
+    fn eval_flwor<'q>(
         &self,
         key: usize,
-        clauses: &[Clause],
-        ret: &Expr,
-        env: &mut Env,
+        clauses: &'q [Clause],
+        ret: &'q Expr,
+        env: &mut Env<'q>,
         ctx: &Ctx,
     ) -> Result<Sequence, QueryError> {
         // Hash-join decorrelation for the Q8/Q9 pattern.
         if let Some(out) = self.try_hash_join(key, clauses, ret, env, ctx)? {
             return Ok(out);
         }
-        let order: Option<(&Expr, bool)> = clauses.iter().find_map(|c| match c {
+        let order: Option<(&'q Expr, bool)> = clauses.iter().find_map(|c| match c {
             Clause::OrderBy(e, desc) => Some((e, *desc)),
             _ => None,
         });
-        let plain: Vec<&Clause> =
-            clauses.iter().filter(|c| !matches!(c, Clause::OrderBy(..))).collect();
         let consumed = RefCell::new(HashSet::new());
-        let mut rows: Vec<(Option<String>, Sequence)> = Vec::new();
-        self.flwor_rec(&plain, 0, ret, order.map(|(e, _)| e), env, ctx, &consumed, &mut rows)?;
+        let mut rows: Vec<(Option<Rc<str>>, Sequence)> = Vec::new();
+        self.flwor_rec(clauses, 0, ret, order.map(|(e, _)| e), env, ctx, &consumed, &mut rows)?;
         if let Some((_, desc)) = order {
             let n = rows.len();
             self.traced(
                 "Sort",
-                (if desc { "descending" } else { "ascending" }).to_owned(),
+                Detail::Static(if desc { "descending" } else { "ascending" }),
                 n,
                 || {
                     rows.sort_by(|a, b| {
@@ -662,24 +706,24 @@ impl<'r> Engine<'r> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn flwor_rec(
+    fn flwor_rec<'q>(
         &self,
-        clauses: &[&Clause],
+        clauses: &'q [Clause],
         idx: usize,
-        ret: &Expr,
-        order_key: Option<&Expr>,
-        env: &mut Env,
+        ret: &'q Expr,
+        order_key: Option<&'q Expr>,
+        env: &mut Env<'q>,
         ctx: &Ctx,
         consumed: &RefCell<HashSet<usize>>,
-        rows: &mut Vec<(Option<String>, Sequence)>,
+        rows: &mut Vec<(Option<Rc<str>>, Sequence)>,
     ) -> Result<(), QueryError> {
         if idx == clauses.len() {
             let key = match order_key {
                 Some(e) => {
                     let k = self.eval(e, env, ctx)?;
                     Some(match k.first() {
-                        Some(i) => self.string_value(i)?,
-                        None => String::new(),
+                        Some(i) => self.text_value(i)?,
+                        None => Rc::from(""),
                     })
                 }
                 None => None,
@@ -688,13 +732,13 @@ impl<'r> Engine<'r> {
             rows.push((key, val));
             return Ok(());
         }
-        match clauses[idx] {
+        match &clauses[idx] {
             // The loop runs under its own `For` operator: the source, any
             // pushed-down conjuncts and every per-row operator nest beneath
             // it (rows: bindings in -> FLWOR rows out).
             Clause::For(v, src) => self.traced(
                 "For",
-                format!("${v}"),
+                Detail::Prefixed("$", v),
                 0,
                 || {
                     let mut seq = self.eval(src, env, ctx)?;
@@ -722,10 +766,10 @@ impl<'r> Engine<'r> {
                         }
                         seq = nodes.into_iter().map(Item::Node).collect();
                     }
-                    self.plan.borrow_mut().annotate(Some(seq.len()), None);
+                    self.plan.borrow_mut().annotate_rows(seq.len());
                     let before = rows.len();
                     for item in seq {
-                        env.push((v.clone(), vec![item]));
+                        env.push((v, Bound::One(item)));
                         let r = self
                             .flwor_rec(clauses, idx + 1, ret, order_key, env, ctx, consumed, rows);
                         env.pop();
@@ -738,26 +782,14 @@ impl<'r> Engine<'r> {
             .map(drop),
             Clause::Let(v, src) => {
                 let seq = self.eval(src, env, ctx)?;
-                env.push((v.clone(), seq));
+                env.push((v, Bound::Seq(seq)));
                 let r = self.flwor_rec(clauses, idx + 1, ret, order_key, env, ctx, consumed, rows);
                 env.pop();
                 r
             }
             Clause::Where(w) => {
-                for conj in conjuncts(w) {
-                    if consumed.borrow().contains(&(conj as *const Expr as usize)) {
-                        continue;
-                    }
-                    let pass = self.traced(
-                        "Predicate",
-                        "where".to_owned(),
-                        1,
-                        || self.ebv(conj, env, ctx),
-                        |b| usize::from(*b),
-                    )?;
-                    if !pass {
-                        return Ok(());
-                    }
+                if !self.where_holds(w, env, ctx, consumed)? {
+                    return Ok(());
                 }
                 self.flwor_rec(clauses, idx + 1, ret, order_key, env, ctx, consumed, rows)
             }
@@ -767,18 +799,44 @@ impl<'r> Engine<'r> {
         }
     }
 
+    /// Evaluate a `where` clause's conjuncts left to right, each under its
+    /// own `Predicate` operator, stopping at the first false one; conjuncts
+    /// already answered by index pushdown are skipped.
+    fn where_holds<'q>(
+        &self,
+        w: &'q Expr,
+        env: &mut Env<'q>,
+        ctx: &Ctx,
+        consumed: &RefCell<HashSet<usize>>,
+    ) -> Result<bool, QueryError> {
+        if let Expr::And(a, b) = w {
+            return Ok(self.where_holds(a, env, ctx, consumed)?
+                && self.where_holds(b, env, ctx, consumed)?);
+        }
+        if consumed.borrow().contains(&(w as *const Expr as usize)) {
+            return Ok(true);
+        }
+        self.traced(
+            "Predicate",
+            Detail::Static("where"),
+            1,
+            || self.ebv(w, env, ctx),
+            |b| usize::from(*b),
+        )
+    }
+
     // ---- hash-join decorrelation ---------------------------------------
 
     /// Detect `for $t in <independent path> … where <$t-path> = <outer expr>`
     /// and evaluate it as a hash join: the inner side is materialized and
     /// indexed once (cached across re-evaluations of this sub-FLWOR), keyed
     /// on compressed bytes when possible.
-    fn try_hash_join(
+    fn try_hash_join<'q>(
         &self,
         key: usize,
-        clauses: &[Clause],
-        ret: &Expr,
-        env: &mut Env,
+        clauses: &'q [Clause],
+        ret: &'q Expr,
+        env: &mut Env<'q>,
         ctx: &Ctx,
     ) -> Result<Option<Sequence>, QueryError> {
         let Some(Clause::For(v2, src2)) = clauses.first() else { return Ok(None) };
@@ -806,24 +864,22 @@ impl<'r> Engine<'r> {
         }
         let Some((conj, inner_side, outer_side)) = join else { return Ok(None) };
 
+        // The index is built on the first probe; later probes enter the
+        // operator with its final detail.
+        let cached = ctx.join_cache.borrow().get(&key).cloned();
         let out = self.traced(
             "HashJoin",
-            String::new(),
+            compressed_keys(cached.as_ref().map(|i| i.codec.is_some())),
             0,
             || {
-                // Build (or fetch) the index.
-                let index = {
-                    let cache = ctx.join_cache.borrow();
-                    cache.get(&key).cloned()
-                };
-                let index = match index {
+                let index = match cached {
                     Some(i) => i,
                     None => {
                         let mark = self.mark();
                         let built = self.build_join_index(src2, v2, inner_side, ctx)?;
                         self.op_leaf(
                             "JoinIndexBuild",
-                            format!("compressed_keys={}", built.codec.is_some()),
+                            compressed_keys(Some(built.codec.is_some())),
                             0,
                             built.rows.len(),
                             mark,
@@ -842,22 +898,20 @@ impl<'r> Engine<'r> {
                 }
                 match_rows.sort_unstable();
                 match_rows.dedup();
-                self.plan.borrow_mut().annotate(
-                    Some(match_rows.len()),
-                    Some(format!("compressed_keys={}", index.codec.is_some())),
-                );
+                {
+                    let mut plan = self.plan.borrow_mut();
+                    plan.annotate_rows(match_rows.len());
+                    plan.annotate_detail(compressed_keys(Some(index.codec.is_some())));
+                }
 
                 // Evaluate the remaining clauses + return for every matching row.
                 let consumed = RefCell::new(HashSet::new());
                 consumed.borrow_mut().insert(conj as *const Expr as usize);
-                let plain: Vec<&Clause> = clauses[1..]
-                    .iter()
-                    .filter(|c| !matches!(c, Clause::OrderBy(..)))
-                    .collect();
-                let mut rows: Vec<(Option<String>, Sequence)> = Vec::new();
+                let mut rows: Vec<(Option<Rc<str>>, Sequence)> = Vec::new();
                 for &ri in &match_rows {
-                    env.push((v2.clone(), vec![index.rows[ri as usize].clone()]));
-                    let r = self.flwor_rec(&plain, 0, ret, None, env, ctx, &consumed, &mut rows);
+                    env.push((v2, Bound::One(index.rows[ri as usize].clone())));
+                    let r =
+                        self.flwor_rec(&clauses[1..], 0, ret, None, env, ctx, &consumed, &mut rows);
                     env.pop();
                     r?;
                 }
@@ -868,11 +922,11 @@ impl<'r> Engine<'r> {
         Ok(Some(out))
     }
 
-    fn build_join_index(
+    fn build_join_index<'q>(
         &self,
-        src: &Expr,
-        var: &str,
-        key_expr: &Expr,
+        src: &'q Expr,
+        var: &'q str,
+        key_expr: &'q Expr,
         ctx: &Ctx,
     ) -> Result<JoinIndex, QueryError> {
         let mut env: Env = Vec::new();
@@ -883,7 +937,7 @@ impl<'r> Engine<'r> {
         let mut codec: Option<Arc<ValueCodec>> = None;
         let mut uniform = true;
         for item in items {
-            env.push((var.to_owned(), vec![item.clone()]));
+            env.push((var, Bound::One(item.clone())));
             let keys = self.eval(key_expr, &mut env, ctx)?;
             env.pop();
             let row = rows.len() as u32;
@@ -972,39 +1026,40 @@ impl<'r> Engine<'r> {
 
     // ---- paths ------------------------------------------------------------
 
-    fn eval_path(&self, p: &PathExpr, env: &mut Env, ctx: &Ctx) -> Result<Sequence, QueryError> {
-        match &p.root {
-            PathRoot::Document => self.eval_absolute_path(&p.steps, env, ctx),
-            PathRoot::Var(v) => {
-                let bound = self.lookup(env, v)?;
-                let nodes = self.to_nodes(&bound)?;
-                self.apply_steps(nodes, &p.steps, env, ctx)
-            }
-            PathRoot::Context => {
-                let bound = self.lookup(env, ".")?;
-                let nodes = self.to_nodes(&bound)?;
-                self.apply_steps(nodes, &p.steps, env, ctx)
-            }
+    fn eval_path<'q>(
+        &self,
+        p: &'q PathExpr,
+        env: &mut Env<'q>,
+        ctx: &Ctx,
+    ) -> Result<Sequence, QueryError> {
+        let var = match &p.root {
+            PathRoot::Document => return self.eval_absolute_path(&p.steps, env, ctx),
+            PathRoot::Var(v) => v.as_str(),
+            PathRoot::Context => ".",
+        };
+        // Read the bound nodes in place; a single bound node (every `for`
+        // row) needs no node list at all.
+        let bound = self.lookup(env, var)?;
+        if let [Item::Node(n)] = bound {
+            let n = *n;
+            return self.apply_steps(&[n], &p.steps, env, ctx);
         }
-    }
-
-    fn to_nodes(&self, seq: &Sequence) -> Result<Vec<ElemId>, QueryError> {
-        let mut out = Vec::with_capacity(seq.len());
-        for i in seq {
+        let mut nodes = Vec::with_capacity(bound.len());
+        for i in bound {
             match i {
-                Item::Node(n) => out.push(*n),
+                Item::Node(n) => nodes.push(*n),
                 _ => return err("path step applied to a non-node item"),
             }
         }
-        Ok(out)
+        self.apply_steps(&nodes, &p.steps, env, ctx)
     }
 
     /// Absolute path: resolve the structural prefix in the summary
     /// (`StructureSummaryAccess`), then navigate the rest per node.
-    fn eval_absolute_path(
+    fn eval_absolute_path<'q>(
         &self,
-        steps: &[Step],
-        env: &mut Env,
+        steps: &'q [Step],
+        env: &mut Env<'q>,
         ctx: &Ctx,
     ) -> Result<Sequence, QueryError> {
         let mark = self.mark();
@@ -1068,23 +1123,25 @@ impl<'r> Engine<'r> {
         if i > 0 {
             self.op_leaf(
                 "StructureSummaryAccess",
-                format!("paths={} steps={}", spaths.len(), i),
+                Detail::Fmt(format_args!("paths={} steps={}", spaths.len(), i)),
                 0,
                 nodes.len(),
                 mark,
             );
         }
-        self.apply_steps(nodes, &steps[i..], env, ctx)
+        self.apply_steps(&nodes, &steps[i..], env, ctx)
     }
 
     /// Apply steps to a node set, node-navigation style.
-    fn apply_steps(
+    fn apply_steps<'q>(
         &self,
-        mut nodes: Vec<ElemId>,
-        steps: &[Step],
-        env: &mut Env,
+        input: &[ElemId],
+        steps: &'q [Step],
+        env: &mut Env<'q>,
         ctx: &Ctx,
     ) -> Result<Sequence, QueryError> {
+        let mut nodes = input;
+        let mut owned: Vec<ElemId>;
         for (si, step) in steps.iter().enumerate() {
             let last = si + 1 == steps.len();
             match &step.test {
@@ -1094,9 +1151,13 @@ impl<'r> Engine<'r> {
                     }
                     return self.traced(
                         "TextContent",
-                        "text()".to_owned(),
+                        Detail::Static("text()"),
                         nodes.len(),
-                        || self.values_of(&nodes, None),
+                        || {
+                            let mut out = Vec::new();
+                            self.values_of(nodes, None, &mut out)?;
+                            Ok(out)
+                        },
                         Vec::len,
                     );
                 }
@@ -1107,33 +1168,43 @@ impl<'r> Engine<'r> {
                     let Some(code) = self.repo.dict.code(name) else { return Ok(vec![]) };
                     return self.traced(
                         "TextContent",
-                        format!("@{name}"),
+                        Detail::Prefixed("@", name),
                         nodes.len(),
-                        || self.values_of(&nodes, Some(code)),
+                        || {
+                            let mut out = Vec::new();
+                            self.values_of(nodes, Some(code), &mut out)?;
+                            Ok(out)
+                        },
                         Vec::len,
                     );
                 }
                 NodeTest::Tag(_) | NodeTest::AnyElement => {
-                    let rows_in = nodes.len();
-                    nodes = self.traced(
+                    let next = self.traced(
                         "StructureNav",
                         step_detail(step),
-                        rows_in,
-                        || self.element_step(&nodes, step, env, ctx),
+                        nodes.len(),
+                        || self.element_step(nodes, step, env, ctx),
                         Vec::len,
                     )?;
-                    if nodes.is_empty() {
+                    if next.is_empty() {
                         return Ok(vec![]);
                     }
+                    owned = next;
+                    nodes = &owned;
                 }
             }
         }
-        Ok(nodes.into_iter().map(Item::Node).collect())
+        Ok(nodes.iter().map(|&n| Item::Node(n)).collect())
     }
 
-    /// `TextContent`: pair elements with their values through value refs.
-    fn values_of(&self, nodes: &[ElemId], attr: Option<TagCode>) -> Result<Sequence, QueryError> {
-        let mut out = Vec::new();
+    /// `TextContent`: pair elements with their values through value refs,
+    /// appending the values to `out`.
+    fn values_of(
+        &self,
+        nodes: &[ElemId],
+        attr: Option<TagCode>,
+        out: &mut Sequence,
+    ) -> Result<(), QueryError> {
         for &n in nodes {
             for vr in self.repo.tree.values(n) {
                 let c = self.repo.container(vr.container);
@@ -1150,21 +1221,19 @@ impl<'r> Engine<'r> {
                         });
                     } else {
                         // Block container: whole-container decompression.
-                        out.push(Item::Str(Rc::from(
-                            self.block_value(vr.container, vr.index)?.as_str(),
-                        )));
+                        out.push(Item::Str(self.block_value(vr.container, vr.index)?));
                     }
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn element_step(
+    fn element_step<'q>(
         &self,
         input: &[ElemId],
-        step: &Step,
-        env: &mut Env,
+        step: &'q Step,
+        env: &mut Env<'q>,
         ctx: &Ctx,
     ) -> Result<Vec<ElemId>, QueryError> {
         let tag = match &step.test {
@@ -1175,41 +1244,33 @@ impl<'r> Engine<'r> {
             NodeTest::AnyElement => None,
             _ => unreachable!("value tests handled by caller"),
         };
-        let positional: Vec<&StepPredicate> = step
-            .predicates
-            .iter()
-            .filter(|p| matches!(p, StepPredicate::Position(_) | StepPredicate::Last))
-            .collect();
+        // Each input node's matches are appended to `out`, where positional
+        // predicates then narrow them down in place.
         let mut out: Vec<ElemId> = Vec::new();
         for &n in input {
-            let mut matches: Vec<ElemId> = match step.axis {
-                Axis::Child => self.repo.tree.children(n, tag).collect(),
-                Axis::Descendant => self.descendants_via_summary(n, tag),
-                Axis::Parent => self
-                    .repo
-                    .tree
-                    .parent(n)
-                    .into_iter()
-                    .filter(|&p| tag.is_none_or(|t| self.repo.tree.tag(p) == t))
-                    .collect(),
-            };
-            for pos in &positional {
-                match pos {
-                    StepPredicate::Position(k) => {
-                        let k = *k;
-                        matches = if k >= 1 && (k as usize) <= matches.len() {
-                            vec![matches[k as usize - 1]]
-                        } else {
-                            vec![]
-                        };
-                    }
-                    StepPredicate::Last => {
-                        matches = matches.last().map(|&l| vec![l]).unwrap_or_default();
-                    }
-                    _ => unreachable!(),
-                }
+            let start = out.len();
+            match step.axis {
+                Axis::Child => out.extend(self.repo.tree.children(n, tag)),
+                Axis::Descendant => out.extend(self.descendants_via_summary(n, tag)),
+                Axis::Parent => out.extend(
+                    self.repo
+                        .tree
+                        .parent(n)
+                        .filter(|&p| tag.is_none_or(|t| self.repo.tree.tag(p) == t)),
+                ),
             }
-            out.extend(matches);
+            for pred in &step.predicates {
+                let keep = match pred {
+                    StepPredicate::Position(k) => usize::try_from(*k)
+                        .ok()
+                        .filter(|&k| k >= 1 && k <= out.len() - start)
+                        .map(|k| out[start + k - 1]),
+                    StepPredicate::Last => out[start..].last().copied(),
+                    StepPredicate::Filter(_) => continue,
+                };
+                out.truncate(start);
+                out.extend(keep);
+            }
         }
         out.sort();
         out.dedup();
@@ -1223,12 +1284,12 @@ impl<'r> Engine<'r> {
             let rows_in = out.len();
             out = self.traced(
                 "Predicate",
-                "scan".to_owned(),
+                Detail::Static("scan"),
                 rows_in,
                 || {
                     let mut kept = Vec::with_capacity(out.len());
                     for &c in &out {
-                        env.push((".".to_owned(), vec![Item::Node(c)]));
+                        env.push((".", Bound::One(Item::Node(c))));
                         let ok = self.ebv(f, env, ctx);
                         env.pop();
                         if ok? {
@@ -1383,7 +1444,6 @@ impl<'r> Engine<'r> {
                 CmpOp::Ge => c.lower_bound(bound.as_bytes())?..c.len() as u32,
                 CmpOp::Ne => return Ok(None),
             };
-            let path = self.repo.container_path_string(cid);
             let range_len = range.len();
             for idx in range {
                 let mut owner = c.parent_of(idx);
@@ -1397,7 +1457,11 @@ impl<'r> Engine<'r> {
             }
             self.op_leaf(
                 "ContAccess",
-                format!("{path} {} {bound:?}", op.as_str()),
+                Detail::Fmt(format_args!(
+                    "{} {} {bound:?}",
+                    self.repo.container_path(cid),
+                    op.as_str()
+                )),
                 candidates.len(),
                 range_len,
                 mark,
@@ -1451,16 +1515,13 @@ impl<'r> Engine<'r> {
         for item in seq {
             match item {
                 Item::Node(n) => {
-                    let vals = self.values_of(std::slice::from_ref(n), None)?;
-                    if vals.is_empty() {
-                        out.push(Item::Str(Rc::from(self.string_value(item)?.as_str())));
-                    } else {
-                        out.extend(vals);
+                    let start = out.len();
+                    self.values_of(std::slice::from_ref(n), None, &mut out)?;
+                    if out.len() == start {
+                        out.push(Item::Str(Rc::from(self.string_value(item)?)));
                     }
                 }
-                Item::Tree(_) => {
-                    out.push(Item::Str(Rc::from(self.string_value(item)?.as_str())))
-                }
+                Item::Tree(_) => out.push(Item::Str(Rc::from(self.string_value(item)?))),
                 other => out.push(other.clone()),
             }
         }
@@ -1571,14 +1632,14 @@ impl<'r> Engine<'r> {
 
     // ---- functions ----------------------------------------------------
 
-    fn call(
+    fn call<'q>(
         &self,
         name: &str,
-        args: &[Expr],
-        env: &mut Env,
+        args: &'q [Expr],
+        env: &mut Env<'q>,
         ctx: &Ctx,
     ) -> Result<Sequence, QueryError> {
-        let eval_arg = |n: usize, env: &mut Env| -> Result<Sequence, QueryError> {
+        let eval_arg = |n: usize, env: &mut Env<'q>| -> Result<Sequence, QueryError> {
             args.get(n)
                 .map(|e| self.eval(e, env, ctx))
                 .unwrap_or_else(|| err(format!("{name}() missing argument {n}")))
@@ -1829,7 +1890,7 @@ impl<'r> Engine<'r> {
                     Some(Item::Node(n)) => Ok(vec![Item::Str(Rc::from(
                         self.repo.dict.name(self.repo.tree.tag(*n)),
                     ))]),
-                    Some(Item::Tree(t)) => Ok(vec![Item::Str(Rc::from(t.tag.as_str()))]),
+                    Some(Item::Tree(t)) => Ok(vec![Item::Str(Rc::clone(&t.tag))]),
                     _ => Ok(vec![]),
                 }
             }
@@ -1839,10 +1900,11 @@ impl<'r> Engine<'r> {
 
     // ---- string/number views -------------------------------------------
 
-    /// Decompress a container value (counted, memoized per query).
-    fn decompress(&self, container: ContainerId, bytes: &[u8]) -> Result<String, QueryError> {
+    /// The plaintext of a compressed item (a counted fetch, memoized per
+    /// query).
+    fn comp_value(&self, container: ContainerId, bytes: &[u8]) -> Result<Rc<str>, QueryError> {
         self.stats.borrow_mut().value_fetches += 1;
-        Ok(self.decompress_interned(container, bytes)?.to_string())
+        self.decompress_interned(container, bytes)
     }
 
     /// Decompress a container value through the per-query memo: each
@@ -1886,7 +1948,7 @@ impl<'r> Engine<'r> {
             Item::Str(s) => s.to_string(),
             Item::Num(n) => format_number(*n),
             Item::Bool(b) => b.to_string(),
-            Item::Comp { container, bytes } => self.decompress(*container, bytes)?,
+            Item::Comp { container, bytes } => self.comp_value(*container, bytes)?.to_string(),
             Item::Node(n) => {
                 let mut out = String::new();
                 self.node_text(*n, &mut out)?;
@@ -1898,6 +1960,16 @@ impl<'r> Engine<'r> {
                 out
             }
         })
+    }
+
+    /// The string value of an item as a shared string: strings and
+    /// decompressed values are shared, not copied.
+    fn text_value(&self, item: &Item) -> Result<Rc<str>, QueryError> {
+        match item {
+            Item::Str(s) => Ok(Rc::clone(s)),
+            Item::Comp { container, bytes } => self.comp_value(*container, bytes),
+            other => Ok(Rc::from(self.string_value(other)?)),
+        }
     }
 
     fn node_text(&self, n: ElemId, out: &mut String) -> Result<(), QueryError> {
@@ -1956,7 +2028,11 @@ impl<'r> Engine<'r> {
         match item {
             Item::Node(n) => self.serialize_element(*n, out)?,
             Item::Tree(f) => self.serialize_fragment(f, out)?,
-            other => out.push_str(&xquec_xml::escape::escape_text(&self.string_value(other)?)),
+            Item::Str(s) => out.push_str(&escape_text(s)),
+            Item::Comp { container, bytes } => {
+                out.push_str(&escape_text(&self.comp_value(*container, bytes)?))
+            }
+            other => out.push_str(&escape_text(&self.string_value(other)?)),
         }
         Ok(())
     }
@@ -1966,7 +2042,7 @@ impl<'r> Engine<'r> {
         let tag = self.repo.dict.name(self.repo.tree.tag(n));
         out.push('<');
         out.push_str(tag);
-        let mut texts: Vec<String> = Vec::new();
+        let mut texts: Vec<Rc<str>> = Vec::new();
         for vr in self.repo.tree.values(n) {
             let c = self.repo.container(vr.container);
             match c.leaf {
@@ -1975,7 +2051,7 @@ impl<'r> Engine<'r> {
                         out,
                         " {}=\"{}\"",
                         self.repo.dict.name(code),
-                        xquec_xml::escape::escape_attr(&self.read_value(vr.container, vr.index)?)
+                        escape_attr(&self.read_value(vr.container, vr.index)?)
                     );
                 }
                 ContainerLeaf::Text => {
@@ -1983,16 +2059,15 @@ impl<'r> Engine<'r> {
                 }
             }
         }
-        let children: Vec<ElemId> = self.repo.tree.children(n, None).collect();
-        if texts.is_empty() && children.is_empty() {
+        if texts.is_empty() && self.repo.tree.children(n, None).next().is_none() {
             out.push_str("/>");
             return Ok(());
         }
         out.push('>');
         for t in &texts {
-            out.push_str(&xquec_xml::escape::escape_text(t));
+            out.push_str(&escape_text(t));
         }
-        for c in children {
+        for c in self.repo.tree.children(n, None) {
             self.serialize_element(c, out)?;
         }
         out.push_str("</");
@@ -2005,11 +2080,14 @@ impl<'r> Engine<'r> {
         out.push('<');
         out.push_str(&f.tag);
         for (name, value) in &f.attrs {
-            let mut text: Vec<String> = Vec::with_capacity(value.len());
-            for i in value {
-                text.push(self.string_value(i)?);
+            let _ = write!(out, " {name}=\"");
+            for (i, item) in value.iter().enumerate() {
+                if i > 0 {
+                    out.push(' ');
+                }
+                out.push_str(&escape_attr(&self.text_value(item)?));
             }
-            let _ = write!(out, " {}=\"{}\"", name, xquec_xml::escape::escape_attr(&text.join(" ")));
+            out.push('"');
         }
         if f.children.iter().all(|c| c.is_empty()) {
             out.push_str("/>");
@@ -2049,21 +2127,29 @@ fn elapsed_ns(start: Instant) -> u64 {
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// `axis::test` rendering of a step for plan-node details (deterministic for
-/// a given query, so golden explain tests can compare it verbatim).
-fn step_detail(step: &Step) -> String {
-    let axis = match step.axis {
-        Axis::Child => "child",
-        Axis::Descendant => "descendant",
-        Axis::Parent => "parent",
+/// `axis::test` detail of an element step (deterministic for a given query,
+/// so golden explain tests can compare it verbatim).
+fn step_detail(step: &Step) -> Detail<'_> {
+    let (prefix, any) = match step.axis {
+        Axis::Child => ("child::", "child::*"),
+        Axis::Descendant => ("descendant::", "descendant::*"),
+        Axis::Parent => ("parent::", "parent::*"),
     };
-    let test = match &step.test {
-        NodeTest::Tag(t) => t.clone(),
-        NodeTest::AnyElement => "*".to_owned(),
-        NodeTest::Text => "text()".to_owned(),
-        NodeTest::Attr(a) => format!("@{a}"),
-    };
-    format!("{axis}::{test}")
+    match &step.test {
+        NodeTest::Tag(t) => Detail::Prefixed(prefix, t),
+        NodeTest::AnyElement => Detail::Static(any),
+        NodeTest::Text | NodeTest::Attr(_) => unreachable!("value tests run as TextContent"),
+    }
+}
+
+/// Hash-join detail: whether the index is keyed on compressed bytes, empty
+/// until the index exists.
+fn compressed_keys(compressed: Option<bool>) -> Detail<'static> {
+    Detail::Static(match compressed {
+        Some(true) => "compressed_keys=true",
+        Some(false) => "compressed_keys=false",
+        None => "",
+    })
 }
 
 /// Split an `and`-tree into conjuncts.
@@ -2111,7 +2197,7 @@ fn refs_env(e: &Expr, env: &Env) -> bool {
             _ => None,
         };
         if let Some(v) = name {
-            if env.iter().any(|(n, _)| n == v) {
+            if env.iter().any(|(n, _)| *n == v) {
                 found = true;
             }
         }

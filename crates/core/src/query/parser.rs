@@ -531,6 +531,7 @@ impl Parser {
             match self.peek().clone() {
                 TokenKind::Punct("/>") => {
                     self.bump();
+                    let tag = tag.into();
                     return Ok(Expr::Elem(ElemCtor { tag, attrs, children: Vec::new() }));
                 }
                 TokenKind::Punct(">") => {
@@ -554,7 +555,7 @@ impl Parser {
                         // Paper-style bare expression: name=$p/name/text()
                         _ => self.postfix_expr()?,
                     };
-                    attrs.push((an, value));
+                    attrs.push((an.into(), value));
                 }
                 TokenKind::Keyword(an) => {
                     self.bump();
@@ -572,7 +573,7 @@ impl Parser {
                         }
                         _ => self.postfix_expr()?,
                     };
-                    attrs.push((an, value));
+                    attrs.push((an.into(), value));
                 }
                 other => return self.err(format!("unexpected {other} in start tag")),
             }
@@ -593,7 +594,7 @@ impl Parser {
                         }
                     }
                     self.expect_punct(">")?;
-                    return Ok(Expr::Elem(ElemCtor { tag, attrs, children }));
+                    return Ok(Expr::Elem(ElemCtor { tag: tag.into(), attrs, children }));
                 }
                 TokenKind::Punct("{") => {
                     self.bump();
@@ -664,7 +665,7 @@ mod tests {
     fn parses_constructor() {
         let e = parse(r#"<item name={$i/name/text()}>{ $i/description }</item>"#).unwrap();
         let Expr::Elem(c) = e else { panic!() };
-        assert_eq!(c.tag, "item");
+        assert_eq!(&*c.tag, "item");
         assert_eq!(c.attrs.len(), 1);
         assert_eq!(c.children.len(), 1);
     }

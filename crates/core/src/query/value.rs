@@ -34,10 +34,10 @@ pub enum Item {
 /// A constructed element (result of a direct constructor).
 #[derive(Debug)]
 pub struct Fragment {
-    /// Element name.
-    pub tag: String,
+    /// Element name (shared with the constructor's AST node).
+    pub tag: Rc<str>,
     /// Attributes: name and the evaluated value sequence.
-    pub attrs: Vec<(String, Sequence)>,
+    pub attrs: Vec<(Rc<str>, Sequence)>,
     /// Child content sequences, in order.
     pub children: Vec<Sequence>,
 }

@@ -166,8 +166,13 @@ impl Repository {
 
     /// The display string of a container's path.
     pub fn container_path_string(&self, id: ContainerId) -> String {
+        self.container_path(id).to_string()
+    }
+
+    /// A container's rooted leaf path, written when displayed.
+    pub fn container_path(&self, id: ContainerId) -> impl std::fmt::Display + '_ {
         let path = self.containers[id.0 as usize].path;
-        self.summary.path_string(path, |t: TagCode| self.dict.name(t).to_owned())
+        self.summary.path(path, |t: TagCode| self.dict.name(t))
     }
 
     /// Compute the size breakdown.

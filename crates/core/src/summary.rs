@@ -9,7 +9,7 @@
 //! descendant queries touch the summary, not the whole structure tree.
 
 use crate::ids::{ContainerId, ElemId, PathId, TagCode};
-use std::fmt::Write as _;
+use std::fmt;
 
 /// What a summary node denotes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -146,28 +146,14 @@ impl StructureSummary {
         out
     }
 
-    /// The human-readable path string, e.g. `/site/people/person/@id`.
-    pub fn path_string(&self, id: PathId, name_of: impl Fn(TagCode) -> String) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        let mut cur = Some(id);
-        while let Some(p) = cur {
-            let node = &self.nodes[p.0 as usize];
-            match node.kind {
-                PathKind::Root => {}
-                PathKind::Element(t) => parts.push(name_of(t)),
-                PathKind::Attribute(t) => parts.push(format!("@{}", name_of(t))),
-                PathKind::Text => parts.push("text()".to_owned()),
-            }
-            cur = node.parent;
-        }
-        let mut out = String::new();
-        for part in parts.iter().rev() {
-            let _ = write!(out, "/{part}");
-        }
-        if out.is_empty() {
-            out.push('/');
-        }
-        out
+    /// The human-readable path, e.g. `/site/people/person/@id`, written
+    /// when displayed (no `String` is built for it).
+    pub fn path<'a, F: Fn(TagCode) -> &'a str>(
+        &'a self,
+        id: PathId,
+        name_of: F,
+    ) -> PathText<'a, F> {
+        PathText { summary: self, id, name_of }
     }
 
     /// Serialized size estimate: the skeleton plus the extent lists.
@@ -183,6 +169,38 @@ impl StructureSummary {
     /// Size without extents — the pure dataguide skeleton.
     pub fn skeleton_size(&self) -> usize {
         self.nodes.iter().map(|n| 3 + 4 + 4 * n.children.len() + 4).sum()
+    }
+}
+
+/// A summary path rendered on demand; see [`StructureSummary::path`].
+pub struct PathText<'a, F> {
+    summary: &'a StructureSummary,
+    id: PathId,
+    name_of: F,
+}
+
+impl<'a, F: Fn(TagCode) -> &'a str> PathText<'a, F> {
+    /// Write the steps from the root down to `id`.
+    fn write_steps(&self, f: &mut fmt::Formatter<'_>, id: PathId) -> fmt::Result {
+        let node = self.summary.node(id);
+        if let Some(parent) = node.parent {
+            self.write_steps(f, parent)?;
+        }
+        match node.kind {
+            PathKind::Root => Ok(()),
+            PathKind::Element(t) => write!(f, "/{}", (self.name_of)(t)),
+            PathKind::Attribute(t) => write!(f, "/@{}", (self.name_of)(t)),
+            PathKind::Text => f.write_str("/text()"),
+        }
+    }
+}
+
+impl<'a, F: Fn(TagCode) -> &'a str> fmt::Display for PathText<'a, F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.summary.node(self.id).kind == PathKind::Root {
+            return f.write_str("/");
+        }
+        self.write_steps(f, self.id)
     }
 }
 
@@ -233,9 +251,10 @@ mod tests {
     fn path_strings() {
         let (s, _, person, _) = build();
         let names = ["site", "people", "person", "id", "regions", "item"];
-        let f = |t: TagCode| names[t.0 as usize].to_string();
-        assert_eq!(s.path_string(person, f), "/site/people/person");
+        let f = |t: TagCode| names[t.0 as usize];
+        assert_eq!(s.path(person, f).to_string(), "/site/people/person");
         let attr = s.node(person).children[0];
-        assert_eq!(s.path_string(attr, |t| names[t.0 as usize].to_string()), "/site/people/person/@id");
+        assert_eq!(s.path(attr, f).to_string(), "/site/people/person/@id");
+        assert_eq!(s.path(s.root(), f).to_string(), "/");
     }
 }

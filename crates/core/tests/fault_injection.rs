@@ -9,6 +9,9 @@ use xquec_core::repo::Repository;
 use xquec_core::{load_with, LoaderOptions};
 use xquec_storage::{wal, FaultPager, FaultPlan, MemPager, Pager, StorageError};
 
+/// Every fault-injecting pager a save wrapped, kept for inspection afterwards.
+type CapturedPagers = Arc<Mutex<Vec<Arc<FaultPager<Arc<dyn Pager>>>>>>;
+
 fn build_repo() -> Repository {
     let xml = xquec_xml::gen::Dataset::Xmark.generate(10_000);
     load_with(&xml, &LoaderOptions::default()).expect("reference document loads")
@@ -83,7 +86,7 @@ fn failed_sync_during_save_rolls_back_and_poisons() {
 
     // Every sync the protocol issues fails; keep a handle on each wrapped
     // pager so the poisoning contract can be checked afterwards.
-    let captured: Arc<Mutex<Vec<Arc<FaultPager<Arc<dyn Pager>>>>>> = Arc::default();
+    let captured: CapturedPagers = Arc::default();
     let sink = captured.clone();
     let wrap = move |inner: Arc<dyn Pager>| -> Arc<dyn Pager> {
         let plan = FaultPlan { fail_sync: true, ..FaultPlan::none() };
