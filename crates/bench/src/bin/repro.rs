@@ -242,9 +242,6 @@ fn main() {
     let path = results_dir.join("metrics.json");
     fs::write(&path, snapshot.to_json().pretty()).expect("write metrics snapshot");
     println!("\n(saved {})", path.display());
-    if !xquec_obs::enabled() {
-        println!("(note: built with the `off` feature — ambient metrics are no-ops)");
-    }
 
     // ---- Regression gate over the machine-stable entries -----------------
     let combined = Json::Obj(collected);

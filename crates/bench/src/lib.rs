@@ -167,14 +167,10 @@ mod tests {
         xquec_obs::histogram!("test.bench.delta.hist").record(7);
         let after = xquec_obs::snapshot();
         let delta = snapshot_delta(&before, &after);
-        if xquec_obs::enabled() {
-            assert_eq!(delta.counter("test.bench.delta"), Some(3));
-            let h = delta.histogram("test.bench.delta.hist").expect("histogram in delta");
-            assert_eq!(h.count, 1);
-            assert_eq!(h.sum, 7);
-        } else {
-            assert_eq!(delta, xquec_obs::MetricsSnapshot::default());
-        }
+        assert_eq!(delta.counter("test.bench.delta"), Some(3));
+        let h = delta.histogram("test.bench.delta.hist").expect("histogram in delta");
+        assert_eq!(h.count, 1);
+        assert_eq!(h.sum, 7);
     }
 
     #[test]

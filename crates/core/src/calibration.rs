@@ -276,15 +276,13 @@ mod tests {
         let text = report.render();
         assert!(text.contains("cost-model calibration"));
         report.publish_metrics();
-        if xquec_obs::enabled() {
-            let snap = xquec_obs::snapshot();
-            let got = snap
-                .gauges
-                .iter()
-                .find(|(n, _)| n == "cost.calibration.containers")
-                .map(|&(_, v)| v)
-                .expect("gauge published");
-            assert_eq!(got, report.rows.len() as i64);
-        }
+        let snap = xquec_obs::snapshot();
+        let got = snap
+            .gauges
+            .iter()
+            .find(|(n, _)| n == "cost.calibration.containers")
+            .map(|&(_, v)| v)
+            .expect("gauge published");
+        assert_eq!(got, report.rows.len() as i64);
     }
 }

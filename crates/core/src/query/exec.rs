@@ -288,6 +288,9 @@ pub struct Engine<'r> {
     plan: RefCell<PlanRecorder>,
     /// Wall time of the most recent query's phases, in [`PHASES`] order.
     phase_nanos: Cell<[u64; 3]>,
+    /// Set while [`Engine::profile`] runs: plan operators read the clock
+    /// only then.
+    timed: Cell<bool>,
 }
 
 /// Interned plaintexts of one container, keyed by compressed bytes.
@@ -323,6 +326,7 @@ impl<'r> Engine<'r> {
             value_cache: RefCell::new(HashMap::new()),
             plan: RefCell::new(PlanRecorder::default()),
             phase_nanos: Cell::new([0; 3]),
+            timed: Cell::new(false),
         }
     }
 
@@ -353,25 +357,22 @@ impl<'r> Engine<'r> {
     // ---- plan recording -------------------------------------------------
 
     /// The observed physical plan of the most recent successfully evaluated
-    /// query (empty before any query has run).
+    /// query (empty before any query has run). Every operator carries its
+    /// cardinalities and counter deltas; wall times are recorded only by
+    /// [`Engine::profile`] and are zero after [`Engine::run`].
     pub fn last_plan(&self) -> QueryPlan {
         self.plan.borrow().snapshot()
     }
 
-    /// Clock and counters at operator entry. `None` when ambient
-    /// instrumentation is compiled out (`off` feature): operators then record
-    /// cardinalities only and [`OpStats`] stays zero.
-    fn mark(&self) -> Option<(Instant, ExecStats)> {
-        xquec_obs::enabled().then(|| (Instant::now(), *self.stats.borrow()))
+    /// Counters, and under [`Engine::profile`] the clock, at operator entry.
+    fn mark(&self) -> (Option<Instant>, ExecStats) {
+        (self.timed.get().then(Instant::now), *self.stats.borrow())
     }
 
-    /// The cost of the work done since `mark`: wall time and the growth of
-    /// every counter.
-    fn cost_since(&self, mark: Option<(Instant, ExecStats)>) -> OpStats {
-        mark.map_or_else(OpStats::default, |(start, base)| OpStats {
-            nanos: elapsed_ns(start),
-            counters: self.stats.borrow().since(&base),
-        })
+    /// The cost of the work done since `mark`: the growth of every counter,
+    /// and the wall time when the mark read the clock (zero otherwise).
+    fn cost_since(&self, (start, base): (Option<Instant>, ExecStats)) -> OpStats {
+        OpStats { nanos: start.map_or(0, elapsed_ns), counters: self.stats.borrow().since(&base) }
     }
 
     /// Run `f` under an open plan operator. The operator is closed whether
@@ -396,16 +397,16 @@ impl<'r> Engine<'r> {
         result
     }
 
-    /// Record an already-finished operator (per-container pushdown ranges,
-    /// index builds, whose control flow makes [`Engine::traced`] awkward):
-    /// the work since `mark` is attributed to it.
+    /// Record an already-finished leaf operator whose detail and presence
+    /// are decided after its work (summary access, per-container pushdown
+    /// ranges): the work since `mark` is attributed to it.
     fn op_leaf(
         &self,
         op: &'static str,
         detail: Detail<'_>,
         rows_in: usize,
         rows_out: usize,
-        mark: Option<(Instant, ExecStats)>,
+        mark: (Option<Instant>, ExecStats),
     ) {
         let stats = self.cost_since(mark);
         let mut plan = self.plan.borrow_mut();
@@ -503,21 +504,15 @@ impl<'r> Engine<'r> {
         })
     }
 
-    /// Run a query and return the annotated physical plan as text — the
-    /// `EXPLAIN ANALYZE` view: every observed operator with its detail,
-    /// input/output cardinalities, wall time and counters. The structured
-    /// tree is [`Engine::last_plan`].
-    pub fn explain(&self, query: &str) -> Result<String, QueryError> {
-        self.run(query)?;
-        Ok(self.last_plan().render())
-    }
-
-    /// [`Engine::run`] a query and return its [`QueryProfile`]: per-phase
-    /// wall times, result shape, counters and plan. Times come from
-    /// `std::time::Instant` directly, so profiling works even when the
-    /// ambient instrumentation is compiled out (`off` feature).
+    /// [`Engine::run`] a query with every plan operator timed and return its
+    /// [`QueryProfile`]: per-phase wall times, result shape, counters and
+    /// the plan with inclusive and self time per operator — the
+    /// `EXPLAIN ANALYZE` view is `profile(q)?.plan.render()`.
     pub fn profile(&self, query: &str) -> Result<QueryProfile, QueryError> {
-        let output = self.run(query)?;
+        self.timed.set(true);
+        let output = self.run(query);
+        self.timed.set(false);
+        let output = output?;
         let plan = self.last_plan();
         Ok(QueryProfile {
             query: query.to_owned(),
@@ -875,15 +870,19 @@ impl<'r> Engine<'r> {
                 let index = match cached {
                     Some(i) => i,
                     None => {
-                        let mark = self.mark();
-                        let built = self.build_join_index(src2, v2, inner_side, ctx)?;
-                        self.op_leaf(
+                        // The key operators the build runs nest under it.
+                        let built = self.traced(
                             "JoinIndexBuild",
-                            compressed_keys(Some(built.codec.is_some())),
+                            compressed_keys(None),
                             0,
-                            built.rows.len(),
-                            mark,
-                        );
+                            || {
+                                let built = self.build_join_index(src2, v2, inner_side, ctx)?;
+                                let keys = compressed_keys(Some(built.codec.is_some()));
+                                self.plan.borrow_mut().annotate_detail(keys);
+                                Ok(built)
+                            },
+                            |built| built.rows.len(),
+                        )?;
                         let rc = Rc::new(built);
                         ctx.join_cache.borrow_mut().insert(key, rc.clone());
                         rc

@@ -5,9 +5,9 @@
 //! inline during evaluation. This module extracts an *observed* physical
 //! plan from that interpreter: every operator instantiation enters its
 //! [`PlanNode`] on a recorder stack, runs, and exits with its measured
-//! cardinalities and — when ambient instrumentation is compiled in — wall
-//! time and the delta of the engine's [`ExecStats`] counters over the time
-//! the operator was open.
+//! cardinalities and the delta of the engine's [`ExecStats`] counters over
+//! the time the operator was open. Wall time is added only under
+//! `Engine::profile`; `Engine::run` reads no clock per operator.
 //!
 //! The recorder builds the tree in place: an instantiation looks up its node
 //! among the current parent's children by `(op, detail)` when it enters, and
@@ -32,27 +32,24 @@
 //!   asserted by `crates/core/tests/explain_golden.rs`.
 //!
 //! Cardinalities (`rows_in`/`rows_out`) and the tree structure are
-//! deterministic and always recorded, so golden tests hold under the
-//! `off` feature too; [`OpStats`] is all-zero in that build
-//! ([`QueryPlan::render_stable`] prints only the deterministic fields).
+//! deterministic; [`QueryPlan::render_stable`] prints the operators, details
+//! and cardinalities only, for golden tests.
 //!
-//! [`QueryPlan::render`] shows each operator's inclusive `time=` and its
-//! exclusive `self=` time ([`PlanNode::self_nanos`]): the part of its wall
-//! time not spent inside a child operator.
+//! [`QueryPlan::render`] adds the counters and, for timed operators, the
+//! inclusive `time=` and the exclusive `self=` time
+//! ([`PlanNode::self_nanos`]): the part of its wall time not spent inside a
+//! child operator.
 
 use super::exec::ExecStats;
 use std::fmt::{self, Write as _};
 use xquec_obs::json::{Json, ToJson};
 
-/// Measured per-operator cost, inclusive of child operators: wall time plus
-/// the growth of every [`ExecStats`] counter while the operator was open.
-///
-/// All-zero when `xquec-obs` is built with the `off` feature: the counters
-/// are never sampled, so operator instrumentation compiles down to the
-/// cardinality bookkeeping alone.
+/// Measured per-operator cost, inclusive of child operators: the growth of
+/// every [`ExecStats`] counter while the operator was open, plus its wall
+/// time when the query ran under `Engine::profile` (zero otherwise).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct OpStats {
-    /// Wall time the operator was open, in nanoseconds.
+    /// Wall time the operator was open, in nanoseconds; zero when untimed.
     pub nanos: u64,
     /// Counter deltas attributed to the operator.
     pub counters: ExecStats,
@@ -63,10 +60,6 @@ impl OpStats {
     pub fn merge(&mut self, other: &OpStats) {
         self.nanos += other.nanos;
         self.counters.merge(&other.counters);
-    }
-
-    fn is_zero(&self) -> bool {
-        *self == OpStats::default()
     }
 }
 
@@ -127,14 +120,16 @@ impl PlanNode {
         if self.invocations > 1 {
             let _ = write!(out, " loops={}", self.invocations);
         }
-        if !stable && !self.stats.is_zero() {
+        if !stable {
             let s = &self.stats.counters;
-            let _ = write!(
-                out,
-                " time={:.3}ms self={:.3}ms",
-                self.stats.nanos as f64 / 1e6,
-                self.self_nanos() as f64 / 1e6
-            );
+            if self.stats.nanos > 0 {
+                let _ = write!(
+                    out,
+                    " time={:.3}ms self={:.3}ms",
+                    self.stats.nanos as f64 / 1e6,
+                    self.self_nanos() as f64 / 1e6
+                );
+            }
             if s.value_fetches > 0 {
                 let _ = write!(out, " fetches={}", s.value_fetches);
             }
@@ -215,7 +210,8 @@ impl QueryPlan {
         }
     }
 
-    /// Annotated tree: operators, cardinalities, timings and counters.
+    /// Annotated tree: operators, cardinalities and counters, plus
+    /// inclusive and self time for the operators that were timed.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for r in &self.roots {
@@ -225,8 +221,8 @@ impl QueryPlan {
     }
 
     /// Deterministic subset of [`QueryPlan::render`]: operators, details and
-    /// cardinalities only — identical across machines and in `off` builds,
-    /// so golden tests can compare it verbatim.
+    /// cardinalities only — identical across machines and entry points, so
+    /// golden tests can compare it verbatim.
     pub fn render_stable(&self) -> String {
         let mut out = String::new();
         for r in &self.roots {
@@ -549,6 +545,14 @@ mod tests {
         assert!(stable.contains("  ContAccess[//price >= 40] rows=5->1"), "{stable}");
         // Stats are zero => full render matches stable here.
         assert_eq!(plan.render(), stable);
+        // Counters print on an untimed plan, time only on a timed node.
+        let mut counted = plan.clone();
+        counted.roots[0].stats.counters.value_fetches = 5;
+        let text = counted.render();
+        assert!(text.starts_with("Execute rows=0->3 fetches=5\n"), "{text}");
+        counted.roots[0].stats.nanos = 2_000_000;
+        let text = counted.render();
+        assert!(text.starts_with("Execute rows=0->3 time=2.000ms self=2.000ms fetches=5\n"), "{text}");
         let json = plan.to_json().pretty();
         let parsed = xquec_obs::json::Json::parse(&json).expect("plan JSON parses");
         assert!(parsed.get("roots").is_some());

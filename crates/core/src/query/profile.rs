@@ -1,12 +1,13 @@
 //! Structured per-query profiles returned by [`crate::Engine::profile`].
 //!
-//! A [`QueryProfile`] is what one [`crate::Engine::run`] leaves behind: wall
-//! time per pipeline phase, the result shape, the per-query [`ExecStats`]
-//! counters and the observed plan. It serializes to JSON through the
-//! workspace serde stand-in ([`xquec_obs::json`]) and renders a
-//! human-readable `--explain`-style report via [`QueryProfile::render`].
-//! Phase times are measured with `std::time::Instant` directly, so
-//! profiles stay meaningful when ambient instrumentation is compiled out.
+//! A [`QueryProfile`] is what one timed [`crate::Engine::run`] leaves
+//! behind: wall time per pipeline phase, the result shape, the per-query
+//! [`ExecStats`] counters and the observed plan with inclusive and self time
+//! per operator. `profile` is the one entry point that times operators; a
+//! plain `run` records the same plan with counters only. A profile
+//! serializes to JSON through the workspace serde stand-in
+//! ([`xquec_obs::json`]) and renders a human-readable `EXPLAIN ANALYZE`
+//! report via [`QueryProfile::render`].
 
 use super::exec::ExecStats;
 use super::plan::QueryPlan;
@@ -55,8 +56,8 @@ impl QueryProfile {
         self.phases.iter().find(|p| p.name == name).map(|p| p.nanos)
     }
 
-    /// Human-readable `--explain`-style report: phase timings, counters,
-    /// then the physical plan.
+    /// Human-readable `EXPLAIN ANALYZE` report: phase timings, counters,
+    /// then the timed physical plan.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -74,29 +75,27 @@ impl QueryProfile {
         for line in self.plan.render().lines() {
             let _ = writeln!(out, "    {line}");
         }
-        if xquec_obs::enabled() {
-            // Ambient per-phase latency percentiles across every query this
-            // process has run — context for whether *this* run was typical.
-            let snap = xquec_obs::snapshot();
-            let mut wrote_header = false;
-            for p in &self.phases {
-                let name = format!("query.phase.{}", p.name);
-                let Some(h) = snap.histogram(&name) else { continue };
-                let q = |q: f64| h.quantile(q).map_or("-".to_owned(), |v| v.to_string());
-                if !wrote_header {
-                    let _ = writeln!(out, "  phase latency (all runs, ns):");
-                    wrote_header = true;
-                }
-                let _ = writeln!(
-                    out,
-                    "    {:<10} n={} p50={} p95={} p99={}",
-                    p.name,
-                    h.count,
-                    q(0.50),
-                    q(0.95),
-                    q(0.99)
-                );
+        // Ambient per-phase latency percentiles across every query this
+        // process has run — context for whether *this* run was typical.
+        let snap = xquec_obs::snapshot();
+        let mut wrote_header = false;
+        for p in &self.phases {
+            let name = format!("query.phase.{}", p.name);
+            let Some(h) = snap.histogram(&name) else { continue };
+            let q = |q: f64| h.quantile(q).map_or("-".to_owned(), |v| v.to_string());
+            if !wrote_header {
+                let _ = writeln!(out, "  phase latency (all runs, ns):");
+                wrote_header = true;
             }
+            let _ = writeln!(
+                out,
+                "    {:<10} n={} p50={} p95={} p99={}",
+                p.name,
+                h.count,
+                q(0.50),
+                q(0.95),
+                q(0.99)
+            );
         }
         out
     }

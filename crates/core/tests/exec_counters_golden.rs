@@ -11,7 +11,7 @@
 //! traffic must leave this file byte-identical: decompressions, value
 //! fetches, cache hits/misses, compressed comparisons and every plan line
 //! stay where they were. No wall-clock figure is compared, so the test
-//! holds on any machine and under `--features xquec-obs/off`.
+//! holds on any machine.
 //!
 //! After a deliberate change to the engine's work, regenerate the golden
 //! with `XQUEC_BLESS=1 cargo test -p xquec-core --test exec_counters_golden`

@@ -2,12 +2,13 @@
 //! (operators, details, cardinalities) is compared verbatim for three
 //! XMark-style queries, so any change to operator naming, tree shape or
 //! cardinality accounting shows up as a reviewable diff here — on every
-//! machine and under `--features xquec-obs/off` alike, because the stable
-//! view excludes wall time and counter deltas.
+//! machine, because the stable view excludes wall time and counter deltas.
 //!
 //! Also asserts the reconciliation invariant from `query::plan`: operator
 //! stats are inclusive and every phase runs under a root operator, so the
-//! counters of the summed root `OpStats` equal the per-query `ExecStats`.
+//! counters of the summed root `OpStats` equal the per-query `ExecStats` —
+//! after a plain `run`, which times nothing, and after `profile`, which
+//! times every operator.
 
 use xquec_core::loader::{load_with, LoaderOptions, WorkloadSpec};
 use xquec_core::query::Engine;
@@ -110,39 +111,44 @@ fn explain_plans_match_goldens() {
     }
 }
 
-/// `Engine::explain` is the annotated (`EXPLAIN ANALYZE`) view of the same
-/// tree: every stable line's operator appears, plus measured stats when
-/// instrumentation is compiled in.
+/// The profiled plan is the annotated (`EXPLAIN ANALYZE`) view of the same
+/// tree: every stable line's operator appears, plus measured stats.
 #[test]
 fn explain_text_covers_stable_operators() {
     let r = repo();
     let e = Engine::new(&r);
-    let text = e.explain(Q_JOIN).unwrap();
+    let text = e.profile(Q_JOIN).unwrap().plan.render();
     for op in ["Execute", "StructureSummaryAccess", "Predicate[where]", "StructureNav[child::name]", "Serialize"] {
         assert!(text.contains(op), "missing {op} in:\n{text}");
     }
-    if xquec_obs::enabled() {
-        assert!(text.contains("fetches="), "no measured stats in:\n{text}");
-    }
+    assert!(text.contains("fetches="), "no measured stats in:\n{text}");
+    assert!(text.contains("time="), "no timings in:\n{text}");
 }
 
 /// Reconciliation: root operators cover every phase inclusively, so the
 /// counters of the plan's summed `OpStats` equal the engine's per-query
-/// `ExecStats` — every counter, compared as one struct. Under the `off`
-/// feature the deltas are never sampled and the totals must be exactly
-/// zero.
+/// `ExecStats` — every counter, compared as one struct. A plain `run`
+/// records the counters and no time; `profile` records both.
 #[test]
 fn plan_totals_reconcile_with_exec_stats() {
     let r = repo();
     let e = Engine::new(&r);
     for q in [Q_PATH, Q_JOIN, Q_SORT] {
+        e.run(q).unwrap();
+        let plan = e.last_plan();
+        let mut timed = Vec::new();
+        plan.walk(&mut |n| {
+            if n.stats.nanos > 0 {
+                timed.push(n.op);
+            }
+        });
+        assert!(timed.is_empty(), "{q}: run timed {timed:?}");
+        assert_eq!(plan.totals().counters, *e.stats.borrow(), "{q}");
+        assert!(e.stats.borrow().value_fetches > 0, "{q} fetched nothing");
+
         let profile = e.profile(q).unwrap();
-        let t = profile.plan.totals();
-        if xquec_obs::enabled() {
-            assert_eq!(t.counters, profile.stats, "{q}");
-            assert!(profile.stats.value_fetches > 0, "{q} fetched nothing");
-        } else {
-            assert_eq!(t, Default::default(), "off build must record no stats: {q}");
-        }
+        assert!(profile.plan.roots[0].stats.nanos > 0, "{q}: profile root untimed");
+        assert_eq!(profile.plan.totals().counters, profile.stats, "{q}");
+        assert!(profile.stats.value_fetches > 0, "{q} fetched nothing");
     }
 }

@@ -2,11 +2,8 @@
 //! under the parallel loader, WAL recovery events, and the structured
 //! profile JSON round-trip through the serde stand-in.
 //!
-//! Ambient assertions (subscriber traffic, registry counters) are gated on
-//! [`xquec_obs::enabled`] so the suite also passes when the workspace is
-//! built with `--features xquec-obs/off`; the explicit profiles
-//! ([`LoadProfile`], `Engine::profile`) are asserted unconditionally —
-//! they time with `Instant` directly and never go dark.
+//! Both the ambient side (subscriber traffic, registry counters) and the
+//! explicit profiles ([`LoadProfile`], `Engine::profile`) are asserted.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -67,15 +64,13 @@ fn parallel_loader_phase_totals_consistent() {
     );
     assert_eq!(seq.codecs.to_json().pretty(), par.codecs.to_json().pretty());
 
-    if xquec_obs::enabled() {
-        // Both loads closed one span per phase into the shared collector
-        // (other tests may add more — assert at least ours arrived).
-        let spans = collector.spans();
-        for phase in PHASES {
-            let name = format!("loader.phase.{phase}");
-            let n = spans.iter().filter(|(s, _)| *s == name).count();
-            assert!(n >= 2, "expected >=2 closes of {name}, saw {n}");
-        }
+    // Both loads closed one span per phase into the shared collector
+    // (other tests may add more — assert at least ours arrived).
+    let spans = collector.spans();
+    for phase in PHASES {
+        let name = format!("loader.phase.{phase}");
+        let n = spans.iter().filter(|(s, _)| *s == name).count();
+        assert!(n >= 2, "expected >=2 closes of {name}, saw {n}");
     }
 }
 
@@ -84,9 +79,6 @@ fn parallel_loader_phase_totals_consistent() {
 /// count. Both surface as structured events.
 #[test]
 fn wal_recovery_emits_structured_events() {
-    if !xquec_obs::enabled() {
-        return; // events compile to no-ops under the `off` feature
-    }
     let dir = temp_dir("wal-events");
     let collector = Collector::new();
     let id = add_subscriber(collector.clone());
@@ -146,11 +138,6 @@ fn wal_recovery_emits_structured_events() {
 /// snapshot exposes them alongside the loader and query families.
 #[test]
 fn metrics_snapshot_spans_all_three_layers() {
-    if !xquec_obs::enabled() {
-        let snap = xquec_obs::snapshot();
-        assert!(snap.counters.is_empty(), "off build has an empty registry");
-        return;
-    }
     let xml = sample_xml(80_000);
     let repo = load_with(&xml, &LoaderOptions::default()).expect("load");
     let dir = temp_dir("snapshot");

@@ -15,11 +15,11 @@
 //! * **Thread-safe by construction.** All metric cells are atomics;
 //!   subscribers are `Send + Sync` behind an `RwLock`ed list, so the
 //!   parallel loader's worker threads can emit concurrently.
-//! * **Compile-time `off`.** With the `off` feature every ambient
-//!   instrumentation call compiles to an empty inline function:
-//!   [`metrics::snapshot`] returns an empty snapshot, spans skip the clock
-//!   read, subscribers are never invoked. [`enabled`] reports which mode
-//!   was compiled so tests can guard their assertions.
+//! * **One build.** Instrumentation is always compiled in. Its call sites
+//!   fire per query, phase, page or event, never per row (a query adds its
+//!   counters to the registry once, when it retires). Per-operator timing,
+//!   the one per-row cost, is asked for per query (`Engine::profile`), not
+//!   per build.
 //!
 //! Naming scheme (see DESIGN.md "Observability"): dot-separated
 //! `layer.component.detail` paths, e.g. `storage.page.read`,
@@ -39,14 +39,6 @@ pub use span::{
     add_subscriber, event, remove_subscriber, span, Collector, Field, Span, Subscriber,
     SubscriberId,
 };
-
-/// `true` when ambient instrumentation is compiled in (the `off` feature is
-/// not active). Tests use this to guard assertions about recorded metrics so
-/// the same suite passes in both configurations.
-#[inline]
-pub const fn enabled() -> bool {
-    cfg!(not(feature = "off"))
-}
 
 /// Resolve a counter once per call site, then increment atomically.
 ///

@@ -10,11 +10,11 @@
 //! bucket *i* (1..=64) holds values in `[2^(i-1), 2^i)`. That covers the
 //! full `u64` range (durations in nanoseconds, byte sizes) with 65 cells
 //! and no configuration.
-//!
-//! With the `off` feature, every type here is a zero-sized no-op and
-//! [`snapshot`] returns an empty [`MetricsSnapshot`].
 
 use crate::json::Json;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Number of histogram buckets: one for zero plus one per power of two.
 pub const HISTOGRAM_BUCKETS: usize = 65;
@@ -69,300 +69,193 @@ pub fn quantile_from_buckets(buckets: &[(u64, u64)], q: f64) -> Option<u64> {
     None
 }
 
-// ---------------------------------------------------------------------------
-// Live implementation.
-// ---------------------------------------------------------------------------
-#[cfg(not(feature = "off"))]
-mod imp {
-    use super::HISTOGRAM_BUCKETS;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock, PoisonError};
+/// Monotonically increasing event count.
+#[derive(Debug, Default)]
+pub struct Counter {
+    v: AtomicU64,
+}
 
-    /// Monotonically increasing event count.
-    #[derive(Debug, Default)]
-    pub struct Counter {
-        v: AtomicU64,
+impl Counter {
+    /// Increment by one.
+    #[inline]
+    pub fn inc(&self) {
+        self.v.fetch_add(1, Ordering::Relaxed);
     }
 
-    impl Counter {
-        /// Increment by one.
-        #[inline]
-        pub fn inc(&self) {
-            self.v.fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// Increment by `n`.
-        #[inline]
-        pub fn add(&self, n: u64) {
-            self.v.fetch_add(n, Ordering::Relaxed);
-        }
-
-        /// Current value.
-        #[inline]
-        pub fn get(&self) -> u64 {
-            self.v.load(Ordering::Relaxed)
-        }
+    /// Increment by `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.v.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Point-in-time signed value (e.g. resident entries of a cache).
-    #[derive(Debug, Default)]
-    pub struct Gauge {
-        v: AtomicI64,
-    }
-
-    impl Gauge {
-        /// Overwrite the value.
-        #[inline]
-        pub fn set(&self, v: i64) {
-            self.v.store(v, Ordering::Relaxed);
-        }
-
-        /// Adjust by a signed delta.
-        #[inline]
-        pub fn add(&self, d: i64) {
-            self.v.fetch_add(d, Ordering::Relaxed);
-        }
-
-        /// Current value.
-        #[inline]
-        pub fn get(&self) -> i64 {
-            self.v.load(Ordering::Relaxed)
-        }
-    }
-
-    /// Monotonic histogram over fixed log₂ buckets.
-    pub struct Histogram {
-        count: AtomicU64,
-        sum: AtomicU64,
-        buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    }
-
-    impl Histogram {
-        fn new() -> Self {
-            Histogram {
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                buckets: [0u64; HISTOGRAM_BUCKETS].map(AtomicU64::new),
-            }
-        }
-
-        /// Record one observation.
-        #[inline]
-        pub fn record(&self, value: u64) {
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(value, Ordering::Relaxed);
-            self.buckets[super::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// Number of observations.
-        #[inline]
-        pub fn count(&self) -> u64 {
-            self.count.load(Ordering::Relaxed)
-        }
-
-        /// Sum of observations (wraps on overflow, like Prometheus' `_sum`).
-        #[inline]
-        pub fn sum(&self) -> u64 {
-            self.sum.load(Ordering::Relaxed)
-        }
-
-        /// Per-bucket counts.
-        pub fn buckets(&self) -> [u64; HISTOGRAM_BUCKETS] {
-            let mut out = [0u64; HISTOGRAM_BUCKETS];
-            for (o, b) in out.iter_mut().zip(&self.buckets) {
-                *o = b.load(Ordering::Relaxed);
-            }
-            out
-        }
-    }
-
-    impl std::fmt::Debug for Histogram {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Histogram")
-                .field("count", &self.count())
-                .field("sum", &self.sum())
-                .finish()
-        }
-    }
-
-    enum Metric {
-        Counter(&'static Counter),
-        Gauge(&'static Gauge),
-        Histogram(&'static Histogram),
-    }
-
-    fn table() -> &'static Mutex<BTreeMap<&'static str, Metric>> {
-        static TABLE: OnceLock<Mutex<BTreeMap<&'static str, Metric>>> = OnceLock::new();
-        TABLE.get_or_init(|| Mutex::new(BTreeMap::new()))
-    }
-
-    fn lock() -> std::sync::MutexGuard<'static, BTreeMap<&'static str, Metric>> {
-        table().lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Look up (or create) the counter `name`. Panics if the name is already
-    /// registered as a different metric kind — a programming error at an
-    /// instrumentation site, not a runtime condition.
-    pub fn counter_handle(name: &'static str) -> &'static Counter {
-        let mut t = lock();
-        let cell = t
-            .entry(name)
-            .or_insert_with(|| Metric::Counter(Box::leak(Box::new(Counter::default()))));
-        match cell {
-            Metric::Counter(c) => c,
-            _ => panic!("metric {name:?} is registered as a non-counter"),
-        }
-    }
-
-    /// Look up (or create) the gauge `name`.
-    pub fn gauge_handle(name: &'static str) -> &'static Gauge {
-        let mut t = lock();
-        let cell = t
-            .entry(name)
-            .or_insert_with(|| Metric::Gauge(Box::leak(Box::new(Gauge::default()))));
-        match cell {
-            Metric::Gauge(g) => g,
-            _ => panic!("metric {name:?} is registered as a non-gauge"),
-        }
-    }
-
-    /// Look up (or create) the histogram `name`.
-    pub fn histogram_handle(name: &'static str) -> &'static Histogram {
-        let mut t = lock();
-        let cell = t
-            .entry(name)
-            .or_insert_with(|| Metric::Histogram(Box::leak(Box::new(Histogram::new()))));
-        match cell {
-            Metric::Histogram(h) => h,
-            _ => panic!("metric {name:?} is registered as a non-histogram"),
-        }
-    }
-
-    pub(super) fn collect() -> super::MetricsSnapshot {
-        let t = lock();
-        let mut snap = super::MetricsSnapshot::default();
-        for (&name, metric) in t.iter() {
-            match metric {
-                Metric::Counter(c) => snap.counters.push((name.to_owned(), c.get())),
-                Metric::Gauge(g) => snap.gauges.push((name.to_owned(), g.get())),
-                Metric::Histogram(h) => {
-                    let buckets = h
-                        .buckets()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &c)| c > 0)
-                        .map(|(i, &c)| (super::bucket_lo(i), c))
-                        .collect();
-                    snap.histograms.push(super::HistogramSnapshot {
-                        name: name.to_owned(),
-                        count: h.count(),
-                        sum: h.sum(),
-                        buckets,
-                    });
-                }
-            }
-        }
-        snap
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.v.load(Ordering::Relaxed)
     }
 }
 
-// ---------------------------------------------------------------------------
-// `off` implementation: zero-sized, fully inlined no-ops.
-// ---------------------------------------------------------------------------
-#[cfg(feature = "off")]
-mod imp {
-    use super::HISTOGRAM_BUCKETS;
+/// Point-in-time signed value (e.g. resident entries of a cache).
+#[derive(Debug, Default)]
+pub struct Gauge {
+    v: AtomicI64,
+}
 
-    /// No-op counter (the `off` feature is active).
-    #[derive(Debug, Default)]
-    pub struct Counter;
-
-    impl Counter {
-        /// No-op.
-        #[inline(always)]
-        pub fn inc(&self) {}
-        /// No-op.
-        #[inline(always)]
-        pub fn add(&self, _n: u64) {}
-        /// Always zero.
-        #[inline(always)]
-        pub fn get(&self) -> u64 {
-            0
-        }
+impl Gauge {
+    /// Overwrite the value.
+    #[inline]
+    pub fn set(&self, v: i64) {
+        self.v.store(v, Ordering::Relaxed);
     }
 
-    /// No-op gauge (the `off` feature is active).
-    #[derive(Debug, Default)]
-    pub struct Gauge;
-
-    impl Gauge {
-        /// No-op.
-        #[inline(always)]
-        pub fn set(&self, _v: i64) {}
-        /// No-op.
-        #[inline(always)]
-        pub fn add(&self, _d: i64) {}
-        /// Always zero.
-        #[inline(always)]
-        pub fn get(&self) -> i64 {
-            0
-        }
+    /// Adjust by a signed delta.
+    #[inline]
+    pub fn add(&self, d: i64) {
+        self.v.fetch_add(d, Ordering::Relaxed);
     }
 
-    /// No-op histogram (the `off` feature is active).
-    #[derive(Debug, Default)]
-    pub struct Histogram;
-
-    impl Histogram {
-        /// No-op.
-        #[inline(always)]
-        pub fn record(&self, _value: u64) {}
-        /// Always zero.
-        #[inline(always)]
-        pub fn count(&self) -> u64 {
-            0
-        }
-        /// Always zero.
-        #[inline(always)]
-        pub fn sum(&self) -> u64 {
-            0
-        }
-        /// All zeros.
-        #[inline(always)]
-        pub fn buckets(&self) -> [u64; HISTOGRAM_BUCKETS] {
-            [0; HISTOGRAM_BUCKETS]
-        }
-    }
-
-    static COUNTER: Counter = Counter;
-    static GAUGE: Gauge = Gauge;
-    static HISTOGRAM: Histogram = Histogram;
-
-    /// Shared no-op counter.
-    #[inline(always)]
-    pub fn counter_handle(_name: &'static str) -> &'static Counter {
-        &COUNTER
-    }
-
-    /// Shared no-op gauge.
-    #[inline(always)]
-    pub fn gauge_handle(_name: &'static str) -> &'static Gauge {
-        &GAUGE
-    }
-
-    /// Shared no-op histogram.
-    #[inline(always)]
-    pub fn histogram_handle(_name: &'static str) -> &'static Histogram {
-        &HISTOGRAM
-    }
-
-    pub(super) fn collect() -> super::MetricsSnapshot {
-        super::MetricsSnapshot::default()
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> i64 {
+        self.v.load(Ordering::Relaxed)
     }
 }
 
-pub use imp::{counter_handle, gauge_handle, histogram_handle, Counter, Gauge, Histogram};
+/// Monotonic histogram over fixed log₂ buckets.
+pub struct Histogram {
+    count: AtomicU64,
+    sum: AtomicU64,
+    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+}
+
+impl Histogram {
+    fn new() -> Self {
+        Histogram {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            buckets: [0u64; HISTOGRAM_BUCKETS].map(AtomicU64::new),
+        }
+    }
+
+    /// Record one observation.
+    #[inline]
+    pub fn record(&self, value: u64) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Number of observations.
+    #[inline]
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Sum of observations (wraps on overflow, like Prometheus' `_sum`).
+    #[inline]
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
+    /// Per-bucket counts.
+    pub fn buckets(&self) -> [u64; HISTOGRAM_BUCKETS] {
+        let mut out = [0u64; HISTOGRAM_BUCKETS];
+        for (o, b) in out.iter_mut().zip(&self.buckets) {
+            *o = b.load(Ordering::Relaxed);
+        }
+        out
+    }
+}
+
+impl std::fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Histogram")
+            .field("count", &self.count())
+            .field("sum", &self.sum())
+            .finish()
+    }
+}
+
+enum Metric {
+    Counter(&'static Counter),
+    Gauge(&'static Gauge),
+    Histogram(&'static Histogram),
+}
+
+fn table() -> &'static Mutex<BTreeMap<&'static str, Metric>> {
+    static TABLE: OnceLock<Mutex<BTreeMap<&'static str, Metric>>> = OnceLock::new();
+    TABLE.get_or_init(|| Mutex::new(BTreeMap::new()))
+}
+
+fn lock() -> std::sync::MutexGuard<'static, BTreeMap<&'static str, Metric>> {
+    table().lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Look up (or create) the counter `name`. Panics if the name is already
+/// registered as a different metric kind — a programming error at an
+/// instrumentation site, not a runtime condition.
+pub fn counter_handle(name: &'static str) -> &'static Counter {
+    let mut t = lock();
+    let cell = t
+        .entry(name)
+        .or_insert_with(|| Metric::Counter(Box::leak(Box::new(Counter::default()))));
+    match cell {
+        Metric::Counter(c) => c,
+        _ => panic!("metric {name:?} is registered as a non-counter"),
+    }
+}
+
+/// Look up (or create) the gauge `name`.
+pub fn gauge_handle(name: &'static str) -> &'static Gauge {
+    let mut t = lock();
+    let cell = t
+        .entry(name)
+        .or_insert_with(|| Metric::Gauge(Box::leak(Box::new(Gauge::default()))));
+    match cell {
+        Metric::Gauge(g) => g,
+        _ => panic!("metric {name:?} is registered as a non-gauge"),
+    }
+}
+
+/// Look up (or create) the histogram `name`.
+pub fn histogram_handle(name: &'static str) -> &'static Histogram {
+    let mut t = lock();
+    let cell = t
+        .entry(name)
+        .or_insert_with(|| Metric::Histogram(Box::leak(Box::new(Histogram::new()))));
+    match cell {
+        Metric::Histogram(h) => h,
+        _ => panic!("metric {name:?} is registered as a non-histogram"),
+    }
+}
+
+/// Snapshot every registered metric.
+pub fn snapshot() -> MetricsSnapshot {
+    let t = lock();
+    let mut snap = MetricsSnapshot::default();
+    for (&name, metric) in t.iter() {
+        match metric {
+            Metric::Counter(c) => snap.counters.push((name.to_owned(), c.get())),
+            Metric::Gauge(g) => snap.gauges.push((name.to_owned(), g.get())),
+            Metric::Histogram(h) => {
+                let buckets = h
+                    .buckets()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c > 0)
+                    .map(|(i, &c)| (bucket_lo(i), c))
+                    .collect();
+                snap.histograms.push(HistogramSnapshot {
+                    name: name.to_owned(),
+                    count: h.count(),
+                    sum: h.sum(),
+                    buckets,
+                });
+            }
+        }
+    }
+    snap
+}
 
 /// One histogram, flattened for reporting. Only non-empty buckets are kept.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -498,11 +391,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Snapshot every registered metric (empty under the `off` feature).
-pub fn snapshot() -> MetricsSnapshot {
-    imp::collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,9 +457,6 @@ mod tests {
         for v in 1..=1000u64 {
             h.record(v);
         }
-        if !crate::enabled() {
-            return;
-        }
         let snap = snapshot();
         let hs = snap.histogram("test.metrics.quantiles").expect("registered");
         let p50 = hs.quantile(0.5).expect("non-empty");
@@ -606,23 +491,18 @@ mod tests {
         h.record(0);
         h.record(5);
         h.record(u64::MAX);
-        if crate::enabled() {
-            assert_eq!(c.get(), 5);
-            assert_eq!(g.get(), 5);
-            assert_eq!(h.count(), 3);
-            let b = h.buckets();
-            assert_eq!(b[0], 1);
-            assert_eq!(b[bucket_index(5)], 1);
-            assert_eq!(b[HISTOGRAM_BUCKETS - 1], 1);
-            let snap = snapshot();
-            assert_eq!(snap.counter("test.metrics.counter"), Some(5));
-            let hs = snap.histogram("test.metrics.histogram").expect("registered");
-            assert_eq!(hs.count, 3);
-            assert!(snap.families().contains(&"test".to_owned()));
-        } else {
-            assert_eq!(c.get(), 0);
-            assert_eq!(snapshot(), MetricsSnapshot::default());
-        }
+        assert_eq!(c.get(), 5);
+        assert_eq!(g.get(), 5);
+        assert_eq!(h.count(), 3);
+        let b = h.buckets();
+        assert_eq!(b[0], 1);
+        assert_eq!(b[bucket_index(5)], 1);
+        assert_eq!(b[HISTOGRAM_BUCKETS - 1], 1);
+        let snap = snapshot();
+        assert_eq!(snap.counter("test.metrics.counter"), Some(5));
+        let hs = snap.histogram("test.metrics.histogram").expect("registered");
+        assert_eq!(hs.count, 3);
+        assert!(snap.families().contains(&"test".to_owned()));
     }
 
     #[test]
@@ -631,10 +511,8 @@ mod tests {
         let b = counter_handle("test.metrics.same");
         a.add(3);
         b.add(4);
-        if crate::enabled() {
-            assert_eq!(a.get(), 7);
-            assert!(std::ptr::eq(a, b));
-        }
+        assert_eq!(a.get(), 7);
+        assert!(std::ptr::eq(a, b));
     }
 
     #[test]
@@ -653,16 +531,11 @@ mod tests {
                 });
             }
         });
-        if crate::enabled() {
-            assert_eq!(
-                snapshot().counter("test.metrics.concurrent"),
-                Some(threads * per)
-            );
-            assert_eq!(
-                snapshot().histogram("test.metrics.concurrent.hist").expect("exists").count,
-                threads * per
-            );
-        }
+        assert_eq!(snapshot().counter("test.metrics.concurrent"), Some(threads * per));
+        assert_eq!(
+            snapshot().histogram("test.metrics.concurrent.hist").expect("exists").count,
+            threads * per
+        );
     }
 
     #[test]

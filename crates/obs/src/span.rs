@@ -9,9 +9,6 @@
 //!   [`crate::metrics::snapshot`] even with no subscriber installed.
 //! * [`Subscriber`]s are `Send + Sync` observers behind an `RwLock`ed list;
 //!   [`Collector`] is the bundled test helper that captures everything.
-//!
-//! With the `off` feature, [`span`] and [`event`] compile to empty inline
-//! functions: no clock reads, no subscriber dispatch, no counter updates.
 
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -86,7 +83,6 @@ pub fn remove_subscriber(id: SubscriberId) {
     reg.subs.retain(|(sid, _)| *sid != id);
 }
 
-#[cfg(not(feature = "off"))]
 fn dispatch(f: impl Fn(&dyn Subscriber)) {
     let reg = registry().read().unwrap_or_else(PoisonError::into_inner);
     for (_, sub) in &reg.subs {
@@ -95,25 +91,17 @@ fn dispatch(f: impl Fn(&dyn Subscriber)) {
 }
 
 /// Emit a structured event: notifies subscribers and increments the counter
-/// `name`. No-op under the `off` feature.
-#[cfg(not(feature = "off"))]
+/// `name`.
 pub fn event(name: &'static str, fields: &[Field]) {
     crate::metrics::counter_handle(name).inc();
     dispatch(|s| s.on_event(name, fields));
 }
 
-/// Emit a structured event (no-op: the `off` feature is active).
-#[cfg(feature = "off")]
-#[inline(always)]
-pub fn event(_name: &'static str, _fields: &[Field]) {}
-
 /// Timed-region guard returned by [`span`]. On drop, records elapsed
 /// nanoseconds into the histogram `name` and notifies subscribers.
 #[must_use = "a span measures until it is dropped; binding to _ ends it immediately"]
 pub struct Span {
-    #[cfg(not(feature = "off"))]
     name: &'static str,
-    #[cfg(not(feature = "off"))]
     start: std::time::Instant,
 }
 
@@ -123,7 +111,6 @@ pub struct Span {
 /// let _span = xquec_obs::span("doc.example.work");
 /// // ... region ...
 /// ```
-#[cfg(not(feature = "off"))]
 pub fn span(name: &'static str) -> Span {
     Span {
         name,
@@ -131,14 +118,6 @@ pub fn span(name: &'static str) -> Span {
     }
 }
 
-/// Open a timed span (no-op: the `off` feature is active).
-#[cfg(feature = "off")]
-#[inline(always)]
-pub fn span(_name: &'static str) -> Span {
-    Span {}
-}
-
-#[cfg(not(feature = "off"))]
 impl Drop for Span {
     fn drop(&mut self) {
         let elapsed = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -234,14 +213,10 @@ mod tests {
             let _span = span("test.span.basic");
         }
         remove_subscriber(id);
-        if crate::enabled() {
-            assert_eq!(collector.span_count("test.span.basic"), 1);
-            let snap = crate::metrics::snapshot();
-            let h = snap.histogram("test.span.basic").expect("span histogram");
-            assert_eq!(h.count, 1);
-        } else {
-            assert!(collector.spans().is_empty());
-        }
+        assert_eq!(collector.span_count("test.span.basic"), 1);
+        let snap = crate::metrics::snapshot();
+        let h = snap.histogram("test.span.basic").expect("span histogram");
+        assert_eq!(h.count, 1);
     }
 
     #[test]
@@ -255,16 +230,12 @@ mod tests {
         remove_subscriber(id);
         // After removal, further events are not captured.
         event("test.span.event", &[]);
-        if crate::enabled() {
-            assert_eq!(collector.event_count("test.span.event"), 1);
-            let events = collector.events();
-            let (_, fields) = &events[0];
-            assert!(fields.contains(&("pages".to_owned(), "3".to_owned())));
-            assert!(fields.contains(&("path".to_owned(), "/tmp/x".to_owned())));
-            assert!(crate::metrics::snapshot().counter("test.span.event").unwrap_or(0) >= 2);
-        } else {
-            assert!(collector.events().is_empty());
-        }
+        assert_eq!(collector.event_count("test.span.event"), 1);
+        let events = collector.events();
+        let (_, fields) = &events[0];
+        assert!(fields.contains(&("pages".to_owned(), "3".to_owned())));
+        assert!(fields.contains(&("path".to_owned(), "/tmp/x".to_owned())));
+        assert!(crate::metrics::snapshot().counter("test.span.event").unwrap_or(0) >= 2);
     }
 
     #[test]
@@ -284,12 +255,7 @@ mod tests {
             }
         });
         remove_subscriber(id);
-        if crate::enabled() {
-            assert_eq!(collector.event_count("test.span.concurrent"), threads * per);
-            assert_eq!(
-                collector.span_count("test.span.concurrent.region"),
-                threads * per
-            );
-        }
+        assert_eq!(collector.event_count("test.span.concurrent"), threads * per);
+        assert_eq!(collector.span_count("test.span.concurrent.region"), threads * per);
     }
 }

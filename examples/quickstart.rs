@@ -57,7 +57,7 @@ fn main() {
 
     // Peek at the physical plan trace.
     println!("\noperator trace for the range query:");
-    println!("{}", engine.explain(q2).expect("valid query"));
+    println!("{}", engine.profile(q2).expect("valid query").plan.render());
     let stats = engine.stats.borrow();
     println!(
         "(decompressions: {}, compressed-domain comparisons: {})",

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Commands: `.stats` (repository sizes), `.containers` (codec per
-//! container), `.explain <query>` (operator trace), `.quit`.
+//! container), `.explain <query>` (timed operator plan), `.quit`.
 
 use std::io::{BufRead, Write};
 use xquec::core::loader::{load_with, LoaderOptions};
@@ -76,9 +76,8 @@ fn main() {
                 }
             }
             _ if line.starts_with(".explain ") => {
-                match engine.explain(&line[".explain ".len()..]) {
-                    Ok(plan) if plan.is_empty() => println!("(no physical operators recorded)"),
-                    Ok(plan) => println!("{plan}"),
+                match engine.profile(&line[".explain ".len()..]) {
+                    Ok(p) => println!("{}", p.plan.render()),
                     Err(e) => println!("error: {e}"),
                 }
             }
