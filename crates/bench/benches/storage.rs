@@ -1,6 +1,6 @@
-//! Storage-engine microbenches: B+tree point/range operations, heap appends
-//! and the buffer-pool hot path — the substrate costs under every
-//! repository access.
+//! Storage-engine microbenches: B+tree inserts, bulk loads and point/range
+//! operations, heap appends and the buffer-pool hot path — the substrate
+//! costs under every repository access.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -21,6 +21,14 @@ fn btree_ops(c: &mut Criterion) {
                 t.insert(&k.to_be_bytes(), format!("value{k}").as_bytes()).expect("insert");
             }
             black_box(t.root())
+        })
+    });
+
+    g.bench_function("bulk_load_10k", |b| {
+        b.iter(|| {
+            let pool = Arc::new(BufferPool::new(Arc::new(MemPager::new()), 128));
+            let rows = (0u32..10_000).map(|i| (i.to_be_bytes(), format!("value{i}")));
+            black_box(BTree::bulk_load(pool, rows).expect("bulk_load").root())
         })
     });
 

@@ -150,7 +150,15 @@ fn main() {
             "storage-overhead" => {
                 let rows = experiments::storage_overhead(p);
                 print_table(
-                    &["document", "summary/doc", "CF (all structures)", "access factor"],
+                    &[
+                        "document",
+                        "summary/doc",
+                        "CF (all structures)",
+                        "access factor",
+                        "accounted",
+                        "on disk",
+                        "disk/accounted",
+                    ],
                     &rows
                         .iter()
                         .map(|r| {
@@ -159,6 +167,9 @@ fn main() {
                                 format!("{:.1}%", r.summary_fraction * 100.0),
                                 format!("{:.1}%", r.cf_full * 100.0),
                                 format!("{:.2}x", r.access_structure_factor),
+                                human_bytes(r.accounted_bytes),
+                                human_bytes(r.disk_bytes),
+                                format!("{:.2}x", r.disk_per_accounted),
                             ]
                         })
                         .collect::<Vec<_>>(),

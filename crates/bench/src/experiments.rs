@@ -5,6 +5,7 @@
 //! example, E6 = the §2.2 storage-overhead claims, A1 = the codec ablation
 //! behind §2.1's choice of ALM.
 
+use std::sync::Arc;
 use xquec_baselines::{GalaxEngine, XgrindDoc, XmillDoc, XpressDoc};
 use xquec_core::cost::{Configuration, CostModel, CostWeights, Group};
 use xquec_core::loader::{load, load_with, LoaderOptions};
@@ -13,6 +14,7 @@ use xquec_core::query::Engine;
 use xquec_core::stats::ContainerStats;
 use xquec_core::workload::{PredOp, Workload};
 use xquec_core::ContainerId;
+use xquec_storage::{MemPager, Pager, FILE_HEADER, FRAME_SIZE};
 use xquec_xml::gen::Dataset;
 
 use crate::{time, time_median};
@@ -373,10 +375,17 @@ pub struct StorageRow {
     pub cf_full: f64,
     /// Factor by which dropping access structures shrinks the database.
     pub access_structure_factor: f64,
+    /// Accounted repository size (`SizeReport::total`).
+    pub accounted_bytes: usize,
+    /// Size of the file `persist::save` writes for the repository.
+    pub disk_bytes: usize,
+    /// On-disk bytes per accounted byte.
+    pub disk_per_accounted: f64,
 }
 
-/// E6: summary size (§2.2 measures ≈19 % of the original) and the shrink
-/// factor from dropping access structures (§2.2 says 3-4×).
+/// E6: summary size (§2.2 measures ≈19 % of the original), the shrink
+/// factor from dropping access structures (§2.2 says 3-4×), and what the
+/// saved file costs next to the accounted size.
 pub fn storage_overhead(p: Profile) -> Vec<StorageRow> {
     p.xmark_sweep()
         .into_iter()
@@ -384,12 +393,18 @@ pub fn storage_overhead(p: Profile) -> Vec<StorageRow> {
             let xml = Dataset::Xmark.generate(bytes);
             let repo = load(&xml).expect("load");
             let r = repo.size_report();
+            let pager = Arc::new(MemPager::new());
+            xquec_core::persist::save_to_pager(&repo, pager.clone()).expect("save");
+            let disk_bytes = (FILE_HEADER + pager.page_count() * FRAME_SIZE) as usize;
             StorageRow {
                 bytes: xml.len(),
                 summary_fraction: r.summary as f64 / r.original as f64,
                 cf_full: r.compression_factor(),
                 access_structure_factor: r.total() as f64
                     / r.total_without_access_structures() as f64,
+                accounted_bytes: r.total(),
+                disk_bytes,
+                disk_per_accounted: disk_bytes as f64 / r.total() as f64,
             }
         })
         .collect()
@@ -645,7 +660,15 @@ impl_to_json!(CfRow { dataset, bytes, xquec_query, xquec_archive, xmill, xgrind,
 impl_to_json!(QetRow { query, xquec_s, galax_s, xquec_decompressions, xquec_compressed_ops, results_match });
 impl_to_json!(Fig7Report { bytes, xquec_load_s, galax_load_s, xquec_footprint, galax_footprint, rows });
 impl_to_json!(PartitionReport { naive_cf, good_cf, good_groups, naive_cost, good_cost });
-impl_to_json!(StorageRow { bytes, summary_fraction, cf_full, access_structure_factor });
+impl_to_json!(StorageRow {
+    bytes,
+    summary_fraction,
+    cf_full,
+    access_structure_factor,
+    accounted_bytes,
+    disk_bytes,
+    disk_per_accounted,
+});
 impl_to_json!(CodecRow { corpus, codec, ratio, decompress_mb_s, properties });
 impl_to_json!(LoadingRow { dataset, bytes, threads, sequential_s, parallel_s, speedup, identical });
 impl_to_json!(ProfileReport { bytes, load, queries, lifetime });

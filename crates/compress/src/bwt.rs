@@ -1,38 +1,210 @@
-//! Burrows-Wheeler transform via a prefix-doubling suffix array.
+//! Burrows-Wheeler transform over an SA-IS suffix array.
 //!
 //! Substrate for [`crate::blz`], the bzip2-family block compressor the paper
 //! uses as its generic fallback codec (§3.3) and that our XMill baseline
 //! uses as its container back-end.
+//!
+//! The suffix array is built by induced sorting (SA-IS: Nong, Zhang & Chan,
+//! "Two Efficient Algorithms for Linear Time Suffix Array Construction",
+//! 2009) in time linear in the block. The reduced problem of each recursion
+//! level lives inside the caller's suffix-array buffer, so the transient
+//! memory is the `u32` array itself plus, on each level, a one-byte type
+//! flag per symbol and a `u32` bucket per alphabet symbol: at most 10 bytes
+//! per input byte, against 20 for the prefix doubling it replaced. A suffix
+//! array is unique, so the BWT does not depend on how it was sorted.
+
+/// Marks a suffix-array slot that holds no suffix yet.
+const EMPTY: u32 = u32::MAX;
+
+/// A symbol of a text to be suffix-sorted: bytes at the top level, names of
+/// LMS substrings on the recursion levels.
+trait Symbol: Copy {
+    fn rank(self) -> usize;
+}
+
+impl Symbol for u8 {
+    fn rank(self) -> usize {
+        self as usize
+    }
+}
+
+impl Symbol for u32 {
+    fn rank(self) -> usize {
+        self as usize
+    }
+}
 
 /// Suffix array of `data` (standard order: a suffix that is a proper prefix
-/// of another sorts first). O(n log^2 n) prefix doubling.
+/// of another sorts first). Linear-time SA-IS; `data` must be shorter than
+/// `u32::MAX` bytes (blz blocks are at most [`crate::blz::BLOCK_SIZE`]).
 pub fn suffix_array(data: &[u8]) -> Vec<u32> {
-    let n = data.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut sa: Vec<u32> = (0..n as u32).collect();
-    let mut rank: Vec<i64> = data.iter().map(|&b| b as i64).collect();
-    let mut tmp: Vec<i64> = vec![0; n];
-    let mut k = 1usize;
-    loop {
-        let key = |i: usize, rank: &[i64]| -> (i64, i64) {
-            (rank[i], if i + k < n { rank[i + k] } else { -1 })
-        };
-        sa.sort_unstable_by_key(|&a| key(a as usize, &rank));
-        tmp[sa[0] as usize] = 0;
-        for w in 1..n {
-            let prev = key(sa[w - 1] as usize, &rank);
-            let cur = key(sa[w] as usize, &rank);
-            tmp[sa[w] as usize] = tmp[sa[w - 1] as usize] + i64::from(cur != prev);
-        }
-        rank.copy_from_slice(&tmp);
-        if rank[sa[n - 1] as usize] == (n - 1) as i64 || k >= n {
-            break;
-        }
-        k <<= 1;
-    }
+    assert!(data.len() < EMPTY as usize, "suffix_array: input of {} bytes", data.len());
+    let mut sa = vec![0u32; data.len()];
+    sais(data, 256, &mut sa);
     sa
+}
+
+/// Fill `sa` with the suffix array of `s`, whose symbols rank below `k`.
+/// Every text carries a virtual sentinel after its last symbol that is
+/// smaller than any symbol.
+fn sais<T: Symbol>(s: &[T], k: usize, sa: &mut [u32]) {
+    let n = s.len();
+    debug_assert_eq!(sa.len(), n);
+    if n <= 1 {
+        sa.fill(0);
+        return;
+    }
+    // stype[i]: suffix i is smaller than suffix i + 1 (S-type); otherwise
+    // it is L-type. The last suffix is L-type: it is followed by the
+    // sentinel.
+    let mut stype = vec![false; n];
+    for i in (0..n - 1).rev() {
+        let (a, b) = (s[i].rank(), s[i + 1].rank());
+        stype[i] = a < b || (a == b && stype[i + 1]);
+    }
+    // A leftmost-S position: an S-type suffix right after an L-type one.
+    let is_lms = |i: usize| i > 0 && stype[i] && !stype[i - 1];
+    let mut bkt = vec![0u32; k];
+
+    // Step 1: sort the LMS substrings by inducing from the LMS positions
+    // dropped, in any order, at the tails of their buckets.
+    sa.fill(EMPTY);
+    bucket_bounds(s, &mut bkt, true);
+    for i in (1..n).filter(|&i| is_lms(i)) {
+        let c = s[i].rank();
+        bkt[c] -= 1;
+        sa[bkt[c] as usize] = i as u32;
+    }
+    induce(s, &stype, &mut bkt, sa);
+
+    // Step 2: name each LMS substring by its rank among the distinct ones.
+    // The sorted LMS positions move to sa[..m]; no two LMS positions are
+    // adjacent, so m <= n / 2 and the name of position p fits at
+    // sa[m + p / 2].
+    let mut m = 0;
+    for i in 0..n {
+        let p = sa[i];
+        if is_lms(p as usize) {
+            sa[m] = p;
+            m += 1;
+        }
+    }
+    sa[m..].fill(EMPTY);
+    let mut names = 0u32;
+    for i in 0..m {
+        let p = sa[i] as usize;
+        if i == 0 || !lms_substrings_equal(s, &stype, sa[i - 1] as usize, p) {
+            names += 1;
+        }
+        sa[m + p / 2] = names - 1;
+    }
+    // The reduced text, names in text order, goes to the tail sa[n - m..].
+    let mut j = n;
+    for i in (m..n).rev() {
+        if sa[i] != EMPTY {
+            j -= 1;
+            sa[j] = sa[i];
+        }
+    }
+
+    // Step 3: sort the LMS suffixes by the suffix array of the reduced text,
+    // computed in sa[..m], recursively unless every name is distinct.
+    {
+        let (head, reduced) = sa.split_at_mut(n - m);
+        let head = &mut head[..m];
+        if (names as usize) < m {
+            sais(&*reduced, names as usize, head);
+        } else {
+            for (i, &c) in reduced.iter().enumerate() {
+                head[c as usize] = i as u32;
+            }
+        }
+        // The reduced text is no longer needed: replace it by the LMS
+        // positions in text order, and map reduced suffixes to positions.
+        for (slot, i) in reduced.iter_mut().zip((1..n).filter(|&i| is_lms(i))) {
+            *slot = i as u32;
+        }
+        for r in head.iter_mut() {
+            *r = reduced[*r as usize];
+        }
+    }
+
+    // Step 4: drop the sorted LMS suffixes at their bucket tails, keeping
+    // their order, and induce every other suffix from them.
+    sa[m..].fill(EMPTY);
+    bucket_bounds(s, &mut bkt, true);
+    for i in (0..m).rev() {
+        let p = sa[i];
+        sa[i] = EMPTY;
+        let c = s[p as usize].rank();
+        bkt[c] -= 1;
+        sa[bkt[c] as usize] = p;
+    }
+    induce(s, &stype, &mut bkt, sa);
+}
+
+/// Set `bkt[c]` to the first slot of bucket `c` (or one past its last slot
+/// when `ends`). Counting again on every call keeps one bucket array per
+/// level instead of two.
+fn bucket_bounds<T: Symbol>(s: &[T], bkt: &mut [u32], ends: bool) {
+    bkt.fill(0);
+    for &c in s {
+        bkt[c.rank()] += 1;
+    }
+    let mut sum = 0u32;
+    for b in bkt.iter_mut() {
+        let count = *b;
+        sum += count;
+        *b = if ends { sum } else { sum - count };
+    }
+}
+
+/// Induce the L-type suffixes left to right from the LMS suffixes already in
+/// `sa`, then the S-type suffixes right to left from the L-type ones.
+fn induce<T: Symbol>(s: &[T], stype: &[bool], bkt: &mut [u32], sa: &mut [u32]) {
+    let n = s.len();
+    bucket_bounds(s, bkt, false);
+    // The sentinel sorts first, so the suffix just before it, the last one,
+    // heads its bucket.
+    let c = s[n - 1].rank();
+    sa[bkt[c] as usize] = (n - 1) as u32;
+    bkt[c] += 1;
+    for i in 0..n {
+        let p = sa[i];
+        if p != EMPTY && p > 0 && !stype[p as usize - 1] {
+            let c = s[p as usize - 1].rank();
+            sa[bkt[c] as usize] = p - 1;
+            bkt[c] += 1;
+        }
+    }
+    bucket_bounds(s, bkt, true);
+    for i in (0..n).rev() {
+        let p = sa[i];
+        if p != EMPTY && p > 0 && stype[p as usize - 1] {
+            let c = s[p as usize - 1].rank();
+            bkt[c] -= 1;
+            sa[bkt[c] as usize] = p - 1;
+        }
+    }
+}
+
+/// Whether the LMS substrings at `a` and `b` (each running to the next LMS
+/// position, inclusive) hold the same symbols with the same types. The one
+/// that runs into the sentinel equals no other.
+fn lms_substrings_equal<T: Symbol>(s: &[T], stype: &[bool], a: usize, b: usize) -> bool {
+    let n = s.len();
+    let mut d = 0;
+    loop {
+        let (x, y) = (a + d, b + d);
+        if x == n || y == n || s[x].rank() != s[y].rank() || stype[x] != stype[y] {
+            return false;
+        }
+        // Types agree at x and x - 1, so y is an LMS position when x is.
+        if d > 0 && stype[x] && !stype[x - 1] {
+            return true;
+        }
+        d += 1;
+    }
 }
 
 /// Forward BWT with an implicit end-of-block sentinel.
@@ -154,6 +326,120 @@ pub fn ibwt(l: &[u8], primary: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn naive_suffix_array(data: &[u8]) -> Vec<u32> {
+        let mut sa: Vec<u32> = (0..data.len() as u32).collect();
+        sa.sort_by(|&a, &b| data[a as usize..].cmp(&data[b as usize..]));
+        sa
+    }
+
+    /// Linear check that `sa` is the suffix array of `data`: a permutation
+    /// in which each adjacent pair compares by first byte, then by the rank
+    /// of the suffixes one byte on (the empty suffix ranks lowest).
+    fn is_suffix_array(data: &[u8], sa: &[u32]) -> bool {
+        let n = data.len();
+        let mut rank = vec![u32::MAX; n];
+        for (r, &p) in sa.iter().enumerate() {
+            match rank.get_mut(p as usize) {
+                Some(slot) if *slot == u32::MAX => *slot = r as u32,
+                _ => return false,
+            }
+        }
+        let key = |p: u32| {
+            let next = rank.get(p as usize + 1).map_or(-1, |&r| i64::from(r));
+            (data[p as usize], next)
+        };
+        sa.len() == n && sa.windows(2).all(|w| key(w[0]) < key(w[1]))
+    }
+
+    fn xorshift_bytes(len: usize, seed: u32, modulus: u32) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x % modulus) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn suffix_array_matches_naive_sort_on_every_short_input() {
+        // Every string of length 0..=3 over {0, 1, 2, 255}.
+        let alphabet = [0u8, 1, 2, 255];
+        let mut inputs: Vec<Vec<u8>> = vec![Vec::new()];
+        for len in 1..=3 {
+            let mut strings = vec![Vec::new()];
+            for _ in 0..len {
+                strings = strings
+                    .into_iter()
+                    .flat_map(|p: Vec<u8>| {
+                        alphabet.iter().map(move |&c| [p.clone(), vec![c]].concat())
+                    })
+                    .collect();
+            }
+            inputs.extend(strings);
+        }
+        assert_eq!(inputs.len(), 1 + 4 + 16 + 64);
+        for data in &inputs {
+            assert_eq!(suffix_array(data), naive_suffix_array(data), "for {data:?}");
+        }
+    }
+
+    #[test]
+    fn suffix_array_matches_naive_sort_on_shaped_inputs() {
+        let cat = "the cat sat on the mat ".repeat(40);
+        let inputs: Vec<Vec<u8>> = vec![
+            vec![b'a'; 1000],
+            vec![0; 257],
+            vec![255; 64],
+            b"ab".repeat(300),
+            b"aab".repeat(211),
+            b"abcabcabd".repeat(50),
+            b"mississippi".to_vec(),
+            cat.into_bytes(),
+            xorshift_bytes(5000, 0x1234_5678, 2),
+            xorshift_bytes(5000, 0x9e37_79b9, 3),
+            xorshift_bytes(5000, 0xdead_beef, 256),
+            (0..=255u8).cycle().take(3000).collect(),
+        ];
+        for data in &inputs {
+            assert_eq!(suffix_array(data), naive_suffix_array(data), "len {}", data.len());
+        }
+    }
+
+    #[test]
+    fn suffix_array_of_block_size_inputs() {
+        let n = crate::blz::BLOCK_SIZE;
+        let sa = suffix_array(&vec![b'z'; n]);
+        assert!(sa.iter().rev().copied().eq(0..n as u32), "all-equal sorts by length");
+        let mut text = Vec::with_capacity(n);
+        let mut i = 0u32;
+        while text.len() < n {
+            let item = format!("<item id=\"item{}\"><name>x{}</name></item>", i % 977, i % 13);
+            text.extend_from_slice(item.as_bytes());
+            i += 1;
+        }
+        text.truncate(n);
+        let inputs = [
+            xorshift_bytes(n, 0x0bad_cafe, 2),
+            xorshift_bytes(n, 0x0bad_f00d, 256),
+            b"abaabaaab".iter().copied().cycle().take(n).collect(),
+            text,
+        ];
+        for data in &inputs {
+            assert!(is_suffix_array(data, &suffix_array(data)), "len {}", data.len());
+        }
+        // The checker itself rejects a wrong order and a repeated suffix.
+        let data = &inputs[1][..2000];
+        let mut sa = suffix_array(data);
+        assert!(is_suffix_array(data, &sa));
+        sa.swap(10, 11);
+        assert!(!is_suffix_array(data, &sa));
+        sa[10] = sa[11];
+        assert!(!is_suffix_array(data, &sa));
+    }
 
     #[test]
     fn suffix_array_banana() {

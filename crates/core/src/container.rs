@@ -15,6 +15,7 @@
 //!   requires decompressing the block, as in XMill.
 
 use crate::ids::{ContainerId, ElemId, PathId, TagCode};
+use crate::stats::ContainerStats;
 use std::cmp::Ordering;
 use std::sync::Arc;
 use xquec_compress::{blz, CodecError, ValueCodec};
@@ -179,7 +180,8 @@ impl Container {
     /// Rebuild an individually-compressed container from persisted parts
     /// (records must already be in value order). Every record is decoded
     /// once up front, so a container that constructs successfully can be
-    /// decompressed later without surprises.
+    /// decompressed later without surprises. That decode also yields the
+    /// [`ContainerStats`] of the values, returned beside the container.
     pub fn from_parts(
         id: ContainerId,
         path: PathId,
@@ -188,7 +190,7 @@ impl Container {
         codec: Arc<ValueCodec>,
         comps: Vec<Box<[u8]>>,
         parents: Vec<ElemId>,
-    ) -> Result<Container, ContainerError> {
+    ) -> Result<(Container, ContainerStats), ContainerError> {
         if comps.len() != parents.len() {
             return Err(ContainerError {
                 container: id,
@@ -196,16 +198,20 @@ impl Container {
             });
         }
         let mut plain_bytes = 0usize;
+        let mut values = Vec::with_capacity(comps.len());
         for (i, c) in comps.iter().enumerate() {
-            plain_bytes += codec
-                .decompress(c)
-                .map_err(|e| ContainerError {
-                    container: id,
-                    detail: format!("record {i}: {e}"),
-                })?
-                .len();
+            let plain = codec.decompress(c).map_err(|e| ContainerError {
+                container: id,
+                detail: format!("record {i}: {e}"),
+            })?;
+            plain_bytes += plain.len();
+            values.push(
+                String::from_utf8(plain)
+                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+            );
         }
-        Ok(Container {
+        let stats = ContainerStats::from_values(values.iter().map(String::as_str));
+        let c = Container {
             id,
             path,
             leaf,
@@ -214,12 +220,14 @@ impl Container {
             parents,
             store: Store::Individual { comps },
             plain_bytes,
-        })
+        };
+        Ok((c, stats))
     }
 
     /// Rebuild a block container from its persisted blz blob. The blob is
     /// fully decoded and parsed once up front; a record count that does not
-    /// match the parent list is corruption.
+    /// match the parent list is corruption. The [`ContainerStats`] of the
+    /// values come from that same decode.
     pub fn from_block_parts(
         id: ContainerId,
         path: PathId,
@@ -227,7 +235,7 @@ impl Container {
         vtype: ValueType,
         data: Vec<u8>,
         parents: Vec<ElemId>,
-    ) -> Result<Container, ContainerError> {
+    ) -> Result<(Container, ContainerStats), ContainerError> {
         let mut c = Container {
             id,
             path,
@@ -250,7 +258,7 @@ impl Container {
             });
         }
         c.plain_bytes = values.iter().map(|v| v.len()).sum();
-        Ok(c)
+        Ok((c, ContainerStats::from_values(values.iter().map(String::as_str))))
     }
 
     fn err(&self, detail: impl Into<String>) -> ContainerError {
@@ -279,6 +287,16 @@ impl Container {
     /// Whether records are individually accessible.
     pub fn is_individual(&self) -> bool {
         matches!(self.store, Store::Individual { .. })
+    }
+
+    /// The stored blz blob of a block container: `blz::compress` of every
+    /// value in record order, each behind its varint length. `None` for an
+    /// individual container.
+    pub fn block_blob(&self) -> Option<&[u8]> {
+        match &self.store {
+            Store::Block { data } => Some(data),
+            Store::Individual { .. } => None,
+        }
     }
 
     /// Parent element of record `idx`.

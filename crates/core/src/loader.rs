@@ -30,7 +30,6 @@ use crate::summary::{PathKind, StructureSummary};
 use crate::workload::{PredOp, Workload};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 use xquec_compress::{CodecKind, NumericCodec, ValueCodec};
 use xquec_obs::json::{Json, ToJson};
 use xquec_obs::{counter, span};
@@ -191,9 +190,8 @@ pub struct PredictedRow {
 }
 
 /// Structured account of one load: per-phase wall time plus per-container
-/// and per-codec size totals. Returned by [`load_profiled`]; phase times
-/// come from `std::time::Instant` directly, so the profile stays meaningful
-/// even when the ambient instrumentation is compiled out (`off` feature).
+/// and per-codec size totals. Returned by [`load_profiled`]; each phase
+/// time is the reading its `loader.phase.*` span records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadProfile {
     /// Bytes of input XML.
@@ -369,8 +367,7 @@ type Loaded = (Repository, Vec<PhaseTiming>, Vec<Prediction>);
 fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
     let mut phases: Vec<PhaseTiming> = Vec::with_capacity(5);
     counter!("loader.bytes.input").add(xml.len() as u64);
-    let phase_start = Instant::now();
-    let phase_span = span("loader.phase.parse");
+    let phase_span = span!("loader.phase.parse");
     // ---- Phase A: shred ------------------------------------------------
     let mut dict = NameDictionary::new();
     let mut tree = StructureTree::new();
@@ -413,10 +410,8 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
         }
     }
 
-    drop(phase_span);
-    phases.push(PhaseTiming { name: "parse", nanos: elapsed_ns(phase_start) });
-    let phase_start = Instant::now();
-    let phase_span = span("loader.phase.stats");
+    phases.push(PhaseTiming { name: "parse", nanos: phase_span.close() });
+    let phase_span = span!("loader.phase.stats");
 
     // Assign container ids in path order for determinism.
     let mut paths: Vec<PathId> = pending.keys().copied().collect();
@@ -442,10 +437,8 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
         .into_iter()
         .unzip();
 
-    drop(phase_span);
-    phases.push(PhaseTiming { name: "stats", nanos: elapsed_ns(phase_start) });
-    let phase_start = Instant::now();
-    let phase_span = span("loader.phase.cost_search");
+    phases.push(PhaseTiming { name: "stats", nanos: phase_span.close() });
+    let phase_span = span!("loader.phase.cost_search");
 
     // ---- Phase B: compression configuration ----------------------------
     // Build a temporary repository view for path resolution of the workload.
@@ -523,10 +516,8 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
         touched_any[c.0 as usize] = true;
     }
 
-    drop(phase_span);
-    phases.push(PhaseTiming { name: "cost_search", nanos: elapsed_ns(phase_start) });
-    let phase_start = Instant::now();
-    let phase_span = span("loader.phase.codec_training");
+    phases.push(PhaseTiming { name: "cost_search", nanos: phase_span.close() });
+    let phase_span = span!("loader.phase.codec_training");
 
     // ---- Phase C: train shared models and build containers -------------
     // One codec per configuration group, trained concurrently; group index
@@ -548,10 +539,8 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
         .filter_map(|(gi, c)| c.map(|c| (gi, c)))
         .collect();
 
-    drop(phase_span);
-    phases.push(PhaseTiming { name: "codec_training", nanos: elapsed_ns(phase_start) });
-    let phase_start = Instant::now();
-    let phase_span = span("loader.phase.container_build");
+    phases.push(PhaseTiming { name: "codec_training", nanos: phase_span.close() });
+    let phase_span = span!("loader.phase.container_build");
 
     // Per-container compression + sorted-record assembly fan out; container
     // ids were fixed in path order above and par_map_into returns results in
@@ -608,8 +597,7 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
         containers.push(container);
     }
 
-    drop(phase_span);
-    phases.push(PhaseTiming { name: "container_build", nanos: elapsed_ns(phase_start) });
+    phases.push(PhaseTiming { name: "container_build", nanos: phase_span.close() });
 
     // Publish size accounting: overall raw/compressed totals plus per-codec
     // splits, so a metrics snapshot carries Table 1-style numbers.
@@ -626,10 +614,6 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
         phases,
         predictions,
     ))
-}
-
-fn elapsed_ns(start: Instant) -> u64 {
-    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// Registry counter name for compressed bytes produced per codec. Static

@@ -58,7 +58,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use xquec_compress::ValueCodec;
 use xquec_obs::json::{Json, ToJson};
-use xquec_obs::{counter, span};
+use xquec_obs::{counter, span, Span};
 use xquec_xml::escape::{escape_attr, escape_text};
 
 /// Query-evaluation error.
@@ -414,14 +414,12 @@ impl<'r> Engine<'r> {
         plan.exit(rows_out, stats);
     }
 
-    /// Run one pipeline phase under its `query.phase.*` span, recording its
-    /// wall time as phase `i` of [`PHASES`].
-    fn phase<T>(&self, i: usize, span_name: &'static str, f: impl FnOnce() -> T) -> T {
-        let _span = span(span_name);
-        let start = Instant::now();
+    /// Run one pipeline phase under its `query.phase.*` span, opened by the
+    /// caller, recording the span's time as phase `i` of [`PHASES`].
+    fn phase<T>(&self, i: usize, span: Span, f: impl FnOnce() -> T) -> T {
         let out = f();
         let mut nanos = self.phase_nanos.get();
-        nanos[i] = elapsed_ns(start);
+        nanos[i] = span.close();
         self.phase_nanos.set(nanos);
         out
     }
@@ -465,7 +463,7 @@ impl<'r> Engine<'r> {
     /// Parse, evaluate and serialize a query.
     pub fn run(&self, query: &str) -> Result<String, QueryError> {
         let seq = self.eval_query(query)?;
-        self.phase(2, "query.phase.serialize", || {
+        self.phase(2, span!("query.phase.serialize"), || {
             self.traced(
                 "Serialize",
                 Detail::Static(""),
@@ -490,10 +488,10 @@ impl<'r> Engine<'r> {
         self.value_cache.borrow_mut().clear();
         self.plan.borrow_mut().reset();
         self.phase_nanos.set([0; 3]);
-        let ast = self.phase(0, "query.phase.parse", || parse(query))?;
+        let ast = self.phase(0, span!("query.phase.parse"), || parse(query))?;
         let ctx = Ctx { join_cache: RefCell::new(HashMap::new()) };
         let mut env: Env = Vec::new();
-        self.phase(1, "query.phase.execute", || {
+        self.phase(1, span!("query.phase.execute"), || {
             self.traced(
                 "Execute",
                 Detail::Static(""),

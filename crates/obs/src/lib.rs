@@ -9,9 +9,9 @@
 //! Design constraints, in order:
 //!
 //! * **No allocation on the hot path.** Metrics are `&'static`-keyed; the
-//!   [`counter!`]/[`gauge!`]/[`histogram!`] macros resolve the registry
-//!   entry once per call site (a `OnceLock`) and every later touch is a
-//!   single relaxed atomic op.
+//!   [`counter!`]/[`gauge!`]/[`histogram!`]/[`span!`] macros resolve the
+//!   registry entry once per call site (a `OnceLock`) and every later touch
+//!   is a single relaxed atomic op.
 //! * **Thread-safe by construction.** All metric cells are atomics;
 //!   subscribers are `Send + Sync` behind an `RwLock`ed list, so the
 //!   parallel loader's worker threads can emit concurrently.
@@ -61,6 +61,27 @@ macro_rules! gauge {
         static HANDLE: ::std::sync::OnceLock<&'static $crate::metrics::Gauge> =
             ::std::sync::OnceLock::new();
         *HANDLE.get_or_init(|| $crate::metrics::gauge_handle($name))
+    }};
+}
+
+/// Open a [`span::Span`], resolving its histogram once per call site as
+/// [`histogram!`] does. The name must be the same at every evaluation of
+/// the call site (a literal).
+///
+/// ```
+/// let span = xquec_obs::span!("doc.example.phase");
+/// // ... region ...
+/// let nanos: u64 = span.close();
+/// ```
+#[macro_export]
+macro_rules! span {
+    ($name:expr) => {{
+        static HANDLE: ::std::sync::OnceLock<&'static $crate::metrics::Histogram> =
+            ::std::sync::OnceLock::new();
+        $crate::span::Span::open(
+            $name,
+            *HANDLE.get_or_init(|| $crate::metrics::histogram_handle($name)),
+        )
     }};
 }
 

@@ -1,8 +1,10 @@
 //! Spans, events, and subscribers — the `tracing`-style half of the layer.
 //!
 //! * [`span`] starts a timed region; dropping the returned [`Span`] guard
-//!   records the elapsed nanoseconds into a histogram of the same name and
-//!   notifies subscribers. The hot path is one `Instant::now()` per end.
+//!   (or [`Span::close`], which also returns the time) records the elapsed
+//!   nanoseconds into a histogram of the same name and notifies
+//!   subscribers. The hot path is one `Instant::now()` per end; the
+//!   [`crate::span!`] macro also resolves the histogram once per call site.
 //! * [`event`] reports a discrete occurrence (a WAL journal discarded, a
 //!   header rejected) with structured [`Field`]s. Every event also bumps a
 //!   counter of the same name, so events are countable from a
@@ -10,6 +12,7 @@
 //! * [`Subscriber`]s are `Send + Sync` observers behind an `RwLock`ed list;
 //!   [`Collector`] is the bundled test helper that captures everything.
 
+use crate::metrics::Histogram;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// One structured key/value attached to an [`event`].
@@ -97,32 +100,57 @@ pub fn event(name: &'static str, fields: &[Field]) {
     dispatch(|s| s.on_event(name, fields));
 }
 
-/// Timed-region guard returned by [`span`]. On drop, records elapsed
-/// nanoseconds into the histogram `name` and notifies subscribers.
+/// Timed-region guard returned by [`span`] and [`crate::span!`]. On drop,
+/// or on [`Span::close`], records elapsed nanoseconds into the histogram of
+/// its name and notifies subscribers.
 #[must_use = "a span measures until it is dropped; binding to _ ends it immediately"]
 pub struct Span {
     name: &'static str,
+    histogram: &'static Histogram,
     start: std::time::Instant,
 }
 
-/// Open a timed span. Hold the guard for the duration of the region:
+/// Open a timed span, resolving its histogram by name under the registry
+/// lock. Hold the guard for the duration of the region:
 ///
 /// ```
 /// let _span = xquec_obs::span("doc.example.work");
 /// // ... region ...
 /// ```
+///
+/// A span opened on a hot path should use [`crate::span!`], which resolves
+/// the histogram once per call site.
 pub fn span(name: &'static str) -> Span {
-    Span {
-        name,
-        start: std::time::Instant::now(),
+    Span::open(name, crate::metrics::histogram_handle(name))
+}
+
+impl Span {
+    /// Open a span that records into `histogram`, which must be the
+    /// histogram named `name` ([`crate::span!`] passes its cached handle).
+    pub fn open(name: &'static str, histogram: &'static Histogram) -> Span {
+        Span { name, histogram, start: std::time::Instant::now() }
+    }
+
+    /// End the span now and return its elapsed nanoseconds: the same
+    /// reading the histogram and the subscribers get, so a caller that
+    /// needs the time reads no clock of its own.
+    pub fn close(self) -> u64 {
+        let elapsed = self.finish();
+        std::mem::forget(self);
+        elapsed
+    }
+
+    fn finish(&self) -> u64 {
+        let elapsed = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.histogram.record(elapsed);
+        dispatch(|s| s.on_span_close(self.name, elapsed));
+        elapsed
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let elapsed = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        crate::metrics::histogram_handle(self.name).record(elapsed);
-        dispatch(|s| s.on_span_close(self.name, elapsed));
+        self.finish();
     }
 }
 

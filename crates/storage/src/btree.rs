@@ -3,9 +3,15 @@
 //! This is the ordered access path of the repository: the paper builds "a B+
 //! search tree on top of the sequence of node records" (§2.2) and describes
 //! containers as "closely resembl[ing] B+trees on values". Nodes are
-//! (de)serialized whole from pages through the buffer pool — simple,
-//! correct, and plenty fast for the evaluation workloads. Leaves are chained
-//! for range scans. Deletion removes from the leaf without rebalancing
+//! (de)serialized whole from pages through the buffer pool. Leaves are
+//! chained for range scans.
+//!
+//! A repository's tree is written once, by [`BTree::bulk_load`]: ascending
+//! entries stream into leaves packed up to a full page, and the internal
+//! levels are built bottom-up over the leaves' first keys, so every page is
+//! written exactly once. [`BTree::insert`] and [`BTree::delete`] serve point
+//! updates; each rewrites the whole target node, and a split leaves both
+//! halves half full. Deletion removes from the leaf without rebalancing
 //! (underfull leaves are tolerated), which is sufficient for a load-once
 //! repository.
 
@@ -21,6 +27,10 @@ pub const MAX_VALUE: usize = 2048;
 
 const LEAF_TAG: u8 = 1;
 const INTERNAL_TAG: u8 = 2;
+/// Leaf page header: tag, entry count (u16), next-leaf page (u64).
+const LEAF_HEADER: usize = 11;
+/// Internal page header: tag, key count (u16).
+const INTERNAL_HEADER: usize = 3;
 
 /// Hard bound on root-to-leaf path length. A healthy tree over this page
 /// size is a handful of levels deep; hitting this bound means the child
@@ -40,10 +50,12 @@ impl Node {
     fn serialized_size(&self) -> usize {
         match self {
             Node::Leaf { entries, .. } => {
-                11 + entries.iter().map(|(k, v)| 4 + k.len() + v.len()).sum::<usize>()
+                LEAF_HEADER + entries.iter().map(|(k, v)| 4 + k.len() + v.len()).sum::<usize>()
             }
             Node::Internal { keys, children } => {
-                3 + 8 * children.len() + keys.iter().map(|k| 2 + k.len()).sum::<usize>()
+                INTERNAL_HEADER
+                    + 8 * children.len()
+                    + keys.iter().map(|k| 2 + k.len()).sum::<usize>()
             }
         }
     }
@@ -74,14 +86,84 @@ impl BTree {
         self.root
     }
 
+    /// Build a tree from `entries` in one pass. Keys must strictly ascend;
+    /// the first one that does not returns
+    /// [`StorageError::KeysNotAscending`].
+    ///
+    /// Leaves are filled in key order up to a full page and chained with
+    /// `next`. Each internal level is then packed the same way over the
+    /// first keys of the level below, until one node, the root, remains.
+    /// Every page is written once, in the formats [`BTree::open`] reads. No
+    /// input yields one empty root leaf, as [`BTree::create`] does.
+    pub fn bulk_load<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        pool: Arc<BufferPool>,
+        entries: impl IntoIterator<Item = (K, V)>,
+    ) -> Result<Self> {
+        let mut tree = BTree { root: pool.allocate()?, pool };
+        // First key and page of every node on the level being built.
+        let mut level: Vec<(Vec<u8>, PageId)> = Vec::new();
+        let mut page = tree.root;
+        let mut leaf: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut size = LEAF_HEADER;
+        for (index, (key, value)) in entries.into_iter().enumerate() {
+            let (key, value) = (key.as_ref(), value.as_ref());
+            check_entry(key, value)?;
+            if leaf.last().is_some_and(|(last, _)| key <= last.as_slice()) {
+                return Err(StorageError::KeysNotAscending { index });
+            }
+            let need = 4 + key.len() + value.len();
+            if !leaf.is_empty() && size + need > PAGE_SIZE {
+                let next = tree.pool.allocate()?;
+                level.push((leaf[0].0.clone(), page));
+                let entries = std::mem::take(&mut leaf);
+                tree.write_node(page, &Node::Leaf { entries, next: Some(next) })?;
+                page = next;
+                size = LEAF_HEADER;
+            }
+            leaf.push((key.to_vec(), value.to_vec()));
+            size += need;
+        }
+        level.push((leaf.first().map(|(k, _)| k.clone()).unwrap_or_default(), page));
+        tree.write_node(page, &Node::Leaf { entries: leaf, next: None })?;
+
+        while level.len() > 1 {
+            let mut upper = Vec::new();
+            let mut nodes = std::mem::take(&mut level).into_iter();
+            let Some((mut low, first)) = nodes.next() else { break };
+            let mut keys: Vec<Vec<u8>> = Vec::new();
+            let mut children = vec![first];
+            let mut size = INTERNAL_HEADER + 8;
+            for (key, child) in nodes {
+                let need = 8 + 2 + key.len();
+                if size + need > PAGE_SIZE {
+                    let page = tree.pool.allocate()?;
+                    let node = Node::Internal {
+                        keys: std::mem::take(&mut keys),
+                        children: std::mem::replace(&mut children, vec![child]),
+                    };
+                    tree.write_node(page, &node)?;
+                    upper.push((std::mem::replace(&mut low, key), page));
+                    size = INTERNAL_HEADER + 8;
+                } else {
+                    keys.push(key);
+                    children.push(child);
+                    size += need;
+                }
+            }
+            let page = tree.pool.allocate()?;
+            tree.write_node(page, &Node::Internal { keys, children })?;
+            upper.push((low, page));
+            level = upper;
+        }
+        if let Some(&(_, root)) = level.first() {
+            tree.root = root;
+        }
+        Ok(tree)
+    }
+
     /// Insert or replace; returns the previous value if the key existed.
     pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>> {
-        if key.len() > MAX_KEY {
-            return Err(StorageError::RecordTooLarge { size: key.len(), max: MAX_KEY });
-        }
-        if value.len() > MAX_VALUE {
-            return Err(StorageError::RecordTooLarge { size: value.len(), max: MAX_VALUE });
-        }
+        check_entry(key, value)?;
         let (old, split) = self.insert_rec(self.root, key, value, 0)?;
         if let Some((sep, right)) = split {
             // Grow a new root.
@@ -257,12 +339,12 @@ impl BTree {
                 LEAF_TAG => {
                     let n = p.get_u16(1) as usize;
                     // Each entry needs at least its 4-byte header.
-                    if 11 + n * 4 > PAGE_SIZE {
+                    if LEAF_HEADER + n * 4 > PAGE_SIZE {
                         return Err(corrupt(format!("leaf claims {n} entries")));
                     }
                     let next_raw = p.get_u64(3);
                     let next = if next_raw == u64::MAX { None } else { Some(PageId(next_raw)) };
-                    let mut off = 11usize;
+                    let mut off = LEAF_HEADER;
                     let mut entries = Vec::with_capacity(n);
                     for i in 0..n {
                         let klen = p
@@ -293,10 +375,10 @@ impl BTree {
                 INTERNAL_TAG => {
                     let n = p.get_u16(1) as usize;
                     // n keys (2-byte headers) plus n+1 children must fit.
-                    if 3 + (n + 1) * 8 + n * 2 > PAGE_SIZE {
+                    if INTERNAL_HEADER + (n + 1) * 8 + n * 2 > PAGE_SIZE {
                         return Err(corrupt(format!("internal node claims {n} keys")));
                     }
-                    let mut off = 3usize;
+                    let mut off = INTERNAL_HEADER;
                     let mut children = Vec::with_capacity(n + 1);
                     for _ in 0..=n {
                         children.push(PageId(p.get_u64(off)));
@@ -335,7 +417,7 @@ impl BTree {
                     p.bytes_mut()[0] = LEAF_TAG;
                     p.put_u16(1, entries.len() as u16);
                     p.put_u64(3, next.map_or(u64::MAX, |n| n.0));
-                    let mut off = 11usize;
+                    let mut off = LEAF_HEADER;
                     for (k, v) in entries {
                         p.put_u16(off, k.len() as u16);
                         p.put_u16(off + 2, v.len() as u16);
@@ -349,7 +431,7 @@ impl BTree {
                 Node::Internal { keys, children } => {
                     p.bytes_mut()[0] = INTERNAL_TAG;
                     p.put_u16(1, keys.len() as u16);
-                    let mut off = 3usize;
+                    let mut off = INTERNAL_HEADER;
                     for c in children {
                         p.put_u64(off, c.0);
                         off += 8;
@@ -364,6 +446,17 @@ impl BTree {
             }
         })
     }
+}
+
+/// Reject a key or value larger than a node may hold.
+fn check_entry(key: &[u8], value: &[u8]) -> Result<()> {
+    if key.len() > MAX_KEY {
+        return Err(StorageError::RecordTooLarge { size: key.len(), max: MAX_KEY });
+    }
+    if value.len() > MAX_VALUE {
+        return Err(StorageError::RecordTooLarge { size: value.len(), max: MAX_VALUE });
+    }
+    Ok(())
 }
 
 /// Ascending iterator over `(key, value)` pairs.
@@ -519,5 +612,109 @@ mod tests {
         }
         assert_eq!(t.len().unwrap(), 200);
         assert_eq!(t.get(b"0100").unwrap(), Some(b"r9".to_vec()));
+    }
+
+    fn pool() -> Arc<BufferPool> {
+        Arc::new(BufferPool::new(Arc::new(MemPager::new()), 64))
+    }
+
+    /// Levels from the root down to the leftmost leaf.
+    fn depth(t: &BTree) -> usize {
+        let mut page = t.root();
+        let mut levels = 1;
+        while let Node::Internal { children, .. } = t.read_node(page).unwrap() {
+            page = children[0];
+            levels += 1;
+        }
+        levels
+    }
+
+    fn entries(t: &BTree) -> Vec<(Vec<u8>, Vec<u8>)> {
+        t.iter().unwrap().map(|e| e.unwrap()).collect()
+    }
+
+    #[test]
+    fn bulk_load_empty() {
+        let t = BTree::bulk_load(pool(), std::iter::empty::<(&[u8], &[u8])>()).unwrap();
+        assert!(t.is_empty().unwrap());
+        assert_eq!(t.get(b"a").unwrap(), None);
+        assert_eq!(depth(&t), 1);
+        assert_eq!(t.pool.page_count(), 1);
+    }
+
+    #[test]
+    fn bulk_load_one_entry() {
+        let t = BTree::bulk_load(pool(), [(b"k", b"v")]).unwrap();
+        assert_eq!(entries(&t), vec![(b"k".to_vec(), b"v".to_vec())]);
+        assert_eq!(t.get(b"k").unwrap(), Some(b"v".to_vec()));
+        assert_eq!(depth(&t), 1);
+    }
+
+    #[test]
+    fn bulk_load_fills_a_page_exactly() {
+        // Four entries of 4 + 2 + 2039 (the last 2040) bytes make
+        // 11 + 8181 = 8192.
+        let full: Vec<(Vec<u8>, Vec<u8>)> =
+            (0..4u8).map(|i| (vec![b'k', i], vec![i; 2039 + usize::from(i == 3)])).collect();
+        let node = Node::Leaf { entries: full.clone(), next: None };
+        assert_eq!(node.serialized_size(), PAGE_SIZE);
+        let t = BTree::bulk_load(pool(), full.clone()).unwrap();
+        assert_eq!((depth(&t), t.pool.page_count()), (1, 1));
+        assert_eq!(entries(&t), full);
+
+        // One more byte anywhere starts a second leaf under a root.
+        let mut over = full.clone();
+        over.push((vec![b'k', 9], Vec::new()));
+        let t = BTree::bulk_load(pool(), over.clone()).unwrap();
+        assert_eq!((depth(&t), t.pool.page_count()), (2, 3));
+        assert_eq!(entries(&t), over);
+        assert_eq!(t.get(&[b'k', 9]).unwrap(), Some(Vec::new()));
+        assert_eq!(t.get(&[b'k', 3]).unwrap().map(|v| v.len()), Some(2040));
+    }
+
+    #[test]
+    fn bulk_load_builds_three_levels_with_large_keys() {
+        // 1 KiB keys: 7 entries per leaf and 7 children per internal node,
+        // so 1,000 entries need three levels.
+        let key = |i: u32| {
+            let mut k = vec![b'x'; MAX_KEY];
+            k[MAX_KEY - 4..].copy_from_slice(&i.to_be_bytes());
+            k
+        };
+        let n = 1_000u32;
+        let t = BTree::bulk_load(pool(), (0..n).map(|i| (key(i), i.to_le_bytes()))).unwrap();
+        assert!(depth(&t) >= 3, "depth {}", depth(&t));
+        assert_eq!(t.len().unwrap(), n as usize);
+        for i in [0, 1, 6, 7, 48, 49, 500, n - 1] {
+            assert_eq!(t.get(&key(i)).unwrap(), Some(i.to_le_bytes().to_vec()), "key {i}");
+        }
+        assert_eq!(t.get(&key(n)).unwrap(), None);
+        let from: Vec<Vec<u8>> = t.range_from(&key(990)).unwrap().map(|e| e.unwrap().0).collect();
+        assert_eq!(from, (990..n).map(key).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn bulk_load_packs_leaves_fuller_than_inserts() {
+        let rows = |i: u32| (i.to_be_bytes(), format!("value{i}").into_bytes());
+        let bulk = BTree::bulk_load(pool(), (0..10_000).map(rows)).unwrap();
+        let mut grown = tree();
+        for (k, v) in (0..10_000).map(rows) {
+            grown.insert(&k, &v).unwrap();
+        }
+        assert_eq!(entries(&bulk), entries(&grown));
+        assert!(bulk.pool.page_count() * 3 < grown.pool.page_count() * 2);
+    }
+
+    #[test]
+    fn bulk_load_rejects_keys_that_do_not_ascend() {
+        let err = |rows: &[&[u8]]| {
+            match BTree::bulk_load(pool(), rows.iter().map(|k| (*k, b"v"))) {
+                Err(StorageError::KeysNotAscending { index }) => index,
+                other => panic!("expected KeysNotAscending, got {:?}", other.map(|t| t.root())),
+            }
+        };
+        assert_eq!(err(&[b"a", b"c", b"b"]), 2);
+        assert_eq!(err(&[b"a", b"a"]), 1);
+        assert!(BTree::bulk_load(pool(), [(&[0u8; MAX_KEY + 1][..], &b"v"[..])]).is_err());
     }
 }

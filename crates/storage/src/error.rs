@@ -26,6 +26,9 @@ pub enum StorageError {
     /// non-durable pages, which is exactly the torn state checksums cannot
     /// repair.
     Poisoned,
+    /// A bulk load was handed a key that is not strictly greater than the
+    /// one before it (`index` counts entries from zero).
+    KeysNotAscending { index: usize },
 }
 
 impl StorageError {
@@ -62,6 +65,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::Poisoned => {
                 write!(f, "store poisoned by an earlier sync failure; reopen to continue")
+            }
+            StorageError::KeysNotAscending { index } => {
+                write!(f, "bulk-load key {index} does not ascend past the key before it")
             }
         }
     }

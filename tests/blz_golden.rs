@@ -1,0 +1,65 @@
+//! Byte-identity gate for the blz block compressor.
+//!
+//! A suffix array is unique, so any correct suffix sort behind the BWT must
+//! produce the same blz bytes. These hashes were recorded with the original
+//! prefix-doubling sort; a change to `bwt.rs`, `blz.rs` or the Huffman
+//! stage that moves a single output byte fails here.
+
+use xquec::compress::blz;
+use xquec::core::loader::{load_with, LoaderOptions};
+use xquec::core::queries::xmark_workload;
+use xquec::xml::gen::Dataset;
+
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// A 300 KB XMark document compressed whole: one full `BLOCK_SIZE` block
+/// plus a partial one.
+#[test]
+fn blz_of_xmark_text_is_unchanged() {
+    let xml = Dataset::Xmark.generate(300_000);
+    assert!(xml.len() > blz::BLOCK_SIZE);
+    let out = blz::compress(xml.as_bytes());
+    let mut h = FNV_OFFSET;
+    fnv1a(&mut h, &out);
+    assert_eq!((out.len(), format!("{h:016x}")), (GOLDEN_TEXT_LEN, GOLDEN_TEXT_FNV.to_string()));
+    assert_eq!(blz::decompress(&out).unwrap(), xml.as_bytes());
+}
+
+/// Every block container of a 250 KB XMark repository (loader on one
+/// thread), re-encoded from its decoded values the way the loader encodes
+/// them, plus the repository's accounted size.
+#[test]
+fn blz_of_xmark_block_containers_is_unchanged() {
+    let xml = Dataset::Xmark.generate(250_000);
+    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1, ..Default::default() };
+    let repo = load_with(&xml, &opts).unwrap();
+    let mut h = FNV_OFFSET;
+    let mut blocks = 0usize;
+    for c in repo.containers.iter().filter(|c| !c.is_individual()) {
+        let mut concat = Vec::new();
+        for v in c.decompress_all().unwrap() {
+            xquec::compress::bitio::write_varint(&mut concat, v.len());
+            concat.extend_from_slice(v.as_bytes());
+        }
+        fnv1a(&mut h, &blz::compress(&concat));
+        blocks += 1;
+    }
+    assert_eq!(
+        (blocks, format!("{h:016x}"), repo.size_report().total()),
+        (GOLDEN_BLOCKS, GOLDEN_BLOCKS_FNV.to_string(), GOLDEN_ACCOUNTED)
+    );
+}
+
+// Recorded with the prefix-doubling suffix sort, before SA-IS replaced it.
+const GOLDEN_TEXT_LEN: usize = 62_936;
+const GOLDEN_TEXT_FNV: &str = "b8242e9484b669bf";
+const GOLDEN_BLOCKS: usize = 86;
+const GOLDEN_BLOCKS_FNV: &str = "b15a8ba5f515cb40";
+const GOLDEN_ACCOUNTED: usize = 157_277;

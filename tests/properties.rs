@@ -293,6 +293,40 @@ fn btree_matches_model() {
     }
 }
 
+/// A bulk-loaded B+tree agrees with a sorted map on full scans, point
+/// reads (hits and misses) and range scans from any start key, whatever
+/// the entry sizes and so the leaf packing and tree depth.
+#[test]
+fn btree_bulk_load_matches_model() {
+    let mut rng = StdRng::seed_from_u64(0xB1C);
+    for case in 0..24 {
+        let n = rng.gen_range(0..=1500usize);
+        let max_key = if case % 3 == 0 { 1024 } else { 16 };
+        let max_value = if case % 4 == 0 { 2048 } else { 24 };
+        let model: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = (0..n)
+            .map(|_| (bytes_nonempty(&mut rng, max_key), bytes(&mut rng, max_value)))
+            .collect();
+        let pool = Arc::new(BufferPool::new(Arc::new(MemPager::new()), 32));
+        let tree = BTree::bulk_load(pool, &model).unwrap();
+        let scanned: Vec<(Vec<u8>, Vec<u8>)> = tree.iter().unwrap().map(|e| e.unwrap()).collect();
+        let expect: Vec<(Vec<u8>, Vec<u8>)> =
+            model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        assert_eq!(scanned, expect, "case {case}");
+        for _ in 0..64 {
+            let probe = bytes_nonempty(&mut rng, max_key.min(24));
+            assert_eq!(tree.get(&probe).unwrap(), model.get(&probe).cloned(), "case {case}");
+            let from: Vec<Vec<u8>> =
+                tree.range_from(&probe).unwrap().map(|e| e.unwrap().0).collect();
+            let expect: Vec<Vec<u8>> =
+                model.range(probe.clone()..).map(|(k, _)| k.clone()).collect();
+            assert_eq!(from, expect, "case {case}");
+        }
+        for k in model.keys().step_by(7) {
+            assert_eq!(tree.get(k).unwrap().as_ref(), model.get(k), "case {case}");
+        }
+    }
+}
+
 /// The heap returns exactly what was appended, under any record sizes.
 #[test]
 fn heap_roundtrip() {
