@@ -1,81 +1,35 @@
-//! Storage-engine microbenches: B+tree inserts, bulk loads and point/range
-//! operations, heap appends and the buffer-pool hot path — the substrate
-//! costs under every repository access.
+//! Storage-engine microbenches: writing and reading a 1 MB page stream (the
+//! shape of a saved repository) and the buffer-pool hot path.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
-use xquec_storage::{BTree, BufferPool, Heap, MemPager};
+use xquec_storage::{read_stream, write_stream, BufferPool, MemPager};
 
-fn btree_ops(c: &mut Criterion) {
-    let mut g = c.benchmark_group("storage_btree");
+fn stream_ops(c: &mut Criterion) {
+    let mut g = c.benchmark_group("storage_stream");
     g.sample_size(10).measurement_time(Duration::from_secs(3));
-
-    g.bench_function("insert_10k", |b| {
+    let data: Vec<u8> =
+        (0..1usize << 20).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+    g.bench_function("write_1mb", |b| {
         b.iter(|| {
-            let pool = Arc::new(BufferPool::new(Arc::new(MemPager::new()), 128));
-            let mut t = BTree::create(pool).expect("create");
-            for i in 0u32..10_000 {
-                let k = ((i as u64 * 2_654_435_761) % 10_000) as u32;
-                t.insert(&k.to_be_bytes(), format!("value{k}").as_bytes()).expect("insert");
-            }
-            black_box(t.root())
+            let pool = BufferPool::new(Arc::new(MemPager::new()), 256);
+            black_box(write_stream(&pool, &data).expect("write"));
+            pool.flush().expect("flush")
         })
     });
-
-    g.bench_function("bulk_load_10k", |b| {
+    let pager = Arc::new(MemPager::new());
+    let first = {
+        let pool = BufferPool::new(pager.clone(), 256);
+        let first = write_stream(&pool, &data).expect("write");
+        pool.flush().expect("flush");
+        first
+    };
+    g.bench_function("read_1mb", |b| {
         b.iter(|| {
-            let pool = Arc::new(BufferPool::new(Arc::new(MemPager::new()), 128));
-            let rows = (0u32..10_000).map(|i| (i.to_be_bytes(), format!("value{i}")));
-            black_box(BTree::bulk_load(pool, rows).expect("bulk_load").root())
-        })
-    });
-
-    let pool = Arc::new(BufferPool::new(Arc::new(MemPager::new()), 128));
-    let mut t = BTree::create(pool).expect("create");
-    for i in 0u32..10_000 {
-        t.insert(&i.to_be_bytes(), format!("value{i}").as_bytes()).expect("insert");
-    }
-    g.bench_function("get_1k", |b| {
-        b.iter(|| {
-            let mut found = 0usize;
-            for i in (0u32..10_000).step_by(10) {
-                found += usize::from(t.get(&i.to_be_bytes()).expect("get").is_some());
-            }
-            black_box(found)
-        })
-    });
-    g.bench_function("scan_all", |b| {
-        b.iter(|| black_box(t.iter().expect("iter").count()))
-    });
-    g.finish();
-}
-
-fn heap_ops(c: &mut Criterion) {
-    let mut g = c.benchmark_group("storage_heap");
-    g.sample_size(10).measurement_time(Duration::from_secs(3));
-    g.bench_function("append_10k", |b| {
-        b.iter(|| {
-            let pool = Arc::new(BufferPool::new(Arc::new(MemPager::new()), 128));
-            let mut h = Heap::create(pool).expect("create");
-            for i in 0..10_000 {
-                h.append(format!("record number {i}").as_bytes()).expect("append");
-            }
-            black_box(h.first_page())
-        })
-    });
-    let pool = Arc::new(BufferPool::new(Arc::new(MemPager::new()), 128));
-    let mut h = Heap::create(pool).expect("create");
-    let ids: Vec<_> =
-        (0..10_000).map(|i| h.append(format!("record number {i}").as_bytes()).expect("append")).collect();
-    g.bench_function("get_1k", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            for id in ids.iter().step_by(10) {
-                n += h.get(*id).expect("get").len();
-            }
-            black_box(n)
+            let pool = BufferPool::new(pager.clone(), 256);
+            black_box(read_stream(&pool, first, data.len() as u64).expect("read").len())
         })
     });
     g.finish();
@@ -109,7 +63,7 @@ fn pool_ops(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, btree_ops, heap_ops, pool_ops);
+criterion_group!(benches, stream_ops, pool_ops);
 
 fn main() {
     benches();

@@ -9,8 +9,6 @@ pub enum StorageError {
     Io(std::io::Error),
     /// A page id outside the allocated range was referenced.
     PageOutOfRange { page: u64, count: u64 },
-    /// A record or key/value pair larger than a page can hold.
-    RecordTooLarge { size: usize, max: usize },
     /// A page's stored CRC32 does not match its payload: the page was
     /// corrupted at rest or torn during a write.
     ChecksumMismatch { page: u64 },
@@ -26,9 +24,6 @@ pub enum StorageError {
     /// non-durable pages, which is exactly the torn state checksums cannot
     /// repair.
     Poisoned,
-    /// A bulk load was handed a key that is not strictly greater than the
-    /// one before it (`index` counts entries from zero).
-    KeysNotAscending { index: usize },
 }
 
 impl StorageError {
@@ -50,9 +45,6 @@ impl fmt::Display for StorageError {
             StorageError::PageOutOfRange { page, count } => {
                 write!(f, "page {page} out of range (allocated {count})")
             }
-            StorageError::RecordTooLarge { size, max } => {
-                write!(f, "record of {size} bytes exceeds max {max}")
-            }
             StorageError::ChecksumMismatch { page } => {
                 write!(f, "checksum mismatch on page {page}")
             }
@@ -65,9 +57,6 @@ impl fmt::Display for StorageError {
             }
             StorageError::Poisoned => {
                 write!(f, "store poisoned by an earlier sync failure; reopen to continue")
-            }
-            StorageError::KeysNotAscending { index } => {
-                write!(f, "bulk-load key {index} does not ascend past the key before it")
             }
         }
     }

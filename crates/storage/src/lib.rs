@@ -6,30 +6,26 @@
 //! * [`page`] — fixed 8 KiB pages with field accessors;
 //! * [`pager`] — in-memory and file-backed page stores;
 //! * [`buffer`] — a clock-eviction buffer pool;
-//! * [`btree`] — a B+tree with variable-length byte keys/values and chained
-//!   leaves (the paper's "B+ search tree on top of the sequence of node
-//!   records", §2.2);
-//! * [`heap`] — a slotted-page record heap with overflow chaining for the
-//!   container and node records themselves;
+//! * [`stream`] — a byte string written across consecutive pages and read
+//!   back with its page run checked against the store, which is how a
+//!   repository image is laid out;
 //! * [`wal`] — a journaled atomic-commit protocol (sidecar redo journal +
 //!   checksummed commit record + recovery-on-open) making full-store
 //!   rewrites crash-atomic.
 
-pub mod btree;
 pub mod buffer;
 pub mod checksum;
 pub mod error;
 pub mod fault;
-pub mod heap;
 pub mod page;
 pub mod pager;
+pub mod stream;
 pub mod wal;
 
-pub use btree::BTree;
 pub use buffer::{BufferPool, PoolStats};
 pub use error::{Result, StorageError};
 pub use fault::{CrashPoint, FaultPager, FaultPlan};
-pub use heap::{Heap, RecordId};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use pager::{FilePager, MemPager, Pager, FILE_HEADER, FORMAT_VERSION, FRAME_HEADER, FRAME_SIZE};
+pub use stream::{read_stream, write_stream};
 pub use wal::{CommitRecord, Journal};

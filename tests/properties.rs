@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use xquec::compress::{blz, bwt, numeric, Alm, Arith, Huffman, HuTucker, NumericCodec};
-use xquec::storage::{BTree, BufferPool, Heap, MemPager};
+use xquec::storage::{read_stream, write_stream, BufferPool, MemPager, PageId, PAGE_SIZE};
 
 fn bytes(rng: &mut StdRng, max_len: usize) -> Vec<u8> {
     let len = rng.gen_range(0..=max_len);
@@ -256,92 +256,34 @@ fn document_text_roundtrip() {
 
 // ---- storage -------------------------------------------------------------------
 
-/// The B+tree behaves like a sorted map under random inserts, updates,
-/// deletes and range scans.
+/// Byte strings written as page streams read back exactly, one after
+/// another in one store. Lengths cover the page edges and several pages,
+/// and the pool is smaller than the streams, so evicted pages are written
+/// back and faulted in again.
 #[test]
-fn btree_matches_model() {
-    let mut rng = StdRng::seed_from_u64(0xB7E);
-    for case in 0..24 {
-        let n_ops = rng.gen_range(1..=120usize);
-        let ops: Vec<(Vec<u8>, Vec<u8>, bool)> = (0..n_ops)
-            .map(|_| (bytes_nonempty(&mut rng, 24), bytes(&mut rng, 32), rng.gen_bool(0.5)))
+fn page_stream_roundtrip() {
+    let mut rng = StdRng::seed_from_u64(0x57E);
+    let edges = [0, 1, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1, 5 * PAGE_SIZE + 17];
+    for case in 0..12 {
+        let pool = BufferPool::new(Arc::new(MemPager::new()), 3);
+        let mut lens: Vec<usize> =
+            (0..4).map(|_| rng.gen_range(0..=6 * PAGE_SIZE)).chain(edges).collect();
+        let n = lens.len();
+        lens.rotate_left(case % n);
+        let streams: Vec<(PageId, Vec<u8>)> = lens
+            .iter()
+            .map(|&len| {
+                let data: Vec<u8> = (0..len).map(|_| rng.gen_range(0u8..=255)).collect();
+                (write_stream(&pool, &data).unwrap(), data)
+            })
             .collect();
-        let pool = Arc::new(BufferPool::new(Arc::new(MemPager::new()), 32));
-        let mut tree = BTree::create(pool).unwrap();
-        let mut model = std::collections::BTreeMap::new();
-        for (k, v, del) in &ops {
-            if *del {
-                assert_eq!(tree.delete(k).unwrap(), model.remove(k), "case {case}");
-            } else {
-                assert_eq!(
-                    tree.insert(k, v).unwrap(),
-                    model.insert(k.clone(), v.clone()),
-                    "case {case}"
-                );
-            }
+        for (first, data) in &streams {
+            let back = read_stream(&pool, *first, data.len() as u64).unwrap();
+            assert!(back == *data, "case {case}: stream of {} bytes at {first:?}", data.len());
         }
-        // Point reads.
-        for (k, _, _) in &ops {
-            assert_eq!(tree.get(k).unwrap(), model.get(k).cloned(), "case {case}");
-        }
-        // Full scan matches the model order.
-        let scanned: Vec<(Vec<u8>, Vec<u8>)> =
-            tree.iter().unwrap().map(|e| e.unwrap()).collect();
-        let expect: Vec<(Vec<u8>, Vec<u8>)> =
-            model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        assert_eq!(scanned, expect, "case {case}");
-    }
-}
-
-/// A bulk-loaded B+tree agrees with a sorted map on full scans, point
-/// reads (hits and misses) and range scans from any start key, whatever
-/// the entry sizes and so the leaf packing and tree depth.
-#[test]
-fn btree_bulk_load_matches_model() {
-    let mut rng = StdRng::seed_from_u64(0xB1C);
-    for case in 0..24 {
-        let n = rng.gen_range(0..=1500usize);
-        let max_key = if case % 3 == 0 { 1024 } else { 16 };
-        let max_value = if case % 4 == 0 { 2048 } else { 24 };
-        let model: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = (0..n)
-            .map(|_| (bytes_nonempty(&mut rng, max_key), bytes(&mut rng, max_value)))
-            .collect();
-        let pool = Arc::new(BufferPool::new(Arc::new(MemPager::new()), 32));
-        let tree = BTree::bulk_load(pool, &model).unwrap();
-        let scanned: Vec<(Vec<u8>, Vec<u8>)> = tree.iter().unwrap().map(|e| e.unwrap()).collect();
-        let expect: Vec<(Vec<u8>, Vec<u8>)> =
-            model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        assert_eq!(scanned, expect, "case {case}");
-        for _ in 0..64 {
-            let probe = bytes_nonempty(&mut rng, max_key.min(24));
-            assert_eq!(tree.get(&probe).unwrap(), model.get(&probe).cloned(), "case {case}");
-            let from: Vec<Vec<u8>> =
-                tree.range_from(&probe).unwrap().map(|e| e.unwrap().0).collect();
-            let expect: Vec<Vec<u8>> =
-                model.range(probe.clone()..).map(|(k, _)| k.clone()).collect();
-            assert_eq!(from, expect, "case {case}");
-        }
-        for k in model.keys().step_by(7) {
-            assert_eq!(tree.get(k).unwrap().as_ref(), model.get(k), "case {case}");
-        }
-    }
-}
-
-/// The heap returns exactly what was appended, under any record sizes.
-#[test]
-fn heap_roundtrip() {
-    let mut rng = StdRng::seed_from_u64(0x4EA);
-    for case in 0..16 {
-        let n = rng.gen_range(1..=40usize);
-        let records: Vec<Vec<u8>> = (0..n).map(|_| bytes(&mut rng, 9000)).collect();
-        let pool = Arc::new(BufferPool::new(Arc::new(MemPager::new()), 32));
-        let mut heap = Heap::create(pool).unwrap();
-        let ids: Vec<_> = records.iter().map(|r| heap.append(r).unwrap()).collect();
-        for (id, rec) in ids.iter().zip(&records) {
-            assert_eq!(&heap.get(*id).unwrap(), rec, "case {case}");
-        }
-        let scanned: Vec<Vec<u8>> = heap.scan().map(|r| r.unwrap().1).collect();
-        assert_eq!(scanned, records, "case {case}");
+        let pages: usize = lens.iter().map(|l| l.div_ceil(PAGE_SIZE)).sum();
+        assert_eq!(pool.page_count(), pages as u64, "case {case}");
+        assert!(pool.stats().evictions > 0, "case {case}: the pool held every page");
     }
 }
 
