@@ -8,7 +8,9 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Duration;
 use xquec_compress::{blz, CodecKind, ValueCodec};
-use xquec_xml::gen::Dataset;
+use xquec_core::loader::{load_with, LoaderOptions};
+use xquec_core::queries::xmark_workload;
+use xquec_xml::gen::{Dataset, XmarkGen};
 
 fn corpus() -> Vec<String> {
     let xml = Dataset::Shakespeare.generate(400_000);
@@ -71,5 +73,30 @@ fn codec_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, codec_throughput);
+/// Every block container's blob of 1 MB XMark loaded with the XMark
+/// workload (seed 1): the real mix of block sizes that open decodes, most
+/// of them a few KB, unlike the one large block of `blz_block`.
+fn xmark_block_blobs(c: &mut Criterion) {
+    let xml = XmarkGen::with_target_size(1_000_000).seed(1).generate();
+    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1, ..Default::default() };
+    let repo = load_with(&xml, &opts).expect("XMark loads");
+    let blobs: Vec<&[u8]> = repo.containers.iter().filter_map(|c| c.block_blob()).collect();
+    let plain: usize =
+        blobs.iter().map(|b| blz::decompress(b).expect("saved blob decodes").len()).sum();
+    let mut g = c.benchmark_group("blz_xmark_blocks");
+    g.throughput(Throughput::Bytes(plain as u64));
+    g.sample_size(20).measurement_time(Duration::from_secs(3));
+    g.bench_function("decompress_all", |b| {
+        b.iter(|| {
+            let mut n = 0usize;
+            for blob in &blobs {
+                n += blz::decompress(blob).expect("saved blob decodes").len();
+            }
+            black_box(n)
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, codec_throughput, xmark_block_blobs);
 criterion_main!(benches);

@@ -39,7 +39,7 @@ fn pool_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("storage_pool");
     g.sample_size(20).measurement_time(Duration::from_secs(3));
     let pool = BufferPool::new(Arc::new(MemPager::new()), 64);
-    let pages: Vec<_> = (0..32).map(|_| pool.allocate().expect("alloc")).collect();
+    let pages: Vec<_> = (0..32).map(|_| pool.allocate(|_| ()).expect("alloc")).collect();
     g.bench_function("hit_read", |b| {
         b.iter(|| {
             let mut sum = 0u64;
@@ -50,7 +50,7 @@ fn pool_ops(c: &mut Criterion) {
         })
     });
     let pool = BufferPool::new(Arc::new(MemPager::new()), 8);
-    let pages: Vec<_> = (0..64).map(|_| pool.allocate().expect("alloc")).collect();
+    let pages: Vec<_> = (0..64).map(|_| pool.allocate(|_| ()).expect("alloc")).collect();
     g.bench_function("miss_evict_read", |b| {
         b.iter(|| {
             let mut sum = 0u64;

@@ -9,9 +9,9 @@
 //! the property that distinguishes XMill-style from XQueC-style storage.
 
 use crate::bitio::{read_varint, write_varint};
-use crate::bwt::{bwt, ibwt_checked};
+use crate::bwt::{bwt, invert, Column};
 use crate::error::{corrupt, CodecError, MAX_DECODE_OUTPUT};
-use crate::huffman::Huffman;
+use crate::huffman::{canonical_codes, code_lengths, encode, Decoder};
 
 /// Maximum bytes per BWT block.
 pub const BLOCK_SIZE: usize = 256 * 1024;
@@ -61,13 +61,13 @@ fn compress_block(block: &[u8], out: &mut Vec<u8>) {
     for &b in &rle {
         freq[b as usize] += 1;
     }
-    let huff = Huffman::from_frequencies(&freq);
+    let lengths = code_lengths(&freq);
 
     write_varint(out, block.len());
     write_varint(out, primary);
     write_varint(out, rle.len());
-    out.extend_from_slice(&huff.lengths());
-    let payload = huff.compress(&rle);
+    out.extend_from_slice(&lengths);
+    let payload = encode(&canonical_codes(&lengths), &rle);
     write_varint(out, payload.len());
     out.extend_from_slice(&payload);
 }
@@ -100,30 +100,29 @@ fn decompress_block(
         data.get(pos..pos + 256).ok_or_else(|| header("huffman length table"))?,
     );
     pos += 256;
-    let huff = Huffman::from_lengths_checked(&lengths)?;
+    let decoder = Decoder::new(&lengths)?;
     let (payload_len, used) =
         read_varint(data.get(pos..).unwrap_or(&[])).ok_or_else(|| header("payload length"))?;
     pos += used;
     let payload = data.get(pos..pos + payload_len).ok_or_else(|| header("payload"))?;
     pos += payload_len;
-    let rle = huff.decompress(payload)?;
+    // Every symbol takes at least one bit, so the payload bounds the
+    // reservation as well as the header does.
+    let mut rle = Vec::with_capacity(rle_len.min(payload.len().saturating_mul(8)));
+    decoder.decode(payload, rle_len, &mut rle)?;
     if rle.len() != rle_len {
         return Err(corrupt("blz", format!("rle decoded {} bytes, header says {rle_len}", rle.len())));
     }
 
-    let mtf = rle0_decode_max(&rle, block_len)?;
-    if mtf.len() != block_len {
-        return Err(corrupt("blz", format!("mtf has {} bytes, header says {block_len}", mtf.len())));
+    let column = undo_rle0_mtf(&rle, block_len)?;
+    if !invert(column, primary, out) {
+        return Err(corrupt("blz", format!("inverse BWT rejects primary index {primary}")));
     }
-    let l = mtf_decode(&mtf);
-    let block = ibwt_checked(&l, primary)
-        .ok_or_else(|| corrupt("blz", format!("inverse BWT rejects primary index {primary}")))?;
-    out.extend_from_slice(&block);
     Ok(pos)
 }
 
 /// Move-to-front transform: BWT's symbol clustering becomes small values.
-pub fn mtf_encode(data: &[u8]) -> Vec<u8> {
+fn mtf_encode(data: &[u8]) -> Vec<u8> {
     let mut table: Vec<u8> = (0..=255).collect();
     let mut out = Vec::with_capacity(data.len());
     for &b in data {
@@ -135,23 +134,10 @@ pub fn mtf_encode(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`mtf_encode`].
-pub fn mtf_decode(data: &[u8]) -> Vec<u8> {
-    let mut table: Vec<u8> = (0..=255).collect();
-    let mut out = Vec::with_capacity(data.len());
-    for &idx in data {
-        let b = table[idx as usize];
-        out.push(b);
-        table.copy_within(0..idx as usize, 1);
-        table[0] = b;
-    }
-    out
-}
-
 /// Zero-run-length encoding: MTF output is dominated by zeros, so every run
 /// of zeros (length >= 1) is written as a `0x00` escape followed by the run
 /// length as a varint. Non-zero bytes pass through literally.
-pub fn rle0_encode(data: &[u8]) -> Vec<u8> {
+fn rle0_encode(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len());
     let mut i = 0usize;
     while i < data.len() {
@@ -171,45 +157,68 @@ pub fn rle0_encode(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`rle0_encode`]. Fails on a truncated run varint or output
-/// exceeding the global decode bound.
-pub fn rle0_decode(data: &[u8]) -> Result<Vec<u8>, CodecError> {
-    rle0_decode_max(data, MAX_DECODE_OUTPUT)
-}
-
-/// [`rle0_decode`] with an explicit output cap, so a hostile run length is
-/// rejected before it allocates (blz blocks cap at [`BLOCK_SIZE`]).
-fn rle0_decode_max(data: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(data.len().min(max_out));
+/// Undo [`rle0_encode`] and [`mtf_encode`] in one pass, straight into the
+/// BWT's last column, which must come to exactly `block_len` bytes. A zero
+/// run repeats the byte at the front of the move-to-front table. The column
+/// never grows past `block_len`.
+fn undo_rle0_mtf(rle: &[u8], block_len: usize) -> Result<Column, CodecError> {
+    let mut table: [u8; 256] = std::array::from_fn(|i| i as u8);
+    let mut column = Column::with_capacity(block_len);
     let mut i = 0usize;
-    while i < data.len() {
-        if data[i] == 0 {
-            let (run, used) = read_varint(&data[i + 1..])
+    while i < rle.len() {
+        let idx = rle[i] as usize;
+        i += 1;
+        if idx == 0 {
+            let (run, used) = read_varint(&rle[i..])
                 .ok_or_else(|| corrupt("rle0", "truncated run length"))?;
-            if run > max_out - out.len() {
+            i += used;
+            if run > block_len - column.rows.len() {
                 return Err(corrupt("rle0", format!("run of {run} zeros exceeds output bound")));
             }
-            out.resize(out.len() + run, 0);
-            i += 1 + used;
+            column.push_run(table[0], run);
         } else {
-            out.push(data[i]);
-            i += 1;
-        }
-        if out.len() > max_out {
-            return Err(corrupt("rle0", "output exceeds bound"));
+            if column.rows.len() == block_len {
+                return Err(corrupt("rle0", "output exceeds bound"));
+            }
+            let b = table[idx];
+            table.copy_within(0..idx, 1);
+            table[0] = b;
+            column.push(b);
         }
     }
-    Ok(out)
+    if column.rows.len() != block_len {
+        return Err(corrupt(
+            "blz",
+            format!("mtf has {} bytes, header says {block_len}", column.rows.len()),
+        ));
+    }
+    Ok(column)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The last column `undo_rle0_mtf` rebuilds from `rle0_encode(mtf_encode(data))`.
+    fn undo(data: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let column = undo_rle0_mtf(&rle0_encode(&mtf_encode(data)), data.len())?;
+        Ok(column.rows.into_iter().map(|e| e as u8).collect())
+    }
+
     #[test]
-    fn mtf_roundtrip() {
-        let data = b"abcabcabc\x00\xff\xfezzz";
-        assert_eq!(mtf_decode(&mtf_encode(data)), data);
+    fn mtf_and_rle0_undo_in_one_pass() {
+        let cases: Vec<Vec<u8>> = vec![
+            vec![],
+            vec![0, 0, 0, 0, 0],
+            vec![1, 2, 3],
+            vec![0, 1, 0, 0, 2, 0, 0, 0],
+            vec![0; 1000],
+            b"abcabcabc\x00\xff\xfezzz".to_vec(),
+            (0..=255u8).rev().cycle().take(2000).collect(),
+        ];
+        for c in cases {
+            assert_eq!(undo(&c).unwrap(), c);
+        }
     }
 
     #[test]
@@ -221,17 +230,13 @@ mod tests {
     }
 
     #[test]
-    fn rle0_roundtrip() {
-        let cases: Vec<Vec<u8>> = vec![
-            vec![],
-            vec![0, 0, 0, 0, 0],
-            vec![1, 2, 3],
-            vec![0, 1, 0, 0, 2, 0, 0, 0],
-            vec![0; 1000],
-        ];
-        for c in cases {
-            assert_eq!(rle0_decode(&rle0_encode(&c)).unwrap(), c);
-        }
+    fn rle0_lengths_are_checked() {
+        let rle = rle0_encode(&mtf_encode(b"aaaabbbb"));
+        assert!(undo_rle0_mtf(&rle, 8).is_ok());
+        assert!(undo_rle0_mtf(&rle, 7).is_err(), "a run past the block");
+        assert!(undo_rle0_mtf(&rle, 9).is_err(), "short of the block");
+        assert!(undo_rle0_mtf(&[5, 0], 10).is_err(), "truncated run length");
+        assert!(undo_rle0_mtf(&[5, 6], 1).is_err(), "a literal past the block");
     }
 
     #[test]
@@ -278,7 +283,7 @@ mod tests {
         // BWT pipeline should beat order-0 Huffman on structured input.
         let text = "person0 person1 person2 person3 person4 ".repeat(300);
         let blz_size = compress(text.as_bytes()).len();
-        let h = Huffman::train([text.as_bytes()]);
+        let h = crate::huffman::Huffman::train([text.as_bytes()]);
         let h_size = h.compress(text.as_bytes()).len();
         assert!(blz_size < h_size, "blz {blz_size} vs huffman {h_size}");
     }

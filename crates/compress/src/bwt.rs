@@ -210,7 +210,7 @@ fn lms_substrings_equal<T: Symbol>(s: &[T], stype: &[bool], a: usize, b: usize) 
 /// Forward BWT with an implicit end-of-block sentinel.
 ///
 /// Returns the last column with the sentinel *omitted* plus the row index
-/// (`primary`) where the sentinel sat, which [`ibwt`] needs.
+/// (`primary`) where the sentinel sat, which [`invert`] needs.
 pub fn bwt(data: &[u8]) -> (Vec<u8>, usize) {
     let n = data.len();
     if n == 0 {
@@ -232,100 +232,99 @@ pub fn bwt(data: &[u8]) -> (Vec<u8>, usize) {
     (out, primary)
 }
 
-/// Inverse BWT for *untrusted* input (e.g. a blz block read back from disk):
-/// returns `None` when `primary` is out of range or the LF walk revisits the
-/// sentinel row early — both impossible for genuine [`bwt`] output and
-/// symptoms of corruption that would otherwise index out of bounds.
-pub fn ibwt_checked(l: &[u8], primary: usize) -> Option<Vec<u8>> {
-    let n = l.len();
-    if n == 0 {
-        return (primary == 0).then(Vec::new);
-    }
-    let rows = n + 1;
-    if primary < 1 || primary >= rows {
-        return None;
-    }
-    let sym = |r: usize| -> usize {
-        if r == primary {
-            0
-        } else {
-            l[r - usize::from(r > primary)] as usize + 1
-        }
-    };
-    let mut counts = [0usize; 257];
-    for r in 0..rows {
-        counts[sym(r)] += 1;
-    }
-    let mut c = [0usize; 258];
-    for s in 0..257 {
-        c[s + 1] = c[s] + counts[s];
-    }
-    let mut occ = [0usize; 257];
-    let mut lf = vec![0u32; rows];
-    for (r, lf_slot) in lf.iter_mut().enumerate() {
-        let s = sym(r);
-        *lf_slot = (c[s] + occ[s]) as u32;
-        occ[s] += 1;
-    }
-    let mut out = vec![0u8; n];
-    let mut r = 0usize;
-    for slot in out.iter_mut().rev() {
-        if r == primary {
-            return None; // corrupt: sentinel row reached mid-walk
-        }
-        *slot = l[r - usize::from(r > primary)];
-        r = lf[r] as usize;
-    }
-    Some(out)
+/// Rows the packed walk of [`invert`] can index: 24 bits of LF per entry.
+const MAX_ROWS: usize = 1 << 24;
+
+/// The last column of a BWT (sentinel omitted, as [`bwt`] returns it), as
+/// [`invert`] takes it: entry `i` is `rank << 8 | byte`, where `rank`
+/// counts the earlier entries holding the same byte. Fewer than
+/// [`MAX_ROWS`] entries.
+pub(crate) struct Column {
+    pub(crate) rows: Vec<u32>,
+    /// Entries per byte value so far.
+    counts: [u32; 256],
 }
 
-/// Inverse BWT for the representation produced by [`bwt`].
-pub fn ibwt(l: &[u8], primary: usize) -> Vec<u8> {
-    let n = l.len();
+impl Column {
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Column { rows: Vec::with_capacity(n + 1), counts: [0; 256] }
+    }
+
+    pub(crate) fn push(&mut self, b: u8) {
+        let rank = &mut self.counts[b as usize];
+        self.rows.push(*rank << 8 | u32::from(b));
+        *rank += 1;
+    }
+
+    /// Append `run` copies of `b`.
+    pub(crate) fn push_run(&mut self, b: u8, run: usize) {
+        let first = self.counts[b as usize];
+        let end = first + run as u32;
+        self.rows.extend((first..end).map(|rank| rank << 8 | u32::from(b)));
+        self.counts[b as usize] = end;
+    }
+}
+
+/// Invert the BWT whose last column is `column`, appending the text to
+/// `out`.
+///
+/// The column becomes the walk table: the sentinel's row is inserted at
+/// `primary`, and every other row `r` holds `LF(r) << 8 | byte`, so each
+/// output byte costs one random access. Returns `false`, leaving `out` as
+/// it was, when `primary` is out of range or the walk meets the sentinel's
+/// row before the end.
+pub(crate) fn invert(column: Column, primary: usize, out: &mut Vec<u8>) -> bool {
+    let Column { mut rows, counts } = column;
+    let n = rows.len();
     if n == 0 {
-        return Vec::new();
+        return primary == 0;
     }
-    let rows = n + 1;
-    debug_assert!(primary >= 1 && primary < rows, "primary {primary} out of range {rows}");
-    // Symbol of row r in the last column; sentinel treated as smallest.
-    let sym = |r: usize| -> usize {
-        if r == primary {
-            0
-        } else {
-            l[r - usize::from(r > primary)] as usize + 1
-        }
-    };
-    // C[s] = number of rows whose last-column symbol is < s.
-    let mut counts = [0usize; 257];
-    for r in 0..rows {
-        counts[sym(r)] += 1;
+    if primary < 1 || primary > n || n >= MAX_ROWS {
+        return false;
     }
-    let mut c = [0usize; 258];
-    for s in 0..257 {
-        c[s + 1] = c[s] + counts[s];
+    // first[b]: the first row of F holding byte b, shifted to the LF field;
+    // the sentinel sorts first, in row 0.
+    let mut first = [0u32; 256];
+    let mut row = 1u32;
+    for (f, &count) in first.iter_mut().zip(&counts) {
+        *f = row << 8;
+        row += count;
     }
-    // LF mapping.
-    let mut occ = [0usize; 257];
-    let mut lf = vec![0u32; rows];
-    for (r, lf_slot) in lf.iter_mut().enumerate() {
-        let s = sym(r);
-        *lf_slot = (c[s] + occ[s]) as u32;
-        occ[s] += 1;
+    rows.insert(primary, 0);
+    let (before, after) = rows.split_at_mut(primary);
+    for e in before.iter_mut().chain(&mut after[1..]) {
+        *e += first[(*e & 0xff) as usize];
     }
-    // Walk backwards from row 0 (whose last-column char is the final byte).
-    let mut out = vec![0u8; n];
+    // Walk backwards from row 0, whose last-column byte ends the text.
+    let start = out.len();
+    out.resize(start + n, 0);
     let mut r = 0usize;
-    for slot in out.iter_mut().rev() {
-        debug_assert_ne!(r, primary, "hit sentinel row mid-walk");
-        *slot = l[r - usize::from(r > primary)];
-        r = lf[r] as usize;
+    for slot in out[start..].iter_mut().rev() {
+        if r == primary {
+            out.truncate(start);
+            return false; // corrupt: sentinel row reached mid-walk
+        }
+        let e = rows[r];
+        *slot = e as u8;
+        r = (e >> 8) as usize;
     }
-    out
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Invert through [`invert`]: `None` when `primary` is out of range or
+    /// the walk meets the sentinel row early.
+    fn ibwt_checked(l: &[u8], primary: usize) -> Option<Vec<u8>> {
+        let mut column = Column::with_capacity(l.len());
+        for &b in l {
+            column.push(b);
+        }
+        let mut out = Vec::new();
+        invert(column, primary, &mut out).then_some(out)
+    }
 
     fn naive_suffix_array(data: &[u8]) -> Vec<u32> {
         let mut sa: Vec<u32> = (0..data.len() as u32).collect();
@@ -452,8 +451,7 @@ mod tests {
     fn bwt_roundtrip_simple() {
         for s in ["banana", "", "a", "abracadabra", "mississippi", "zzzzzz"] {
             let (l, p) = bwt(s.as_bytes());
-            assert_eq!(ibwt(&l, p), s.as_bytes(), "for {s:?}");
-            assert_eq!(ibwt_checked(&l, p).unwrap(), s.as_bytes(), "checked for {s:?}");
+            assert_eq!(ibwt_checked(&l, p).unwrap(), s.as_bytes(), "for {s:?}");
         }
     }
 
@@ -467,10 +465,30 @@ mod tests {
     }
 
     #[test]
+    fn ibwt_checked_accepts_exactly_the_genuine_transforms() {
+        // Every column over {a, b} of 1..=6 bytes, under every in-range
+        // primary: the inverse either names a text whose BWT it is, or
+        // meets the sentinel row mid-walk and fails.
+        let mut rejected = 0;
+        for n in 1..=6usize {
+            for bits in 0..1u32 << n {
+                let l: Vec<u8> = (0..n).map(|i| b'a' + (bits >> i & 1) as u8).collect();
+                for p in 1..=n {
+                    match ibwt_checked(&l, p) {
+                        Some(text) => assert_eq!(bwt(&text), (l.clone(), p)),
+                        None => rejected += 1,
+                    }
+                }
+            }
+        }
+        assert!(rejected > 0);
+    }
+
+    #[test]
     fn bwt_roundtrip_binary() {
         let data: Vec<u8> = (0..=255u8).cycle().take(3000).collect();
         let (l, p) = bwt(&data);
-        assert_eq!(ibwt(&l, p), data);
+        assert_eq!(ibwt_checked(&l, p).unwrap(), data);
     }
 
     #[test]
@@ -486,7 +504,7 @@ mod tests {
             })
             .collect();
         let (l, p) = bwt(&data);
-        assert_eq!(ibwt(&l, p), data);
+        assert_eq!(ibwt_checked(&l, p).unwrap(), data);
     }
 
     #[test]

@@ -19,18 +19,22 @@ const SYMBOLS: usize = 256;
 /// a `u64`, so anything longer cannot have been produced by `compress`.
 pub(crate) const MAX_CODE_LEN: u8 = 63;
 
-/// A trained Huffman source model plus its canonical code tables.
+/// Entries of a per-code-length array: lengths `0..=MAX_CODE_LEN`.
+const LENGTHS: usize = MAX_CODE_LEN as usize + 1;
+
+/// Codes up to this many bits decode with one lookup in [`Decoder::table`].
+const TABLE_BITS: u32 = 10;
+
+/// Codeword for each byte symbol: (code bits right-aligned, length).
+pub(crate) type Codes = [(u64, u8); SYMBOLS];
+
+/// A trained Huffman source model: its canonical codewords and the tables
+/// that decode them.
 #[derive(Debug, Clone)]
 pub struct Huffman {
-    /// Codeword for each byte symbol: (code bits right-aligned, length).
-    codes: Vec<(u64, u8)>,
-    /// Flat decode tree: nodes of (left, right); leaves encoded as
-    /// `!symbol` in the high bit range.
-    tree: Vec<(u32, u32)>,
-    root: u32,
+    codes: Box<Codes>,
+    decoder: Box<Decoder>,
 }
-
-const LEAF_FLAG: u32 = 1 << 31;
 
 impl Huffman {
     /// Train a model on a corpus of values.
@@ -51,41 +55,21 @@ impl Huffman {
     /// Build from explicit symbol frequencies (all must be non-zero).
     pub fn from_frequencies(freq: &[u64; SYMBOLS]) -> Self {
         let lengths = code_lengths(freq);
-        Self::from_lengths(&lengths)
+        let decoder = Decoder::new(&lengths).expect("a trained code is complete and prefix-free");
+        Huffman { codes: Box::new(canonical_codes(&lengths)), decoder: Box::new(decoder) }
     }
 
-    /// Reconstruct a canonical code from per-symbol code lengths — the form
-    /// in which a model is serialized (e.g. in `blz` block headers).
-    pub fn from_lengths(lengths: &[u8; SYMBOLS]) -> Self {
-        let codes = canonical_codes(lengths);
-        let (tree, root) = build_decode_tree(&codes).expect("trained code is prefix-free");
-        Huffman { codes, tree, root }
-    }
-
-    /// [`Huffman::from_lengths`] for *untrusted* length tables (deserialized
-    /// models, blz block headers): rejects tables with a zero or oversized
-    /// length, which `compress` can never emit and which would overflow the
-    /// `u64` codeword representation.
+    /// Rebuild a model from an *untrusted* per-symbol length table (a
+    /// deserialized model): rejects a zero or oversized length, which
+    /// `compress` can never emit, and a table no prefix-free code has.
     pub fn from_lengths_checked(lengths: &[u8; SYMBOLS]) -> Result<Self, CodecError> {
-        if let Some(s) = lengths.iter().position(|&l| l == 0 || l > MAX_CODE_LEN) {
-            return Err(corrupt(
-                "huffman",
-                format!("invalid code length {} for symbol {s}", lengths[s]),
-            ));
-        }
-        let codes = canonical_codes(lengths);
-        let (tree, root) = build_decode_tree(&codes)
-            .ok_or_else(|| corrupt("huffman", "length table yields non-prefix-free code"))?;
-        Ok(Huffman { codes, tree, root })
+        let decoder = Decoder::new(lengths)?;
+        Ok(Huffman { codes: Box::new(canonical_codes(lengths)), decoder: Box::new(decoder) })
     }
 
     /// Per-symbol code lengths (the serializable model).
     pub fn lengths(&self) -> [u8; SYMBOLS] {
-        let mut out = [0u8; SYMBOLS];
-        for (s, slot) in out.iter_mut().enumerate() {
-            *slot = self.codes[s].1;
-        }
-        out
+        self.codes.map(|(_, len)| len)
     }
 
     /// Size in bytes of the serialized source model (one length byte per
@@ -96,69 +80,26 @@ impl Huffman {
 
     /// Compress a value. Output layout: varint bit-count, then packed bits.
     pub fn compress(&self, value: &[u8]) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        for &b in value {
-            let (code, len) = self.codes[b as usize];
-            w.push_bits(code, len);
-        }
-        let (bits, bit_len) = w.finish();
-        let mut out = Vec::with_capacity(bits.len() + 2);
-        write_varint(&mut out, bit_len);
-        out.extend_from_slice(&bits);
-        out
+        encode(&self.codes, value)
     }
 
     /// Decompress a value produced by [`Huffman::compress`].
     ///
     /// Fails (never panics) on a truncated header, a bit count exceeding the
-    /// bytes present, or a codeword that walks into a dead tree branch. The
-    /// output is bounded by the input bit count, so a hostile stream cannot
-    /// force an unbounded allocation.
+    /// bytes present, a stream that ends mid-codeword, or a codeword no
+    /// symbol owns. Every codeword takes at least one bit, so the output is
+    /// bounded by the input bit count.
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let (bit_len, used) =
-            read_varint(data).ok_or_else(|| corrupt("huffman", "truncated length header"))?;
-        let body = &data[used..];
-        if !BitReader::fits(body, bit_len) {
-            return Err(corrupt(
-                "huffman",
-                format!("claims {bit_len} bits but only {} bytes follow", body.len()),
-            ));
-        }
-        let mut r = BitReader::new(body, bit_len);
-        let mut out = Vec::with_capacity(bit_len / 4);
-        while r.remaining() > 0 {
-            let mut node = self.root;
-            while node & LEAF_FLAG == 0 {
-                let (l, rgt) = self.tree[node as usize];
-                let bit = r
-                    .next_bit()
-                    .ok_or_else(|| corrupt("huffman", "stream ends mid-codeword"))?;
-                node = if bit { rgt } else { l };
-                if node == u32::MAX {
-                    return Err(corrupt("huffman", "codeword reaches dead tree branch"));
-                }
-            }
-            out.push((node & 0xff) as u8);
-        }
+        let mut out = Vec::new();
+        self.decoder.decode(data, usize::MAX, &mut out)?;
         Ok(out)
-    }
-
-    /// The raw codeword bits for `value` without the varint header, for
-    /// prefix matching.
-    fn raw_bits(&self, value: &[u8]) -> (Vec<u8>, usize) {
-        let mut w = BitWriter::new();
-        for &b in value {
-            let (code, len) = self.codes[b as usize];
-            w.push_bits(code, len);
-        }
-        w.finish()
     }
 
     /// Does the compressed `data` (as produced by [`Huffman::compress`])
     /// represent a string starting with `prefix`? Evaluated entirely in the
     /// compressed domain.
     pub fn prefix_match(&self, data: &[u8], prefix: &[u8]) -> bool {
-        let (pbits, plen) = self.raw_bits(prefix);
+        let (pbits, plen) = raw_bits(&self.codes, prefix);
         let (bit_len, used) = match read_varint(data) {
             Some(x) => x,
             None => return false,
@@ -198,9 +139,9 @@ impl Huffman {
     }
 }
 
-/// Compute Huffman code lengths from frequencies via the standard two-queue
-/// tree construction.
-fn code_lengths(freq: &[u64; SYMBOLS]) -> [u8; SYMBOLS] {
+/// Compute Huffman code lengths from frequencies: repeatedly merge the two
+/// least (weight, node) entries of a min-heap.
+pub(crate) fn code_lengths(freq: &[u64; SYMBOLS]) -> [u8; SYMBOLS] {
     // Nodes: 0..256 are leaves, internal nodes are appended after.
     let mut parent = vec![usize::MAX; SYMBOLS];
     let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
@@ -228,60 +169,219 @@ fn code_lengths(freq: &[u64; SYMBOLS]) -> [u8; SYMBOLS] {
     lengths
 }
 
-/// Assign canonical codes given per-symbol lengths: symbols sorted by
-/// (length, symbol) receive consecutive code values.
-fn canonical_codes(lengths: &[u8; SYMBOLS]) -> Vec<(u64, u8)> {
-    let mut order: Vec<usize> = (0..SYMBOLS).collect();
-    order.sort_by_key(|&s| (lengths[s], s));
-    let mut codes = vec![(0u64, 0u8); SYMBOLS];
-    let mut code = 0u64;
-    let mut prev_len = 0u8;
-    for &s in &order {
-        let len = lengths[s];
-        code <<= len - prev_len;
-        codes[s] = (code, len);
-        code += 1;
-        prev_len = len;
+/// How many symbols have each code length.
+fn length_counts(lengths: &[u8; SYMBOLS]) -> [u16; LENGTHS] {
+    let mut count = [0u16; LENGTHS];
+    for &l in lengths {
+        count[l as usize] += 1;
+    }
+    count
+}
+
+/// First canonical code of each length: symbols sorted by (length, symbol)
+/// receive consecutive code values, shifted left at each longer length.
+fn first_codes(count: &[u16; LENGTHS]) -> [u64; LENGTHS] {
+    let mut first = [0u64; LENGTHS];
+    for l in 1..first.len() {
+        first[l] = (first[l - 1] + u64::from(count[l - 1])) << 1;
+    }
+    first
+}
+
+/// Assign canonical codes given per-symbol lengths (every length in
+/// `1..=MAX_CODE_LEN`, and a prefix-free table).
+pub(crate) fn canonical_codes(lengths: &[u8; SYMBOLS]) -> Codes {
+    let mut next = first_codes(&length_counts(lengths));
+    let mut codes = [(0u64, 0u8); SYMBOLS];
+    for (slot, &l) in codes.iter_mut().zip(lengths) {
+        *slot = (next[l as usize], l);
+        next[l as usize] += 1;
     }
     codes
 }
 
-/// Build the flat decode tree; `None` when the codes are not prefix-free
-/// (only possible for a corrupt deserialized length table — a conflict shows
-/// up as a path crossing an already-placed leaf or landing on an internal
-/// node).
-fn build_decode_tree(codes: &[(u64, u8)]) -> Option<(Vec<(u32, u32)>, u32)> {
-    let mut tree: Vec<(u32, u32)> = vec![(u32::MAX, u32::MAX)];
-    let root = 0u32;
-    for (sym, &(code, len)) in codes.iter().enumerate() {
-        let mut node = root as usize;
-        for i in (0..len).rev() {
-            let bit = (code >> i) & 1 == 1;
-            if i == 0 {
-                let slot = if bit { &mut tree[node].1 } else { &mut tree[node].0 };
-                if *slot != u32::MAX {
-                    return None; // duplicate code or prefix of a longer one
-                }
-                *slot = LEAF_FLAG | sym as u32;
-            } else {
-                let cur = if bit { tree[node].1 } else { tree[node].0 };
-                if cur != u32::MAX && cur & LEAF_FLAG != 0 {
-                    return None; // an existing shorter code prefixes this one
-                }
-                let next = if cur == u32::MAX {
-                    let nx = tree.len() as u32;
-                    tree.push((u32::MAX, u32::MAX));
-                    let slot = if bit { &mut tree[node].1 } else { &mut tree[node].0 };
-                    *slot = nx;
-                    nx
-                } else {
-                    cur
-                };
-                node = next as usize;
+/// The codewords of `value`, packed MSB-first, and their bit count.
+fn raw_bits(codes: &Codes, value: &[u8]) -> (Vec<u8>, usize) {
+    let mut w = BitWriter::new();
+    for &b in value {
+        let (code, len) = codes[b as usize];
+        w.push_bits(code, len);
+    }
+    w.finish()
+}
+
+/// Encode `value` under `codes`: varint bit count, then the packed bits.
+pub(crate) fn encode(codes: &Codes, value: &[u8]) -> Vec<u8> {
+    let (bits, bit_len) = raw_bits(codes, value);
+    let mut out = Vec::with_capacity(bits.len() + 10);
+    write_varint(&mut out, bit_len);
+    out.extend_from_slice(&bits);
+    out
+}
+
+/// Canonical decoding tables for one length table.
+///
+/// Codes of up to [`TABLE_BITS`] bits resolve with one lookup of the next
+/// `TABLE_BITS` bits. A longer code is found by the canonical rule: the
+/// codes of length `l` are the values `first[l] .. first[l] + count[l]`,
+/// owned by the symbols `sorted[offset[l]..]` in symbol order.
+#[derive(Debug, Clone)]
+pub(crate) struct Decoder {
+    /// `symbol << 8 | length` for each `TABLE_BITS`-bit prefix that starts
+    /// with a code of at most `TABLE_BITS` bits; 0 otherwise.
+    table: [u16; 1 << TABLE_BITS],
+    first: [u64; LENGTHS],
+    count: [u16; LENGTHS],
+    offset: [u16; LENGTHS],
+    /// Symbols sorted by (code length, symbol).
+    sorted: [u8; SYMBOLS],
+    /// Longest code length in use.
+    max_len: u8,
+}
+
+impl Decoder {
+    /// Tables for an *untrusted* length table: every length must lie in
+    /// `1..=MAX_CODE_LEN` and the lengths must satisfy Kraft's inequality
+    /// (the canonical code is then prefix-free). An incomplete code is
+    /// accepted; decoding fails on a codeword it leaves unassigned.
+    pub(crate) fn new(lengths: &[u8; SYMBOLS]) -> Result<Self, CodecError> {
+        if let Some(s) = lengths.iter().position(|&l| l == 0 || l > MAX_CODE_LEN) {
+            return Err(corrupt(
+                "huffman",
+                format!("invalid code length {} for symbol {s}", lengths[s]),
+            ));
+        }
+        let count = length_counts(lengths);
+        // Kraft sum in units of 2^-MAX_CODE_LEN; at most 256 * 2^62.
+        let kraft: u128 =
+            (1..=MAX_CODE_LEN).map(|l| u128::from(count[l as usize]) << (MAX_CODE_LEN - l)).sum();
+        if kraft > 1u128 << MAX_CODE_LEN {
+            return Err(corrupt("huffman", "length table yields non-prefix-free code"));
+        }
+        let first = first_codes(&count);
+        let mut offset = [0u16; LENGTHS];
+        for l in 1..offset.len() {
+            offset[l] = offset[l - 1] + count[l - 1];
+        }
+        let mut next = offset;
+        let mut sorted = [0u8; SYMBOLS];
+        for (s, &l) in lengths.iter().enumerate() {
+            sorted[next[l as usize] as usize] = s as u8;
+            next[l as usize] += 1;
+        }
+        let mut table = [0u16; 1 << TABLE_BITS];
+        for l in 1..=TABLE_BITS as usize {
+            let shift = TABLE_BITS as usize - l;
+            let syms = &sorted[offset[l] as usize..][..count[l] as usize];
+            for (k, &s) in syms.iter().enumerate() {
+                let code = first[l] as usize + k;
+                table[code << shift..(code + 1) << shift].fill(u16::from(s) << 8 | l as u16);
             }
         }
+        let max_len = lengths.iter().copied().max().unwrap_or(1);
+        Ok(Decoder { table, first, count, offset, sorted, max_len })
     }
-    Some((tree, root))
+
+    /// Decode a stream written by [`encode`] (varint bit count, then the
+    /// packed bits), appending its symbols to `out`. More than `max_out`
+    /// symbols is an error.
+    pub(crate) fn decode(
+        &self,
+        data: &[u8],
+        max_out: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        let (bit_len, used) =
+            read_varint(data).ok_or_else(|| corrupt("huffman", "truncated length header"))?;
+        let body = &data[used..];
+        if !BitReader::fits(body, bit_len) {
+            return Err(corrupt(
+                "huffman",
+                format!("claims {bit_len} bits but only {} bytes follow", body.len()),
+            ));
+        }
+        // Every codeword takes at least one bit; text takes about four.
+        out.reserve(max_out.min(bit_len / 4));
+        let limit = out.len().saturating_add(max_out);
+        let too_many = || corrupt("huffman", format!("more than {max_out} symbols"));
+        let mid_codeword = || corrupt("huffman", "stream ends mid-codeword");
+        let mut pos = 0usize;
+        while pos < bit_len {
+            // Resolve table codes straight from one window while each lies
+            // wholly inside both the window's 57 sure bits and the stream.
+            let mut window = bits_at(body, pos);
+            let avail = (bit_len - pos).min(57);
+            let mut used = 0usize;
+            loop {
+                let entry = self.table[(window >> (64 - TABLE_BITS)) as usize];
+                let len = usize::from(entry as u8);
+                if entry == 0 || used + len > avail {
+                    break;
+                }
+                if out.len() == limit {
+                    return Err(too_many());
+                }
+                out.push((entry >> 8) as u8);
+                used += len;
+                window <<= len;
+            }
+            pos += used;
+            if used == 0 {
+                // A code longer than the table's, or one the stream cuts.
+                if self.table[(window >> (64 - TABLE_BITS)) as usize] != 0 {
+                    return Err(mid_codeword());
+                }
+                let (sym, len) = self.long_code(body, pos)?;
+                if len > bit_len - pos {
+                    return Err(mid_codeword());
+                }
+                if out.len() == limit {
+                    return Err(too_many());
+                }
+                out.push(sym);
+                pos += len;
+            }
+        }
+        Ok(())
+    }
+
+    /// The code longer than `TABLE_BITS` that starts at bit `pos`, by the
+    /// canonical rule, as (symbol, length).
+    fn long_code(&self, body: &[u8], pos: usize) -> Result<(u8, usize), CodecError> {
+        for l in TABLE_BITS as usize + 1..=self.max_len as usize {
+            let code = code_at(body, pos, l);
+            let k = code.wrapping_sub(self.first[l]);
+            if k < u64::from(self.count[l]) {
+                return Ok((self.sorted[self.offset[l] as usize + k as usize], l));
+            }
+        }
+        Err(corrupt("huffman", "codeword is not assigned to any symbol"))
+    }
+}
+
+/// The 64 bits of `body` from bit `pos` on, MSB-first; at least 57 of them
+/// come from `body`, and bits past its end read as zero.
+fn bits_at(body: &[u8], pos: usize) -> u64 {
+    let i = pos / 8;
+    let word = match body.get(i..i + 8) {
+        Some(b) => u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]),
+        None => {
+            let mut buf = [0u8; 8];
+            let tail = body.get(i..).unwrap_or(&[]);
+            buf[..tail.len()].copy_from_slice(tail);
+            u64::from_be_bytes(buf)
+        }
+    };
+    word << (pos % 8)
+}
+
+/// The `len`-bit value (`len` in `1..=63`) at bit `pos` of `body`.
+fn code_at(body: &[u8], pos: usize, len: usize) -> u64 {
+    if len <= 57 {
+        bits_at(body, pos) >> (64 - len)
+    } else {
+        (bits_at(body, pos) >> 32) << (len - 32) | bits_at(body, pos + 32) >> (96 - len)
+    }
 }
 
 #[cfg(test)]
@@ -346,6 +446,93 @@ mod tests {
                 assert_ne!(long >> (llen - slen), short, "symbol {a} prefixes {b}");
             }
         }
+    }
+
+    /// A stream of `bits` bits (varint header, then `body`).
+    fn stream(bits: usize, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_varint(&mut out, bits);
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn code_with_a_63_bit_codeword_roundtrips() {
+        // Symbols 0..=54 take lengths 1..=55; of the 201 others, 55 take 62
+        // bits and 146 take 63, which fills the code space exactly.
+        let mut lengths = [63u8; SYMBOLS];
+        for (s, l) in lengths.iter_mut().enumerate() {
+            *l = match s {
+                0..=54 => s as u8 + 1,
+                55..=109 => 62,
+                _ => 63,
+            };
+        }
+        let h = Huffman::from_lengths_checked(&lengths).unwrap();
+        assert_eq!(h.lengths(), lengths);
+        let mut value: Vec<u8> = (0..=255u8).collect();
+        value.extend((0..=255u8).rev());
+        value.extend([255, 0, 255, 128, 1, 255]);
+        assert_eq!(h.decompress(&h.compress(&value)).unwrap(), value);
+        for s in 0..=255u8 {
+            assert_eq!(h.decompress(&h.compress(&[s])).unwrap(), [s], "symbol {s}");
+        }
+    }
+
+    #[test]
+    fn unassigned_codeword_is_an_error() {
+        // 256 codes of 9 bits fill half the code space: all start with 0.
+        let h = Huffman::from_lengths_checked(&[9; SYMBOLS]).unwrap();
+        assert_eq!(h.decompress(&stream(9, &[0x00, 0x00])).unwrap(), [0]);
+        assert!(h.decompress(&stream(9, &[0xff, 0x80])).is_err());
+        assert!(h.decompress(&stream(18, &[0x00, 0x7f, 0xc0])).is_err());
+        // The same past the lookup table: 256 codes of 63 bits.
+        let h = Huffman::from_lengths_checked(&[63; SYMBOLS]).unwrap();
+        let c = h.compress(&[7, 255]);
+        assert_eq!(h.decompress(&c).unwrap(), [7, 255]);
+        assert!(h.decompress(&stream(63, &[0x80, 0, 0, 0, 0, 0, 0, 0])).is_err());
+        assert!(h.decompress(&stream(63, &[0x01, 0, 0, 0, 0, 0, 0, 0])).is_err());
+    }
+
+    #[test]
+    fn oversubscribed_length_table_is_an_error() {
+        assert!(Huffman::from_lengths_checked(&[7; SYMBOLS]).is_err());
+        assert!(Huffman::from_lengths_checked(&[1; SYMBOLS]).is_err());
+        // One code too many at the longest length.
+        let mut lengths = [8u8; SYMBOLS];
+        lengths[0] = 7;
+        assert!(Huffman::from_lengths_checked(&lengths).is_err());
+        assert!(Huffman::from_lengths_checked(&[8; SYMBOLS]).is_ok());
+        let mut zero = [8u8; SYMBOLS];
+        zero[3] = 0;
+        assert!(Huffman::from_lengths_checked(&zero).is_err());
+        assert!(Huffman::from_lengths_checked(&[64; SYMBOLS]).is_err());
+    }
+
+    #[test]
+    fn stream_ending_mid_codeword_is_an_error() {
+        let h = sample_model();
+        let value = b"the quick brown fox, unseen: QXZ!";
+        let c = h.compress(value);
+        let (bits, used) = read_varint(&c).unwrap();
+        let body = &c[used..];
+        assert_eq!(h.decompress(&stream(bits, body)).unwrap(), value);
+        for cut in 1..=3 {
+            assert!(h.decompress(&stream(bits - cut, body)).is_err(), "{cut} bits short");
+        }
+        assert!(h.decompress(&stream(bits + 8, body)).is_err(), "more bits than bytes");
+        assert!(h.decompress(&c[..used - 1]).is_err(), "truncated header");
+    }
+
+    #[test]
+    fn decoder_caps_its_output() {
+        let h = sample_model();
+        let c = h.compress(b"abcabc");
+        let mut out = Vec::new();
+        assert!(h.decoder.decode(&c, 5, &mut out).is_err());
+        out.clear();
+        h.decoder.decode(&c, 6, &mut out).unwrap();
+        assert_eq!(out, b"abcabc");
     }
 
     #[test]

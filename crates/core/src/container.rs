@@ -15,7 +15,6 @@
 //!   requires decompressing the block, as in XMill.
 
 use crate::ids::{ContainerId, ElemId, PathId, TagCode};
-use crate::stats::ContainerStats;
 use std::cmp::Ordering;
 use std::sync::Arc;
 use xquec_compress::{blz, CodecError, ValueCodec};
@@ -180,8 +179,7 @@ impl Container {
     /// Rebuild an individually-compressed container from persisted parts
     /// (records must already be in value order). Every record is decoded
     /// once up front, so a container that constructs successfully can be
-    /// decompressed later without surprises. That decode also yields the
-    /// [`ContainerStats`] of the values, returned beside the container.
+    /// decompressed later without surprises.
     pub fn from_parts(
         id: ContainerId,
         path: PathId,
@@ -190,7 +188,7 @@ impl Container {
         codec: Arc<ValueCodec>,
         comps: Vec<Box<[u8]>>,
         parents: Vec<ElemId>,
-    ) -> Result<(Container, ContainerStats), ContainerError> {
+    ) -> Result<Container, ContainerError> {
         if comps.len() != parents.len() {
             return Err(ContainerError {
                 container: id,
@@ -198,20 +196,13 @@ impl Container {
             });
         }
         let mut plain_bytes = 0usize;
-        let mut values = Vec::with_capacity(comps.len());
         for (i, c) in comps.iter().enumerate() {
-            let plain = codec.decompress(c).map_err(|e| ContainerError {
-                container: id,
-                detail: format!("record {i}: {e}"),
-            })?;
-            plain_bytes += plain.len();
-            values.push(
-                String::from_utf8(plain)
-                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
-            );
+            plain_bytes += codec
+                .decompress(c)
+                .map_err(|e| ContainerError { container: id, detail: format!("record {i}: {e}") })?
+                .len();
         }
-        let stats = ContainerStats::from_values(values.iter().map(String::as_str));
-        let c = Container {
+        Ok(Container {
             id,
             path,
             leaf,
@@ -220,14 +211,12 @@ impl Container {
             parents,
             store: Store::Individual { comps },
             plain_bytes,
-        };
-        Ok((c, stats))
+        })
     }
 
     /// Rebuild a block container from its persisted blz blob. The blob is
-    /// fully decoded and parsed once up front; a record count that does not
-    /// match the parent list is corruption. The [`ContainerStats`] of the
-    /// values come from that same decode.
+    /// fully decoded and its value frames walked once up front; a record
+    /// count that does not match the parent list is corruption.
     pub fn from_block_parts(
         id: ContainerId,
         path: PathId,
@@ -235,7 +224,7 @@ impl Container {
         vtype: ValueType,
         data: Vec<u8>,
         parents: Vec<ElemId>,
-    ) -> Result<(Container, ContainerStats), ContainerError> {
+    ) -> Result<Container, ContainerError> {
         let mut c = Container {
             id,
             path,
@@ -246,19 +235,21 @@ impl Container {
             store: Store::Block { data },
             plain_bytes: 0,
         };
-        let values = c.decompress_all()?;
-        if values.len() != c.parents.len() {
-            return Err(ContainerError {
-                container: id,
-                detail: format!(
-                    "block holds {} values but {} parents",
-                    values.len(),
-                    c.parents.len()
-                ),
-            });
+        let concat = c.block_plain()?;
+        let mut count = 0usize;
+        let mut plain_bytes = 0usize;
+        c.for_each_frame(&concat, |v| {
+            count += 1;
+            plain_bytes += v.len();
+        })?;
+        if count != c.parents.len() {
+            return Err(c.err(format!(
+                "block holds {count} values but {} parents",
+                c.parents.len()
+            )));
         }
-        c.plain_bytes = values.iter().map(|v| v.len()).sum();
-        Ok((c, ContainerStats::from_values(values.iter().map(String::as_str))))
+        c.plain_bytes = plain_bytes;
+        Ok(c)
     }
 
     fn err(&self, detail: impl Into<String>) -> ContainerError {
@@ -356,24 +347,39 @@ impl Container {
                         .map_err(|e| self.codec_err(e))
                 })
                 .collect(),
-            Store::Block { data } => {
-                let concat = blz::decompress(data).map_err(|e| self.codec_err(e))?;
+            Store::Block { .. } => {
+                let concat = self.block_plain()?;
                 let mut out = Vec::with_capacity(self.parents.len());
-                let mut pos = 0usize;
-                while pos < concat.len() {
-                    let (len, used) = xquec_compress::bitio::read_varint(&concat[pos..])
-                        .ok_or_else(|| self.err("block value header truncated"))?;
-                    pos += used;
-                    let end = pos
-                        .checked_add(len)
-                        .filter(|&e| e <= concat.len())
-                        .ok_or_else(|| self.err("block value leaves the blob"))?;
-                    out.push(make(&String::from_utf8_lossy(&concat[pos..end])));
-                    pos = end;
-                }
+                self.for_each_frame(&concat, |v| out.push(make(&String::from_utf8_lossy(v))))?;
                 Ok(out)
             }
         }
+    }
+
+    /// The decoded blz blob of a block container: every value behind its
+    /// varint length.
+    fn block_plain(&self) -> Result<Vec<u8>, ContainerError> {
+        match &self.store {
+            Store::Block { data } => blz::decompress(data).map_err(|e| self.codec_err(e)),
+            Store::Individual { .. } => Err(self.err("individual container has no block blob")),
+        }
+    }
+
+    /// Hand each value framed in `concat` to `f`, in record order.
+    fn for_each_frame(&self, concat: &[u8], mut f: impl FnMut(&[u8])) -> Result<(), ContainerError> {
+        let mut pos = 0usize;
+        while pos < concat.len() {
+            let (len, used) = xquec_compress::bitio::read_varint(&concat[pos..])
+                .ok_or_else(|| self.err("block value header truncated"))?;
+            pos += used;
+            let end = pos
+                .checked_add(len)
+                .filter(|&e| e <= concat.len())
+                .ok_or_else(|| self.err("block value leaves the blob"))?;
+            f(&concat[pos..end]);
+            pos = end;
+        }
+        Ok(())
     }
 
     /// Iterate `(record index, parent)` in value order (`ContScan`).

@@ -447,7 +447,6 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
         tree,
         summary,
         containers: Vec::new(),
-        stats: Vec::new(),
         original_bytes: xml.len(),
     };
     let mut workload = Workload::new();
@@ -495,6 +494,9 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
     // Persist what the search believed: the same cached sample estimates it
     // optimized, later joined with measured sizes by the calibration report.
     let predictions = cost_model.predict(&config);
+    // The statistics only feed the configuration search.
+    drop(cost_model);
+    drop(stats);
 
     // Map container -> chosen codec kind (None = untouched by workload).
     let mut chosen: Vec<Option<CodecKind>> = vec![None; paths.len()];
@@ -610,7 +612,7 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
     counter!("loader.containers.built").add(containers.len() as u64);
 
     Ok((
-        Repository { dict, tree, summary, containers, stats, original_bytes: xml.len() },
+        Repository { dict, tree, summary, containers, original_bytes: xml.len() },
         phases,
         predictions,
     ))

@@ -4,7 +4,6 @@
 use crate::container::Container;
 use crate::dictionary::NameDictionary;
 use crate::ids::{ContainerId, ElemId, PathId, TagCode};
-use crate::stats::ContainerStats;
 use crate::structure::StructureTree;
 use crate::summary::{PathKind, StructureSummary};
 
@@ -18,8 +17,6 @@ pub struct Repository {
     pub summary: StructureSummary,
     /// Value containers, indexed by [`ContainerId`].
     pub containers: Vec<Container>,
-    /// Statistics per container (aligned with `containers`).
-    pub stats: Vec<ContainerStats>,
     /// Original document size in bytes.
     pub original_bytes: usize,
 }

@@ -1,4 +1,5 @@
-//! Heap-allocation budgets for the FLWOR-heavy catalog queries.
+//! Heap-allocation budgets for the FLWOR-heavy catalog queries and for
+//! opening a saved repository.
 //!
 //! A counting global allocator tallies the allocations made by the current
 //! thread; each budgeted query is run once to warm the engine (block cache
@@ -10,10 +11,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 use xquec_core::loader::{load_with, LoaderOptions};
+use xquec_core::persist::{load_from_pager, save_to_pager};
 use xquec_core::queries::{query, xmark_workload};
 use xquec_core::query::Engine;
-use xquec_xml::gen::Dataset;
+use xquec_storage::MemPager;
+use xquec_xml::gen::{Dataset, XmarkGen};
 
 /// System allocator that counts allocations per thread.
 struct Counting;
@@ -81,4 +85,26 @@ fn warm_flwor_queries_stay_within_their_allocation_budgets() {
         }
     }
     assert!(over.is_empty(), "allocation budgets exceeded: {over:?}");
+}
+
+/// Allocation budget for one `load_from_pager` of 200 KB XMark (seed 1,
+/// XMark workload, one loader thread): the measured count (12,632) plus
+/// 10%. Open decodes every record and block blob to validate it, so a
+/// change that builds a per-value object again shows here.
+const OPEN_BUDGET: u64 = 13_895;
+
+#[test]
+fn opening_a_saved_repository_stays_within_its_allocation_budget() {
+    let xml = XmarkGen::with_target_size(200_000).seed(1).generate();
+    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1, ..Default::default() };
+    let repo = load_with(&xml, &opts).expect("load 200 KB XMark");
+    let pager = Arc::new(MemPager::new());
+    save_to_pager(&repo, pager.clone()).expect("save");
+    drop(load_from_pager(pager.clone()).expect("open"));
+    let before = allocs();
+    let opened = load_from_pager(pager).expect("open");
+    let used = allocs() - before;
+    drop(opened);
+    println!("load_from_pager: {used} allocations (budget {OPEN_BUDGET})");
+    assert!(used <= OPEN_BUDGET, "open made {used} allocations, budget {OPEN_BUDGET}");
 }

@@ -200,12 +200,16 @@ fn composed_crash_and_bitflip_sweep_never_yields_garbage_silently() {
     // point (memory-side, past the page CRC — the nastiest composition).
     // The atomicity contract weakens to: every outcome is a typed error or
     // a consistent store; nothing panics and nothing torn loads silently.
+    // A save makes about four durable operations per image page (staging
+    // allocate and write, apply allocate and write) and reads each journal
+    // page twice (the commit's checksum pass, then apply), so read k / 4
+    // falls in the commit's checksum pass for the crash points of apply.
     let (mut ok, mut err) = (0u64, 0u64);
     for k in sweep_points(total, 16) {
         for bit in [3usize, 8 * 4096 + 1, 8 * 8191] {
             restore(&path, &old_bytes);
             let cp = CrashPoint::after(k);
-            let flip = Some((k / 2, bit));
+            let flip = Some((k / 4, bit));
             let _ = persist::save_with(&new, &path, &crash_wrap(cp, flip));
 
             match persist::load(&path) {

@@ -18,11 +18,10 @@ use crate::page::{PageId, PAGE_SIZE};
 pub fn write_stream(pool: &BufferPool, bytes: &[u8]) -> Result<PageId> {
     let first = PageId(pool.page_count());
     for (i, chunk) in bytes.chunks(PAGE_SIZE).enumerate() {
-        let id = pool.allocate()?;
+        let id = pool.allocate(|p| p.write_at(0, chunk))?;
         if id.0 != first.0 + i as u64 {
             return Err(StorageError::corrupt_at(id.0, "stream pages are not consecutive"));
         }
-        pool.with_page_mut(id, |p| p.write_at(0, chunk))?;
     }
     Ok(first)
 }

@@ -38,14 +38,51 @@ fn blz_roundtrip() {
     }
 }
 
-/// BWT round-trips arbitrary bytes.
+/// blz round-trips at the block edges (empty, one byte, one byte either
+/// side of a block, two blocks and a tail) over the shapes that stress its
+/// decoder: all-equal bytes (one long zero run after move-to-front), long
+/// zero runs between random bytes, and every one of the 256 symbols.
+#[test]
+fn blz_roundtrip_at_block_edges() {
+    let mut rng = StdRng::seed_from_u64(0xB10C);
+    let n = blz::BLOCK_SIZE;
+    for len in [0, 1, n - 1, n + 1, 2 * n + 77] {
+        let equal = vec![rng.gen_range(0u8..=255); len];
+        let mut runs = Vec::with_capacity(len);
+        while runs.len() < len {
+            let run = rng.gen_range(0..5000usize).min(len - runs.len());
+            runs.resize(runs.len() + run, 0);
+            if runs.len() < len {
+                runs.push(rng.gen_range(1u8..=255));
+            }
+        }
+        let symbols: Vec<u8> = (0..len).map(|_| rng.gen_range(0u8..=255)).collect();
+        if len > 1000 {
+            assert!((0..=255u8).all(|b| symbols.contains(&b)), "len {len}");
+        }
+        for (shape, data) in [("equal", &equal), ("zero runs", &runs), ("symbols", &symbols)] {
+            assert_eq!(data.len(), len);
+            let c = blz::compress(data);
+            assert_eq!(&blz::decompress(&c).unwrap(), data, "{shape}, len {len}");
+        }
+    }
+}
+
+/// BWT round-trips arbitrary bytes: the forward transform permutes the
+/// input with the sentinel's row in range, and blz, whose decoder holds the
+/// one inverse, gives the input back.
 #[test]
 fn bwt_roundtrip() {
     let mut rng = StdRng::seed_from_u64(0xB37);
     for case in 0..64 {
         let data = bytes_nonempty(&mut rng, 2048);
         let (l, p) = bwt::bwt(&data);
-        assert_eq!(bwt::ibwt(&l, p), data, "case {case}");
+        let (mut sorted_l, mut sorted_data) = (l, data.clone());
+        sorted_l.sort_unstable();
+        sorted_data.sort_unstable();
+        assert_eq!(sorted_l, sorted_data, "case {case}");
+        assert!((1..=data.len()).contains(&p), "case {case}: primary {p}");
+        assert_eq!(blz::decompress(&blz::compress(&data)).unwrap(), data, "case {case}");
     }
 }
 
