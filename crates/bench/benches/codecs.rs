@@ -6,8 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
-use xquec_compress::{blz, CodecKind, ValueCodec};
+use xquec_compress::{blz, Alm, CodecKind, ValueCodec};
 use xquec_core::loader::{load_with, LoaderOptions};
 use xquec_core::queries::xmark_workload;
 use xquec_xml::gen::{Dataset, XmarkGen};
@@ -73,16 +74,23 @@ fn codec_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// Every block container's blob of 1 MB XMark loaded with the XMark
-/// workload (seed 1): the real mix of block sizes that open decodes, most
-/// of them a few KB, unlike the one large block of `blz_block`.
-fn xmark_block_blobs(c: &mut Criterion) {
+/// 1 MB XMark (seed 1) loaded with the XMark workload on one thread.
+fn xmark_repository() -> xquec_core::Repository {
     let xml = XmarkGen::with_target_size(1_000_000).seed(1).generate();
     let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1, ..Default::default() };
-    let repo = load_with(&xml, &opts).expect("XMark loads");
+    load_with(&xml, &opts).expect("XMark loads")
+}
+
+/// Every block container of 1 MB XMark loaded with the XMark workload
+/// (seed 1): the real mix of block sizes that load encodes and open
+/// decodes, most of them a few KB, unlike the one large block of
+/// `blz_block`.
+fn xmark_block_blobs(c: &mut Criterion) {
+    let repo = xmark_repository();
     let blobs: Vec<&[u8]> = repo.containers.iter().filter_map(|c| c.block_blob()).collect();
-    let plain: usize =
-        blobs.iter().map(|b| blz::decompress(b).expect("saved blob decodes").len()).sum();
+    let plains: Vec<Vec<u8>> =
+        blobs.iter().map(|b| blz::decompress(b).expect("saved blob decodes")).collect();
+    let plain: usize = plains.iter().map(Vec::len).sum();
     let mut g = c.benchmark_group("blz_xmark_blocks");
     g.throughput(Throughput::Bytes(plain as u64));
     g.sample_size(20).measurement_time(Duration::from_secs(3));
@@ -95,8 +103,41 @@ fn xmark_block_blobs(c: &mut Criterion) {
             black_box(n)
         })
     });
+    g.bench_function("compress_all", |b| {
+        b.iter(|| black_box(plains.iter().map(|p| blz::compress(p).len()).sum::<usize>()))
+    });
     g.finish();
 }
 
-criterion_group!(benches, codec_throughput, xmark_block_blobs);
+/// ALM training on the corpora of 1 MB XMark's ALM models: one corpus per
+/// trained model, the values of every container sharing it. Values come
+/// in stored (sorted) order, not the document order the loader sees.
+fn alm_training(c: &mut Criterion) {
+    let repo = xmark_repository();
+    let mut corpora: Vec<(*const ValueCodec, Vec<String>)> = Vec::new();
+    for ct in repo.containers.iter().filter(|ct| ct.codec().kind() == CodecKind::Alm) {
+        let values = ct.decompress_all().expect("loaded container decodes");
+        let key = Arc::as_ptr(ct.codec());
+        match corpora.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, corpus)) => corpus.extend(values),
+            None => corpora.push((key, values)),
+        }
+    }
+    let bytes: usize = corpora.iter().flat_map(|(_, v)| v).map(String::len).sum();
+    let mut g = c.benchmark_group("alm_train");
+    g.throughput(Throughput::Bytes(bytes as u64));
+    g.sample_size(20).measurement_time(Duration::from_secs(3));
+    g.bench_function("xmark", |b| {
+        b.iter(|| {
+            let mut n = 0usize;
+            for (_, corpus) in &corpora {
+                n += Alm::train(corpus.iter().map(|v| v.as_bytes())).interval_count();
+            }
+            black_box(n)
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, codec_throughput, xmark_block_blobs, alm_training);
 criterion_main!(benches);

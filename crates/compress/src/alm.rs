@@ -45,10 +45,8 @@ pub struct Alm {
     code_token: Vec<u32>,
     /// Code width in bytes (1 or 2).
     width: u8,
-    /// Trie for longest-prefix matching: (node, byte) -> node.
-    trie_next: HashMap<(u32, u8), u32>,
-    /// Token index at a trie node, if the node spells a full token.
-    trie_token: Vec<Option<u32>>,
+    /// Trie for longest-prefix matching.
+    trie: Trie,
 }
 
 /// Tunables for dictionary construction.
@@ -90,9 +88,13 @@ impl Alm {
                 // extrapolated to the full corpus so the dictionary cost is
                 // weighed against what it will actually amortize over.
                 let sample_bytes: usize = sample.iter().map(|v| v.len()).sum();
-                let cost = |m: &Alm| -> f64 {
-                    let comp: usize =
-                        sample.iter().map(|v| m.compress(v).map_or(v.len(), |c| c.len())).sum();
+                let mut buf = Vec::new();
+                let mut cost = |m: &Alm| -> f64 {
+                    let mut comp = 0usize;
+                    for v in &sample {
+                        buf.clear();
+                        comp += if m.compress_into(v, &mut buf) { buf.len() } else { v.len() };
+                    }
                     let ratio = comp as f64 / sample_bytes.max(1) as f64;
                     m.model_size() as f64 + ratio * corpus_bytes as f64
                 };
@@ -110,12 +112,12 @@ impl Alm {
     pub fn train_variants<'a, I: IntoIterator<Item = &'a [u8]>>(
         corpus: I,
         cfg: &AlmConfig,
-    ) -> (Option<Self>, Self, usize, Vec<Vec<u8>>) {
+    ) -> (Option<Self>, Self, usize, Vec<&'a [u8]>) {
         let mut singles = [false; 256];
-        let mut counts: HashMap<Vec<u8>, u32> = HashMap::new();
+        let mut mined = Mined::new();
         let mut sampled = 0usize;
         let mut corpus_bytes = 0usize;
-        let mut sample: Vec<Vec<u8>> = Vec::new();
+        let mut sample: Vec<&[u8]> = Vec::new();
         for value in corpus {
             corpus_bytes += value.len();
             for &b in value {
@@ -123,34 +125,53 @@ impl Alm {
             }
             if sampled < cfg.sample_bytes {
                 sampled += value.len();
-                mine_substrings(value, &mut counts);
+                mined.mine(value);
                 if sample.len() < 512 {
-                    sample.push(value.to_vec());
+                    sample.push(value);
                 }
             }
         }
         // Score candidates by bytes saved: freq * (len - 1).
-        let mut cands: Vec<(Vec<u8>, u64)> = counts
-            .into_iter()
-            .filter(|(s, f)| *f >= cfg.min_freq && s.len() >= 2)
-            .map(|(s, f)| {
-                let score = f as u64 * (s.len() as u64 - 1);
-                (s, score)
+        let pair_keys: Vec<[u8; 2]> = (0..=u16::MAX)
+            .filter(|&k| mined.pairs[usize::from(k)] >= cfg.min_freq)
+            .map(u16::to_be_bytes)
+            .collect();
+        let triple_keys: Vec<([u8; 3], u32)> = mined
+            .triples
+            .iter()
+            .filter(|&(_, &f)| f >= cfg.min_freq)
+            .map(|(&k, &f)| {
+                let [_, a, b, c] = k.to_be_bytes();
+                ([a, b, c], f)
             })
             .collect();
-        cands.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let mut cands: Vec<(&[u8], u64)> = pair_keys
+            .iter()
+            .map(|k| (&k[..], u64::from(mined.pairs[usize::from(u16::from_be_bytes(*k))])))
+            .chain(triple_keys.iter().map(|(k, f)| (&k[..], 2 * u64::from(*f))))
+            .chain(
+                mined
+                    .longer
+                    .iter()
+                    .filter(|&(_, &f)| f >= cfg.min_freq)
+                    .map(|(&s, &f)| (s, u64::from(f) * (s.len() as u64 - 1))),
+            )
+            .collect();
+        cands.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
 
-        let mut single_tokens: Vec<Vec<u8>> =
-            (0..256u16).filter(|&b| singles[b as usize]).map(|b| vec![b as u8]).collect();
+        let mut single_tokens: Vec<[u8; 1]> =
+            (0..=u8::MAX).filter(|&b| singles[b as usize]).map(|b| [b]).collect();
         if single_tokens.is_empty() {
             // All-empty corpus: any placeholder token keeps the model valid
             // (empty strings encode to empty byte sequences regardless).
-            single_tokens.push(vec![0]);
+            single_tokens.push([0]);
         }
-        let build = |extra: usize| -> Alm {
-            let mut tokens = single_tokens.clone();
-            tokens.extend(cands.iter().take(extra).map(|(s, _)| s.clone()));
-            Self::from_tokens(tokens)
+        let tokens = |extra: usize| -> Vec<&[u8]> {
+            let singles = single_tokens.iter().map(|t| &t[..]);
+            singles.chain(cands[..extra].iter().map(|&(s, _)| s)).collect()
+        };
+        let build = |extra: usize| {
+            Self::from_tokens(tokens(extra).into_iter().map(<[u8]>::to_vec).collect())
         };
 
         // Wide model: full budget.
@@ -158,7 +179,7 @@ impl Alm {
         let wide = build(budget);
 
         // Narrow model: the largest candidate prefix whose interval table
-        // still fits one-byte codes.
+        // still fits one-byte codes, found on interval counts alone.
         let narrow = if wide.code_width() == 1 {
             None
         } else {
@@ -166,7 +187,7 @@ impl Alm {
             let mut hi = budget.min(256usize.saturating_sub(single_tokens.len()));
             while lo < hi {
                 let mid = (lo + hi).div_ceil(2);
-                if build(mid).interval_count() <= 256 {
+                if interval_count_of(tokens(mid)) <= 256 {
                     lo = mid;
                 } else {
                     hi = mid - 1;
@@ -255,26 +276,8 @@ impl Alm {
         let width: u8 = if code_token.len() <= 256 { 1 } else { 2 };
         assert!(code_token.len() <= 65_536, "ALM piece table overflow");
 
-        // Longest-prefix trie.
-        let mut trie_next: HashMap<(u32, u8), u32> = HashMap::new();
-        let mut trie_token: Vec<Option<u32>> = vec![None];
-        for (i, tok) in tokens.iter().enumerate() {
-            let mut node = 0u32;
-            for &b in tok {
-                node = match trie_next.get(&(node, b)) {
-                    Some(&nx) => nx,
-                    None => {
-                        let nx = trie_token.len() as u32;
-                        trie_token.push(None);
-                        trie_next.insert((node, b), nx);
-                        nx
-                    }
-                };
-            }
-            trie_token[node as usize] = Some(i as u32);
-        }
-
-        Alm { tokens, children, gap_codes, code_token, width, trie_next, trie_token }
+        let trie = Trie::new(&tokens);
+        Alm { tokens, children, gap_codes, code_token, width, trie }
     }
 
     /// Code width in bytes (1 or 2).
@@ -313,29 +316,21 @@ impl Alm {
     /// Compress a value; `None` if it contains a byte absent from the model.
     pub fn compress(&self, value: &[u8]) -> Option<Vec<u8>> {
         let mut out = Vec::with_capacity(value.len() / 2 + 1);
+        self.compress_into(value, &mut out).then_some(out)
+    }
+
+    /// [`Alm::compress`], appending the codes to `out`; `false` (with
+    /// `out` holding a partial encoding) if a byte is absent from the model.
+    fn compress_into(&self, value: &[u8], out: &mut Vec<u8>) -> bool {
         let mut i = 0usize;
         while i < value.len() {
-            // Longest token that prefixes value[i..].
-            let mut node = 0u32;
-            let mut best: Option<(u32, usize)> = None;
-            let mut j = i;
-            while j < value.len() {
-                match self.trie_next.get(&(node, value[j])) {
-                    Some(&nx) => {
-                        node = nx;
-                        j += 1;
-                        if let Some(tok) = self.trie_token[node as usize] {
-                            best = Some((tok, j - i));
-                        }
-                    }
-                    None => break,
-                }
-            }
-            let (tok, len) = best?;
+            let rest = &value[i..];
+            let Some((tok, len)) = self.trie.longest_prefix(rest) else {
+                return false;
+            };
             // Interval within the token: count children ordering below the
             // remaining input. The remaining input starts with `tok` but with
             // no child token as prefix, so plain comparison is unambiguous.
-            let rest = &value[i..];
             let kids = &self.children[tok as usize];
             let gap = kids.partition_point(|&c| self.tokens[c as usize].as_slice() < rest);
             let code = self.gap_codes[tok as usize][gap];
@@ -345,7 +340,7 @@ impl Alm {
             }
             i += len;
         }
-        Some(out)
+        true
     }
 
     /// Decompress a value produced by [`Alm::compress`].
@@ -354,7 +349,14 @@ impl Alm {
     /// a 2-byte-width payload has odd length — both impossible for
     /// `compress` output and therefore symptoms of corruption.
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::with_capacity(data.len() * 3);
+        let mut out = Vec::new();
+        self.decompress_into(data, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Alm::decompress`], appending the value to `out`.
+    pub(crate) fn decompress_into(&self, data: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+        out.reserve(data.len() * 3);
         match self.width {
             1 => {
                 for &b in data {
@@ -379,45 +381,180 @@ impl Alm {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
-/// Count candidate substrings of a value: word-aligned tokens (with leading
-/// separator attached, which is where prose redundancy lives), adjacent word
-/// *pairs* (high-value dictionary entries under Zipfian text), and low-order
-/// n-grams (covering digits and punctuation runs).
-fn mine_substrings(value: &[u8], counts: &mut HashMap<Vec<u8>, u32>) {
-    // Words with their leading separator, e.g. " the", plus word bigrams
-    // like " of the".
-    let mut word_starts: Vec<usize> = Vec::new();
-    let mut start = 0usize;
-    let mut i = 0usize;
-    while i <= value.len() {
-        let boundary = i == value.len() || !value[i].is_ascii_alphanumeric();
-        if boundary {
+/// Number of intervals [`Alm::from_tokens`] builds from `tokens` (distinct
+/// and non-empty): each token owns one interval more than it has immediate
+/// extensions, and every token but a root is one token's extension, so the
+/// count is 2 * tokens - roots. Roots are the tokens with no proper prefix
+/// among the others, found with the same stack walk over the sorted list.
+fn interval_count_of(mut tokens: Vec<&[u8]>) -> usize {
+    tokens.sort_unstable();
+    let mut roots = 0usize;
+    let mut stack: Vec<&[u8]> = Vec::new();
+    for &t in &tokens {
+        while stack.last().is_some_and(|top| !t.starts_with(top)) {
+            stack.pop();
+        }
+        roots += usize::from(stack.is_empty());
+        stack.push(t);
+    }
+    2 * tokens.len() - roots
+}
+
+/// Substring counts of the sampled corpus, with no allocation per
+/// occurrence: 2-grams in a flat table indexed by their two bytes, 3-grams
+/// in a map keyed by their three bytes, longer substrings in a map of
+/// slices borrowed from the corpus. Strings shorter than two bytes are
+/// never candidates and are not counted.
+struct Mined<'a> {
+    pairs: Box<[u32]>,
+    triples: HashMap<u32, u32>,
+    longer: HashMap<&'a [u8], u32>,
+}
+
+impl<'a> Mined<'a> {
+    fn new() -> Self {
+        Mined {
+            pairs: vec![0; 1 << 16].into_boxed_slice(),
+            triples: HashMap::new(),
+            longer: HashMap::new(),
+        }
+    }
+
+    fn count(&mut self, s: &'a [u8]) {
+        match *s {
+            [] | [_] => {}
+            [a, b] => self.pairs[usize::from(a) << 8 | usize::from(b)] += 1,
+            [a, b, c] => *self.triples.entry(u32::from_be_bytes([0, a, b, c])).or_insert(0) += 1,
+            _ => *self.longer.entry(s).or_insert(0) += 1,
+        }
+    }
+
+    /// Count candidate substrings of a value: word-aligned tokens (with
+    /// leading separator attached, which is where prose redundancy lives),
+    /// adjacent word *pairs* (high-value dictionary entries under Zipfian
+    /// text), and low-order n-grams (covering digits and punctuation runs).
+    fn mine(&mut self, value: &'a [u8]) {
+        // Words with their leading separator, e.g. " the", plus word bigrams
+        // like " of the".
+        let mut prev_word: Option<usize> = None;
+        let mut start = 0usize;
+        for i in 0..=value.len() {
+            if i < value.len() && value[i].is_ascii_alphanumeric() {
+                continue;
+            }
             if i > start {
                 let from = start.saturating_sub(1);
                 if i - from <= 24 {
-                    *counts.entry(value[from..i].to_vec()).or_insert(0) += 1;
+                    self.count(&value[from..i]);
                 }
-                word_starts.push(from);
                 // Bigram: previous word through the end of this one.
-                if let Some(&prev) = word_starts.len().checked_sub(2).map(|k| &word_starts[k]) {
-                    if i - prev <= 28 {
-                        *counts.entry(value[prev..i].to_vec()).or_insert(0) += 1;
-                    }
+                if let Some(prev) = prev_word.filter(|&prev| i - prev <= 28) {
+                    self.count(&value[prev..i]);
                 }
+                prev_word = Some(from);
             }
             start = i + 1;
         }
-        i += 1;
-    }
-    // 2-grams and 3-grams everywhere.
-    for w in [2usize, 3] {
-        for win in value.windows(w) {
-            *counts.entry(win.to_vec()).or_insert(0) += 1;
+        // 2-grams and 3-grams everywhere.
+        for w in value.windows(2) {
+            self.count(w);
         }
+        for w in value.windows(3) {
+            self.count(w);
+        }
+    }
+}
+
+/// Longest-prefix matcher over a sorted token list: a trie in flat arrays.
+/// The root's children sit in a direct 256-entry table; every other
+/// node's children are one contiguous range of edges sorted by byte, so a
+/// step is a table load or a binary search over a few bytes.
+#[derive(Debug, Clone)]
+struct Trie {
+    /// Child of the root for each byte, [`NO_NODE`] when absent.
+    root: Box<[u32]>,
+    /// Node `v`'s edges are `edge_start[v]..edge_start[v + 1]`.
+    edge_start: Vec<u32>,
+    edge_byte: Vec<u8>,
+    edge_node: Vec<u32>,
+    /// Token each node spells, [`NO_NODE`] when none.
+    token: Vec<u32>,
+}
+
+/// An absent child or token in a [`Trie`].
+const NO_NODE: u32 = u32::MAX;
+
+impl Trie {
+    /// Build over `tokens`, sorted and distinct. Nodes are numbered in
+    /// preorder, the root 0: a sorted token shares its longest common
+    /// prefix with the token before it, so it only adds nodes past that
+    /// prefix, and every node's children appear in byte order.
+    fn new(tokens: &[Vec<u8>]) -> Self {
+        let mut parent_byte: Vec<(u32, u8)> = vec![(NO_NODE, 0)];
+        let mut token = vec![NO_NODE];
+        // path[d]: the node spelling the previous token's first d bytes.
+        let mut path: Vec<u32> = vec![0];
+        let mut prev: &[u8] = &[];
+        for (i, tok) in tokens.iter().enumerate() {
+            let common = prev.iter().zip(tok).take_while(|(a, b)| a == b).count();
+            path.truncate(common + 1);
+            for &b in &tok[common..] {
+                let node = parent_byte.len() as u32;
+                parent_byte.push((path[path.len() - 1], b));
+                token.push(NO_NODE);
+                path.push(node);
+            }
+            token[path[path.len() - 1] as usize] = i as u32;
+            prev = tok;
+        }
+        let nodes = parent_byte.len();
+        let mut edge_start = vec![0u32; nodes + 1];
+        for &(p, _) in &parent_byte[1..] {
+            edge_start[p as usize + 1] += 1;
+        }
+        for v in 0..nodes {
+            edge_start[v + 1] += edge_start[v];
+        }
+        let mut fill = edge_start.clone();
+        let mut root = vec![NO_NODE; 256].into_boxed_slice();
+        let mut edge_byte = vec![0u8; nodes - 1];
+        let mut edge_node = vec![0u32; nodes - 1];
+        for (v, &(p, b)) in parent_byte.iter().enumerate().skip(1) {
+            if p == 0 {
+                root[usize::from(b)] = v as u32;
+            }
+            let e = fill[p as usize] as usize;
+            fill[p as usize] += 1;
+            edge_byte[e] = b;
+            edge_node[e] = v as u32;
+        }
+        Trie { root, edge_start, edge_byte, edge_node, token }
+    }
+
+    /// The longest token that prefixes `input`, as (token, length).
+    fn longest_prefix(&self, input: &[u8]) -> Option<(u32, usize)> {
+        let mut best = None;
+        let mut node = self.root[usize::from(*input.first()?)];
+        let mut depth = 1;
+        while node != NO_NODE {
+            let tok = self.token[node as usize];
+            if tok != NO_NODE {
+                best = Some((tok, depth));
+            }
+            let Some(&b) = input.get(depth) else { break };
+            let edges = self.edge_start[node as usize] as usize
+                ..self.edge_start[node as usize + 1] as usize;
+            node = match self.edge_byte[edges.clone()].binary_search(&b) {
+                Ok(k) => self.edge_node[edges.start + k],
+                Err(_) => NO_NODE,
+            };
+            depth += 1;
+        }
+        best
     }
 }
 
@@ -537,6 +674,64 @@ mod tests {
             total_out * 2 < total_in,
             "ALM should compress prose >2x: {total_out} vs {total_in}"
         );
+    }
+
+    /// Random distinct token sets over a small alphabet, so that tokens
+    /// nest often: 1-5 bytes, with and without every single byte present.
+    fn random_token_sets() -> Vec<Vec<Vec<u8>>> {
+        let mut x = 0x243F_6A88_85A3_08D3u64;
+        let mut next = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        (0..24)
+            .map(|round| {
+                let mut toks: Vec<Vec<u8>> = if round % 2 == 0 {
+                    (b'a'..=b'e').map(|b| vec![b]).collect()
+                } else {
+                    Vec::new()
+                };
+                for _ in 0..next(200) + 1 {
+                    let len = next(5) as usize + 1;
+                    toks.push((0..len).map(|_| b'a' + next(5) as u8).collect());
+                }
+                toks.sort();
+                toks.dedup();
+                toks
+            })
+            .collect()
+    }
+
+    #[test]
+    fn interval_count_needs_no_model() {
+        for toks in random_token_sets() {
+            let refs: Vec<&[u8]> = toks.iter().rev().map(Vec::as_slice).collect();
+            assert_eq!(interval_count_of(refs), Alm::from_tokens(toks.clone()).interval_count());
+        }
+    }
+
+    #[test]
+    fn trie_finds_the_longest_token_prefix() {
+        for toks in random_token_sets() {
+            let trie = Trie::new(&toks);
+            for len in 0..=5 {
+                for k in 0..6u32.pow(len as u32) {
+                    // Every string over {a..e, z} of this length.
+                    let input: Vec<u8> = (0..len)
+                        .map(|d| b"abcdez"[(k / 6u32.pow(d as u32) % 6) as usize])
+                        .collect();
+                    let naive = toks
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, t)| input.starts_with(t))
+                        .max_by_key(|(_, t)| t.len())
+                        .map(|(i, t)| (i as u32, t.len()));
+                    assert_eq!(trie.longest_prefix(&input), naive, "{input:?} over {toks:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -150,6 +150,13 @@ impl Arith {
     /// returns or pushes one output byte, capping the output length bounds
     /// the loop — no hang and no unbounded allocation.
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        self.decompress_into(data, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Arith::decompress`], appending the value to `out`.
+    pub(crate) fn decompress_into(&self, data: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         let total = self.total();
         let mut r = BitReader::new(data, data.len() * 8);
         // Past the written bits the decoder sees an infinite tail of zeros,
@@ -161,7 +168,7 @@ impl Arith {
         }
         let mut low = 0u64;
         let mut high = TOP;
-        let mut out = Vec::new();
+        let start = out.len();
         loop {
             if value < low || value > high {
                 // The window invariant low <= value <= high holds for any
@@ -183,9 +190,9 @@ impl Arith {
                 return Err(corrupt("arith", "scaled value beyond symbol table"));
             }
             if s == EOS {
-                return Ok(out);
+                return Ok(());
             }
-            if out.len() >= MAX_DECODE_OUTPUT {
+            if out.len() - start >= MAX_DECODE_OUTPUT {
                 return Err(corrupt("arith", "no end-of-stream within output bound"));
             }
             out.push(s as u8);

@@ -5,12 +5,22 @@
 //! order-preserving Hu-Tucker codec relies on.
 
 /// Append-only bit sink backed by a byte vector.
-#[derive(Debug, Default, Clone)]
+///
+/// Bits gather in a 64-bit accumulator and reach the buffer eight bytes at
+/// a time, so a codeword of any length costs a shift and an or.
+#[derive(Debug, Clone)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    /// Number of valid bits in the last byte (0 means the last byte is full
-    /// or the buffer is empty).
-    partial: u8,
+    /// Pending bits, right-aligned; `64 - free` of them.
+    acc: u64,
+    /// Unused bits of `acc`, in `1..=64`.
+    free: u32,
+}
+
+impl Default for BitWriter {
+    fn default() -> Self {
+        BitWriter { buf: Vec::new(), acc: 0, free: 64 }
+    }
 }
 
 impl BitWriter {
@@ -21,37 +31,42 @@ impl BitWriter {
 
     /// Number of bits written so far.
     pub fn bit_len(&self) -> usize {
-        if self.partial == 0 {
-            self.buf.len() * 8
-        } else {
-            (self.buf.len() - 1) * 8 + self.partial as usize
-        }
+        self.buf.len() * 8 + (64 - self.free) as usize
     }
 
     /// Write a single bit.
     pub fn push_bit(&mut self, bit: bool) {
-        if self.partial == 0 {
-            self.buf.push(0);
-        }
-        if bit {
-            let last = self.buf.last_mut().expect("just ensured non-empty");
-            *last |= 1 << (7 - self.partial);
-        }
-        self.partial = (self.partial + 1) % 8;
+        self.push_bits(u64::from(bit), 1);
     }
 
     /// Write the lowest `len` bits of `code`, MSB of that slice first.
     pub fn push_bits(&mut self, code: u64, len: u8) {
         debug_assert!(len <= 64);
-        for i in (0..len).rev() {
-            self.push_bit((code >> i) & 1 == 1);
+        let len = u32::from(len);
+        let code = if len < 64 { code & ((1 << len) - 1) } else { code };
+        if len < self.free {
+            self.acc = self.acc << len | code;
+            self.free -= len;
+        } else {
+            // Fill the accumulator, flush it whole, and keep the `spill`
+            // low bits of `code` that did not fit.
+            let spill = len - self.free;
+            let head = if self.free == 64 { 0 } else { self.acc << self.free };
+            self.buf.extend_from_slice(&(head | code >> spill).to_be_bytes());
+            self.acc = if spill == 0 { 0 } else { code & ((1 << spill) - 1) };
+            self.free = 64 - spill;
         }
     }
 
     /// Finish writing, returning the packed bytes and total bit count.
     /// Unused trailing bits in the last byte are zero.
-    pub fn finish(self) -> (Vec<u8>, usize) {
+    pub fn finish(mut self) -> (Vec<u8>, usize) {
         let bits = self.bit_len();
+        let pending = 64 - self.free;
+        if pending > 0 {
+            let aligned = self.acc << self.free;
+            self.buf.extend_from_slice(&aligned.to_be_bytes()[..pending.div_ceil(8) as usize]);
+        }
         (self.buf, bits)
     }
 }
@@ -196,6 +211,80 @@ mod tests {
             w.push_bit(i % 2 == 0);
             assert_eq!(w.bit_len(), i + 1);
         }
+    }
+
+    /// The bit-at-a-time writer the accumulator replaced, kept as the
+    /// reference: one byte pushed per eight bits, MSB first.
+    #[derive(Default)]
+    struct RefWriter {
+        buf: Vec<u8>,
+        bits: usize,
+    }
+
+    impl RefWriter {
+        fn push_bit(&mut self, bit: bool) {
+            if self.bits.is_multiple_of(8) {
+                self.buf.push(0);
+            }
+            if bit {
+                *self.buf.last_mut().unwrap() |= 1 << (7 - self.bits % 8);
+            }
+            self.bits += 1;
+        }
+
+        fn push_bits(&mut self, code: u64, len: u8) {
+            for i in (0..len).rev() {
+                self.push_bit((code >> i) & 1 == 1);
+            }
+        }
+    }
+
+    #[test]
+    fn push_bits_matches_bit_at_a_time_reference() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..200 {
+            let mut w = BitWriter::new();
+            let mut r = RefWriter::default();
+            for _ in 0..round % 37 {
+                // Codes carry garbage above their length: only the low
+                // `len` bits may be written.
+                let code = next();
+                if next() % 4 == 0 {
+                    let bit = code & 1 == 1;
+                    w.push_bit(bit);
+                    r.push_bit(bit);
+                } else {
+                    let len = (next() % 64 + 1) as u8;
+                    w.push_bits(code, len);
+                    r.push_bits(code, len);
+                }
+                assert_eq!(w.bit_len(), r.bits);
+            }
+            let (bytes, bits) = w.finish();
+            assert_eq!((bytes, bits), (r.buf, r.bits), "round {round}");
+        }
+    }
+
+    #[test]
+    fn push_bits_of_zero_and_full_width() {
+        let mut w = BitWriter::new();
+        w.push_bits(u64::MAX, 0);
+        assert_eq!(w.bit_len(), 0);
+        w.push_bits(0x8000_0000_0000_0001, 64);
+        w.push_bit(true);
+        w.push_bits(u64::MAX, 64);
+        let (bytes, bits) = w.finish();
+        assert_eq!(bits, 129);
+        let mut want = vec![0x80, 0, 0, 0, 0, 0, 0, 1];
+        want.extend_from_slice(&[0xff; 8]);
+        want.push(0x80);
+        assert_eq!(bytes, want);
     }
 
     #[test]

@@ -53,8 +53,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
 
 fn compress_block(block: &[u8], out: &mut Vec<u8>) {
     let (l, primary) = bwt(block);
-    let mtf = mtf_encode(&l);
-    let rle = rle0_encode(&mtf);
+    let rle = mtf_rle0_encode(&l);
 
     // Train a per-block Huffman model and serialize its length table.
     let mut freq = [1u64; 256];
@@ -121,46 +120,46 @@ fn decompress_block(
     Ok(pos)
 }
 
-/// Move-to-front transform: BWT's symbol clustering becomes small values.
-fn mtf_encode(data: &[u8]) -> Vec<u8> {
-    let mut table: Vec<u8> = (0..=255).collect();
-    let mut out = Vec::with_capacity(data.len());
+/// Move-to-front, then zero-run-length encoding, in one pass. Move-to-front
+/// turns BWT's symbol clustering into small values: each byte becomes its
+/// index in a recency table and moves to the table's front. The output is
+/// dominated by zeros, so every run of zeros (length >= 1) is written as a
+/// `0x00` escape followed by the run length as a varint; non-zero indices
+/// pass through literally. The table shifts while it is searched.
+fn mtf_rle0_encode(data: &[u8]) -> Vec<u8> {
+    let mut table: [u8; 256] = std::array::from_fn(|i| i as u8);
+    let mut out = Vec::with_capacity(data.len() / 2 + 16);
+    let mut run = 0usize;
     for &b in data {
-        let idx = table.iter().position(|&x| x == b).expect("byte in table") as u8;
-        out.push(idx);
-        table.copy_within(0..idx as usize, 1);
-        table[0] = b;
-    }
-    out
-}
-
-/// Zero-run-length encoding: MTF output is dominated by zeros, so every run
-/// of zeros (length >= 1) is written as a `0x00` escape followed by the run
-/// length as a varint. Non-zero bytes pass through literally.
-fn rle0_encode(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len());
-    let mut i = 0usize;
-    while i < data.len() {
-        if data[i] == 0 {
-            let mut run = 0usize;
-            while i < data.len() && data[i] == 0 {
-                run += 1;
-                i += 1;
-            }
+        if table[0] == b {
+            run += 1;
+            continue;
+        }
+        if run > 0 {
             out.push(0);
             write_varint(&mut out, run);
-        } else {
-            out.push(data[i]);
-            i += 1;
+            run = 0;
         }
+        let mut moving = table[0];
+        table[0] = b;
+        let mut idx = 1;
+        while moving != b {
+            std::mem::swap(&mut moving, &mut table[idx]);
+            idx += 1;
+        }
+        out.push((idx - 1) as u8);
+    }
+    if run > 0 {
+        out.push(0);
+        write_varint(&mut out, run);
     }
     out
 }
 
-/// Undo [`rle0_encode`] and [`mtf_encode`] in one pass, straight into the
-/// BWT's last column, which must come to exactly `block_len` bytes. A zero
-/// run repeats the byte at the front of the move-to-front table. The column
-/// never grows past `block_len`.
+/// Undo [`mtf_rle0_encode`] in one pass, straight into the BWT's last
+/// column, which must come to exactly `block_len` bytes. A zero run repeats
+/// the byte at the front of the move-to-front table. The column never grows
+/// past `block_len`.
 fn undo_rle0_mtf(rle: &[u8], block_len: usize) -> Result<Column, CodecError> {
     let mut table: [u8; 256] = std::array::from_fn(|i| i as u8);
     let mut column = Column::with_capacity(block_len);
@@ -199,9 +198,9 @@ fn undo_rle0_mtf(rle: &[u8], block_len: usize) -> Result<Column, CodecError> {
 mod tests {
     use super::*;
 
-    /// The last column `undo_rle0_mtf` rebuilds from `rle0_encode(mtf_encode(data))`.
+    /// The last column `undo_rle0_mtf` rebuilds from `mtf_rle0_encode(data)`.
     fn undo(data: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let column = undo_rle0_mtf(&rle0_encode(&mtf_encode(data)), data.len())?;
+        let column = undo_rle0_mtf(&mtf_rle0_encode(data), data.len())?;
         Ok(column.rows.into_iter().map(|e| e as u8).collect())
     }
 
@@ -222,16 +221,18 @@ mod tests {
     }
 
     #[test]
-    fn mtf_clusters_become_small() {
-        let data = b"aaaaabbbbbaaaaa";
-        let enc = mtf_encode(data);
-        // After the first occurrence, repeats are zeros.
-        assert_eq!(&enc[1..5], &[0, 0, 0, 0]);
+    fn mtf_clusters_become_zero_runs() {
+        // 'a' sits at index 97, then repeats as a run of four zeros; 'b'
+        // is still at 98, then a run of four; 'a' is now second.
+        let enc = mtf_rle0_encode(b"aaaaabbbbbaaaaa");
+        assert_eq!(enc, [97, 0, 4, 98, 0, 4, 1, 0, 4]);
+        assert_eq!(mtf_rle0_encode(b"\0\0\0"), [0, 3], "a leading run of the front byte");
+        assert_eq!(mtf_rle0_encode(&[255]), [255], "the last table slot");
     }
 
     #[test]
     fn rle0_lengths_are_checked() {
-        let rle = rle0_encode(&mtf_encode(b"aaaabbbb"));
+        let rle = mtf_rle0_encode(b"aaaabbbb");
         assert!(undo_rle0_mtf(&rle, 8).is_ok());
         assert!(undo_rle0_mtf(&rle, 7).is_err(), "a run past the block");
         assert!(undo_rle0_mtf(&rle, 9).is_err(), "short of the block");

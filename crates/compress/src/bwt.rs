@@ -8,17 +8,25 @@
 //! "Two Efficient Algorithms for Linear Time Suffix Array Construction",
 //! 2009) in time linear in the block. The reduced problem of each recursion
 //! level lives inside the caller's suffix-array buffer, so the transient
-//! memory is the `u32` array itself plus, on each level, a one-byte type
-//! flag per symbol and a `u32` bucket per alphabet symbol: at most 10 bytes
-//! per input byte, against 20 for the prefix doubling it replaced. A suffix
-//! array is unique, so the BWT does not depend on how it was sorted.
+//! memory is the `u32` array itself plus, on each level, a `u32` per LMS
+//! position (at most half the level's symbols) and two `u32`s per alphabet
+//! symbol: its bucket size, counted once per level, and a moving bucket
+//! bound. No suffix type is stored: the induced passes tell types apart by
+//! comparing symbols, the first induction marks the LMS suffixes it places
+//! in their slots' top bit, and two LMS substrings are compared by length
+//! and symbols. A suffix array is unique, so the BWT does not depend on how
+//! it was sorted.
 
 /// Marks a suffix-array slot that holds no suffix yet.
 const EMPTY: u32 = u32::MAX;
 
+/// Flags an LMS suffix in a suffix-array slot while LMS substrings are
+/// sorted; positions stay below it.
+const MARK: u32 = 1 << 31;
+
 /// A symbol of a text to be suffix-sorted: bytes at the top level, names of
 /// LMS substrings on the recursion levels.
-trait Symbol: Copy {
+trait Symbol: Copy + PartialEq {
     fn rank(self) -> usize;
 }
 
@@ -36,9 +44,9 @@ impl Symbol for u32 {
 
 /// Suffix array of `data` (standard order: a suffix that is a proper prefix
 /// of another sorts first). Linear-time SA-IS; `data` must be shorter than
-/// `u32::MAX` bytes (blz blocks are at most [`crate::blz::BLOCK_SIZE`]).
+/// 2^31 bytes (blz blocks are at most [`crate::blz::BLOCK_SIZE`]).
 pub fn suffix_array(data: &[u8]) -> Vec<u32> {
-    assert!(data.len() < EMPTY as usize, "suffix_array: input of {} bytes", data.len());
+    assert!(data.len() < MARK as usize, "suffix_array: input of {} bytes", data.len());
     let mut sa = vec![0u32; data.len()];
     sais(data, 256, &mut sa);
     sa
@@ -54,49 +62,76 @@ fn sais<T: Symbol>(s: &[T], k: usize, sa: &mut [u32]) {
         sa.fill(0);
         return;
     }
-    // stype[i]: suffix i is smaller than suffix i + 1 (S-type); otherwise
-    // it is L-type. The last suffix is L-type: it is followed by the
-    // sentinel.
-    let mut stype = vec![false; n];
+    // Suffix i is S-type when it is smaller than suffix i + 1, L-type
+    // otherwise; the last suffix is L-type, as the sentinel follows it. A
+    // leftmost-S (LMS) position holds an S-type suffix after an L-type one.
+    // One backward pass counts the bucket sizes and lists the LMS
+    // positions, once for the whole level; no type is stored. No two LMS
+    // positions are adjacent, so there are at most n / 2: each position is
+    // written unconditionally and kept by advancing `m`.
+    let mut counts = vec![0u32; k];
+    let mut lms = vec![0u32; n / 2 + 1];
+    let mut m = 0;
+    let (mut next, mut next_s) = (s[n - 1].rank(), false);
+    counts[next] += 1;
     for i in (0..n - 1).rev() {
-        let (a, b) = (s[i].rank(), s[i + 1].rank());
-        stype[i] = a < b || (a == b && stype[i + 1]);
+        let a = s[i].rank();
+        counts[a] += 1;
+        let t = (a < next) | ((a == next) & next_s);
+        lms[m] = i as u32 + 1;
+        m += usize::from(next_s & !t);
+        (next, next_s) = (a, t);
     }
-    // A leftmost-S position: an S-type suffix right after an L-type one.
-    let is_lms = |i: usize| i > 0 && stype[i] && !stype[i - 1];
+    lms.truncate(m);
+    lms.reverse();
     let mut bkt = vec![0u32; k];
 
     // Step 1: sort the LMS substrings by inducing from the LMS positions
-    // dropped, in any order, at the tails of their buckets.
+    // dropped, in any order, at the tails of their buckets. The induction
+    // marks the LMS suffixes it places.
     sa.fill(EMPTY);
-    bucket_bounds(s, &mut bkt, true);
-    for i in (1..n).filter(|&i| is_lms(i)) {
-        let c = s[i].rank();
+    bucket_ends(&counts, &mut bkt);
+    for &p in &lms {
+        let c = s[p as usize].rank();
         bkt[c] -= 1;
-        sa[bkt[c] as usize] = i as u32;
+        sa[bkt[c] as usize] = p;
     }
-    induce(s, &stype, &mut bkt, sa);
+    induce::<T, true>(s, &counts, &mut bkt, sa);
 
     // Step 2: name each LMS substring by its rank among the distinct ones.
-    // The sorted LMS positions move to sa[..m]; no two LMS positions are
-    // adjacent, so m <= n / 2 and the name of position p fits at
-    // sa[m + p / 2].
-    let mut m = 0;
+    // The sorted LMS positions move to sa[..m]; since m <= n / 2, the slot
+    // sa[m + p / 2] is free for position p: it first holds the length of
+    // p's LMS substring (through the next LMS position; one more for the
+    // last, which runs into the sentinel and so equals no other), then its
+    // name. Two LMS substrings of one length are equal when their symbols
+    // are: the types follow from the symbols and the S-type last one.
+    let mut j = 0;
     for i in 0..n {
-        let p = sa[i];
-        if is_lms(p as usize) {
-            sa[m] = p;
-            m += 1;
+        let e = sa[i];
+        if e != EMPTY && e & MARK != 0 {
+            sa[j] = e & !MARK;
+            j += 1;
         }
     }
+    debug_assert_eq!(j, m);
     sa[m..].fill(EMPTY);
+    for w in lms.windows(2) {
+        sa[m + w[0] as usize / 2] = w[1] - w[0] + 1;
+    }
+    if let Some(&last) = lms.last() {
+        sa[m + last as usize / 2] = (n - last as usize + 1) as u32;
+    }
     let mut names = 0u32;
+    let mut prev = (0usize, 0usize);
     for i in 0..m {
         let p = sa[i] as usize;
-        if i == 0 || !lms_substrings_equal(s, &stype, sa[i - 1] as usize, p) {
+        let len = sa[m + p / 2] as usize;
+        let (q, q_len) = prev;
+        if i == 0 || len != q_len || p + len > n || q + len > n || s[p..p + len] != s[q..q + len] {
             names += 1;
         }
         sa[m + p / 2] = names - 1;
+        prev = (p, len);
     }
     // The reduced text, names in text order, goes to the tail sa[n - m..].
     let mut j = n;
@@ -108,7 +143,8 @@ fn sais<T: Symbol>(s: &[T], k: usize, sa: &mut [u32]) {
     }
 
     // Step 3: sort the LMS suffixes by the suffix array of the reduced text,
-    // computed in sa[..m], recursively unless every name is distinct.
+    // computed in sa[..m], recursively unless every name is distinct; then
+    // map each reduced suffix to its LMS position.
     {
         let (head, reduced) = sa.split_at_mut(n - m);
         let head = &mut head[..m];
@@ -119,20 +155,16 @@ fn sais<T: Symbol>(s: &[T], k: usize, sa: &mut [u32]) {
                 head[c as usize] = i as u32;
             }
         }
-        // The reduced text is no longer needed: replace it by the LMS
-        // positions in text order, and map reduced suffixes to positions.
-        for (slot, i) in reduced.iter_mut().zip((1..n).filter(|&i| is_lms(i))) {
-            *slot = i as u32;
-        }
         for r in head.iter_mut() {
-            *r = reduced[*r as usize];
+            *r = lms[*r as usize];
         }
     }
+    drop(lms);
 
     // Step 4: drop the sorted LMS suffixes at their bucket tails, keeping
     // their order, and induce every other suffix from them.
     sa[m..].fill(EMPTY);
-    bucket_bounds(s, &mut bkt, true);
+    bucket_ends(&counts, &mut bkt);
     for i in (0..m).rev() {
         let p = sa[i];
         sa[i] = EMPTY;
@@ -140,30 +172,46 @@ fn sais<T: Symbol>(s: &[T], k: usize, sa: &mut [u32]) {
         bkt[c] -= 1;
         sa[bkt[c] as usize] = p;
     }
-    induce(s, &stype, &mut bkt, sa);
+    induce::<T, false>(s, &counts, &mut bkt, sa);
 }
 
-/// Set `bkt[c]` to the first slot of bucket `c` (or one past its last slot
-/// when `ends`). Counting again on every call keeps one bucket array per
-/// level instead of two.
-fn bucket_bounds<T: Symbol>(s: &[T], bkt: &mut [u32], ends: bool) {
-    bkt.fill(0);
-    for &c in s {
-        bkt[c.rank()] += 1;
-    }
+/// Set `bkt[c]` to the first slot of bucket `c`.
+fn bucket_starts(counts: &[u32], bkt: &mut [u32]) {
     let mut sum = 0u32;
-    for b in bkt.iter_mut() {
-        let count = *b;
+    for (b, &count) in bkt.iter_mut().zip(counts) {
+        *b = sum;
         sum += count;
-        *b = if ends { sum } else { sum - count };
+    }
+}
+
+/// Set `bkt[c]` to one past the last slot of bucket `c`.
+fn bucket_ends(counts: &[u32], bkt: &mut [u32]) {
+    let mut sum = 0u32;
+    for (b, &count) in bkt.iter_mut().zip(counts) {
+        sum += count;
+        *b = sum;
     }
 }
 
 /// Induce the L-type suffixes left to right from the LMS suffixes already in
-/// `sa`, then the S-type suffixes right to left from the L-type ones.
-fn induce<T: Symbol>(s: &[T], stype: &[bool], bkt: &mut [u32], sa: &mut [u32]) {
+/// `sa`, then the S-type suffixes right to left from the L-type ones. With
+/// `MARK_LMS`, the LMS suffixes the second pass places carry [`MARK`].
+///
+/// Types come from comparing symbols. Left to right, every suffix `p`
+/// met is L-type or LMS, so `p - 1` is L-type exactly when its symbol is
+/// not smaller. Right to left, a bucket's S-type suffixes fill its tail
+/// down from the end before the scan reaches them, so `p` is S-type
+/// exactly when it sits at or past its bucket's current tail; `p - 1` is
+/// then S-type when its symbol is smaller, or equal and `p` is S-type. An
+/// S-type `p - 1` is an LMS position when the symbol before it is larger.
+fn induce<T: Symbol, const MARK_LMS: bool>(
+    s: &[T],
+    counts: &[u32],
+    bkt: &mut [u32],
+    sa: &mut [u32],
+) {
     let n = s.len();
-    bucket_bounds(s, bkt, false);
+    bucket_starts(counts, bkt);
     // The sentinel sorts first, so the suffix just before it, the last one,
     // heads its bucket.
     let c = s[n - 1].rank();
@@ -171,39 +219,26 @@ fn induce<T: Symbol>(s: &[T], stype: &[bool], bkt: &mut [u32], sa: &mut [u32]) {
     bkt[c] += 1;
     for i in 0..n {
         let p = sa[i];
-        if p != EMPTY && p > 0 && !stype[p as usize - 1] {
+        if p != EMPTY && p > 0 {
             let c = s[p as usize - 1].rank();
-            sa[bkt[c] as usize] = p - 1;
-            bkt[c] += 1;
+            if c >= s[p as usize].rank() {
+                sa[bkt[c] as usize] = p - 1;
+                bkt[c] += 1;
+            }
         }
     }
-    bucket_bounds(s, bkt, true);
+    bucket_ends(counts, bkt);
     for i in (0..n).rev() {
-        let p = sa[i];
-        if p != EMPTY && p > 0 && stype[p as usize - 1] {
-            let c = s[p as usize - 1].rank();
-            bkt[c] -= 1;
-            sa[bkt[c] as usize] = p - 1;
+        let e = sa[i];
+        let p = (e & !MARK) as usize;
+        if e != EMPTY && p > 0 {
+            let (c, d) = (s[p - 1].rank(), s[p].rank());
+            if c < d || (c == d && i >= bkt[d] as usize) {
+                bkt[c] -= 1;
+                let lms = MARK_LMS && p > 1 && s[p - 2].rank() > c;
+                sa[bkt[c] as usize] = (p - 1) as u32 | if lms { MARK } else { 0 };
+            }
         }
-    }
-}
-
-/// Whether the LMS substrings at `a` and `b` (each running to the next LMS
-/// position, inclusive) hold the same symbols with the same types. The one
-/// that runs into the sentinel equals no other.
-fn lms_substrings_equal<T: Symbol>(s: &[T], stype: &[bool], a: usize, b: usize) -> bool {
-    let n = s.len();
-    let mut d = 0;
-    loop {
-        let (x, y) = (a + d, b + d);
-        if x == n || y == n || s[x].rank() != s[y].rank() || stype[x] != stype[y] {
-            return false;
-        }
-        // Types agree at x and x - 1, so y is an LMS position when x is.
-        if d > 0 && stype[x] && !stype[x - 1] {
-            return true;
-        }
-        d += 1;
     }
 }
 

@@ -180,13 +180,24 @@ impl ValueCodec {
     /// Decompress one value. Fails with a typed [`CodecError`] (never
     /// panics) when the stream is malformed or truncated.
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        self.decompress_into(data, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`ValueCodec::decompress`], appending the value to `out`, so a
+    /// caller decoding many values can reuse one buffer.
+    pub fn decompress_into(&self, data: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         match self {
-            ValueCodec::Raw => Ok(data.to_vec()),
-            ValueCodec::Huffman(h) => h.decompress(data),
-            ValueCodec::Alm(a) => a.decompress(data),
-            ValueCodec::HuTucker(h) => h.decompress(data),
-            ValueCodec::Arith(a) => a.decompress(data),
-            ValueCodec::Numeric(n) => n.decompress(data),
+            ValueCodec::Raw => {
+                out.extend_from_slice(data);
+                Ok(())
+            }
+            ValueCodec::Huffman(h) => h.decompress_into(data, out),
+            ValueCodec::Alm(a) => a.decompress_into(data, out),
+            ValueCodec::HuTucker(h) => h.decompress_into(data, out),
+            ValueCodec::Arith(a) => a.decompress_into(data, out),
+            ValueCodec::Numeric(n) => n.decompress_into(data, out),
         }
     }
 

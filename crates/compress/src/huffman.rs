@@ -91,8 +91,13 @@ impl Huffman {
     /// bounded by the input bit count.
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
         let mut out = Vec::new();
-        self.decoder.decode(data, usize::MAX, &mut out)?;
+        self.decompress_into(data, &mut out)?;
         Ok(out)
+    }
+
+    /// [`Huffman::decompress`], appending the value to `out`.
+    pub(crate) fn decompress_into(&self, data: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+        self.decoder.decode(data, usize::MAX, out)
     }
 
     /// Does the compressed `data` (as produced by [`Huffman::compress`])
@@ -139,33 +144,51 @@ impl Huffman {
     }
 }
 
-/// Compute Huffman code lengths from frequencies: repeatedly merge the two
-/// least (weight, node) entries of a min-heap.
+/// Compute Huffman code lengths from frequencies with the two-queue build:
+/// leaves sorted by (weight, symbol) in one queue, merged nodes in creation
+/// order in the other, whose weights never decrease. Each step merges the
+/// two lightest fronts, a leaf before a merged node of equal weight. That
+/// is the order a min-heap of (weight, node id) pops in, leaves holding
+/// ids `0..256` and merged nodes the ids after, so the lengths match it.
 pub(crate) fn code_lengths(freq: &[u64; SYMBOLS]) -> [u8; SYMBOLS] {
-    // Nodes: 0..256 are leaves, internal nodes are appended after.
-    let mut parent = vec![usize::MAX; SYMBOLS];
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
-        (0..SYMBOLS).map(|s| std::cmp::Reverse((freq[s], s))).collect();
-    let mut next = SYMBOLS;
-    while heap.len() > 1 {
-        let std::cmp::Reverse((w1, n1)) = heap.pop().expect("len>1");
-        let std::cmp::Reverse((w2, n2)) = heap.pop().expect("len>1");
-        parent.push(usize::MAX);
-        parent[n1] = next;
-        parent[n2] = next;
-        heap.push(std::cmp::Reverse((w1 + w2, next)));
-        next += 1;
+    let mut leaves: [u8; SYMBOLS] = std::array::from_fn(|s| s as u8);
+    leaves.sort_by_key(|&s| (freq[s as usize], s));
+    // Node ids: leaves are their symbols, merged node `j` is `SYMBOLS + j`.
+    let mut merged: Vec<(u64, [u16; 2])> = Vec::with_capacity(SYMBOLS - 1);
+    let (mut leaf, mut front) = (0usize, 0usize);
+    while merged.len() < SYMBOLS - 1 {
+        let mut pick = || -> (u64, u16) {
+            let leaf_weight = leaves.get(leaf).map(|&s| freq[s as usize]);
+            match (leaf_weight, merged.get(front)) {
+                (Some(w), Some(&(m, _))) if m < w => {
+                    front += 1;
+                    (m, (SYMBOLS + front - 1) as u16)
+                }
+                (Some(w), _) => {
+                    leaf += 1;
+                    (w, u16::from(leaves[leaf - 1]))
+                }
+                (None, _) => {
+                    front += 1;
+                    (merged[front - 1].0, (SYMBOLS + front - 1) as u16)
+                }
+            }
+        };
+        let (w1, n1) = pick();
+        let (w2, n2) = pick();
+        merged.push((w1 + w2, [n1, n2]));
+    }
+    // The last merged node is the root; every child was created before
+    // its parent, so one backward pass sets each depth from its parent's.
+    let mut depth = [0u8; SYMBOLS * 2 - 1];
+    for (j, &(_, kids)) in merged.iter().enumerate().rev() {
+        let d = depth[SYMBOLS + j] + 1;
+        for kid in kids {
+            depth[kid as usize] = d;
+        }
     }
     let mut lengths = [0u8; SYMBOLS];
-    for (s, len) in lengths.iter_mut().enumerate() {
-        let mut depth = 0u8;
-        let mut n = s;
-        while parent[n] != usize::MAX {
-            n = parent[n];
-            depth += 1;
-        }
-        *len = depth.max(1);
-    }
+    lengths.copy_from_slice(&depth[..SYMBOLS]);
     lengths
 }
 
@@ -392,6 +415,64 @@ mod tests {
         let corpus: Vec<&[u8]> =
             vec![b"the quick brown fox", b"the lazy dog", b"there and back again"];
         Huffman::train(corpus)
+    }
+
+    /// The min-heap build the two-queue one replaced, kept as the
+    /// reference: pop the two least (weight, node id), push their merge.
+    fn heap_code_lengths(freq: &[u64; SYMBOLS]) -> [u8; SYMBOLS] {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut parent = vec![usize::MAX; SYMBOLS];
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
+            (0..SYMBOLS).map(|s| Reverse((freq[s], s))).collect();
+        while heap.len() > 1 {
+            let Reverse((w1, n1)) = heap.pop().unwrap();
+            let Reverse((w2, n2)) = heap.pop().unwrap();
+            let id = parent.len();
+            parent.push(usize::MAX);
+            parent[n1] = id;
+            parent[n2] = id;
+            heap.push(Reverse((w1 + w2, id)));
+        }
+        std::array::from_fn(|s| {
+            let (mut n, mut depth) = (s, 0u8);
+            while parent[n] != usize::MAX {
+                n = parent[n];
+                depth += 1;
+            }
+            depth
+        })
+    }
+
+    #[test]
+    fn code_lengths_match_the_min_heap() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut tables: Vec<[u64; SYMBOLS]> = vec![[1; SYMBOLS], [7; SYMBOLS]];
+        // Powers of two and Fibonacci-like weights make many equal sums.
+        tables.push(std::array::from_fn(|s| 1 << (s % 20)));
+        tables.push(std::array::from_fn(|s| [1, 1, 2, 3, 5, 8, 13][s % 7]));
+        tables.push(std::array::from_fn(|s| if s < 128 { 1 } else { 2 }));
+        tables.push(std::array::from_fn(|s| (SYMBOLS - s) as u64));
+        for round in 0..200 {
+            // Random tables, from wide ranges down to tie-heavy ones drawn
+            // from a handful of values.
+            let modulus = [1 << 40, 1 << 20, 1000, 16, 4, 2][round % 6];
+            tables.push(std::array::from_fn(|_| 1 + next() % modulus));
+        }
+        // Skewed: one symbol dominating, the rest add-one counts.
+        let mut skewed = [1u64; SYMBOLS];
+        skewed[b'e' as usize] = 1_000_000;
+        skewed[0] = 500_000;
+        tables.push(skewed);
+        for (i, freq) in tables.iter().enumerate() {
+            assert_eq!(code_lengths(freq), heap_code_lengths(freq), "table {i}");
+        }
     }
 
     #[test]

@@ -107,6 +107,13 @@ impl HuTucker {
     /// Fails (never panics) on a truncated header, a bit count exceeding the
     /// bytes present, or a codeword walking into a dead tree branch.
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        self.decompress_into(data, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`HuTucker::decompress`], appending the value to `out`.
+    pub(crate) fn decompress_into(&self, data: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         let (bit_len, used) =
             read_varint(data).ok_or_else(|| corrupt("hutucker", "truncated length header"))?;
         let body = &data[used..];
@@ -117,7 +124,7 @@ impl HuTucker {
             ));
         }
         let mut r = BitReader::new(body, bit_len);
-        let mut out = Vec::with_capacity(bit_len / 4);
+        out.reserve(bit_len / 4);
         while r.remaining() > 0 {
             let mut node = 0u32;
             while node & LEAF_FLAG == 0 {
@@ -132,7 +139,7 @@ impl HuTucker {
             }
             out.push((node & 0xff) as u8);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Compare two compressed values in the compressed domain. Because the

@@ -12,7 +12,7 @@ use std::cmp::Ordering;
 
 /// Largest scale `detect` can produce (`parse_canonical` caps fractional
 /// digits at 18); deserialized codecs claiming more are corrupt, and
-/// rejecting them keeps `10^scale` from overflowing in `format_scaled`.
+/// rejecting them keeps `10^scale` from overflowing in `write_scaled`.
 pub const MAX_SCALE: u8 = 18;
 
 /// A numeric container codec: all values are integers scaled by `10^scale`.
@@ -55,11 +55,19 @@ impl NumericCodec {
     /// Decode back to the exact original string. Fails on a truncated or
     /// malformed encoding (never panics).
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        self.decompress_into(data, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`NumericCodec::decompress`], appending the value to `out`.
+    pub(crate) fn decompress_into(&self, data: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         if self.scale > MAX_SCALE {
             return Err(corrupt("numeric", format!("scale {} out of range", self.scale)));
         }
         let v = decode_i128(data)?;
-        Ok(format_scaled(v, self.scale).into_bytes())
+        write_scaled(out, v, self.scale);
+        Ok(())
     }
 
     /// Compare two encoded values (numeric order).
@@ -115,16 +123,27 @@ fn parse_canonical(v: &[u8]) -> Option<(i128, u8)> {
     Some((value, frac_part.len() as u8))
 }
 
-fn format_scaled(v: i128, scale: u8) -> String {
-    if scale == 0 {
-        return v.to_string();
-    }
-    let neg = v < 0;
-    let mag = v.unsigned_abs();
-    let pow = 10u128.pow(scale as u32);
-    let int = mag / pow;
-    let frac = mag % pow;
-    format!("{}{}.{:0width$}", if neg { "-" } else { "" }, int, frac, width = scale as usize)
+/// Append `v / 10^scale` to `out` as the canonical decimal string.
+fn write_scaled(out: &mut Vec<u8>, v: i128, scale: u8) {
+    use std::io::Write;
+    // Writing to a Vec cannot fail.
+    let _ = if scale == 0 {
+        write!(out, "{v}")
+    } else {
+        let neg = v < 0;
+        let mag = v.unsigned_abs();
+        let pow = 10u128.pow(scale as u32);
+        let int = mag / pow;
+        let frac = mag % pow;
+        write!(
+            out,
+            "{}{}.{:0width$}",
+            if neg { "-" } else { "" },
+            int,
+            frac,
+            width = scale as usize
+        )
+    };
 }
 
 /// Variable-length order-preserving integer encoding.

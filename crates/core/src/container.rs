@@ -196,11 +196,14 @@ impl Container {
             });
         }
         let mut plain_bytes = 0usize;
+        let mut plain = Vec::new();
         for (i, c) in comps.iter().enumerate() {
-            plain_bytes += codec
-                .decompress(c)
-                .map_err(|e| ContainerError { container: id, detail: format!("record {i}: {e}") })?
-                .len();
+            plain.clear();
+            codec.decompress_into(c, &mut plain).map_err(|e| ContainerError {
+                container: id,
+                detail: format!("record {i}: {e}"),
+            })?;
+            plain_bytes += plain.len();
         }
         Ok(Container {
             id,

@@ -602,12 +602,13 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
     phases.push(PhaseTiming { name: "container_build", nanos: phase_span.close() });
 
     // Publish size accounting: overall raw/compressed totals plus per-codec
-    // splits, so a metrics snapshot carries Table 1-style numbers.
+    // splits, so a metrics snapshot carries Table 1-style numbers. Block
+    // containers count as blz, whatever per-value codec they carry.
     for c in &containers {
         counter!("loader.bytes.raw").add(c.plain_size() as u64);
         counter!("loader.bytes.compressed").add(c.compressed_size() as u64);
-        xquec_obs::metrics::counter_handle(codec_metric(c.codec().kind()))
-            .add(c.compressed_size() as u64);
+        let kind = if c.is_individual() { c.codec().kind() } else { CodecKind::Blz };
+        xquec_obs::metrics::counter_handle(codec_metric(kind)).add(c.compressed_size() as u64);
     }
     counter!("loader.containers.built").add(containers.len() as u64);
 

@@ -1,13 +1,18 @@
-//! Byte-identity gate for the blz block compressor.
+//! Byte-identity gate for the encoders on the load path.
 //!
 //! A suffix array is unique, so any correct suffix sort behind the BWT must
-//! produce the same blz bytes. These hashes were recorded with the original
-//! prefix-doubling sort; a change to `bwt.rs`, `blz.rs` or the Huffman
-//! stage that moves a single output byte fails here.
+//! produce the same blz bytes. The blz hashes were recorded with the
+//! original prefix-doubling sort; a change to `bwt.rs`, `blz.rs` or the
+//! Huffman stage that moves a single output byte fails here. The hash of a
+//! saved repository image also pins the models the loader trains, ALM
+//! dictionaries among them.
 
+use std::sync::Arc;
 use xquec::compress::blz;
 use xquec::core::loader::{load_with, LoaderOptions};
+use xquec::core::persist;
 use xquec::core::queries::xmark_workload;
+use xquec::storage::{MemPager, Page, PageId, Pager};
 use xquec::xml::gen::Dataset;
 
 fn fnv1a(h: &mut u64, bytes: &[u8]) {
@@ -57,9 +62,34 @@ fn blz_of_xmark_block_containers_is_unchanged() {
     );
 }
 
+/// The saved image of the same 250 KB repository, page by page. This pins
+/// every encoder the loader trains or runs (ALM dictionaries, Huffman and
+/// Hu-Tucker tables, numeric and blz payloads), not just the total size.
+#[test]
+fn saved_image_of_xmark_repository_is_unchanged() {
+    let xml = Dataset::Xmark.generate(250_000);
+    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1, ..Default::default() };
+    let repo = load_with(&xml, &opts).unwrap();
+    let pager = Arc::new(MemPager::new());
+    persist::save_to_pager(&repo, pager.clone()).unwrap();
+    let mut h = FNV_OFFSET;
+    let mut page = Page::new();
+    for id in 0..pager.page_count() {
+        pager.read_page(PageId(id), &mut page).unwrap();
+        fnv1a(&mut h, page.bytes());
+    }
+    assert_eq!(
+        (pager.page_count(), format!("{h:016x}")),
+        (GOLDEN_IMAGE_PAGES, GOLDEN_IMAGE_FNV.to_string())
+    );
+}
+
 // Recorded with the prefix-doubling suffix sort, before SA-IS replaced it.
 const GOLDEN_TEXT_LEN: usize = 62_936;
 const GOLDEN_TEXT_FNV: &str = "b8242e9484b669bf";
 const GOLDEN_BLOCKS: usize = 86;
 const GOLDEN_BLOCKS_FNV: &str = "b15a8ba5f515cb40";
 const GOLDEN_ACCOUNTED: usize = 157_277;
+// Recorded before the blz encode stages and ALM training were rewritten.
+const GOLDEN_IMAGE_PAGES: u64 = 20;
+const GOLDEN_IMAGE_FNV: &str = "dbb9bac3ebffd5be";
