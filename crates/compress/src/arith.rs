@@ -1,6 +1,6 @@
 //! Static order-0 arithmetic coding (Witten, Neal & Cleary, CACM 1987) —
 //! the third candidate §2.1 weighs for string compression ("we had initially
-//! three choices ...: the Arithmetic [16], Hu-Tucker [17] and ALM [12]
+//! three choices ...: the Arithmetic \[16\], Hu-Tucker \[17\] and ALM \[12\]
 //! algorithms").
 //!
 //! Arithmetic coding reaches the entropy bound more tightly than Huffman

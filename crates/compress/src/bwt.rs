@@ -245,7 +245,7 @@ fn induce<T: Symbol, const MARK_LMS: bool>(
 /// Forward BWT with an implicit end-of-block sentinel.
 ///
 /// Returns the last column with the sentinel *omitted* plus the row index
-/// (`primary`) where the sentinel sat, which [`invert`] needs.
+/// (`primary`) where the sentinel sat, which the inverse transform needs.
 pub fn bwt(data: &[u8]) -> (Vec<u8>, usize) {
     let n = data.len();
     if n == 0 {

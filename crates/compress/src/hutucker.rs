@@ -3,7 +3,7 @@
 //!
 //! The paper cites Hu-Tucker as the bit-level alternative to ALM for
 //! order-preserving compression (ALM was chosen because it decodes faster
-//! and compresses better on strings; see §2.1 and [19]). We implement it as
+//! and compresses better on strings; see §2.1 and \[19\]). We implement it as
 //! the ablation baseline: codeword order equals symbol order, so comparing
 //! two encoded values *bitwise* (shorter-exhausted = smaller) reproduces the
 //! source order, and inequality predicates can run in the compressed domain.

@@ -9,10 +9,15 @@
 //!
 //! Two storage modes exist:
 //! * **individual** — each value compressed on its own and individually
-//!   accessible (the XQueC innovation over XMill);
+//!   accessible (the XQueC innovation over XMill). The compressed records
+//!   lie back to back in one byte arena with a `u32` end offset each, so a
+//!   container holds two heap blocks however many records it has;
 //! * **block** — the whole container compressed as one `blz` chunk, chosen
 //!   for containers outside the query workload (§3.3); reading any value
 //!   requires decompressing the block, as in XMill.
+//!
+//! A record's parent element is its entry in the container's parent list;
+//! the structure tree's value refs are the inverse of these lists.
 
 use crate::ids::{ContainerId, ElemId, PathId, TagCode};
 use std::cmp::Ordering;
@@ -58,8 +63,53 @@ pub enum ValueType {
     Decimal(u8),
 }
 
+/// The compressed records of an individual container, back to back in one
+/// byte arena: record `i` ends at `ends[i]` and starts where record `i - 1`
+/// ends.
+#[derive(Debug, Default)]
+pub(crate) struct RecordArena {
+    bytes: Vec<u8>,
+    ends: Vec<u32>,
+}
+
+impl RecordArena {
+    /// An empty arena with room for `records` records of `bytes` bytes in
+    /// all.
+    pub fn with_capacity(records: usize, bytes: usize) -> Self {
+        RecordArena { bytes: Vec::with_capacity(bytes), ends: Vec::with_capacity(records) }
+    }
+
+    /// Append a record. The arena holds under 4 GiB.
+    pub fn push(&mut self, record: &[u8]) {
+        self.bytes.extend_from_slice(record);
+        self.ends.push(u32::try_from(self.bytes.len()).expect("a record arena holds under 4 GiB"));
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Record `i`.
+    pub fn get(&self, i: usize) -> Option<&[u8]> {
+        let end = *self.ends.get(i)? as usize;
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        Some(&self.bytes[start..end])
+    }
+
+    /// Every record, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        (0..self.len()).map(|i| self.get(i).expect("index in range"))
+    }
+
+    /// Total bytes of all records.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+}
+
 enum Store {
-    Individual { comps: Vec<Box<[u8]>> },
+    Individual(RecordArena),
     Block { data: Vec<u8> },
 }
 
@@ -84,8 +134,7 @@ pub struct Container {
 
 impl Container {
     /// Build an individually-compressed container from `(value, parent)`
-    /// pairs. Returns the container plus `(parent, record-index)` pairs for
-    /// registering [`crate::structure::ValueRef`]s.
+    /// pairs. Record `i`'s parent is [`Container::parent_of`]`(i)`.
     ///
     /// Records are sorted by value: by compressed bytes when the codec is
     /// order-preserving (identical order, cheaper comparisons later), by
@@ -97,47 +146,48 @@ impl Container {
         vtype: ValueType,
         codec: Arc<ValueCodec>,
         values: Vec<(String, ElemId)>,
-    ) -> (Container, Vec<(ElemId, u32)>) {
+    ) -> Container {
         let plain_bytes = values.iter().map(|(v, _)| v.len()).sum();
-        // Compress first, then sort in *value* order: for order-preserving
-        // codecs the compressed bytes carry that order directly (numeric
-        // containers thereby sort numerically); otherwise plaintext order is
-        // the container order and searches probe via decompression.
-        let mut entries: Vec<(Box<[u8]>, String, ElemId)> = values
+        // Compress first, into one scratch arena, then sort in *value*
+        // order: for order-preserving codecs the compressed bytes carry that
+        // order directly (numeric containers thereby sort numerically);
+        // otherwise plaintext order is the container order and searches
+        // probe via decompression.
+        let mut scratch = Vec::new();
+        let mut entries: Vec<(std::ops::Range<usize>, String, ElemId)> = values
             .into_iter()
             .map(|(v, parent)| {
                 let comp = codec
                     .compress(v.as_bytes())
                     .expect("loader trains the codec on this corpus; every value encodes");
-                (comp.into_boxed_slice(), v, parent)
+                let start = scratch.len();
+                scratch.extend_from_slice(&comp);
+                (start..scratch.len(), v, parent)
             })
             .collect();
         if codec.order_preserving() {
-            entries.sort_by(|a, b| a.0.cmp(&b.0).then(a.2.cmp(&b.2)));
+            entries.sort_by(|a, b| {
+                scratch[a.0.clone()].cmp(&scratch[b.0.clone()]).then(a.2.cmp(&b.2))
+            });
         } else {
             entries.sort_by(|a, b| a.1.cmp(&b.1).then(a.2.cmp(&b.2)));
         }
-        let mut comps = Vec::with_capacity(entries.len());
+        let mut records = RecordArena::with_capacity(entries.len(), scratch.len());
         let mut parents = Vec::with_capacity(entries.len());
-        let mut refs = Vec::with_capacity(entries.len());
-        for (i, (comp, _, parent)) in entries.into_iter().enumerate() {
-            comps.push(comp);
+        for (range, _, parent) in entries {
+            records.push(&scratch[range]);
             parents.push(parent);
-            refs.push((parent, i as u32));
         }
-        (
-            Container {
-                id,
-                path,
-                leaf,
-                vtype,
-                codec,
-                parents,
-                store: Store::Individual { comps },
-                plain_bytes,
-            },
-            refs,
-        )
+        Container {
+            id,
+            path,
+            leaf,
+            vtype,
+            codec,
+            parents,
+            store: Store::Individual(records),
+            plain_bytes,
+        }
     }
 
     /// Build a block-compressed container (XMill-style; for containers the
@@ -148,56 +198,51 @@ impl Container {
         leaf: ContainerLeaf,
         vtype: ValueType,
         mut values: Vec<(String, ElemId)>,
-    ) -> (Container, Vec<(ElemId, u32)>) {
+    ) -> Container {
         values.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         let plain_bytes = values.iter().map(|(v, _)| v.len()).sum();
         let mut concat = Vec::with_capacity(plain_bytes + values.len() * 2);
         let mut parents = Vec::with_capacity(values.len());
-        let mut refs = Vec::with_capacity(values.len());
-        for (i, (v, parent)) in values.into_iter().enumerate() {
+        for (v, parent) in values {
             xquec_compress::bitio::write_varint(&mut concat, v.len());
             concat.extend_from_slice(v.as_bytes());
             parents.push(parent);
-            refs.push((parent, i as u32));
         }
         let data = blz::compress(&concat);
-        (
-            Container {
-                id,
-                path,
-                leaf,
-                vtype,
-                codec: Arc::new(ValueCodec::Raw),
-                parents,
-                store: Store::Block { data },
-                plain_bytes,
-            },
-            refs,
-        )
+        Container {
+            id,
+            path,
+            leaf,
+            vtype,
+            codec: Arc::new(ValueCodec::Raw),
+            parents,
+            store: Store::Block { data },
+            plain_bytes,
+        }
     }
 
     /// Rebuild an individually-compressed container from persisted parts
     /// (records must already be in value order). Every record is decoded
     /// once up front, so a container that constructs successfully can be
     /// decompressed later without surprises.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         id: ContainerId,
         path: PathId,
         leaf: ContainerLeaf,
         vtype: ValueType,
         codec: Arc<ValueCodec>,
-        comps: Vec<Box<[u8]>>,
+        records: RecordArena,
         parents: Vec<ElemId>,
     ) -> Result<Container, ContainerError> {
-        if comps.len() != parents.len() {
+        if records.len() != parents.len() {
             return Err(ContainerError {
                 container: id,
-                detail: format!("{} records but {} parents", comps.len(), parents.len()),
+                detail: format!("{} records but {} parents", records.len(), parents.len()),
             });
         }
         let mut plain_bytes = 0usize;
         let mut plain = Vec::new();
-        for (i, c) in comps.iter().enumerate() {
+        for (i, c) in records.iter().enumerate() {
             plain.clear();
             codec.decompress_into(c, &mut plain).map_err(|e| ContainerError {
                 container: id,
@@ -212,7 +257,7 @@ impl Container {
             vtype,
             codec,
             parents,
-            store: Store::Individual { comps },
+            store: Store::Individual(records),
             plain_bytes,
         })
     }
@@ -280,7 +325,7 @@ impl Container {
 
     /// Whether records are individually accessible.
     pub fn is_individual(&self) -> bool {
-        matches!(self.store, Store::Individual { .. })
+        matches!(self.store, Store::Individual(_))
     }
 
     /// The stored blz blob of a block container: `blz::compress` of every
@@ -289,7 +334,7 @@ impl Container {
     pub fn block_blob(&self) -> Option<&[u8]> {
         match &self.store {
             Store::Block { data } => Some(data),
-            Store::Individual { .. } => None,
+            Store::Individual(_) => None,
         }
     }
 
@@ -301,10 +346,9 @@ impl Container {
     /// Compressed bytes of record `idx` (individual mode only).
     pub fn compressed(&self, idx: u32) -> Result<&[u8], ContainerError> {
         match &self.store {
-            Store::Individual { comps } => comps
+            Store::Individual(records) => records
                 .get(idx as usize)
-                .map(|c| c.as_ref())
-                .ok_or_else(|| self.err(format!("record {idx} out of range ({})", comps.len()))),
+                .ok_or_else(|| self.err(format!("record {idx} out of range ({})", records.len()))),
             Store::Block { .. } => Err(self.err("block container has no per-record access")),
         }
     }
@@ -312,10 +356,8 @@ impl Container {
     /// Decompress record `idx`.
     pub fn decompress(&self, idx: u32) -> Result<String, ContainerError> {
         match &self.store {
-            Store::Individual { comps } => {
-                let comp = comps.get(idx as usize).ok_or_else(|| {
-                    self.err(format!("record {idx} out of range ({})", comps.len()))
-                })?;
+            Store::Individual(_) => {
+                let comp = self.compressed(idx)?;
                 let plain = self.codec.decompress(comp).map_err(|e| self.codec_err(e))?;
                 Ok(String::from_utf8_lossy(&plain).into_owned())
             }
@@ -341,7 +383,7 @@ impl Container {
         mut make: impl FnMut(&str) -> T,
     ) -> Result<Vec<T>, ContainerError> {
         match &self.store {
-            Store::Individual { comps } => comps
+            Store::Individual(records) => records
                 .iter()
                 .map(|c| {
                     self.codec
@@ -364,7 +406,7 @@ impl Container {
     fn block_plain(&self) -> Result<Vec<u8>, ContainerError> {
         match &self.store {
             Store::Block { data } => blz::decompress(data).map_err(|e| self.codec_err(e)),
-            Store::Individual { .. } => Err(self.err("individual container has no block blob")),
+            Store::Individual(_) => Err(self.err("individual container has no block blob")),
         }
     }
 
@@ -394,10 +436,8 @@ impl Container {
     /// domain when the codec supports it.
     pub fn cmp_record(&self, idx: u32, plain: &[u8]) -> Result<Ordering, ContainerError> {
         match &self.store {
-            Store::Individual { comps } => {
-                let comp = comps.get(idx as usize).ok_or_else(|| {
-                    self.err(format!("record {idx} out of range ({})", comps.len()))
-                })?;
+            Store::Individual(_) => {
+                let comp = self.compressed(idx)?;
                 if self.codec.order_preserving() {
                     if let Some(cb) = self.codec.compress(plain) {
                         if let Some(ord) = self
@@ -454,7 +494,7 @@ impl Container {
     /// Total compressed payload bytes.
     pub fn compressed_size(&self) -> usize {
         match &self.store {
-            Store::Individual { comps } => comps.iter().map(|c| c.len()).sum(),
+            Store::Individual(records) => records.byte_len(),
             Store::Block { data } => data.len(),
         }
     }
@@ -485,7 +525,7 @@ mod tests {
         ]
     }
 
-    fn build_with(kind: CodecKind) -> (Container, Vec<(ElemId, u32)>) {
+    fn build_with(kind: CodecKind) -> Container {
         let vals = strings();
         let corpus: Vec<&[u8]> = vals.iter().map(|(v, _)| v.as_bytes()).collect();
         let codec = Arc::new(ValueCodec::train(kind, &corpus));
@@ -501,7 +541,7 @@ mod tests {
 
     #[test]
     fn records_sorted_by_value() {
-        let (c, _) = build_with(CodecKind::Alm);
+        let c = build_with(CodecKind::Alm);
         let vals: Vec<String> = (0..c.len() as u32).map(|i| c.decompress(i).unwrap()).collect();
         assert_eq!(vals, vec!["alpha", "bravo", "bravo", "charlie", "delta"]);
         // Parents travel with their values.
@@ -510,17 +550,31 @@ mod tests {
     }
 
     #[test]
-    fn value_refs_point_at_sorted_positions() {
-        let (c, refs) = build_with(CodecKind::Huffman);
-        for (elem, idx) in refs {
-            assert_eq!(c.parent_of(idx), elem);
+    fn records_lie_back_to_back_in_one_arena() {
+        let c = build_with(CodecKind::Huffman);
+        let mut total = 0;
+        for i in 0..c.len() as u32 {
+            let rec = c.compressed(i).unwrap();
+            let plain = c.decompress(i).unwrap();
+            assert_eq!(Some(rec.to_vec()), c.codec().compress(plain.as_bytes()));
+            total += rec.len();
         }
+        assert_eq!(c.compressed_size(), total);
+        assert!(c.compressed(c.len() as u32).is_err());
+
+        let mut arena = RecordArena::default();
+        for r in [&b"ab"[..], b"", b"cde"] {
+            arena.push(r);
+        }
+        let got: Vec<&[u8]> = arena.iter().collect();
+        assert_eq!(got, vec![&b"ab"[..], b"", b"cde"]);
+        assert_eq!((arena.len(), arena.byte_len(), arena.get(3)), (3, 5, None));
     }
 
     #[test]
     fn binary_search_compressed_and_probing() {
         for kind in [CodecKind::Alm, CodecKind::Huffman, CodecKind::Raw] {
-            let (c, _) = build_with(kind);
+            let c = build_with(kind);
             assert_eq!(c.equal_range(b"bravo").unwrap(), 1..3, "{}", kind.name());
             assert_eq!(c.equal_range(b"aaaa").unwrap(), 0..0);
             assert_eq!(c.equal_range(b"zzz").unwrap(), 5..5);
@@ -538,7 +592,7 @@ mod tests {
                 .collect();
         let corpus: Vec<&[u8]> = vals.iter().map(|(v, _)| v.as_bytes()).collect();
         let codec = Arc::new(ValueCodec::train(CodecKind::Numeric, &corpus));
-        let (c, _) = Container::build(
+        let c = Container::build(
             ContainerId(0),
             PathId(0),
             ContainerLeaf::Text,
@@ -556,7 +610,7 @@ mod tests {
     #[test]
     fn block_container_roundtrips() {
         let vals = strings();
-        let (c, refs) = Container::build_block(
+        let c = Container::build_block(
             ContainerId(0),
             PathId(0),
             ContainerLeaf::Text,
@@ -566,8 +620,8 @@ mod tests {
         assert!(!c.is_individual());
         let all = c.decompress_all().unwrap();
         assert_eq!(all, vec!["alpha", "bravo", "bravo", "charlie", "delta"]);
-        for (elem, idx) in refs {
-            assert_eq!(c.parent_of(idx), elem);
-        }
+        // Parents travel with their values.
+        let parents: Vec<u32> = c.scan().map(|(_, p)| p.0).collect();
+        assert_eq!(parents, vec![1, 2, 5, 3, 4]);
     }
 }

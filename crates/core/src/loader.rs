@@ -25,7 +25,7 @@ use crate::par::{par_map, par_map_into};
 use crate::partition::{choose_configuration_threaded, DEFAULT_POOL};
 use crate::repo::Repository;
 use crate::stats::ContainerStats;
-use crate::structure::{StructureTree, ValueRef};
+use crate::structure::{TreeBuilder, ValueRef};
 use crate::summary::{PathKind, StructureSummary};
 use crate::workload::{PredOp, Workload};
 use std::collections::HashMap;
@@ -370,7 +370,7 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
     let phase_span = span!("loader.phase.parse");
     // ---- Phase A: shred ------------------------------------------------
     let mut dict = NameDictionary::new();
-    let mut tree = StructureTree::new();
+    let mut tree = TreeBuilder::new();
     let mut summary = StructureSummary::new();
     // Pending plaintext values per value-leaf path.
     let mut pending: HashMap<PathId, Vec<(String, ElemId)>> = HashMap::new();
@@ -385,7 +385,9 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
                 let tag = dict.intern(&name);
                 let parent_path = *path_stack.last().expect("root always present");
                 let path = summary.intern_child(parent_path, PathKind::Element(tag));
-                let elem = tree.push(tag, elem_stack.last().copied(), path);
+                let elem = tree
+                    .push(tag, elem_stack.last().copied(), path)
+                    .expect("the element stack is the open root path");
                 summary.record(path, elem);
                 for (an, av) in attributes {
                     let code = dict.intern(&an);
@@ -410,6 +412,7 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
         }
     }
 
+    let tree = tree.finish();
     phases.push(PhaseTiming { name: "parse", nanos: phase_span.close() });
     let phase_span = span!("loader.phase.stats");
 
@@ -549,7 +552,7 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
     // that same order, so the repository layout matches a sequential build.
     let values_by_path: Vec<Vec<(String, ElemId)>> =
         paths.iter().map(|p| pending.remove(p).expect("each path built once")).collect();
-    let built: Vec<(Container, Vec<(ElemId, u32)>)> =
+    let containers: Vec<Container> =
         par_map_into(opts.threads, values_by_path, |i, values| {
             let cid = ContainerId(i as u32);
             let p = paths[i];
@@ -588,16 +591,12 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
             }
         });
 
-    // Value-ref registration mutates the shared tree: kept sequential, in
-    // container order, exactly as the single-threaded loader did.
+    // Each element's value refs, in container order and record order within
+    // a container: the inverse of the containers' parent lists.
     let mut tree = tree;
-    let mut containers: Vec<Container> = Vec::with_capacity(built.len());
-    for (container, refs) in built {
-        for (elem, idx) in refs {
-            tree.add_value(elem, ValueRef { container: container.id, index: idx });
-        }
-        containers.push(container);
-    }
+    tree.set_values(containers.iter().flat_map(|c| {
+        (0..c.len() as u32).map(move |i| (c.parent_of(i), ValueRef { container: c.id, index: i }))
+    }));
 
     phases.push(PhaseTiming { name: "container_build", nanos: phase_span.close() });
 

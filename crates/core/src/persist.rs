@@ -33,8 +33,8 @@
 //! Loading treats the file as hostile: every field is bounds-checked, every
 //! count is capped by the bytes of its section and reserves at most
 //! `PREALLOC_BYTES` (64 KiB) up front, every cross-reference (tree
-//! parents, summary parents, extent element ids, container pointers, value
-//! refs) is validated, and every decode failure surfaces as a typed
+//! parents, which must keep the nodes in pre-order, summary parents, extent
+//! element ids, container pointers, value refs) is validated, and every decode failure surfaces as a typed
 //! [`PersistError`] — never a panic. [`save_to_pager`] and
 //! [`load_from_pager`] expose the pager seam so tests can drive the whole
 //! path through an in-memory or fault-injecting pager.
@@ -48,11 +48,11 @@
 
 #![deny(clippy::unwrap_used)]
 
-use crate::container::{Container, ContainerError, ContainerLeaf, ValueType};
+use crate::container::{Container, ContainerError, ContainerLeaf, RecordArena, ValueType};
 use crate::dictionary::NameDictionary;
 use crate::ids::{ContainerId, ElemId, PathId, TagCode};
 use crate::repo::Repository;
-use crate::structure::{StructureTree, ValueRef};
+use crate::structure::{TreeBuilder, ValueRef};
 use crate::summary::{PathKind, StructureSummary};
 use std::path::Path;
 use std::sync::Arc;
@@ -244,13 +244,15 @@ pub fn save_to_pager(repo: &Repository, pager: Arc<dyn Pager>) -> Result<(), Per
     }
 
     // Node records in id order; the parent is a backward delta.
-    for i in 0..repo.tree.len() as u32 {
-        let n = repo.tree.node(ElemId(i));
-        write_varint(nodes, n.tag.0 as usize);
-        write_varint(nodes, n.parent.map_or(0, |p| (i - p.0) as usize));
-        write_varint(nodes, n.path.0 as usize);
-        write_varint(nodes, n.values.len());
-        for v in &n.values {
+    let tree = &repo.tree;
+    for i in 0..tree.len() as u32 {
+        let id = ElemId(i);
+        write_varint(nodes, tree.tag(id).0 as usize);
+        write_varint(nodes, tree.parent(id).map_or(0, |p| (i - p.0) as usize));
+        write_varint(nodes, tree.path(id).0 as usize);
+        let values = tree.values(id);
+        write_varint(nodes, values.len());
+        for v in values {
             write_varint(nodes, v.container.0 as usize);
             write_varint(nodes, v.index as usize);
         }
@@ -412,11 +414,17 @@ pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError
     }
     r.finish()?;
 
-    // Node records: ids are dense pre-order, so each parent comes first.
+    // Node records: ids are dense pre-order, so each node's parent is the
+    // node before it or one of that node's ancestors. The builder checks
+    // this, since subtree ranges are only right for a pre-order sequence.
     let data = section(1)?;
     let r = &mut Reader::new(&data, SECTIONS[1]);
-    let mut tree = StructureTree::new();
-    let mut value_refs: Vec<(ElemId, ValueRef)> = Vec::new();
+    if n_nodes > u32::MAX as usize {
+        return corrupt(format!("{n_nodes} nodes exceed the id space"));
+    }
+    let mut tree = TreeBuilder::new();
+    tree.reserve(n_nodes.min(PREALLOC_BYTES / 4));
+    let mut n_values = 0usize;
     for id in 0..n_nodes {
         let tag = TagCode(r.varint_as()?);
         let parent = match r.varint()? {
@@ -425,14 +433,26 @@ pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError
             d => return corrupt(format!("node {id} claims a parent {d} ids back")),
         };
         let path = PathId(r.varint_as()?);
-        let elem = tree.push(tag, parent, path);
-        for _ in 0..r.varint()? {
+        if tree.push(tag, parent, path).is_none() {
+            return corrupt(format!(
+                "node {id} hangs off node {}, which is not an ancestor of node {}",
+                parent.map_or(0, |p| p.0),
+                id - 1
+            ));
+        }
+        let n = r.varint()?;
+        n_values = n_values.saturating_add(n);
+        if n_values > u32::MAX as usize {
+            return corrupt(format!("node {id} has more value refs than a tree can hold"));
+        }
+        for _ in 0..n {
             let container = ContainerId(r.varint_as()?);
             let index = r.varint_as()?;
-            value_refs.push((elem, ValueRef { container, index }));
+            tree.push_value(ValueRef { container, index });
         }
     }
     r.finish()?;
+    let tree = tree.finish();
 
     // Summary.
     let data = section(2)?;
@@ -491,7 +511,7 @@ pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError
     r.finish()?;
     // Every structure-tree node must point at a real summary path.
     for i in 0..tree.len() as u32 {
-        let p = tree.node(ElemId(i)).path;
+        let p = tree.path(ElemId(i));
         if p.0 as usize >= summary.len() {
             return corrupt(format!("node {i} points at summary path {} of {}", p.0, summary.len()));
         }
@@ -558,12 +578,24 @@ pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError
         let cid = ContainerId(ci as u32);
         let c = match codec {
             Some(codec) => {
-                let mut comps: Vec<Box<[u8]>> = prealloc(count);
+                // A first pass over the length-prefixed records checks them
+                // and sums their bytes, so the arena is sized exactly.
+                let start = r.pos;
+                let mut total = 0usize;
                 for _ in 0..count {
                     let len = r.varint()?;
-                    comps.push(r.bytes(len)?.into());
+                    total += r.bytes(len)?.len();
                 }
-                Container::from_parts(cid, path, leaf, vtype, codec, comps, parents)?
+                if total > u32::MAX as usize {
+                    return corrupt(format!("container {ci} records hold {total} bytes"));
+                }
+                let mut records = RecordArena::with_capacity(count, total);
+                let mut again = Reader { pos: start, ..*r };
+                for _ in 0..count {
+                    let len = again.varint()?;
+                    records.push(again.bytes(len)?);
+                }
+                Container::from_parts(cid, path, leaf, vtype, codec, records, parents)?
             }
             None => {
                 let len = r.varint()?;
@@ -575,27 +607,25 @@ pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError
     }
     r.finish()?;
 
-    // Value refs are only attached once the containers they point into are
-    // known to exist and hold the referenced record.
-    for (elem, vref) in value_refs {
-        let c = containers.get(vref.container.0 as usize).ok_or_else(|| {
-            PersistError::Corrupt(format!(
-                "node {} points at container {} of {}",
-                elem.0,
-                vref.container.0,
-                containers.len()
-            ))
-        })?;
-        if vref.index as usize >= c.len() {
-            return corrupt(format!(
-                "node {} points at record {} of container {} ({} records)",
-                elem.0,
-                vref.index,
-                vref.container.0,
-                c.len()
-            ));
+    // Every value ref must point at a record of an existing container.
+    for i in 0..tree.len() as u32 {
+        for vref in tree.values(ElemId(i)) {
+            let c = containers.get(vref.container.0 as usize).ok_or_else(|| {
+                PersistError::Corrupt(format!(
+                    "node {i} points at container {} of {}",
+                    vref.container.0,
+                    containers.len()
+                ))
+            })?;
+            if vref.index as usize >= c.len() {
+                return corrupt(format!(
+                    "node {i} points at record {} of container {} ({} records)",
+                    vref.index,
+                    vref.container.0,
+                    c.len()
+                ));
+            }
         }
-        tree.add_value(elem, vref);
     }
 
     Ok(Repository { dict, tree, summary, containers, original_bytes })
@@ -929,17 +959,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parent_delta_before_the_first_node_is_corrupt() {
-        // The root is the first node record: one-byte tag, then delta 0.
+    /// The first page of the node section of `patched_store`'s image.
+    fn node_section_page() -> u64 {
         let catalog = patched_store(0, |_| {});
         let mut p = Page::new();
         catalog.read_page(PageId(0), &mut p).unwrap();
-        let node_page = CATALOG_PAGES + p.get_u64(len_at(0)).div_ceil(PAGE_SIZE as u64);
-        let pager = patched_store(node_page, |p| {
+        CATALOG_PAGES + p.get_u64(len_at(0)).div_ceil(PAGE_SIZE as u64)
+    }
+
+    #[test]
+    fn parent_delta_before_the_first_node_is_corrupt() {
+        // The root is the first node record: one-byte tag, then delta 0.
+        let pager = patched_store(node_section_page(), |p| {
             assert_eq!((p.bytes()[0] & 0x80, p.bytes()[1]), (0, 0), "root record");
             p.bytes_mut()[1] = 1;
         });
         assert_corrupt(pager, "root parent one id back");
+    }
+
+    /// `(byte offset, value)` of the parent delta of each of the first `k`
+    /// node records in `bytes`, the start of the node section.
+    fn parent_deltas(bytes: &[u8], k: usize) -> Vec<(usize, usize)> {
+        let mut pos = 0;
+        let mut varint = || {
+            let (v, used) = read_varint(&bytes[pos..]).unwrap();
+            pos += used;
+            (pos - used, v)
+        };
+        (0..k)
+            .map(|_| {
+                varint(); // tag
+                let delta = varint();
+                varint(); // path
+                let values = varint().1;
+                for _ in 0..2 * values {
+                    varint();
+                }
+                delta
+            })
+            .collect()
+    }
+
+    /// Subtree ranges are only right for nodes in pre-order: each node's
+    /// parent must be the node before it or one of that node's ancestors.
+    /// Only the parent deltas are edited, and each still points backwards.
+    #[test]
+    fn nodes_out_of_pre_order_are_corrupt() {
+        let page = node_section_page();
+        // Control: the page rewritten unchanged reopens.
+        let pager = patched_store(page, |p| {
+            let deltas: Vec<usize> = parent_deltas(p.bytes(), 4).iter().map(|d| d.1).collect();
+            assert_eq!(deltas, [0, 1, 1, 1], "a chain of four nodes");
+        });
+        load_from_pager(pager).unwrap();
+        // Node 2 now hangs off node 0, which closes node 1's subtree, and
+        // node 3 then claims node 1 as its parent.
+        let pager = patched_store(page, |p| {
+            let deltas = parent_deltas(p.bytes(), 4);
+            p.bytes_mut()[deltas[2].0] = 2;
+            p.bytes_mut()[deltas[3].0] = 2;
+        });
+        match load_from_pager(pager) {
+            Err(PersistError::Corrupt(m)) => assert!(m.contains("node 3 hangs off node 1"), "{m}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|r| r.tree.len())),
+        }
     }
 }

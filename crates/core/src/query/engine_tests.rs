@@ -667,3 +667,39 @@ fn self_times_sum_to_root_time() {
         assert!(text.contains(" self="), "{text}");
     }
 }
+
+/// Callers hold an `Option<&Engine>` next to a `&Repository` of a shorter
+/// borrow, so an engine over a longer-lived repository must stand in for a
+/// shorter-lived one: `Engine` stays covariant in its repository's
+/// lifetime. This compiles only while that holds.
+#[test]
+fn engine_is_covariant_in_the_repository_lifetime() {
+    fn shorten<'a, 'b: 'a>(e: &'a Engine<'b>) -> &'a Engine<'a> {
+        e
+    }
+    let repo = repo();
+    let engine = Engine::new(&repo);
+    assert_eq!(shorten(&engine).run("count(//person)").unwrap(), "3");
+}
+
+/// Effective boolean values through `not()`: empty, booleans, numbers,
+/// strings, nodes, a compressed value and a sequence of several items.
+#[test]
+fn effective_boolean_rules() {
+    let r = repo();
+    let e = Engine::new(&r);
+    for (expr, ebv) in [
+        ("()", false),
+        ("1 = 2", false),
+        ("1 = 1", true),
+        ("0", false),
+        ("2", true),
+        (r#""""#, false),
+        (r#""x""#, true),
+        ("/site/people", true),
+        (r#"/site/people/person[@id = "person0"]/name/text()"#, true),
+        ("/site/people/person/name/text()", true),
+    ] {
+        assert_eq!(e.run(&format!("not({expr})")).unwrap(), (!ebv).to_string(), "{expr}");
+    }
+}

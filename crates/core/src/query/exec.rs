@@ -45,7 +45,7 @@ use super::ast::*;
 use super::parser::{parse, ParseError};
 use super::plan::{Detail, OpStats, PlanRecorder, QueryPlan};
 use super::profile::{QueryPhase, QueryProfile, PHASES};
-use super::value::{effective_boolean, Fragment, Item, Sequence};
+use super::value::{Fragment, Item, Sequence};
 use crate::container::{ContainerLeaf, ValueType};
 use crate::ids::{ContainerId, ElemId, PathId, TagCode};
 use crate::repo::Repository;
@@ -203,15 +203,16 @@ impl Bound {
     }
 }
 
-struct JoinIndex {
+struct JoinIndex<'r> {
     rows: Vec<Item>,
-    by_bytes: HashMap<Vec<u8>, Vec<u32>>,
+    /// Rows by compressed key bytes, borrowed from the record arenas.
+    by_bytes: HashMap<&'r [u8], Vec<u32>>,
     codec: Option<Arc<ValueCodec>>,
     by_str: RefCell<Option<HashMap<String, Vec<u32>>>>,
 }
 
-struct Ctx {
-    join_cache: RefCell<HashMap<usize, Rc<JoinIndex>>>,
+struct Ctx<'r> {
+    join_cache: RefCell<HashMap<usize, Rc<JoinIndex<'r>>>>,
 }
 
 /// Inflated block containers retained by default (see
@@ -267,8 +268,6 @@ impl BlockLru {
 /// The XQueC query engine over one repository.
 pub struct Engine<'r> {
     repo: &'r Repository,
-    /// `subtree_end[i]` = largest pre-order id inside node `i`'s subtree.
-    subtree_end: Vec<u32>,
     /// Execution counters for the most recent run (per-query: reset at the
     /// start of every query after being folded into `lifetime`).
     pub stats: RefCell<ExecStats>,
@@ -281,7 +280,9 @@ pub struct Engine<'r> {
     /// inflated wholesale the first time any of its values is touched).
     block_cache: RefCell<BlockLru>,
     /// Per-query memo: compressed bytes of an individual container record →
-    /// interned plaintext. Cleared at the start of every query.
+    /// interned plaintext. Cleared at the start of every query. Its keys are
+    /// owned, not borrowed from the repository, because a `RefCell` holding
+    /// `'r` would make `Engine` invariant in `'r`.
     value_cache: RefCell<HashMap<ContainerId, ValueMemo>>,
     /// Observed-physical-plan recorder for the current query (reset at every
     /// query start; read through [`Engine::last_plan`]).
@@ -297,7 +298,8 @@ pub struct Engine<'r> {
 type ValueMemo = HashMap<Box<[u8]>, Rc<str>>;
 
 impl<'r> Engine<'r> {
-    /// Build an engine (computes the subtree-range table once).
+    /// Build an engine. It allocates nothing per node: subtree ranges come
+    /// from the repository's structure tree.
     pub fn new(repo: &'r Repository) -> Self {
         Self::with_block_cache_capacity(repo, DEFAULT_BLOCK_CACHE_CAPACITY)
     }
@@ -305,21 +307,8 @@ impl<'r> Engine<'r> {
     /// Build an engine retaining at most `capacity` inflated block
     /// containers across queries (`0` = re-inflate on every touch).
     pub fn with_block_cache_capacity(repo: &'r Repository, capacity: usize) -> Self {
-        let n = repo.tree.len();
-        let mut subtree_end = vec![0u32; n];
-        for i in (0..n).rev() {
-            let id = ElemId(i as u32);
-            let end = repo
-                .tree
-                .node(id)
-                .children
-                .last()
-                .map_or(i as u32, |c| subtree_end[c.0 as usize]);
-            subtree_end[i] = end;
-        }
         Engine {
             repo,
-            subtree_end,
             stats: RefCell::new(ExecStats::default()),
             lifetime: RefCell::new(ExecStats::default()),
             block_cache: RefCell::new(BlockLru::new(capacity)),
@@ -454,7 +443,7 @@ impl<'r> Engine<'r> {
         self.stats.borrow_mut().value_fetches += 1;
         let c = self.repo.container(cid);
         if c.is_individual() {
-            self.decompress_interned(cid, c.compressed(idx)?)
+            self.decompress_interned(cid, self.comp_bytes(cid, idx)?)
         } else {
             self.block_value(cid, idx)
         }
@@ -532,7 +521,7 @@ impl<'r> Engine<'r> {
         &self,
         expr: &'q Expr,
         env: &mut Env<'q>,
-        ctx: &Ctx,
+        ctx: &Ctx<'r>,
     ) -> Result<Sequence, QueryError> {
         match expr {
             Expr::Str(s) => Ok(vec![Item::Str(Rc::from(s.as_str()))]),
@@ -649,9 +638,14 @@ impl<'r> Engine<'r> {
             .ok_or_else(|| QueryError { message: format!("unbound variable ${var}") })
     }
 
-    fn ebv<'q>(&self, expr: &'q Expr, env: &mut Env<'q>, ctx: &Ctx) -> Result<bool, QueryError> {
+    fn ebv<'q>(
+        &self,
+        expr: &'q Expr,
+        env: &mut Env<'q>,
+        ctx: &Ctx<'r>,
+    ) -> Result<bool, QueryError> {
         let seq = self.eval(expr, env, ctx)?;
-        Ok(effective_boolean(&seq))
+        self.effective_boolean(&seq)
     }
 
     // ---- FLWOR ------------------------------------------------------------
@@ -662,7 +656,7 @@ impl<'r> Engine<'r> {
         clauses: &'q [Clause],
         ret: &'q Expr,
         env: &mut Env<'q>,
-        ctx: &Ctx,
+        ctx: &Ctx<'r>,
     ) -> Result<Sequence, QueryError> {
         // Hash-join decorrelation for the Q8/Q9 pattern.
         if let Some(out) = self.try_hash_join(key, clauses, ret, env, ctx)? {
@@ -706,7 +700,7 @@ impl<'r> Engine<'r> {
         ret: &'q Expr,
         order_key: Option<&'q Expr>,
         env: &mut Env<'q>,
-        ctx: &Ctx,
+        ctx: &Ctx<'r>,
         consumed: &RefCell<HashSet<usize>>,
         rows: &mut Vec<(Option<Rc<str>>, Sequence)>,
     ) -> Result<(), QueryError> {
@@ -799,7 +793,7 @@ impl<'r> Engine<'r> {
         &self,
         w: &'q Expr,
         env: &mut Env<'q>,
-        ctx: &Ctx,
+        ctx: &Ctx<'r>,
         consumed: &RefCell<HashSet<usize>>,
     ) -> Result<bool, QueryError> {
         if let Expr::And(a, b) = w {
@@ -830,7 +824,7 @@ impl<'r> Engine<'r> {
         clauses: &'q [Clause],
         ret: &'q Expr,
         env: &mut Env<'q>,
-        ctx: &Ctx,
+        ctx: &Ctx<'r>,
     ) -> Result<Option<Sequence>, QueryError> {
         let Some(Clause::For(v2, src2)) = clauses.first() else { return Ok(None) };
         if !matches!(src2, Expr::Path(PathExpr { root: PathRoot::Document, .. })) {
@@ -924,8 +918,8 @@ impl<'r> Engine<'r> {
         src: &'q Expr,
         var: &'q str,
         key_expr: &'q Expr,
-        ctx: &Ctx,
-    ) -> Result<JoinIndex, QueryError> {
+        ctx: &Ctx<'r>,
+    ) -> Result<JoinIndex<'r>, QueryError> {
         let mut env: Env = Vec::new();
         let items = self.eval(src, &mut env, ctx)?;
         // First pass: gather raw key items per row.
@@ -955,10 +949,10 @@ impl<'r> Engine<'r> {
         }
         if uniform && codec.is_some() {
             // All keys come from one source model: index compressed bytes.
-            let mut by_bytes: HashMap<Vec<u8>, Vec<u32>> = HashMap::new();
+            let mut by_bytes: HashMap<&[u8], Vec<u32>> = HashMap::new();
             for (row, k) in keyed {
-                let Item::Comp { bytes, .. } = k else { unreachable!("uniform") };
-                by_bytes.entry(bytes.to_vec()).or_default().push(row);
+                let Item::Comp { container, index } = k else { unreachable!("uniform") };
+                by_bytes.entry(self.comp_bytes(container, index)?).or_default().push(row);
             }
             return Ok(JoinIndex { rows, by_bytes, codec, by_str: RefCell::new(None) });
         }
@@ -977,18 +971,18 @@ impl<'r> Engine<'r> {
 
     fn probe_join_index(
         &self,
-        index: &JoinIndex,
+        index: &JoinIndex<'r>,
         probe: &Item,
         out: &mut Vec<u32>,
     ) -> Result<(), QueryError> {
         for atom in self.atomize_all(std::slice::from_ref(probe))? {
             match (&atom, &index.codec) {
-                (Item::Comp { container, bytes }, Some(codec))
-                    if Arc::ptr_eq(self.repo.container(*container).codec(), codec) =>
+                (&Item::Comp { container, index: idx }, Some(codec))
+                    if Arc::ptr_eq(self.repo.container(container).codec(), codec) =>
                 {
                     // Same source model: probe on compressed bytes.
                     self.stats.borrow_mut().compressed_eq += 1;
-                    if let Some(rows) = index.by_bytes.get(bytes.as_ref()) {
+                    if let Some(rows) = index.by_bytes.get(self.comp_bytes(container, idx)?) {
                         out.extend(rows.iter().copied());
                     }
                 }
@@ -1027,7 +1021,7 @@ impl<'r> Engine<'r> {
         &self,
         p: &'q PathExpr,
         env: &mut Env<'q>,
-        ctx: &Ctx,
+        ctx: &Ctx<'r>,
     ) -> Result<Sequence, QueryError> {
         let var = match &p.root {
             PathRoot::Document => return self.eval_absolute_path(&p.steps, env, ctx),
@@ -1057,7 +1051,7 @@ impl<'r> Engine<'r> {
         &self,
         steps: &'q [Step],
         env: &mut Env<'q>,
-        ctx: &Ctx,
+        ctx: &Ctx<'r>,
     ) -> Result<Sequence, QueryError> {
         let mark = self.mark();
         let mut spaths: Vec<PathId> = vec![self.repo.summary.root()];
@@ -1135,7 +1129,7 @@ impl<'r> Engine<'r> {
         input: &[ElemId],
         steps: &'q [Step],
         env: &mut Env<'q>,
-        ctx: &Ctx,
+        ctx: &Ctx<'r>,
     ) -> Result<Sequence, QueryError> {
         let mut nodes = input;
         let mut owned: Vec<ElemId>;
@@ -1212,10 +1206,7 @@ impl<'r> Engine<'r> {
                 };
                 if keep {
                     if c.is_individual() {
-                        out.push(Item::Comp {
-                            container: vr.container,
-                            bytes: Rc::from(c.compressed(vr.index)?),
-                        });
+                        out.push(Item::Comp { container: vr.container, index: vr.index });
                     } else {
                         // Block container: whole-container decompression.
                         out.push(Item::Str(self.block_value(vr.container, vr.index)?));
@@ -1231,7 +1222,7 @@ impl<'r> Engine<'r> {
         input: &[ElemId],
         step: &'q Step,
         env: &mut Env<'q>,
-        ctx: &Ctx,
+        ctx: &Ctx<'r>,
     ) -> Result<Vec<ElemId>, QueryError> {
         let tag = match &step.test {
             NodeTest::Tag(t) => match self.repo.dict.code(t) {
@@ -1305,7 +1296,7 @@ impl<'r> Engine<'r> {
     /// then binary-search each extent for the subtree id range — no tree
     /// walk (the §2.3 Q14 access pattern).
     fn descendants_via_summary(&self, n: ElemId, tag: Option<TagCode>) -> Vec<ElemId> {
-        let end = self.subtree_end[n.0 as usize];
+        let end = self.repo.tree.subtree_end(n).0;
         let mut out = Vec::new();
         match tag {
             Some(code) => {
@@ -1319,7 +1310,7 @@ impl<'r> Engine<'r> {
                 out.sort();
                 out.dedup();
             }
-            None => out = self.repo.tree.descendants(n),
+            None => out = self.repo.tree.descendants(n).collect(),
         }
         out
     }
@@ -1539,19 +1530,20 @@ impl<'r> Engine<'r> {
         if matches!(a, Item::Num(_)) || matches!(b, Item::Num(_)) {
             // Number vs numeric container value: compare compressed.
             let (num, comp, flipped) = match (a, b) {
-                (Item::Num(n), Item::Comp { container, bytes }) => {
-                    (*n, Some((*container, bytes)), true)
+                (Item::Num(n), &Item::Comp { container, index }) => {
+                    (*n, Some((container, index)), true)
                 }
-                (Item::Comp { container, bytes }, Item::Num(n)) => {
-                    (*n, Some((*container, bytes)), false)
+                (&Item::Comp { container, index }, Item::Num(n)) => {
+                    (*n, Some((container, index)), false)
                 }
                 _ => (0.0, None, false),
             };
-            if let Some((cid, bytes)) = comp {
+            if let Some((cid, idx)) = comp {
                 let c = self.repo.container(cid);
                 if c.vtype != ValueType::Str && c.is_individual() {
                     if let Some(bound) = self.bound_string(c, &Expr::Num(num)) {
                         if let Some(cb) = c.codec().compress(bound.as_bytes()) {
+                            let bytes = self.comp_bytes(cid, idx)?;
                             if let Some(ord) = c.codec().cmp_compressed(bytes, &cb)? {
                                 self.stats.borrow_mut().compressed_cmp += 1;
                                 let ord = if flipped { ord.reverse() } else { ord };
@@ -1570,22 +1562,23 @@ impl<'r> Engine<'r> {
         }
         // Boolean comparison.
         if matches!(a, Item::Bool(_)) || matches!(b, Item::Bool(_)) {
-            let x = effective_boolean(&vec![a.clone()]);
-            let y = effective_boolean(&vec![b.clone()]);
+            let x = self.effective_boolean(std::slice::from_ref(a))?;
+            let y = self.effective_boolean(std::slice::from_ref(b))?;
             return Ok(ord_ok(x.cmp(&y)));
         }
         // String-ish comparisons — the compressed-domain cases of §2.1.
         match (a, b) {
             (
-                Item::Comp { container: ca, bytes: ba },
-                Item::Comp { container: cb, bytes: bb },
+                &Item::Comp { container: ca, index: ia },
+                &Item::Comp { container: cb, index: ib },
             ) => {
-                let cca = self.repo.container(*ca).codec();
-                let ccb = self.repo.container(*cb).codec();
+                let cca = self.repo.container(ca).codec();
+                let ccb = self.repo.container(cb).codec();
                 if Arc::ptr_eq(cca, ccb) {
+                    let (ba, bb) = (self.comp_bytes(ca, ia)?, self.comp_bytes(cb, ib)?);
                     if matches!(op, CmpOp::Eq | CmpOp::Ne) {
                         self.stats.borrow_mut().compressed_eq += 1;
-                        return Ok(ord_ok(ba.as_ref().cmp(bb.as_ref())));
+                        return Ok(ord_ok(ba.cmp(bb)));
                     }
                     if let Some(ord) = cca.cmp_compressed(ba, bb)? {
                         self.stats.borrow_mut().compressed_cmp += 1;
@@ -1596,15 +1589,16 @@ impl<'r> Engine<'r> {
                 let y = self.string_value(b)?;
                 Ok(ord_ok(x.cmp(&y)))
             }
-            (Item::Comp { container, bytes }, Item::Str(s))
-            | (Item::Str(s), Item::Comp { container, bytes }) => {
+            (&Item::Comp { container, index }, Item::Str(s))
+            | (Item::Str(s), &Item::Comp { container, index }) => {
                 let flipped = matches!(a, Item::Str(_));
-                let c = self.repo.container(*container);
+                let c = self.repo.container(container);
                 if c.is_individual() {
                     if let Some(cb) = c.codec().compress(s.as_bytes()) {
+                        let bytes = self.comp_bytes(container, index)?;
                         if matches!(op, CmpOp::Eq | CmpOp::Ne) {
                             self.stats.borrow_mut().compressed_eq += 1;
-                            let ord = bytes.as_ref().cmp(cb.as_slice());
+                            let ord = bytes.cmp(cb.as_slice());
                             let ord = if flipped { ord.reverse() } else { ord };
                             return Ok(ord_ok(ord));
                         }
@@ -1634,7 +1628,7 @@ impl<'r> Engine<'r> {
         name: &str,
         args: &'q [Expr],
         env: &mut Env<'q>,
-        ctx: &Ctx,
+        ctx: &Ctx<'r>,
     ) -> Result<Sequence, QueryError> {
         let eval_arg = |n: usize, env: &mut Env<'q>| -> Result<Sequence, QueryError> {
             args.get(n)
@@ -1669,7 +1663,7 @@ impl<'r> Engine<'r> {
             }
             "not" => {
                 let s = eval_arg(0, env)?;
-                Ok(vec![Item::Bool(!effective_boolean(&s))])
+                Ok(vec![Item::Bool(!self.effective_boolean(&s)?)])
             }
             "empty" => {
                 let s = eval_arg(0, env)?;
@@ -1708,8 +1702,9 @@ impl<'r> Engine<'r> {
                 let Some(first) = atoms.first() else { return Ok(vec![Item::Bool(false)]) };
                 // Prefix match in the compressed domain when supported
                 // (Huffman's `wild` property).
-                if let Item::Comp { container, bytes } = first {
-                    let c = self.repo.container(*container);
+                if let &Item::Comp { container, index } = first {
+                    let c = self.repo.container(container);
+                    let bytes = self.comp_bytes(container, index)?;
                     if let Some(m) = c.codec().prefix_match(bytes, prefix.as_bytes()) {
                         self.stats.borrow_mut().compressed_cmp += 1;
                         return Ok(vec![Item::Bool(m)]);
@@ -1770,15 +1765,15 @@ impl<'r> Engine<'r> {
                 // Pass 1: deduplicate compressed values on their bytes —
                 // identical strings from one source model compress
                 // identically, so no decompression is needed yet.
-                let mut seen_bytes: HashSet<(ContainerId, Vec<u8>)> = HashSet::new();
+                let mut seen_bytes: HashSet<(ContainerId, &[u8])> = HashSet::new();
                 let mut survivors: Vec<Item> = Vec::new();
                 let mut sources: HashSet<ContainerId> = HashSet::new();
                 let mut any_plain = false;
                 for item in atoms {
                     match &item {
-                        Item::Comp { container, bytes } => {
-                            sources.insert(*container);
-                            if seen_bytes.insert((*container, bytes.to_vec())) {
+                        &Item::Comp { container, index } => {
+                            sources.insert(container);
+                            if seen_bytes.insert((container, self.comp_bytes(container, index)?)) {
                                 survivors.push(item);
                             }
                         }
@@ -1897,11 +1892,17 @@ impl<'r> Engine<'r> {
 
     // ---- string/number views -------------------------------------------
 
+    /// The compressed bytes of an individual container's record, borrowed
+    /// from the container's record arena.
+    fn comp_bytes(&self, container: ContainerId, index: u32) -> Result<&'r [u8], QueryError> {
+        Ok(self.repo.container(container).compressed(index)?)
+    }
+
     /// The plaintext of a compressed item (a counted fetch, memoized per
     /// query).
-    fn comp_value(&self, container: ContainerId, bytes: &[u8]) -> Result<Rc<str>, QueryError> {
+    fn comp_value(&self, container: ContainerId, index: u32) -> Result<Rc<str>, QueryError> {
         self.stats.borrow_mut().value_fetches += 1;
-        self.decompress_interned(container, bytes)
+        self.decompress_interned(container, self.comp_bytes(container, index)?)
     }
 
     /// Decompress a container value through the per-query memo: each
@@ -1935,8 +1936,25 @@ impl<'r> Engine<'r> {
             .borrow_mut()
             .entry(container)
             .or_default()
-            .insert(bytes.to_vec().into_boxed_slice(), plain.clone());
+            .insert(bytes.into(), plain.clone());
         Ok(plain)
+    }
+
+    /// Effective boolean value of a sequence (XPath rules, simplified to the
+    /// types we have).
+    fn effective_boolean(&self, seq: &[Item]) -> Result<bool, QueryError> {
+        Ok(match seq {
+            [] => false,
+            [Item::Bool(b)] => *b,
+            [Item::Num(n)] => *n != 0.0 && !n.is_nan(),
+            [Item::Str(s)] => !s.is_empty(),
+            // Untyped value: true unless it encodes the empty string. An
+            // empty value compresses to empty bytes under the dictionary and
+            // identity codecs; bit-level codecs emit a small header for "",
+            // making this a (documented, rare) approximation.
+            [Item::Comp { container, index }] => !self.comp_bytes(*container, *index)?.is_empty(),
+            [Item::Node(_) | Item::Tree(_)] | [_, _, ..] => true,
+        })
     }
 
     /// The XPath string value of an item.
@@ -1945,7 +1963,7 @@ impl<'r> Engine<'r> {
             Item::Str(s) => s.to_string(),
             Item::Num(n) => format_number(*n),
             Item::Bool(b) => b.to_string(),
-            Item::Comp { container, bytes } => self.comp_value(*container, bytes)?.to_string(),
+            Item::Comp { container, index } => self.comp_value(*container, *index)?.to_string(),
             Item::Node(n) => {
                 let mut out = String::new();
                 self.node_text(*n, &mut out)?;
@@ -1964,7 +1982,7 @@ impl<'r> Engine<'r> {
     fn text_value(&self, item: &Item) -> Result<Rc<str>, QueryError> {
         match item {
             Item::Str(s) => Ok(Rc::clone(s)),
-            Item::Comp { container, bytes } => self.comp_value(*container, bytes),
+            Item::Comp { container, index } => self.comp_value(*container, *index),
             other => Ok(Rc::from(self.string_value(other)?)),
         }
     }
@@ -2026,8 +2044,8 @@ impl<'r> Engine<'r> {
             Item::Node(n) => self.serialize_element(*n, out)?,
             Item::Tree(f) => self.serialize_fragment(f, out)?,
             Item::Str(s) => out.push_str(&escape_text(s)),
-            Item::Comp { container, bytes } => {
-                out.push_str(&escape_text(&self.comp_value(*container, bytes)?))
+            Item::Comp { container, index } => {
+                out.push_str(&escape_text(&self.comp_value(*container, *index)?))
             }
             other => out.push_str(&escape_text(&self.string_value(other)?)),
         }

@@ -1,7 +1,8 @@
 //! Runtime values for the query engine.
 //!
-//! The key type is [`Item::Comp`]: a *still-compressed* string carrying its
-//! container id. Predicates, joins and construction pass these around
+//! The key type is [`Item::Comp`]: a *still-compressed* string, named by its
+//! container and record index; its bytes stay in the container's record
+//! arena and are read in place when used. Predicates, joins and construction pass these around
 //! untouched; decompression happens only when an operator genuinely needs
 //! the plaintext (wildcards, cross-model comparisons, final serialization) —
 //! the paper's lazy decompression principle (§4, Fig. 5).
@@ -14,12 +15,12 @@ use std::rc::Rc;
 pub enum Item {
     /// An element node of the repository's structure tree.
     Node(ElemId),
-    /// A compressed string value from a container.
+    /// A compressed string value: one record of an individual container.
     Comp {
-        /// The container whose source model encodes `bytes`.
+        /// The container holding the record.
         container: ContainerId,
-        /// The compressed bytes.
-        bytes: Rc<[u8]>,
+        /// The record's index in the container.
+        index: u32,
     },
     /// A plain string.
     Str(Rc<str>),
@@ -49,43 +50,5 @@ impl Item {
     /// True for node-ish items (element or constructed fragment).
     pub fn is_node(&self) -> bool {
         matches!(self, Item::Node(_) | Item::Tree(_))
-    }
-}
-
-/// Effective boolean value of a sequence (XPath rules, simplified to the
-/// types we have).
-pub fn effective_boolean(seq: &Sequence) -> bool {
-    match seq.len() {
-        0 => false,
-        1 => match &seq[0] {
-            Item::Bool(b) => *b,
-            Item::Num(n) => *n != 0.0 && !n.is_nan(),
-            Item::Str(s) => !s.is_empty(),
-            // Untyped value: true unless it encodes the empty string. An
-            // empty value compresses to empty bytes under the dictionary and
-            // identity codecs; bit-level codecs emit a small header for "",
-            // making this a (documented, rare) approximation.
-            Item::Comp { bytes, .. } => !bytes.is_empty(),
-            Item::Node(_) | Item::Tree(_) => true,
-        },
-        _ => true,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn effective_boolean_rules() {
-        assert!(!effective_boolean(&vec![]));
-        assert!(!effective_boolean(&vec![Item::Bool(false)]));
-        assert!(effective_boolean(&vec![Item::Bool(true)]));
-        assert!(!effective_boolean(&vec![Item::Num(0.0)]));
-        assert!(effective_boolean(&vec![Item::Num(2.0)]));
-        assert!(!effective_boolean(&vec![Item::Str("".into())]));
-        assert!(effective_boolean(&vec![Item::Str("x".into())]));
-        assert!(effective_boolean(&vec![Item::Node(ElemId(3))]));
-        assert!(effective_boolean(&vec![Item::Bool(false), Item::Bool(false)]));
     }
 }

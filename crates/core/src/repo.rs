@@ -11,7 +11,7 @@ use crate::summary::{PathKind, StructureSummary};
 pub struct Repository {
     /// Element/attribute name dictionary.
     pub dict: NameDictionary,
-    /// The structure tree of node records.
+    /// The structure tree, as pre-order arrays.
     pub tree: StructureTree,
     /// The structure summary (dataguide with extents).
     pub summary: StructureSummary,

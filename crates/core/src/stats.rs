@@ -2,7 +2,7 @@
 //!
 //! `F[i][j]` captures the normalized similarity between two containers,
 //! "built on the basis of data statistics, such as the number of overlapping
-//! values [and] the character distribution within the container entries".
+//! values \[and\] the character distribution within the container entries".
 //! We combine exactly those two signals: cosine similarity of byte-frequency
 //! vectors and Jaccard overlap of sampled value sets.
 
@@ -22,7 +22,7 @@ pub struct ContainerStats {
     pub distinct: usize,
     /// Byte-frequency histogram.
     pub char_freq: [u64; 256],
-    /// Up to [`SAMPLE_CAP`] sampled values for overlap estimation.
+    /// Up to `SAMPLE_CAP` (256) sampled values for overlap estimation.
     pub sample: Vec<String>,
 }
 
