@@ -208,7 +208,9 @@ impl Container {
             concat.extend_from_slice(v.as_bytes());
             parents.push(parent);
         }
-        let data = blz::compress(&concat);
+        // `blz::compress` grows its output by doubling; keep only its bytes.
+        let mut data = blz::compress(&concat);
+        data.shrink_to_fit();
         Container {
             id,
             path,
@@ -623,5 +625,23 @@ mod tests {
         // Parents travel with their values.
         let parents: Vec<u32> = c.scan().map(|(_, p)| p.0).collect();
         assert_eq!(parents, vec![1, 2, 5, 3, 4]);
+    }
+
+    /// A built block container holds its blob at its exact size, as open
+    /// does: no spare capacity from the encoder's output buffer.
+    #[test]
+    fn block_blob_is_held_at_its_exact_size() {
+        let values = (0..2_000).map(|i| (format!("value {i}"), ElemId(i))).collect();
+        let c = Container::build_block(
+            ContainerId(0),
+            PathId(0),
+            ContainerLeaf::Text,
+            ValueType::Str,
+            values,
+        );
+        match &c.store {
+            Store::Block { data } => assert_eq!(data.capacity(), data.len()),
+            Store::Individual(_) => panic!("a block container"),
+        }
     }
 }

@@ -25,7 +25,7 @@ use crate::par::{par_map, par_map_into};
 use crate::partition::{choose_configuration_threaded, DEFAULT_POOL};
 use crate::repo::Repository;
 use crate::stats::ContainerStats;
-use crate::structure::{TreeBuilder, ValueRef};
+use crate::structure::TreeBuilder;
 use crate::summary::{PathKind, StructureSummary};
 use crate::workload::{PredOp, Workload};
 use std::collections::HashMap;
@@ -591,12 +591,8 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
             }
         });
 
-    // Each element's value refs, in container order and record order within
-    // a container: the inverse of the containers' parent lists.
     let mut tree = tree;
-    tree.set_values(containers.iter().flat_map(|c| {
-        (0..c.len() as u32).map(move |i| (c.parent_of(i), ValueRef { container: c.id, index: i }))
-    }));
+    tree.attach_values(&containers);
 
     phases.push(PhaseTiming { name: "container_build", nanos: phase_span.close() });
 

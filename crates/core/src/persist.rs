@@ -3,39 +3,45 @@
 //! The paper runs on Berkeley DB (§5) and keeps a B+ search tree over the
 //! node records (§2.2). Here no query reads storage: [`load`] materializes
 //! the whole repository, and element ids are dense pre-order, so nothing
-//! needs keyed access on disk. A repository is saved as consecutive page
-//! runs starting at page 0 (see [`xquec_storage::stream`]): a fixed
-//! catalog, then five sections, each starting on a fresh page. The catalog
-//! holds each section's length, so the page run of every section follows.
+//! needs keyed access on disk. A repository is saved as one byte stream
+//! over consecutive pages from page 0 (see [`xquec_storage::stream`]): a
+//! fixed catalog, then five sections back to back. The catalog holds each
+//! section's length, so every section's place in the stream follows.
 //!
 //! ```text
-//! image      := catalog dictionary nodes summary models containers
-//! catalog    := magic b"XQUEC03\0", original bytes u64,
+//! image      := catalog dictionary summary nodes models containers
+//! catalog    := magic b"XQUEC04\0", original bytes u64,
 //!               object counts u64 x5, section lengths u64 x5
 //!               (both in section order; all little-endian)
 //! dictionary := (varint len, utf-8 name)*
-//! nodes      := (varint tag, varint id-parent (0: no parent), varint path,
-//!                varint n, (varint container, varint index) x n)*
-//! summary    := (u8 kind, varint tag, varint parent,
-//!                varint container+1 (0: none), varint n, varint id delta x n)*
+//! summary    := (u8 kind, varint tag, varint parent)*
+//! nodes      := (varint tag, varint id-parent (0: no parent))*
 //! models     := (varint len, serialized source model)*
 //! containers := (header, varint parent x count, body)*
-//! header     := varint path, u8 leaf (0 text | 1 attribute, varint tag),
-//!               u8 type (0 str | 1 int | 2 decimal, u8 scale),
+//! header     := varint path, u8 type (0 str | 1 int | 2 decimal, u8 scale),
 //!               u8 mode (0 individual, varint model | 1 block), varint count
 //! body       := (varint len, compressed bytes) x count   (individual)
 //!             | varint len, blz blob                      (block)
 //! ```
 //!
+//! Each fact is stored once. Open derives the rest, as the loader does: a
+//! node's path is the child element path of its parent's path (the root
+//! path for a root) with the node's tag, each node joins its path's
+//! extent, a container's leaf kind is its path's kind, and the value refs
+//! are the inverse of the containers' parent lists
+//! (`StructureTree::attach_values`, which the loader calls too).
 //! Source models are stored once per partition set and shared by
 //! reference; block containers' blz blobs are written verbatim.
 //!
 //! Loading treats the file as hostile: every field is bounds-checked, every
 //! count is capped by the bytes of its section and reserves at most
-//! `PREALLOC_BYTES` (64 KiB) up front, every cross-reference (tree
-//! parents, which must keep the nodes in pre-order, summary parents, extent
-//! element ids, container pointers, value refs) is validated, and every decode failure surfaces as a typed
-//! [`PersistError`] — never a panic. [`save_to_pager`] and
+//! `PREALLOC_BYTES` (64 KiB) up front, and every fact that others are
+//! derived from is validated: tree parents must keep the nodes in
+//! pre-order, summary parents must precede their children, each node's
+//! (parent path, tag) must be a summary element path, container paths must
+//! be value leaves in strictly ascending order, and each record's parent
+//! must lie on its container's parent path. Every decode failure surfaces
+//! as a typed [`PersistError`] — never a panic. [`save_to_pager`] and
 //! [`load_from_pager`] expose the pager seam so tests can drive the whole
 //! path through an in-memory or fault-injecting pager.
 //!
@@ -52,7 +58,7 @@ use crate::container::{Container, ContainerError, ContainerLeaf, RecordArena, Va
 use crate::dictionary::NameDictionary;
 use crate::ids::{ContainerId, ElemId, PathId, TagCode};
 use crate::repo::Repository;
-use crate::structure::{TreeBuilder, ValueRef};
+use crate::structure::TreeBuilder;
 use crate::summary::{PathKind, StructureSummary};
 use std::path::Path;
 use std::sync::Arc;
@@ -66,13 +72,11 @@ use xquec_storage::{
 
 /// Catalog magic; the trailing digit is the image layout's version. Files
 /// of an older layout are rejected as corrupt, not read.
-const MAGIC: &[u8; 8] = b"XQUEC03\0";
-/// The image's sections, in page order.
-const SECTIONS: [&str; 5] = ["dictionary", "node", "summary", "model", "container"];
+const MAGIC: &[u8; 8] = b"XQUEC04\0";
+/// The image's sections, in stream order.
+const SECTIONS: [&str; 5] = ["dictionary", "summary", "node", "model", "container"];
 /// Catalog bytes: magic, original size, then a count and a length per section.
 const CATALOG_LEN: usize = 16 + 16 * SECTIONS.len();
-/// Pages the catalog fills; the first section starts right after them.
-const CATALOG_PAGES: u64 = CATALOG_LEN.div_ceil(PAGE_SIZE) as u64;
 /// Most bytes a count read from the file may reserve up front. A count is
 /// only capped by its section's bytes, and one byte can claim an object far
 /// larger than itself, so longer vectors grow as their objects parse.
@@ -235,28 +239,17 @@ pub fn save_with(repo: &Repository, path: &Path, wrap: &PagerWrap) -> Result<(),
 /// [`save`] is the thin file-backed wrapper). The pager must be empty: the
 /// image starts at page 0.
 pub fn save_to_pager(repo: &Repository, pager: Arc<dyn Pager>) -> Result<(), PersistError> {
-    let mut sections: [Vec<u8>; 5] = Default::default();
-    let [dict, nodes, summary, models, containers] = &mut sections;
+    // The catalog's room first; its counts and lengths are filled in once
+    // the sections behind it are written. `ends[i]` is where section `i`
+    // ends in the image.
+    let mut image = vec![0u8; CATALOG_LEN];
+    let mut ends = [0usize; SECTIONS.len()];
 
     for (_, name) in repo.dict.iter() {
-        write_varint(dict, name.len());
-        dict.extend_from_slice(name.as_bytes());
+        write_varint(&mut image, name.len());
+        image.extend_from_slice(name.as_bytes());
     }
-
-    // Node records in id order; the parent is a backward delta.
-    let tree = &repo.tree;
-    for i in 0..tree.len() as u32 {
-        let id = ElemId(i);
-        write_varint(nodes, tree.tag(id).0 as usize);
-        write_varint(nodes, tree.parent(id).map_or(0, |p| (i - p.0) as usize));
-        write_varint(nodes, tree.path(id).0 as usize);
-        let values = tree.values(id);
-        write_varint(nodes, values.len());
-        for v in values {
-            write_varint(nodes, v.container.0 as usize);
-            write_varint(nodes, v.index as usize);
-        }
-    }
+    ends[0] = image.len();
 
     // Summary nodes in id order (children recoverable from parents).
     for p in repo.summary.ids() {
@@ -267,85 +260,88 @@ pub fn save_to_pager(repo: &Repository, pager: Arc<dyn Pager>) -> Result<(), Per
             PathKind::Attribute(t) => (2, t.0),
             PathKind::Text => (3, 0),
         };
-        summary.push(kind);
-        write_varint(summary, tag as usize);
-        write_varint(summary, node.parent.map_or(0, |x| x.0 as usize));
-        write_varint(summary, node.container.map_or(0, |c| c.0 as usize + 1));
-        write_varint(summary, node.extent.len());
-        let mut prev = 0u32;
-        for &e in &node.extent {
-            write_varint(summary, (e.0 - prev) as usize);
-            prev = e.0;
+        image.push(kind);
+        write_varint(&mut image, tag as usize);
+        write_varint(&mut image, node.parent.map_or(0, |x| x.0 as usize));
+    }
+    ends[1] = image.len();
+
+    // Node records in id order; the parent is a backward delta.
+    let tree = &repo.tree;
+    for i in 0..tree.len() as u32 {
+        let id = ElemId(i);
+        write_varint(&mut image, tree.tag(id).0 as usize);
+        write_varint(&mut image, tree.parent(id).map_or(0, |p| (i - p.0) as usize));
+    }
+    ends[2] = image.len();
+
+    // Source models, each once (deduplicated by Arc identity), in the order
+    // the individual containers first use them.
+    let mut model_ids: Vec<*const ValueCodec> = Vec::new();
+    for c in repo.containers.iter().filter(|c| c.is_individual()) {
+        let ptr = Arc::as_ptr(c.codec());
+        if !model_ids.contains(&ptr) {
+            let blob = c.codec().serialize();
+            write_varint(&mut image, blob.len());
+            image.extend_from_slice(&blob);
+            model_ids.push(ptr);
         }
     }
+    ends[3] = image.len();
 
-    // Containers, each followed by its parents and its records or blob;
-    // source models are written once, deduplicated by Arc identity.
-    let mut model_ids: Vec<*const ValueCodec> = Vec::new();
+    // Containers, each followed by its parents and its records or blob.
     for c in &repo.containers {
-        write_varint(containers, c.path.0 as usize);
-        match c.leaf {
-            ContainerLeaf::Text => containers.push(0),
-            ContainerLeaf::Attribute(t) => {
-                containers.push(1);
-                write_varint(containers, t.0 as usize);
-            }
-        }
+        write_varint(&mut image, c.path.0 as usize);
         match c.vtype {
-            ValueType::Str => containers.push(0),
-            ValueType::Int => containers.push(1),
-            ValueType::Decimal(s) => containers.extend_from_slice(&[2, s]),
+            ValueType::Str => image.push(0),
+            ValueType::Int => image.push(1),
+            ValueType::Decimal(s) => image.extend_from_slice(&[2, s]),
         }
         if c.is_individual() {
             let ptr = Arc::as_ptr(c.codec());
-            let mid = model_ids.iter().position(|&p| p == ptr).unwrap_or_else(|| {
-                let blob = c.codec().serialize();
-                write_varint(models, blob.len());
-                models.extend_from_slice(&blob);
-                model_ids.push(ptr);
-                model_ids.len() - 1
-            });
-            containers.push(0);
-            write_varint(containers, mid);
+            let mid = model_ids.iter().position(|&p| p == ptr).expect("every model is written");
+            image.push(0);
+            write_varint(&mut image, mid);
         } else {
-            containers.push(1);
+            image.push(1);
         }
-        write_varint(containers, c.len());
-        for idx in 0..c.len() as u32 {
-            write_varint(containers, c.parent_of(idx).0 as usize);
+        write_varint(&mut image, c.len());
+        for (_, parent) in c.scan() {
+            write_varint(&mut image, parent.0 as usize);
         }
         if let Some(blob) = c.block_blob() {
-            write_varint(containers, blob.len());
-            containers.extend_from_slice(blob);
+            write_varint(&mut image, blob.len());
+            image.extend_from_slice(blob);
         } else {
             for idx in 0..c.len() as u32 {
                 let comp = c.compressed(idx)?;
-                write_varint(containers, comp.len());
-                containers.extend_from_slice(comp);
+                write_varint(&mut image, comp.len());
+                image.extend_from_slice(comp);
             }
         }
     }
+    ends[4] = image.len();
 
     let counts = [
         repo.dict.len(),
-        repo.tree.len(),
         repo.summary.len(),
+        repo.tree.len(),
         model_ids.len(),
         repo.containers.len(),
     ];
+    let mut start = CATALOG_LEN;
+    let lens = ends.map(|end| end - std::mem::replace(&mut start, end));
     let mut catalog = Vec::with_capacity(CATALOG_LEN);
     catalog.extend_from_slice(MAGIC);
     catalog.extend_from_slice(&(repo.original_bytes as u64).to_le_bytes());
-    for n in counts.into_iter().chain(sections.iter().map(Vec::len)) {
+    for n in counts.into_iter().chain(lens) {
         catalog.extend_from_slice(&(n as u64).to_le_bytes());
     }
+    image[..CATALOG_LEN].copy_from_slice(&catalog);
 
     let pool = BufferPool::new(pager, 256);
-    let first = write_stream(&pool, &catalog)?;
+    let first = write_stream(&pool, &image)?;
     debug_assert_eq!(first, PageId(0));
-    for s in &sections {
-        write_stream(&pool, s)?;
-    }
     pool.flush()?;
     Ok(())
 }
@@ -357,17 +353,19 @@ pub fn load(path: impl AsRef<Path>) -> Result<Repository, PersistError> {
 }
 
 /// Load a repository through an arbitrary pager. Corrupt input of any shape
-/// yields `Err`, never a panic: all counts, offsets and cross-references are
-/// validated before use.
+/// yields `Err`, never a panic: all counts, offsets and the facts the rest
+/// is derived from are validated before use.
 pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError> {
     let pool = BufferPool::new(pager, 256);
     let page_count = pool.page_count();
     if page_count == 0 {
         return corrupt("empty store has no catalog page");
     }
+    // The image is one stream from page 0; read every page of the store
+    // once, and slice the sections out of that one buffer.
+    let image = read_stream(&pool, PageId(0), page_count.saturating_mul(PAGE_SIZE as u64))?;
 
-    let head = read_stream(&pool, PageId(0), CATALOG_LEN as u64)?;
-    let mut r = Reader::new(&head, "catalog");
+    let mut r = Reader::new(&image[..CATALOG_LEN], "catalog");
     if r.bytes(MAGIC.len())? != MAGIC {
         return corrupt("bad catalog magic");
     }
@@ -384,23 +382,22 @@ pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError
             return corrupt(format!("{what} count {n} exceeds the section's {len} bytes"));
         }
     }
-    let [n_names, n_nodes, n_paths, n_models, n_containers] = counts.map(|n| n as usize);
-    // Each section is a page run right after the one before; all of them
-    // must lie inside the store before any is read.
-    let mut runs = [(PageId(0), 0u64); SECTIONS.len()];
-    let mut next = CATALOG_PAGES;
-    for (run, &len) in runs.iter_mut().zip(&lens) {
-        *run = (PageId(next), len);
-        next = next
-            .checked_add(len.div_ceil(PAGE_SIZE as u64))
-            .filter(|&end| end <= page_count)
+    let [n_names, n_paths, n_nodes, n_models, n_containers] = counts.map(|n| n as usize);
+    // The sections lie back to back behind the catalog, inside the image.
+    let mut sections = [&image[..0]; SECTIONS.len()];
+    let mut at = CATALOG_LEN;
+    for (section, &len) in sections.iter_mut().zip(&lens) {
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| at.checked_add(len))
+            .filter(|&end| end <= image.len())
             .map_or_else(|| corrupt("section lengths run past the end of the image"), Ok)?;
+        *section = &image[at..end];
+        at = end;
     }
-    let section = |i: usize| read_stream(&pool, runs[i].0, runs[i].1);
 
     // Dictionary.
-    let data = section(0)?;
-    let r = &mut Reader::new(&data, SECTIONS[0]);
+    let r = &mut Reader::new(sections[0], SECTIONS[0]);
     let mut dict = NameDictionary::new();
     for _ in 0..n_names {
         let len = r.varint()?;
@@ -414,55 +411,14 @@ pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError
     }
     r.finish()?;
 
-    // Node records: ids are dense pre-order, so each node's parent is the
-    // node before it or one of that node's ancestors. The builder checks
-    // this, since subtree ranges are only right for a pre-order sequence.
-    let data = section(1)?;
-    let r = &mut Reader::new(&data, SECTIONS[1]);
-    if n_nodes > u32::MAX as usize {
-        return corrupt(format!("{n_nodes} nodes exceed the id space"));
-    }
-    let mut tree = TreeBuilder::new();
-    tree.reserve(n_nodes.min(PREALLOC_BYTES / 4));
-    let mut n_values = 0usize;
-    for id in 0..n_nodes {
-        let tag = TagCode(r.varint_as()?);
-        let parent = match r.varint()? {
-            0 => None,
-            d if d <= id => Some(ElemId((id - d) as u32)),
-            d => return corrupt(format!("node {id} claims a parent {d} ids back")),
-        };
-        let path = PathId(r.varint_as()?);
-        if tree.push(tag, parent, path).is_none() {
-            return corrupt(format!(
-                "node {id} hangs off node {}, which is not an ancestor of node {}",
-                parent.map_or(0, |p| p.0),
-                id - 1
-            ));
-        }
-        let n = r.varint()?;
-        n_values = n_values.saturating_add(n);
-        if n_values > u32::MAX as usize {
-            return corrupt(format!("node {id} has more value refs than a tree can hold"));
-        }
-        for _ in 0..n {
-            let container = ContainerId(r.varint_as()?);
-            let index = r.varint_as()?;
-            tree.push_value(ValueRef { container, index });
-        }
-    }
-    r.finish()?;
-    let tree = tree.finish();
-
-    // Summary.
-    let data = section(2)?;
-    let r = &mut Reader::new(&data, SECTIONS[2]);
+    // Summary: each node's parent precedes it, so interning them in id order
+    // gives back the same ids.
+    let r = &mut Reader::new(sections[1], SECTIONS[1]);
     let mut summary = StructureSummary::new();
     for i in 0..n_paths {
         let kind = r.u8()?;
         let tag = TagCode(r.varint_as()?);
         let parent_raw: u32 = r.varint_as()?;
-        let container_raw: u32 = r.varint_as()?;
         let pk = match kind {
             0 => PathKind::Root,
             1 => PathKind::Element(tag),
@@ -481,45 +437,51 @@ pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError
         if pid.0 as usize != i {
             return corrupt("summary ids not dense");
         }
-        if let Some(c) = container_raw.checked_sub(1) {
-            if c as usize >= n_containers {
-                return corrupt(format!(
-                    "summary node {i} points at container {c} of {n_containers}"
-                ));
-            }
-            summary.set_container(pid, ContainerId(c));
-        }
-        let n_ext = r.varint()?;
-        let mut prev = 0u64;
-        for _ in 0..n_ext {
-            let delta = r.varint()? as u64;
-            let next = prev.checked_add(delta).filter(|&e| e < n_nodes as u64);
-            match next {
-                Some(e) => {
-                    summary.record(pid, ElemId(e as u32));
-                    prev = e;
-                }
-                None => {
-                    return corrupt(format!("summary node {i} extent leaves the {n_nodes} nodes"))
-                }
-            }
-        }
     }
     if summary.len() != n_paths {
         return corrupt(format!("expected {n_paths} summary nodes, found {}", summary.len()));
     }
     r.finish()?;
-    // Every structure-tree node must point at a real summary path.
-    for i in 0..tree.len() as u32 {
-        let p = tree.path(ElemId(i));
-        if p.0 as usize >= summary.len() {
-            return corrupt(format!("node {i} points at summary path {} of {}", p.0, summary.len()));
+
+    // Node records: ids are dense pre-order, so each node's parent is the
+    // node before it or one of that node's ancestors. The builder checks
+    // this first, since subtree ranges are only right for a pre-order
+    // sequence. A node's path is then its parent's path (the root path for
+    // a root) stepped down by its tag, and the node joins that path's
+    // extent.
+    let r = &mut Reader::new(sections[2], SECTIONS[2]);
+    if n_nodes > u32::MAX as usize {
+        return corrupt(format!("{n_nodes} nodes exceed the id space"));
+    }
+    let mut tree = TreeBuilder::new();
+    tree.reserve(n_nodes.min(PREALLOC_BYTES / 4));
+    for id in 0..n_nodes {
+        let tag = TagCode(r.varint_as()?);
+        let parent = match r.varint()? {
+            0 => None,
+            d if d <= id => Some(ElemId((id - d) as u32)),
+            d => return corrupt(format!("node {id} claims a parent {d} ids back")),
+        };
+        let path = summary.child_element(parent.map_or(summary.root(), |p| tree.path(p)), tag);
+        match (tree.push(tag, parent, path.unwrap_or(summary.root())), path) {
+            (Some(elem), Some(path)) => summary.record(path, elem),
+            (None, _) => {
+                return corrupt(format!(
+                    "node {id} hangs off node {}, which is not an ancestor of node {}",
+                    parent.map_or(0, |p| p.0),
+                    id - 1
+                ))
+            }
+            (Some(_), None) => {
+                return corrupt(format!("node {id}'s tag {} has no path under its parent's", tag.0))
+            }
         }
     }
+    r.finish()?;
+    let mut tree = tree.finish();
 
     // Models.
-    let data = section(3)?;
-    let r = &mut Reader::new(&data, SECTIONS[3]);
+    let r = &mut Reader::new(sections[3], SECTIONS[3]);
     let mut models: Vec<Arc<ValueCodec>> = prealloc(n_models);
     for _ in 0..n_models {
         let len = r.varint()?;
@@ -529,20 +491,31 @@ pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError
     }
     r.finish()?;
 
-    // Containers.
-    let data = section(4)?;
-    let r = &mut Reader::new(&data, SECTIONS[4]);
+    // Containers: each on its own value leaf, in ascending path order, as
+    // the loader numbers them. Each record's parent must be an element of
+    // the leaf's parent path, so the value refs derived from these parent
+    // lists point from elements to their own leaves.
+    let r = &mut Reader::new(sections[4], SECTIONS[4]);
     let mut containers: Vec<Container> = prealloc(n_containers);
+    let mut n_values = 0usize;
     for ci in 0..n_containers {
         let path = PathId(r.varint_as()?);
+        if let Some(prev) = containers.last().map(|c| c.path).filter(|&prev| path <= prev) {
+            return corrupt(format!(
+                "container {ci} names summary path {} after path {}",
+                path.0, prev.0
+            ));
+        }
         if path.0 as usize >= summary.len() {
             return corrupt(format!("container {ci} names summary path {}", path.0));
         }
-        let leaf = match r.u8()? {
-            0 => ContainerLeaf::Text,
-            1 => ContainerLeaf::Attribute(TagCode(r.varint_as()?)),
-            k => return corrupt(format!("leaf kind {k}")),
+        let leaf_path = summary.node(path);
+        let leaf = match leaf_path.kind {
+            PathKind::Attribute(t) => ContainerLeaf::Attribute(t),
+            PathKind::Text => ContainerLeaf::Text,
+            _ => return corrupt(format!("container {ci} names path {}, no value leaf", path.0)),
         };
+        let parent_path = leaf_path.parent;
         let vtype = match r.u8()? {
             0 => ValueType::Str,
             1 => ValueType::Int,
@@ -564,18 +537,23 @@ pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError
         if count > r.remaining() {
             return corrupt(format!("container {ci} claims {count} records"));
         }
+        n_values += count;
+        if n_values > u32::MAX as usize {
+            return corrupt(format!("container {ci} holds more values than a tree can hold"));
+        }
         let mut parents = prealloc(count);
         for _ in 0..count {
             let parent: u32 = r.varint_as()?;
-            if parent as usize >= n_nodes {
+            if (parent as usize) >= n_nodes || Some(tree.path(ElemId(parent))) != parent_path {
                 return corrupt(format!(
-                    "container {ci} record parent {parent} of {n_nodes} nodes"
+                    "container {ci} record parent {parent} is not on its leaf's parent path"
                 ));
             }
             parents.push(ElemId(parent));
         }
 
         let cid = ContainerId(ci as u32);
+        summary.set_container(path, cid);
         let c = match codec {
             Some(codec) => {
                 // A first pass over the length-prefixed records checks them
@@ -606,27 +584,7 @@ pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError
         containers.push(c);
     }
     r.finish()?;
-
-    // Every value ref must point at a record of an existing container.
-    for i in 0..tree.len() as u32 {
-        for vref in tree.values(ElemId(i)) {
-            let c = containers.get(vref.container.0 as usize).ok_or_else(|| {
-                PersistError::Corrupt(format!(
-                    "node {i} points at container {} of {}",
-                    vref.container.0,
-                    containers.len()
-                ))
-            })?;
-            if vref.index as usize >= c.len() {
-                return corrupt(format!(
-                    "node {i} points at record {} of container {} ({} records)",
-                    vref.index,
-                    vref.container.0,
-                    c.len()
-                ));
-            }
-        }
-    }
+    tree.attach_values(&containers);
 
     Ok(Repository { dict, tree, summary, containers, original_bytes })
 }
@@ -638,7 +596,8 @@ mod tests {
     use crate::loader::{load_with, LoaderOptions, WorkloadSpec};
     use crate::query::Engine;
     use crate::workload::PredOp;
-    use xquec_storage::{FaultPager, FaultPlan, MemPager, Page};
+    use std::ops::Range;
+    use xquec_storage::{FaultPager, FaultPlan, MemPager};
 
     #[test]
     fn save_load_roundtrip() {
@@ -715,7 +674,7 @@ mod tests {
     fn saved_page_count_is_pinned() {
         let pager = Arc::new(MemPager::new());
         save_to_pager(&xmark_200k_seed_1(), pager.clone()).unwrap();
-        assert_eq!(pager.page_count(), 17);
+        assert_eq!(pager.page_count(), 12);
     }
 
     /// Save writes each block container's blob verbatim. That blob must be
@@ -759,7 +718,7 @@ mod tests {
         let pager = Arc::new(FaultPager::new(MemPager::new(), FaultPlan::none()));
         save_to_pager(&repo, pager.clone()).unwrap();
         let pages = pager.page_count();
-        assert!(pages > 50, "{pages} pages");
+        assert!(pages > 30, "{pages} pages");
         assert_eq!(pager.op_counts(), (0, pages, pages), "(reads, writes, allocations)");
         assert_eq!(pager.sync_count(), 1);
         // Open reads every page once.
@@ -774,18 +733,6 @@ mod tests {
         assert!(matches!(load_from_pager(pager), Err(PersistError::Corrupt(_))));
     }
 
-    /// A small saved store whose page `page` is then changed by `patch`.
-    fn patched_store(page: u64, patch: impl FnOnce(&mut Page)) -> Arc<MemPager> {
-        let xml = xquec_xml::gen::Dataset::Xmark.generate(20_000);
-        let pager = Arc::new(MemPager::new());
-        save_to_pager(&load_with(&xml, &LoaderOptions::default()).unwrap(), pager.clone()).unwrap();
-        let mut p = Page::new();
-        pager.read_page(PageId(page), &mut p).unwrap();
-        patch(&mut p);
-        pager.write_page(PageId(page), &p).unwrap();
-        pager
-    }
-
     /// Catalog offsets of section `i`'s object count and byte length.
     fn count_at(i: usize) -> usize {
         16 + 8 * i
@@ -794,90 +741,143 @@ mod tests {
         16 + 8 * (SECTIONS.len() + i)
     }
 
-    fn assert_corrupt(pager: Arc<MemPager>, why: &str) {
+    fn get_u64(image: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(image[at..at + 8].try_into().unwrap())
+    }
+
+    /// The byte range of section `i` in `image`, by the catalog's lengths.
+    fn section(image: &[u8], i: usize) -> Range<usize> {
+        let len = |j| get_u64(image, len_at(j)) as usize;
+        let start = CATALOG_LEN + (0..i).map(len).sum::<usize>();
+        start..start + len(i)
+    }
+
+    /// The saved image of `repo`: the catalog and the five sections, without
+    /// the last page's padding.
+    fn image_of(repo: &Repository) -> Vec<u8> {
+        let pager = Arc::new(MemPager::new());
+        save_to_pager(repo, pager.clone()).unwrap();
+        let pool = BufferPool::new(pager.clone(), 16);
+        let mut image =
+            read_stream(&pool, PageId(0), pager.page_count() * PAGE_SIZE as u64).unwrap();
+        image.truncate(section(&image, SECTIONS.len() - 1).end);
+        image
+    }
+
+    /// The image of a small XMark document loaded with default options.
+    fn small_image() -> Vec<u8> {
+        let xml = xquec_xml::gen::Dataset::Xmark.generate(20_000);
+        image_of(&load_with(&xml, &LoaderOptions::default()).unwrap())
+    }
+
+    /// A store holding `image`.
+    fn store_of(image: &[u8]) -> Arc<MemPager> {
+        let pager = Arc::new(MemPager::new());
+        let pool = BufferPool::new(pager.clone(), 16);
+        write_stream(&pool, image).unwrap();
+        pool.flush().unwrap();
+        pager
+    }
+
+    /// A store holding `image` with the catalog's u64 at `at` set to `v`.
+    fn store_with_u64(image: &[u8], at: usize, v: u64) -> Arc<MemPager> {
+        let mut image = image.to_vec();
+        image[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        store_of(&image)
+    }
+
+    /// `image` with its bytes `range` replaced by `with`; the range lies in
+    /// section `i`, whose length in the catalog follows the edit.
+    fn spliced(image: &[u8], i: usize, range: Range<usize>, with: &[u8]) -> Vec<u8> {
+        let len = section(image, i).len() - range.len() + with.len();
+        let mut out = image.to_vec();
+        out.splice(range, with.iter().copied());
+        out[len_at(i)..len_at(i) + 8].copy_from_slice(&(len as u64).to_le_bytes());
+        out
+    }
+
+    fn varint_bytes(v: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_varint(&mut out, v);
+        out
+    }
+
+    /// The varint at `*pos` in `image`, with its byte range; `*pos` moves past it.
+    fn varint_at(image: &[u8], pos: &mut usize) -> (Range<usize>, usize) {
+        let (v, used) = read_varint(&image[*pos..]).unwrap();
+        *pos += used;
+        (*pos - used..*pos, v)
+    }
+
+    fn open_error(pager: Arc<MemPager>, why: &str) -> String {
         match load_from_pager(pager) {
-            Err(PersistError::Corrupt(_)) => {}
+            Err(PersistError::Corrupt(m)) => m,
             other => panic!("{why}: expected Corrupt, got {:?}", other.map(|r| r.tree.len())),
         }
     }
 
+    fn assert_corrupt(pager: Arc<MemPager>, why: &str) {
+        open_error(pager, why);
+    }
+
     #[test]
     fn previous_layout_magic_is_corrupt() {
-        let pager = patched_store(0, |p| p.write_at(0, b"XQUEC02\0"));
-        assert_corrupt(pager, "XQUEC02 image");
+        let mut image = small_image();
+        image[..8].copy_from_slice(b"XQUEC03\0");
+        assert_corrupt(store_of(&image), "XQUEC03 image");
     }
 
     #[test]
     fn section_length_past_the_image_is_corrupt() {
+        let image = small_image();
         for len in [1 << 32, u64::MAX / 2, u64::MAX] {
             for (i, what) in SECTIONS.iter().enumerate() {
-                let pager = patched_store(0, |p| p.put_u64(len_at(i), len));
+                let pager = store_with_u64(&image, len_at(i), len);
                 assert_corrupt(pager, &format!("{what} section of {len} bytes"));
             }
         }
+        // One byte past the image's last page.
+        let last = SECTIONS.len() - 1;
+        let room = image.len().div_ceil(PAGE_SIZE) * PAGE_SIZE - image.len();
+        let len = get_u64(&image, len_at(last)) + room as u64 + 1;
+        let why = "container section one byte past the last page";
+        assert_corrupt(store_with_u64(&image, len_at(last), len), why);
     }
 
     #[test]
     fn count_beyond_its_section_bytes_is_corrupt() {
+        let image = small_image();
         for (i, what) in SECTIONS.iter().enumerate() {
-            let pager = patched_store(0, |p| p.put_u64(count_at(i), p.get_u64(len_at(i)) + 1));
-            assert_corrupt(pager, &format!("{what} count past its bytes"));
+            let len = get_u64(&image, len_at(i));
+            let with_count = |n| store_with_u64(&image, count_at(i), n);
+            assert_corrupt(with_count(len + 1), &format!("{what} count past its bytes"));
             // A count equal to its bytes passes the catalog check; every
             // object of a non-empty section takes more than one byte.
-            let mut empty = false;
-            let pager = patched_store(0, |p| {
-                let len = p.get_u64(len_at(i));
-                empty = len == 0;
-                p.put_u64(count_at(i), len);
-            });
-            if !empty {
-                assert_corrupt(pager, &format!("{what} count equal to its bytes"));
+            if len > 0 {
+                assert_corrupt(with_count(len), &format!("{what} count equal to its bytes"));
             }
-            let pager = patched_store(0, |p| p.put_u64(count_at(i), u64::MAX));
-            assert_corrupt(pager, &format!("{what} count u64::MAX"));
+            assert_corrupt(with_count(u64::MAX), &format!("{what} count u64::MAX"));
         }
     }
 
     /// 200 KB XMark saved with the blz blob of its first block container
-    /// replaced by `edit(blob)`. The image is laid out anew around the new
-    /// blob, so every page and section length stays valid: only the blob
-    /// itself is damaged.
+    /// replaced by `edit(blob)`. The catalog follows the edit, so only the
+    /// blob itself is damaged.
     fn store_with_edited_block_blob(edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Arc<MemPager> {
         let repo = xmark_200k_seed_1();
-        let pager = Arc::new(MemPager::new());
-        save_to_pager(&repo, pager.clone()).unwrap();
+        let image = image_of(&repo);
         let blob = repo.containers.iter().find_map(|c| c.block_blob()).unwrap();
-        let pool = BufferPool::new(pager, 16);
-        let mut catalog = read_stream(&pool, PageId(0), CATALOG_LEN as u64).unwrap();
-        let mut sections = Vec::new();
-        let mut next = CATALOG_PAGES;
-        for i in 0..SECTIONS.len() {
-            let len = u64::from_le_bytes(catalog[len_at(i)..len_at(i) + 8].try_into().unwrap());
-            sections.push(read_stream(&pool, PageId(next), len).unwrap());
-            next += len.div_ceil(PAGE_SIZE as u64);
-        }
-        let containers = &mut sections[4];
-        let at = containers.windows(blob.len()).position(|w| w == blob).unwrap();
-        let mut framed = Vec::new();
-        write_varint(&mut framed, blob.len());
+        let containers = section(&image, 4);
+        let at = containers.start
+            + image[containers].windows(blob.len()).position(|w| w == blob).unwrap();
+        let framed = varint_bytes(blob.len());
         let start = at - framed.len();
-        assert_eq!(containers[start..at], framed[..], "the blob's length prefix");
+        assert_eq!(image[start..at], framed[..], "the blob's length prefix");
         let edited = edit(blob);
-        framed.clear();
-        write_varint(&mut framed, edited.len());
-        framed.extend_from_slice(&edited);
-        containers.splice(start..at + blob.len(), framed);
-        let len = (containers.len() as u64).to_le_bytes();
-        catalog[len_at(4)..len_at(4) + 8].copy_from_slice(&len);
-        let out = Arc::new(MemPager::new());
-        let pool = BufferPool::new(out.clone(), 16);
-        for s in std::iter::once(&catalog).chain(&sections) {
-            write_stream(&pool, s).unwrap();
-        }
-        pool.flush().unwrap();
-        out
+        let mut with = varint_bytes(edited.len());
+        with.extend_from_slice(&edited);
+        store_of(&spliced(&image, 4, start..at + blob.len(), &with))
     }
-
     /// The blob's header varints (total, then the first block's length,
     /// primary index and RLE length), and the offset just past them.
     fn blob_header(blob: &[u8]) -> ([usize; 4], usize) {
@@ -959,69 +959,119 @@ mod tests {
         }
     }
 
-    /// The first page of the node section of `patched_store`'s image.
-    fn node_section_page() -> u64 {
-        let catalog = patched_store(0, |_| {});
-        let mut p = Page::new();
-        catalog.read_page(PageId(0), &mut p).unwrap();
-        CATALOG_PAGES + p.get_u64(len_at(0)).div_ceil(PAGE_SIZE as u64)
+    /// The `[tag, parent delta]` fields of the first `k` node records of
+    /// `image`, each as its byte range in the image and its value.
+    fn node_fields(image: &[u8], k: usize) -> Vec<[(Range<usize>, usize); 2]> {
+        let mut pos = section(image, 2).start;
+        (0..k).map(|_| [varint_at(image, &mut pos), varint_at(image, &mut pos)]).collect()
     }
 
     #[test]
     fn parent_delta_before_the_first_node_is_corrupt() {
-        // The root is the first node record: one-byte tag, then delta 0.
-        let pager = patched_store(node_section_page(), |p| {
-            assert_eq!((p.bytes()[0] & 0x80, p.bytes()[1]), (0, 0), "root record");
-            p.bytes_mut()[1] = 1;
-        });
-        assert_corrupt(pager, "root parent one id back");
-    }
-
-    /// `(byte offset, value)` of the parent delta of each of the first `k`
-    /// node records in `bytes`, the start of the node section.
-    fn parent_deltas(bytes: &[u8], k: usize) -> Vec<(usize, usize)> {
-        let mut pos = 0;
-        let mut varint = || {
-            let (v, used) = read_varint(&bytes[pos..]).unwrap();
-            pos += used;
-            (pos - used, v)
-        };
-        (0..k)
-            .map(|_| {
-                varint(); // tag
-                let delta = varint();
-                varint(); // path
-                let values = varint().1;
-                for _ in 0..2 * values {
-                    varint();
-                }
-                delta
-            })
-            .collect()
+        let mut image = small_image();
+        let [_, (delta, d)] = node_fields(&image, 1).remove(0);
+        assert_eq!((delta.len(), d), (1, 0), "the root record has no parent");
+        image[delta.start] = 1;
+        assert_corrupt(store_of(&image), "root parent one id back");
     }
 
     /// Subtree ranges are only right for nodes in pre-order: each node's
     /// parent must be the node before it or one of that node's ancestors.
-    /// Only the parent deltas are edited, and each still points backwards.
+    /// Each edited parent delta still points backwards, and the tag edit
+    /// keeps node 2 on a summary path, so only the order is wrong.
     #[test]
     fn nodes_out_of_pre_order_are_corrupt() {
-        let page = node_section_page();
-        // Control: the page rewritten unchanged reopens.
-        let pager = patched_store(page, |p| {
-            let deltas: Vec<usize> = parent_deltas(p.bytes(), 4).iter().map(|d| d.1).collect();
-            assert_eq!(deltas, [0, 1, 1, 1], "a chain of four nodes");
-        });
-        load_from_pager(pager).unwrap();
-        // Node 2 now hangs off node 0, which closes node 1's subtree, and
-        // node 3 then claims node 1 as its parent.
-        let pager = patched_store(page, |p| {
-            let deltas = parent_deltas(p.bytes(), 4);
-            p.bytes_mut()[deltas[2].0] = 2;
-            p.bytes_mut()[deltas[3].0] = 2;
-        });
-        match load_from_pager(pager) {
-            Err(PersistError::Corrupt(m)) => assert!(m.contains("node 3 hangs off node 1"), "{m}"),
-            other => panic!("expected Corrupt, got {:?}", other.map(|r| r.tree.len())),
+        let image = small_image();
+        let nodes = node_fields(&image, 4);
+        // Control: the image rewritten unchanged reopens.
+        let deltas: Vec<usize> = nodes.iter().map(|[_, d]| d.1).collect();
+        assert_eq!(deltas, [0, 1, 1, 1], "a chain of four nodes");
+        load_from_pager(store_of(&image)).unwrap();
+        // Node 2 now hangs off node 0 with node 1's tag, which closes node
+        // 1's subtree, and node 3 then claims node 1 as its parent.
+        let mut edited = image.clone();
+        assert_eq!((nodes[1][0].0.len(), nodes[2][0].0.len()), (1, 1), "one-byte tags");
+        edited[nodes[2][0].0.start] = image[nodes[1][0].0.start];
+        edited[nodes[2][1].0.start] = 2;
+        edited[nodes[3][1].0.start] = 2;
+        let m = open_error(store_of(&edited), "nodes out of pre-order");
+        assert!(m.contains("node 3 hangs off node 1"), "{m}");
+    }
+
+    /// A node's path is derived from its parent's path and its tag, so a
+    /// tag that has no element path under its parent's is corrupt.
+    #[test]
+    fn node_without_a_summary_path_is_corrupt() {
+        let mut image = small_image();
+        let nodes = node_fields(&image, 2);
+        // The document element's tag under the document element.
+        assert_eq!((nodes[0][0].0.len(), nodes[1][0].0.len()), (1, 1), "one-byte tags");
+        image[nodes[1][0].0.start] = image[nodes[0][0].0.start];
+        let m = open_error(store_of(&image), "node 1 with its parent's tag");
+        assert!(m.contains("node 1's tag") && m.contains("no path"), "{m}");
+    }
+
+    /// Per container of `image`: the byte ranges of its path varint and of
+    /// its first record's parent.
+    fn container_fields(image: &[u8]) -> Vec<[Range<usize>; 2]> {
+        let end = section(image, 4).end;
+        let mut pos = section(image, 4).start;
+        let mut out = Vec::new();
+        while pos < end {
+            let path = varint_at(image, &mut pos).0;
+            pos += if image[pos] == 2 { 2 } else { 1 }; // value type (+ scale)
+            let individual = image[pos] == 0;
+            pos += 1;
+            if individual {
+                varint_at(image, &mut pos); // model
+            }
+            let count = varint_at(image, &mut pos).1;
+            let parents: Vec<Range<usize>> =
+                (0..count).map(|_| varint_at(image, &mut pos).0).collect();
+            for _ in 0..if individual { count } else { 1 } {
+                pos += varint_at(image, &mut pos).1;
+            }
+            out.push([path, parents[0].clone()]);
         }
+        out
+    }
+
+    /// `image` with container `ci`'s path set to `path`.
+    fn with_container_path(image: &[u8], ci: usize, path: usize) -> Arc<MemPager> {
+        let [range, _] = container_fields(image).swap_remove(ci);
+        store_of(&spliced(image, 4, range, &varint_bytes(path)))
+    }
+
+    #[test]
+    fn container_on_a_non_leaf_path_is_corrupt() {
+        let image = small_image();
+        // Path 1 is the document element's.
+        let m = open_error(with_container_path(&image, 0, 1), "container 0 on path 1");
+        assert!(m.contains("no value leaf"), "{m}");
+    }
+
+    /// Container ids follow path order, one container per value leaf.
+    #[test]
+    fn containers_sharing_a_path_or_out_of_path_order_are_corrupt() {
+        let image = small_image();
+        let fields = container_fields(&image);
+        assert_eq!(fields.len(), get_u64(&image, count_at(4)) as usize);
+        let first = read_varint(&image[fields[0][0].clone()]).unwrap().0;
+        let cases = [(first, "two containers on one path"), (0, "containers out of path order")];
+        for (path, why) in cases {
+            let m = open_error(with_container_path(&image, 1, path), why);
+            let want = format!("container 1 names summary path {path} after path {first}");
+            assert!(m.contains(&want), "{why}: {m}");
+        }
+    }
+
+    /// A record's parent must be an element of its leaf's parent path; the
+    /// document element is no parent of any leaf of the small image.
+    #[test]
+    fn record_parent_off_its_containers_parent_path_is_corrupt() {
+        let image = small_image();
+        let [_, parent] = container_fields(&image).swap_remove(0);
+        let m = open_error(store_of(&spliced(&image, 4, parent, &[0])), "record parent 0");
+        assert!(m.contains("container 0 record parent 0 is not on its leaf's parent path"), "{m}");
     }
 }

@@ -13,8 +13,10 @@
 //!
 //! The loader and open build the tree through a `TreeBuilder`, which
 //! appends nodes in pre-order and checks that each new node's parent is on
-//! the root path of the node before it.
+//! the root path of the node before it, and then attach the value refs
+//! from the containers' parent lists.
 
+use crate::container::Container;
 use crate::ids::{ContainerId, ElemId, PathId, TagCode};
 
 /// Pointer from an element to one of its values inside a container.
@@ -106,19 +108,21 @@ impl StructureTree {
         &self.values[self.value_starts[i] as usize..self.value_starts[i + 1] as usize]
     }
 
-    /// Replace every node's values by `refs`, grouped per node with a stable
-    /// counting sort: each node keeps its values in the order `refs` lists
-    /// them. `refs` is walked twice, once to count and once to place.
-    pub(crate) fn set_values<I>(&mut self, refs: I)
-    where
-        I: IntoIterator<Item = (ElemId, ValueRef)>,
-        I::IntoIter: Clone,
-    {
-        let refs = refs.into_iter();
+    /// Attach every node's value refs: the inverse of the containers'
+    /// parent lists, grouped per node with a stable counting sort, so each
+    /// node lists its values in container order, then record order. Every
+    /// record's parent must be a node of the tree. The loader and open both
+    /// attach values here.
+    pub(crate) fn attach_values(&mut self, containers: &[Container]) {
+        let refs = || {
+            containers.iter().flat_map(|c| {
+                c.scan().map(|(index, parent)| (parent, ValueRef { container: c.id, index }))
+            })
+        };
         let n = self.len();
         // Count per node, then turn the counts into start offsets.
         let mut starts = vec![0u32; n + 1];
-        for (e, _) in refs.clone() {
+        for (e, _) in refs() {
             starts[e.0 as usize] += 1;
         }
         let mut total = 0u32;
@@ -130,7 +134,7 @@ impl StructureTree {
         // Place each value at its node's cursor; afterwards `starts[i]` is
         // where node `i`'s values end, so shift the offsets back by one.
         let mut values = vec![ValueRef { container: ContainerId(0), index: 0 }; total as usize];
-        for (e, v) in refs {
+        for (e, v) in refs() {
             let cursor = &mut starts[e.0 as usize];
             values[*cursor as usize] = v;
             *cursor += 1;
@@ -143,12 +147,14 @@ impl StructureTree {
 
     /// Serialized size estimate in bytes of the node records.
     ///
-    /// The on-disk layout stores, per node, the dictionary-coded tag (one
-    /// byte for the usual <=256 distinct names), plus parent and
-    /// next-sibling links as varint deltas against the pre-order id (ids
-    /// are dense pre-order, so deltas are small — ~2 bytes each); the child
-    /// list is recoverable from first-child/next-sibling. Value refs cost a
-    /// varint container code (~1) plus a varint record index (~3).
+    /// The figure prices, per node, a dictionary-coded tag (one byte for
+    /// the usual <=256 distinct names) and two varint links against the
+    /// pre-order id (ids are dense pre-order, so deltas are small — ~2
+    /// bytes each), and per value ref a varint container code (~1) plus a
+    /// varint record index (~3). It is the accounting that Fig. 6 reports,
+    /// not the saved layout: the image (see `persist`) stores only each
+    /// node's tag and parent delta, and open derives paths, subtree ends
+    /// and value refs.
     pub fn serialized_size(&self) -> usize {
         (1 + 2 + 2) * self.len() + 4 * self.values.len()
     }
@@ -178,7 +184,6 @@ impl TreeBuilder {
         t.parents.reserve(nodes);
         t.paths.reserve(nodes);
         t.ends.reserve(nodes);
-        t.value_starts.reserve(nodes);
     }
 
     /// Append the next node in pre-order. `parent` must be the last node
@@ -207,17 +212,17 @@ impl TreeBuilder {
         t.parents.push(stop);
         t.paths.push(path);
         t.ends.push(id);
-        t.value_starts.push(t.values.len() as u32);
         Some(ElemId(id))
     }
 
-    /// Attach a value to the node appended last.
-    pub fn push_value(&mut self, v: ValueRef) {
-        self.tree.values.push(v);
+    /// Path-summary node of a node already appended.
+    pub fn path(&self, id: ElemId) -> PathId {
+        self.tree.path(id)
     }
 
     /// Close the subtrees still open and return the tree, its arrays
-    /// trimmed to their lengths.
+    /// trimmed to their lengths. It holds no value refs until
+    /// [`StructureTree::attach_values`].
     pub fn finish(mut self) -> StructureTree {
         let t = &mut self.tree;
         if let Some(last) = (t.tags.len() as u32).checked_sub(1) {
@@ -227,13 +232,11 @@ impl TreeBuilder {
                 a = t.parents[a as usize];
             }
         }
-        t.value_starts.push(t.values.len() as u32);
+        t.value_starts = vec![0; t.tags.len() + 1];
         t.tags.shrink_to_fit();
         t.parents.shrink_to_fit();
         t.paths.shrink_to_fit();
         t.ends.shrink_to_fit();
-        t.value_starts.shrink_to_fit();
-        t.values.shrink_to_fit();
         self.tree
     }
 }
@@ -241,6 +244,7 @@ impl TreeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::{ContainerLeaf, ValueType};
 
     fn sample() -> (StructureTree, Vec<ElemId>) {
         // site(e0) -> people(e1) -> person(e2), person(e3); regions(e4)
@@ -312,24 +316,21 @@ mod tests {
     #[test]
     fn value_refs_keep_their_order_per_node() {
         let (mut t, ids) = sample();
+        assert!(t.values(ids[2]).is_empty(), "no values before they are attached");
+        let block = |c, values: &[(&str, ElemId)]| {
+            let values = values.iter().map(|&(v, e)| (v.to_owned(), e)).collect();
+            let (id, path) = (ContainerId(c), PathId(c));
+            Container::build_block(id, path, ContainerLeaf::Text, ValueType::Str, values)
+        };
+        // Records sort by value: c0 holds a(e2) b(e4), c1 holds w(e2) x(e2) y(e0).
+        let c0 = block(0, &[("b", ids[4]), ("a", ids[2])]);
+        let c1 = block(1, &[("x", ids[2]), ("y", ids[0]), ("w", ids[2])]);
+        t.attach_values(&[c0, c1]);
         let v = |c, index| ValueRef { container: ContainerId(c), index };
-        t.set_values([(ids[2], v(1, 7)), (ids[4], v(0, 1)), (ids[2], v(0, 3)), (ids[0], v(2, 0))]);
-        assert_eq!(t.values(ids[2]), &[v(1, 7), v(0, 3)]);
+        assert_eq!(t.values(ids[2]), &[v(0, 0), v(1, 0), v(1, 1)]);
         assert_eq!(t.values(ids[4]), &[v(0, 1)]);
-        assert_eq!(t.values(ids[0]), &[v(2, 0)]);
+        assert_eq!(t.values(ids[0]), &[v(1, 2)]);
         assert!(t.values(ids[3]).is_empty());
-
-        let mut b = TreeBuilder::new();
-        let r = b.push(TagCode(0), None, PathId(0)).unwrap();
-        b.push_value(v(0, 0));
-        b.push(TagCode(1), Some(r), PathId(1)).unwrap();
-        b.push(TagCode(1), Some(r), PathId(1)).unwrap();
-        b.push_value(v(1, 0));
-        b.push_value(v(1, 1));
-        let t = b.finish();
-        assert_eq!(t.values(ElemId(0)), &[v(0, 0)]);
-        assert!(t.values(ElemId(1)).is_empty());
-        assert_eq!(t.values(ElemId(2)), &[v(1, 0), v(1, 1)]);
-        assert_eq!(t.serialized_size(), 3 * 5 + 3 * 4);
+        assert_eq!(t.serialized_size(), 5 * 5 + 5 * 4);
     }
 }

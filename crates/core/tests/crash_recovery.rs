@@ -189,8 +189,11 @@ fn recovery_itself_is_restartable_at_every_crash_point() {
 
 #[test]
 fn composed_crash_and_bitflip_sweep_never_yields_garbage_silently() {
-    let old = build_repo(6_000);
-    let new = build_repo(9_000);
+    // Documents whose images span several pages (five for `new`): read
+    // k / 4 below only reaches the commit's checksum pass when that pass
+    // reads more than a page or two.
+    let old = build_repo(60_000);
+    let new = build_repo(90_000);
     let dir = temp_dir("composed");
     let path = dir.join("repo.xqc");
 

@@ -20,7 +20,7 @@ use xquec_xml::gen::XmarkGen;
 
 /// The catalog on page 0 (see `persist`): magic and original size take 16
 /// bytes, then come an object count per section, then a length per section.
-const SECTIONS: [&str; 5] = ["dictionary", "node", "summary", "model", "container"];
+const SECTIONS: [&str; 5] = ["dictionary", "summary", "node", "model", "container"];
 
 fn count_at(i: usize) -> usize {
     16 + 8 * i

@@ -11,7 +11,9 @@
 //! whose text values share one container, in an order that sorting the
 //! container changes, and elements with several attributes. Every node is
 //! checked on the loaded repository and again on the one reopened from its
-//! saved image.
+//! saved image, and the reopened repository must equal the loaded one
+//! array for array: the image stores neither paths, extents nor value
+//! refs, so open derives them.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -159,6 +161,44 @@ fn check(repo: &Repository, doc: &Document, what: &str) -> Shapes {
     shapes
 }
 
+/// The image stores only tags, parent deltas, the summary skeleton and the
+/// containers; open derives paths, subtree ends, extents, container
+/// pointers and value refs. The reopened repository must equal the loaded
+/// one array for array.
+fn assert_reopened_equals_loaded(loaded: &Repository, reopened: &Repository, what: &str) {
+    let (a, b) = (&loaded.tree, &reopened.tree);
+    assert_eq!(a.len(), b.len(), "{what}: node count");
+    for i in 0..a.len() as u32 {
+        let id = ElemId(i);
+        assert_eq!(
+            (a.tag(id), a.parent(id), a.path(id), a.subtree_end(id), a.values(id)),
+            (b.tag(id), b.parent(id), b.path(id), b.subtree_end(id), b.values(id)),
+            "{what}: node {i}"
+        );
+    }
+    let (a, b) = (&loaded.summary, &reopened.summary);
+    assert_eq!(a.len(), b.len(), "{what}: summary nodes");
+    for p in a.ids() {
+        let (x, y) = (a.node(p), b.node(p));
+        assert_eq!(
+            (x.kind, x.parent, &x.children, x.container, &x.extent),
+            (y.kind, y.parent, &y.children, y.container, &y.extent),
+            "{what}: summary node {}",
+            p.0
+        );
+    }
+    assert_eq!(loaded.containers.len(), reopened.containers.len(), "{what}: containers");
+    for (x, y) in loaded.containers.iter().zip(&reopened.containers) {
+        assert_eq!(
+            (x.id, x.path, x.leaf, x.vtype, x.is_individual()),
+            (y.id, y.path, y.leaf, y.vtype, y.is_individual()),
+            "{what}: container {}",
+            x.id.0
+        );
+        assert!(x.scan().eq(y.scan()), "{what}: container {} parents", x.id.0);
+    }
+}
+
 /// Check `xml` loaded with `opts`, then saved and reopened; the shapes of
 /// value lists met.
 fn check_loaded_and_reopened(xml: &str, opts: &LoaderOptions, what: &str) -> Shapes {
@@ -168,6 +208,7 @@ fn check_loaded_and_reopened(xml: &str, opts: &LoaderOptions, what: &str) -> Sha
     let pager = Arc::new(MemPager::new());
     save_to_pager(&repo, pager.clone()).expect("save");
     let reopened = load_from_pager(pager).expect("open");
+    assert_reopened_equals_loaded(&repo, &reopened, what);
     assert_eq!(check(&reopened, &doc, &format!("{what}, reopened")), shapes, "{what}");
     shapes
 }
@@ -179,6 +220,8 @@ fn xmark_tree_matches_its_dom() {
         let xml = XmarkGen::with_target_size(60_000).seed(seed).generate();
         let shapes = check_loaded_and_reopened(&xml, &opts, &format!("XMark seed {seed}"));
         assert!(shapes.block_values > 0, "{shapes:?}");
+        let what = format!("XMark seed {seed}, no workload");
+        check_loaded_and_reopened(&xml, &LoaderOptions::default(), &what);
     }
 }
 
