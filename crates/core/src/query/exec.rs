@@ -37,7 +37,13 @@
 //!   `Item::Str` shares that `Rc` and no operator copies it into a `String`.
 //! * The environment binds variable names borrowed from the query's AST,
 //!   and a path rooted at `$v` or `.` reads the bound nodes in place.
-//! * Constructed elements share their tag and attribute names with the AST.
+//! * A `for` loop's clauses run a clause at a time over all its rows, and a
+//!   row-local path of the loop variable runs once per clause for all of
+//!   them (set-at-a-time, as in MonetDB/X100); a row reads its slice of
+//!   the result (`RowBatch`).
+//! * Constructed elements share their tag and attribute names with the AST,
+//!   and their content is one flat sequence the child expressions
+//!   evaluate into.
 //! * Plan details are borrowed text the recorder copies only when it creates
 //!   a plan node (see [`super::plan`]).
 
@@ -185,22 +191,121 @@ impl ToJson for ExecStats {
 }
 
 /// Variable bindings, innermost last; names are borrowed from the AST.
-type Env<'q> = Vec<(&'q str, Bound)>;
+type Env<'q> = Vec<(&'q str, Bound<'q>)>;
 
-/// A variable's value. A `for` row binds a single item, which needs no
-/// `Vec` of its own.
-enum Bound {
+/// A variable's value. A single item needs no `Vec` of its own.
+enum Bound<'q> {
     One(Item),
     Seq(Sequence),
+    /// Row `i` of a `for` loop: the batch's `items[i]`.
+    Row(Rc<RowBatch<'q>>, u32),
 }
 
-impl Bound {
+impl Bound<'_> {
     fn items(&self) -> &[Item] {
         match self {
             Bound::One(item) => std::slice::from_ref(item),
             Bound::Seq(seq) => seq,
+            Bound::Row(batch, i) => std::slice::from_ref(&batch.items[*i as usize]),
         }
     }
+}
+
+/// The rows of one `for` loop (or of a hash join's matches), and the
+/// row-local paths of the clause being evaluated over them.
+///
+/// A row-local path is rooted at the loop variable and takes only child
+/// element steps with at most positional predicates, optionally ending in
+/// `text()` or `@attr` ([`row_local_paths`]). The first row that reads one
+/// evaluates it for every row of the clause at once: one `StructureNav` per
+/// step and one `TextContent`, each over the whole batch. Every row of the
+/// clause reaches every such path exactly once, so the operators see the
+/// same nodes as a row-at-a-time evaluation would, and do the same work.
+struct RowBatch<'q> {
+    /// The loop variable's item in each row.
+    items: Vec<Item>,
+    clause: RefCell<ClauseBatch<'q>>,
+}
+
+#[derive(Default)]
+struct ClauseBatch<'q> {
+    /// The rows (indices into `items`, ascending) that evaluate the clause.
+    rows: Vec<u32>,
+    /// The clause's row-local paths no row has read yet.
+    pending: Vec<&'q PathExpr>,
+    /// The paths read so far: row `i`'s items are
+    /// `items[starts[i]..starts[i + 1]]`, with `starts` one longer than the
+    /// batch; rows outside the clause have empty slices.
+    done: Vec<(&'q PathExpr, Sequence, Vec<u32>)>,
+}
+
+/// The rows of a batch as the clauses after its `for` see them.
+struct Rows<'q> {
+    /// The variable each row binds, if any.
+    var: Option<&'q str>,
+    /// `var` when every row binds a node: its row-local paths are batched.
+    nodes: Option<&'q str>,
+    batch: Rc<RowBatch<'q>>,
+    /// Each `let` so far, with its value in every row.
+    lets: Vec<(&'q str, Vec<Sequence>)>,
+}
+
+impl<'q> Rows<'q> {
+    fn new(var: Option<&'q str>, items: Vec<Item>) -> Self {
+        let nodes = var.filter(|_| items.iter().all(|i| matches!(i, Item::Node(_))));
+        let batch = Rc::new(RowBatch { items, clause: RefCell::default() });
+        Rows { var, nodes, batch, lets: Vec::new() }
+    }
+
+    /// Start evaluating a clause over the rows in `live`: the row-local
+    /// paths in `exprs` become pending.
+    fn start_clause(&self, live: &[u32], exprs: &[&'q Expr]) {
+        let mut clause = self.batch.clause.borrow_mut();
+        clause.pending.clear();
+        clause.done.clear();
+        if let Some(var) = self.nodes {
+            for e in exprs {
+                row_local_paths(e, var, &mut clause.pending);
+            }
+        }
+        clause.rows.clear();
+        if !clause.pending.is_empty() {
+            clause.rows.extend_from_slice(live);
+        }
+    }
+
+    /// Bind row `i` (the variable to its item, each `let` to its value in
+    /// that row), run `f`, and unbind the row again.
+    fn bind<T>(
+        &mut self,
+        i: u32,
+        env: &mut Env<'q>,
+        f: impl FnOnce(&mut Env<'q>) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
+        let depth = env.len();
+        if let Some(var) = self.var {
+            env.push((var, Bound::Row(Rc::clone(&self.batch), i)));
+        }
+        for (name, values) in &mut self.lets {
+            env.push((name, Bound::Seq(std::mem::take(&mut values[i as usize]))));
+        }
+        let result = f(env);
+        for (_, values) in self.lets.iter_mut().rev() {
+            if let Some((_, Bound::Seq(value))) = env.pop() {
+                values[i as usize] = value;
+            }
+        }
+        env.truncate(depth);
+        result
+    }
+}
+
+/// What the clauses of one FLWOR evaluation share.
+struct Flwor<'q> {
+    ret: &'q Expr,
+    order_key: Option<&'q Expr>,
+    /// `where` conjuncts already applied by index pushdown, by address.
+    consumed: RefCell<HashSet<usize>>,
 }
 
 struct JoinIndex<'r> {
@@ -526,12 +631,9 @@ impl<'r> Engine<'r> {
         match expr {
             Expr::Str(s) => Ok(vec![Item::Str(Rc::from(s.as_str()))]),
             Expr::Num(n) => Ok(vec![Item::Num(*n)]),
-            Expr::Var(v) => self.lookup(env, v).map(<[Item]>::to_vec),
-            Expr::Seq(items) => {
+            Expr::Var(_) | Expr::Seq(_) | Expr::Elem(_) | Expr::Path(_) => {
                 let mut out = Vec::new();
-                for e in items {
-                    out.extend(self.eval(e, env, ctx)?);
-                }
+                self.eval_into(expr, env, ctx, &mut out)?;
                 Ok(out)
             }
             Expr::Or(a, b) => {
@@ -611,31 +713,63 @@ impl<'r> Engine<'r> {
                 Ok(out)
             }
             Expr::Call(name, args) => self.call(name, args, env, ctx),
-            Expr::Elem(ctor) => {
-                let mut attrs = Vec::with_capacity(ctor.attrs.len());
-                for (n, e) in &ctor.attrs {
-                    attrs.push((Rc::clone(n), self.eval(e, env, ctx)?));
-                }
-                let mut children = Vec::with_capacity(ctor.children.len());
-                for e in &ctor.children {
-                    children.push(self.eval(e, env, ctx)?);
-                }
-                let tag = Rc::clone(&ctor.tag);
-                Ok(vec![Item::Tree(Rc::new(Fragment { tag, attrs, children }))])
-            }
-            Expr::Path(p) => self.eval_path(p, env, ctx),
             Expr::Flwor(clauses, ret) => {
                 self.eval_flwor(expr as *const Expr as usize, clauses, ret, env, ctx)
             }
         }
     }
 
-    fn lookup<'e>(&self, env: &'e Env, var: &str) -> Result<&'e [Item], QueryError> {
+    /// Evaluate `expr`, appending its items to `out`. Variables, sequences,
+    /// constructors and paths write straight into `out`, so a constructed
+    /// element's content is built in one sequence.
+    fn eval_into<'q>(
+        &self,
+        expr: &'q Expr,
+        env: &mut Env<'q>,
+        ctx: &Ctx<'r>,
+        out: &mut Sequence,
+    ) -> Result<(), QueryError> {
+        match expr {
+            Expr::Var(v) => out.extend_from_slice(self.lookup(env, v)?),
+            Expr::Seq(items) => {
+                for e in items {
+                    self.eval_into(e, env, ctx, out)?;
+                }
+            }
+            Expr::Elem(ctor) => {
+                let mut attrs = Vec::with_capacity(ctor.attrs.len());
+                for (n, e) in &ctor.attrs {
+                    attrs.push((Rc::clone(n), self.eval(e, env, ctx)?));
+                }
+                let mut children = Vec::new();
+                let mut seams = Vec::new();
+                for e in &ctor.children {
+                    let start = children.len();
+                    self.eval_into(e, env, ctx, &mut children)?;
+                    let atomic = |i: usize| children.get(i).is_some_and(|i| !i.is_node());
+                    if start > 0 && atomic(start - 1) && atomic(start) {
+                        seams.push(start as u32);
+                    }
+                }
+                let tag = Rc::clone(&ctor.tag);
+                out.push(Item::Tree(Rc::new(Fragment { tag, attrs, children, seams })));
+            }
+            Expr::Path(p) => self.eval_path(p, env, ctx, out)?,
+            other => append(out, self.eval(other, env, ctx)?),
+        }
+        Ok(())
+    }
+
+    fn bound<'e, 'q>(&self, env: &'e Env<'q>, var: &str) -> Result<&'e Bound<'q>, QueryError> {
         env.iter()
             .rev()
             .find(|(n, _)| *n == var)
-            .map(|(_, b)| b.items())
+            .map(|(_, b)| b)
             .ok_or_else(|| QueryError { message: format!("unbound variable ${var}") })
+    }
+
+    fn lookup<'e>(&self, env: &'e Env, var: &str) -> Result<&'e [Item], QueryError> {
+        self.bound(env, var).map(Bound::items)
     }
 
     fn ebv<'q>(
@@ -666,9 +800,19 @@ impl<'r> Engine<'r> {
             Clause::OrderBy(e, desc) => Some((e, *desc)),
             _ => None,
         });
-        let consumed = RefCell::new(HashSet::new());
+        let flwor = Flwor { ret, order_key: order.map(|(e, _)| e), consumed: RefCell::default() };
         let mut rows: Vec<(Option<Rc<str>>, Sequence)> = Vec::new();
-        self.flwor_rec(clauses, 0, ret, order.map(|(e, _)| e), env, ctx, &consumed, &mut rows)?;
+        match clauses {
+            [Clause::For(v, src), rest @ ..] => {
+                self.for_clause(v, src, rest, &flwor, env, ctx, &mut rows)?
+            }
+            // Clauses before the first `for` run over one row that binds
+            // no variable.
+            _ => {
+                let unit = Rows::new(None, vec![Item::Bool(true)]);
+                self.eval_rows(unit, clauses, &flwor, env, ctx, &mut rows)?
+            }
+        }
         if let Some((_, desc)) = order {
             let n = rows.len();
             self.traced(
@@ -692,123 +836,172 @@ impl<'r> Engine<'r> {
         Ok(rows.into_iter().flat_map(|(_, s)| s).collect())
     }
 
+    /// `for $v in src` and the clauses after it, under the loop's own `For`
+    /// operator: the source, any pushed-down conjuncts and every operator
+    /// the rows run nest beneath it (rows: bindings in -> FLWOR rows out).
     #[allow(clippy::too_many_arguments)]
-    fn flwor_rec<'q>(
+    fn for_clause<'q>(
         &self,
-        clauses: &'q [Clause],
-        idx: usize,
-        ret: &'q Expr,
-        order_key: Option<&'q Expr>,
+        v: &'q str,
+        src: &'q Expr,
+        rest: &'q [Clause],
+        flwor: &Flwor<'q>,
         env: &mut Env<'q>,
         ctx: &Ctx<'r>,
-        consumed: &RefCell<HashSet<usize>>,
-        rows: &mut Vec<(Option<Rc<str>>, Sequence)>,
+        out: &mut Vec<(Option<Rc<str>>, Sequence)>,
     ) -> Result<(), QueryError> {
-        if idx == clauses.len() {
-            let key = match order_key {
-                Some(e) => {
-                    let k = self.eval(e, env, ctx)?;
-                    Some(match k.first() {
-                        Some(i) => self.text_value(i)?,
-                        None => Rc::from(""),
-                    })
-                }
-                None => None,
-            };
-            let val = self.eval(ret, env, ctx)?;
-            rows.push((key, val));
-            return Ok(());
-        }
-        match &clauses[idx] {
-            // The loop runs under its own `For` operator: the source, any
-            // pushed-down conjuncts and every per-row operator nest beneath
-            // it (rows: bindings in -> FLWOR rows out).
-            Clause::For(v, src) => self.traced(
-                "For",
-                Detail::Prefixed("$", v),
-                0,
-                || {
-                    let mut seq = self.eval(src, env, ctx)?;
-                    // Index pushdown: apply indexable Where conjuncts that
-                    // constrain this variable before iterating.
-                    if seq.iter().all(|i| matches!(i, Item::Node(_))) {
-                        let mut nodes: Vec<ElemId> = seq
-                            .iter()
-                            .map(|i| match i {
-                                Item::Node(n) => *n,
-                                _ => unreachable!(),
-                            })
-                            .collect();
-                        for clause in &clauses[idx + 1..] {
-                            let Clause::Where(w) = clause else { continue };
-                            for conj in conjuncts(w) {
-                                if consumed.borrow().contains(&(conj as *const Expr as usize)) {
-                                    continue;
-                                }
-                                if let Some(filtered) = self.try_index_conjunct(&nodes, v, conj)? {
-                                    nodes = filtered;
-                                    consumed.borrow_mut().insert(conj as *const Expr as usize);
-                                }
+        self.traced(
+            "For",
+            Detail::Prefixed("$", v),
+            0,
+            || {
+                let mut seq = self.eval(src, env, ctx)?;
+                // Index pushdown: apply indexable Where conjuncts that
+                // constrain this variable before iterating.
+                if seq.iter().all(|i| matches!(i, Item::Node(_))) {
+                    let mut nodes: Vec<ElemId> = seq
+                        .iter()
+                        .map(|i| match i {
+                            Item::Node(n) => *n,
+                            _ => unreachable!(),
+                        })
+                        .collect();
+                    for clause in rest {
+                        let Clause::Where(w) = clause else { continue };
+                        for conj in conjuncts(w) {
+                            let id = conj as *const Expr as usize;
+                            if flwor.consumed.borrow().contains(&id) {
+                                continue;
+                            }
+                            if let Some(filtered) = self.try_index_conjunct(&nodes, v, conj)? {
+                                nodes = filtered;
+                                flwor.consumed.borrow_mut().insert(id);
                             }
                         }
-                        seq = nodes.into_iter().map(Item::Node).collect();
                     }
-                    self.plan.borrow_mut().annotate_rows(seq.len());
-                    let before = rows.len();
-                    for item in seq {
-                        env.push((v, Bound::One(item)));
-                        let r = self
-                            .flwor_rec(clauses, idx + 1, ret, order_key, env, ctx, consumed, rows);
-                        env.pop();
-                        r?;
-                    }
-                    Ok(rows.len() - before)
-                },
-                |n| *n,
-            )
-            .map(drop),
-            Clause::Let(v, src) => {
-                let seq = self.eval(src, env, ctx)?;
-                env.push((v, Bound::Seq(seq)));
-                let r = self.flwor_rec(clauses, idx + 1, ret, order_key, env, ctx, consumed, rows);
-                env.pop();
-                r
-            }
-            Clause::Where(w) => {
-                if !self.where_holds(w, env, ctx, consumed)? {
-                    return Ok(());
+                    seq = nodes.into_iter().map(Item::Node).collect();
                 }
-                self.flwor_rec(clauses, idx + 1, ret, order_key, env, ctx, consumed, rows)
-            }
-            Clause::OrderBy(..) => {
-                self.flwor_rec(clauses, idx + 1, ret, order_key, env, ctx, consumed, rows)
-            }
-        }
+                self.plan.borrow_mut().annotate_rows(seq.len());
+                let before = out.len();
+                if !seq.is_empty() {
+                    self.eval_rows(Rows::new(Some(v), seq), rest, flwor, env, ctx, out)?;
+                }
+                Ok(out.len() - before)
+            },
+            |n| *n,
+        )
+        .map(drop)
     }
 
-    /// Evaluate a `where` clause's conjuncts left to right, each under its
-    /// own `Predicate` operator, stopping at the first false one; conjuncts
-    /// already answered by index pushdown are skipped.
-    fn where_holds<'q>(
+    /// Evaluate `clauses`, then the order key and the return clause, over
+    /// `rows`, appending the FLWOR's rows to `out`.
+    ///
+    /// Evaluation goes a clause at a time, over exactly the rows a
+    /// row-at-a-time evaluation would take through it: each `where`
+    /// conjunct runs as one `Predicate` over the rows that passed the
+    /// conjuncts before it; each `let`, the order key and the return clause
+    /// over the rows that passed every `where` before them; a nested `for`
+    /// row by row. The row-local paths of the loop variable in a clause are
+    /// evaluated once over all of its rows (see [`RowBatch`]).
+    fn eval_rows<'q>(
         &self,
-        w: &'q Expr,
+        mut rows: Rows<'q>,
+        clauses: &'q [Clause],
+        flwor: &Flwor<'q>,
         env: &mut Env<'q>,
         ctx: &Ctx<'r>,
-        consumed: &RefCell<HashSet<usize>>,
-    ) -> Result<bool, QueryError> {
+        out: &mut Vec<(Option<Rc<str>>, Sequence)>,
+    ) -> Result<(), QueryError> {
+        let mut live: Vec<u32> = (0..rows.batch.items.len() as u32).collect();
+        for (k, clause) in clauses.iter().enumerate() {
+            if live.is_empty() {
+                return Ok(());
+            }
+            match clause {
+                Clause::For(v, src) => {
+                    rows.start_clause(&live, &[]);
+                    for &i in &live {
+                        rows.bind(i, env, |env| {
+                            self.for_clause(v, src, &clauses[k + 1..], flwor, env, ctx, out)
+                        })?;
+                    }
+                    return Ok(());
+                }
+                Clause::Let(v, src) => {
+                    rows.start_clause(&live, &[src]);
+                    let mut values = vec![Vec::new(); rows.batch.items.len()];
+                    for &i in &live {
+                        values[i as usize] = rows.bind(i, env, |env| self.eval(src, env, ctx))?;
+                    }
+                    rows.lets.push((v, values));
+                }
+                Clause::Where(w) => live = self.where_rows(w, &mut rows, live, flwor, env, ctx)?,
+                Clause::OrderBy(..) => {}
+            }
+        }
+        match flwor.order_key {
+            Some(key) => rows.start_clause(&live, &[key, flwor.ret]),
+            None => rows.start_clause(&live, &[flwor.ret]),
+        }
+        for &i in &live {
+            let row = rows.bind(i, env, |env| {
+                let key = match flwor.order_key {
+                    Some(e) => {
+                        let k = self.eval(e, env, ctx)?;
+                        Some(match k.first() {
+                            Some(i) => self.text_value(i)?,
+                            None => Rc::from(""),
+                        })
+                    }
+                    None => None,
+                };
+                Ok((key, self.eval(flwor.ret, env, ctx)?))
+            })?;
+            out.push(row);
+        }
+        Ok(())
+    }
+
+    /// Apply a `where` clause's conjuncts to the rows in `live`, left to
+    /// right, each under one `Predicate` operator over the rows that passed
+    /// the conjuncts before it; conjuncts already answered by index
+    /// pushdown are skipped.
+    fn where_rows<'q>(
+        &self,
+        w: &'q Expr,
+        rows: &mut Rows<'q>,
+        live: Vec<u32>,
+        flwor: &Flwor<'q>,
+        env: &mut Env<'q>,
+        ctx: &Ctx<'r>,
+    ) -> Result<Vec<u32>, QueryError> {
         if let Expr::And(a, b) = w {
-            return Ok(self.where_holds(a, env, ctx, consumed)?
-                && self.where_holds(b, env, ctx, consumed)?);
+            let live = self.where_rows(a, rows, live, flwor, env, ctx)?;
+            return self.where_rows(b, rows, live, flwor, env, ctx);
         }
-        if consumed.borrow().contains(&(w as *const Expr as usize)) {
-            return Ok(true);
+        if live.is_empty() || flwor.consumed.borrow().contains(&(w as *const Expr as usize)) {
+            return Ok(live);
         }
+        rows.start_clause(&live, &[w]);
+        let n = live.len();
         self.traced(
             "Predicate",
             Detail::Static("where"),
-            1,
-            || self.ebv(w, env, ctx),
-            |b| usize::from(*b),
+            n,
+            || {
+                let mut live = live;
+                let mut kept = 0;
+                for j in 0..live.len() {
+                    let i = live[j];
+                    if rows.bind(i, env, |env| self.ebv(w, env, ctx))? {
+                        live[kept] = i;
+                        kept += 1;
+                    }
+                }
+                live.truncate(kept);
+                Ok(live)
+            },
+            Vec::len,
         )
     }
 
@@ -895,17 +1088,17 @@ impl<'r> Engine<'r> {
                     plan.annotate_detail(compressed_keys(Some(index.codec.is_some())));
                 }
 
-                // Evaluate the remaining clauses + return for every matching row.
-                let consumed = RefCell::new(HashSet::new());
-                consumed.borrow_mut().insert(conj as *const Expr as usize);
-                let mut rows: Vec<(Option<Rc<str>>, Sequence)> = Vec::new();
-                for &ri in &match_rows {
-                    env.push((v2, Bound::One(index.rows[ri as usize].clone())));
-                    let r =
-                        self.flwor_rec(&clauses[1..], 0, ret, None, env, ctx, &consumed, &mut rows);
-                    env.pop();
-                    r?;
+                // Evaluate the remaining clauses + return over the matching rows.
+                if match_rows.is_empty() {
+                    return Ok(Vec::new());
                 }
+                let consumed = RefCell::new(HashSet::from([conj as *const Expr as usize]));
+                let flwor = Flwor { ret, order_key: None, consumed };
+                let matched =
+                    match_rows.iter().map(|&ri| index.rows[ri as usize].clone()).collect();
+                let matched = Rows::new(Some(v2), matched);
+                let mut rows: Vec<(Option<Rc<str>>, Sequence)> = Vec::new();
+                self.eval_rows(matched, &clauses[1..], &flwor, env, ctx, &mut rows)?;
                 Ok(rows.into_iter().flat_map(|(_, s)| s).collect::<Sequence>())
             },
             Vec::len,
@@ -921,18 +1114,17 @@ impl<'r> Engine<'r> {
         ctx: &Ctx<'r>,
     ) -> Result<JoinIndex<'r>, QueryError> {
         let mut env: Env = Vec::new();
-        let items = self.eval(src, &mut env, ctx)?;
-        // First pass: gather raw key items per row.
-        let mut rows = Vec::with_capacity(items.len());
+        let rows = self.eval(src, &mut env, ctx)?;
+        // First pass: gather raw key items per row, the key being one
+        // clause over all the rows.
         let mut keyed: Vec<(u32, Item)> = Vec::new();
         let mut codec: Option<Arc<ValueCodec>> = None;
         let mut uniform = true;
-        for item in items {
-            env.push((var, Bound::One(item.clone())));
-            let keys = self.eval(key_expr, &mut env, ctx)?;
-            env.pop();
-            let row = rows.len() as u32;
-            rows.push(item);
+        let mut build = Rows::new(Some(var), rows.clone());
+        let all: Vec<u32> = (0..rows.len() as u32).collect();
+        build.start_clause(&all, &[key_expr]);
+        for row in all {
+            let keys = build.bind(row, &mut env, |env| self.eval(key_expr, env, ctx))?;
             for k in self.atomize_all(&keys)? {
                 if let Item::Comp { container, .. } = &k {
                     let c = self.repo.container(*container).codec().clone();
@@ -1017,32 +1209,46 @@ impl<'r> Engine<'r> {
 
     // ---- paths ------------------------------------------------------------
 
+    /// Evaluate a path, appending its items to `out`.
     fn eval_path<'q>(
         &self,
         p: &'q PathExpr,
         env: &mut Env<'q>,
         ctx: &Ctx<'r>,
-    ) -> Result<Sequence, QueryError> {
+        out: &mut Sequence,
+    ) -> Result<(), QueryError> {
         let var = match &p.root {
-            PathRoot::Document => return self.eval_absolute_path(&p.steps, env, ctx),
+            PathRoot::Document => {
+                append(out, self.eval_absolute_path(&p.steps, env, ctx)?);
+                return Ok(());
+            }
             PathRoot::Var(v) => v.as_str(),
             PathRoot::Context => ".",
         };
-        // Read the bound nodes in place; a single bound node (every `for`
-        // row) needs no node list at all.
-        let bound = self.lookup(env, var)?;
-        if let [Item::Node(n)] = bound {
-            let n = *n;
-            return self.apply_steps(&[n], &p.steps, env, ctx);
-        }
-        let mut nodes = Vec::with_capacity(bound.len());
-        for i in bound {
-            match i {
-                Item::Node(n) => nodes.push(*n),
-                _ => return err("path step applied to a non-node item"),
+        let bound = self.bound(env, var)?;
+        if let Bound::Row(batch, row) = bound {
+            if self.batched_path(batch, *row, p, out)? {
+                return Ok(());
             }
         }
-        self.apply_steps(&nodes, &p.steps, env, ctx)
+        // Read the bound nodes in place; a single bound node needs no node
+        // list at all.
+        let bound = bound.items();
+        let items = if let [Item::Node(n)] = bound {
+            let n = *n;
+            self.apply_steps(&[n], &p.steps, env, ctx)?
+        } else {
+            let mut nodes = Vec::with_capacity(bound.len());
+            for i in bound {
+                match i {
+                    Item::Node(n) => nodes.push(*n),
+                    _ => return err("path step applied to a non-node item"),
+                }
+            }
+            self.apply_steps(&nodes, &p.steps, env, ctx)?
+        };
+        append(out, items);
+        Ok(())
     }
 
     /// Absolute path: resolve the structural prefix in the summary
@@ -1188,6 +1394,133 @@ impl<'r> Engine<'r> {
         Ok(nodes.iter().map(|&n| Item::Node(n)).collect())
     }
 
+    /// Append row `row`'s result of `p` to `out` when `p` is a row-local
+    /// path of the batch's current clause, evaluating it for all the
+    /// clause's rows on its first read; false when `p` is not batched.
+    fn batched_path<'q>(
+        &self,
+        batch: &RowBatch<'q>,
+        row: u32,
+        p: &'q PathExpr,
+        out: &mut Sequence,
+    ) -> Result<bool, QueryError> {
+        let mut clause = batch.clause.borrow_mut();
+        let clause = &mut *clause;
+        let k = match clause.done.iter().position(|d| std::ptr::eq(d.0, p)) {
+            Some(k) => k,
+            None => {
+                let Some(j) = clause.pending.iter().position(|&q| std::ptr::eq(q, p)) else {
+                    return Ok(false);
+                };
+                clause.pending.swap_remove(j);
+                let (seq, starts) = self.path_over_rows(&batch.items, &clause.rows, &p.steps)?;
+                clause.done.push((p, seq, starts));
+                clause.done.len() - 1
+            }
+        };
+        let (_, seq, starts) = &clause.done[k];
+        let row = row as usize;
+        out.extend_from_slice(&seq[starts[row] as usize..starts[row + 1] as usize]);
+        Ok(true)
+    }
+
+    /// Evaluate a row-local path's steps for the nodes of `items` at
+    /// `rows` all at once: one `StructureNav` per step and one
+    /// `TextContent`, each over every row's nodes. Returns the results in
+    /// row order, and where each item's row starts in them (one entry per
+    /// item, then the end); rows not in `rows` are empty.
+    fn path_over_rows(
+        &self,
+        items: &[Item],
+        rows: &[u32],
+        steps: &[Step],
+    ) -> Result<(Sequence, Vec<u32>), QueryError> {
+        let none = || Ok((Vec::new(), vec![0; items.len() + 1]));
+        let mut nodes = Vec::with_capacity(rows.len());
+        let mut starts = Vec::with_capacity(items.len() + 1);
+        let mut next_row = rows.iter().copied().peekable();
+        for (i, item) in items.iter().enumerate() {
+            starts.push(nodes.len() as u32);
+            if next_row.next_if_eq(&(i as u32)).is_some() {
+                let &Item::Node(n) = item else { unreachable!("batched rows bind nodes") };
+                nodes.push(n);
+            }
+        }
+        starts.push(nodes.len() as u32);
+        for step in steps {
+            let (attr, detail) = match &step.test {
+                NodeTest::Text => (None, Detail::Static("text()")),
+                NodeTest::Attr(name) => match self.repo.dict.code(name) {
+                    Some(code) => (Some(code), Detail::Prefixed("@", name)),
+                    None => return none(),
+                },
+                NodeTest::Tag(_) | NodeTest::AnyElement => {
+                    let next = self.traced(
+                        "StructureNav",
+                        step_detail(step),
+                        nodes.len(),
+                        || Ok(self.child_step_rows(&nodes, &starts, step)),
+                        |(next, _)| next.len(),
+                    )?;
+                    if next.0.is_empty() {
+                        return none();
+                    }
+                    (nodes, starts) = next;
+                    continue;
+                }
+            };
+            // A value step is the last one (see `is_row_local`).
+            return self.traced(
+                "TextContent",
+                detail,
+                nodes.len(),
+                || {
+                    let mut out = Vec::new();
+                    let mut out_starts = Vec::with_capacity(starts.len());
+                    for w in starts.windows(2) {
+                        out_starts.push(out.len() as u32);
+                        self.values_of(&nodes[w[0] as usize..w[1] as usize], attr, &mut out)?;
+                    }
+                    out_starts.push(out.len() as u32);
+                    Ok((out, out_starts))
+                },
+                |(out, _)| out.len(),
+            );
+        }
+        Ok((nodes.into_iter().map(Item::Node).collect(), starts))
+    }
+
+    /// A child element step for several rows at once, each row's nodes
+    /// being `nodes[starts[i]..starts[i + 1]]`; returns the matches in the
+    /// same layout. A row's nodes lie at one depth in document order, so
+    /// their children do too and need no sort.
+    fn child_step_rows(
+        &self,
+        nodes: &[ElemId],
+        starts: &[u32],
+        step: &Step,
+    ) -> (Vec<ElemId>, Vec<u32>) {
+        let tag = match &step.test {
+            NodeTest::Tag(t) => match self.repo.dict.code(t) {
+                Some(c) => Some(c),
+                None => return (Vec::new(), vec![0; starts.len()]),
+            },
+            _ => None,
+        };
+        let mut out = Vec::new();
+        let mut out_starts = Vec::with_capacity(starts.len());
+        for w in starts.windows(2) {
+            out_starts.push(out.len() as u32);
+            for &n in &nodes[w[0] as usize..w[1] as usize] {
+                let start = out.len();
+                out.extend(self.repo.tree.children(n, tag));
+                keep_positions(&step.predicates, &mut out, start);
+            }
+        }
+        out_starts.push(out.len() as u32);
+        (out, out_starts)
+    }
+
     /// `TextContent`: pair elements with their values through value refs,
     /// appending the values to `out`.
     fn values_of(
@@ -1247,18 +1580,7 @@ impl<'r> Engine<'r> {
                         .filter(|&p| tag.is_none_or(|t| self.repo.tree.tag(p) == t)),
                 ),
             }
-            for pred in &step.predicates {
-                let keep = match pred {
-                    StepPredicate::Position(k) => usize::try_from(*k)
-                        .ok()
-                        .filter(|&k| k >= 1 && k <= out.len() - start)
-                        .map(|k| out[start + k - 1]),
-                    StepPredicate::Last => out[start..].last().copied(),
-                    StepPredicate::Filter(_) => continue,
-                };
-                out.truncate(start);
-                out.extend(keep);
-            }
+            keep_positions(&step.predicates, &mut out, start);
         }
         out.sort();
         out.dedup();
@@ -2001,13 +2323,11 @@ impl<'r> Engine<'r> {
     }
 
     fn fragment_text(&self, f: &Fragment, out: &mut String) -> Result<(), QueryError> {
-        for child in &f.children {
-            for item in child {
-                match item {
-                    Item::Tree(t) => self.fragment_text(t, out)?,
-                    Item::Node(n) => self.node_text(*n, out)?,
-                    other => out.push_str(&self.string_value(other)?),
-                }
+        for item in &f.children {
+            match item {
+                Item::Tree(t) => self.fragment_text(t, out)?,
+                Item::Node(n) => self.node_text(*n, out)?,
+                other => out.push_str(&self.string_value(other)?),
             }
         }
         Ok(())
@@ -2027,16 +2347,29 @@ impl<'r> Engine<'r> {
     /// Serialize a result sequence to XML text.
     pub fn serialize(&self, seq: &Sequence) -> Result<String, QueryError> {
         let mut out = String::new();
+        self.serialize_items(seq, &[], &mut out)?;
+        Ok(out)
+    }
+
+    /// Serialize `items`, separating adjacent atomic items with a space
+    /// except at the positions listed in `seams` (ascending).
+    fn serialize_items(
+        &self,
+        items: &[Item],
+        seams: &[u32],
+        out: &mut String,
+    ) -> Result<(), QueryError> {
+        let mut seams = seams.iter().copied().peekable();
         let mut prev_atomic = false;
-        for item in seq {
+        for (i, item) in items.iter().enumerate() {
             let atomic = !item.is_node();
-            if atomic && prev_atomic {
+            if atomic && prev_atomic && seams.next_if_eq(&(i as u32)).is_none() {
                 out.push(' ');
             }
-            self.serialize_item(item, &mut out)?;
+            self.serialize_item(item, out)?;
             prev_atomic = atomic;
         }
-        Ok(out)
+        Ok(())
     }
 
     fn serialize_item(&self, item: &Item, out: &mut String) -> Result<(), QueryError> {
@@ -2104,22 +2437,12 @@ impl<'r> Engine<'r> {
             }
             out.push('"');
         }
-        if f.children.iter().all(|c| c.is_empty()) {
+        if f.children.is_empty() {
             out.push_str("/>");
             return Ok(());
         }
         out.push('>');
-        for child in &f.children {
-            let mut prev_atomic = false;
-            for item in child {
-                let atomic = !item.is_node();
-                if atomic && prev_atomic {
-                    out.push(' ');
-                }
-                self.serialize_item(item, out)?;
-                prev_atomic = atomic;
-            }
-        }
+        self.serialize_items(&f.children, &f.seams, out)?;
         out.push_str("</");
         out.push_str(&f.tag);
         out.push('>');
@@ -2167,6 +2490,75 @@ fn compressed_keys(compressed: Option<bool>) -> Detail<'static> {
     })
 }
 
+/// Append `items` to `out`, taking over their buffer when `out` has none.
+fn append(out: &mut Sequence, items: Sequence) {
+    if out.capacity() == 0 {
+        *out = items;
+    } else {
+        out.extend(items);
+    }
+}
+
+/// Narrow `out[start..]`, one context node's matches for a step, to what
+/// the step's positional predicates select; filters apply later, to the
+/// whole step.
+fn keep_positions(predicates: &[StepPredicate], out: &mut Vec<ElemId>, start: usize) {
+    for pred in predicates {
+        let keep = match pred {
+            StepPredicate::Position(k) => usize::try_from(*k)
+                .ok()
+                .filter(|&k| k >= 1 && k <= out.len() - start)
+                .map(|k| out[start + k - 1]),
+            StepPredicate::Last => out[start..].last().copied(),
+            StepPredicate::Filter(_) => continue,
+        };
+        out.truncate(start);
+        out.extend(keep);
+    }
+}
+
+/// Collect the row-local paths of `var` in `e` that each evaluation of `e`
+/// reads exactly once. Parts of `e` that run a varying number of times per
+/// evaluation are skipped: `if` branches, the right operand of `and` and
+/// `or`, `some`/`every` conditions, step filters and nested FLWORs.
+fn row_local_paths<'q>(e: &'q Expr, var: &str, out: &mut Vec<&'q PathExpr>) {
+    walk(e, &mut |x| match x {
+        Expr::Path(p) => {
+            if is_row_local(p, var) {
+                out.push(p);
+            }
+            false
+        }
+        Expr::If(once, ..) | Expr::And(once, _) | Expr::Or(once, _) => {
+            row_local_paths(once, var, out);
+            false
+        }
+        Expr::Some { source, .. } => {
+            row_local_paths(source, var, out);
+            false
+        }
+        Expr::Flwor(..) => false,
+        _ => true,
+    });
+}
+
+/// Is `p` rooted at `$var` with only child element steps, each with at most
+/// positional predicates, optionally ending in `text()` or `@attr`?
+fn is_row_local(p: &PathExpr, var: &str) -> bool {
+    matches!(&p.root, PathRoot::Var(v) if v == var)
+        && p.steps.iter().enumerate().all(|(i, s)| {
+            s.axis == Axis::Child
+                && match &s.test {
+                    NodeTest::Tag(_) | NodeTest::AnyElement => {
+                        s.predicates.iter().all(|p| !matches!(p, StepPredicate::Filter(_)))
+                    }
+                    NodeTest::Text | NodeTest::Attr(_) => {
+                        i + 1 == p.steps.len() && s.predicates.is_empty()
+                    }
+                }
+        })
+}
+
 /// Split an `and`-tree into conjuncts.
 fn conjuncts(e: &Expr) -> Vec<&Expr> {
     match e {
@@ -2198,6 +2590,7 @@ fn refs_var(e: &Expr, var: &str) -> bool {
             Expr::Path(PathExpr { root: PathRoot::Var(v), .. }) if v == var => found = true,
             _ => {}
         }
+        true
     });
     found
 }
@@ -2216,6 +2609,7 @@ fn refs_env(e: &Expr, env: &Env) -> bool {
                 found = true;
             }
         }
+        true
     });
     found
 }
@@ -2234,12 +2628,17 @@ fn refs_any_free(e: &Expr, var: &str) -> bool {
                 found = true;
             }
         }
+        true
     });
     found
 }
 
-fn walk(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
+/// Visit `e` and, where `f` returns true, its subexpressions, in
+/// evaluation order.
+fn walk<'q>(e: &'q Expr, f: &mut impl FnMut(&'q Expr) -> bool) {
+    if !f(e) {
+        return;
+    }
     match e {
         Expr::Flwor(clauses, ret) => {
             for c in clauses {

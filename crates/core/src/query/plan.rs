@@ -24,7 +24,11 @@
 //!   accumulate. Each FLWOR `for` clause runs under its own `For[$var]`
 //!   operator, so per-row operators nest under their loop and operators of
 //!   different loops never merge. No two siblings share `(op, detail)`, and
-//!   the tree stays bounded by the *plan shape*, not the data size.
+//!   the tree stays bounded by the *plan shape*, not the data size. The
+//!   row-local paths of a `for` body run once per binding batch over all
+//!   the loop's rows, so on their `StructureNav` and `TextContent`
+//!   operators (and on a `where` clause's `Predicate`) `loops=` counts
+//!   batches, not rows.
 //! * **Reconciliation.** Stats are recorded *inclusively* (a parent's
 //!   counters cover its children), and every phase of a query runs under a
 //!   root operator (`Execute`, `Serialize`). The sum of the root nodes'

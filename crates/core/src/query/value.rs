@@ -39,8 +39,12 @@ pub struct Fragment {
     pub tag: Rc<str>,
     /// Attributes: name and the evaluated value sequence.
     pub attrs: Vec<(Rc<str>, Sequence)>,
-    /// Child content sequences, in order.
-    pub children: Vec<Sequence>,
+    /// Child content: the child expressions' sequences, concatenated.
+    pub children: Sequence,
+    /// Positions in `children` where an atomic item of one child expression
+    /// follows an atomic item of an earlier one. Serialization separates
+    /// adjacent atomic items with a space, but not across these seams.
+    pub seams: Vec<u32>,
 }
 
 /// A sequence of items (the XQuery data model's only collection).

@@ -90,15 +90,22 @@ fn baselines(path: &Path, old: &Repository, new: &Repository) -> (Vec<u8>, Vec<u
     (old_bytes, new_bytes, probe.ops_used())
 }
 
+/// The fewest durable ops a save in `every_crash_point_recovers_to_old_or_new`
+/// may make: a smaller image would silently narrow the sweep.
+const MIN_SWEPT_OPS: u64 = 30;
+
 #[test]
 fn every_crash_point_recovers_to_old_or_new() {
-    let old = build_repo(6_000);
-    let new = build_repo(9_000);
+    let old = build_repo(60_000);
+    let new = build_repo(90_000);
     let dir = temp_dir("sweep");
     let path = dir.join("repo.xqc");
 
     let (old_bytes, new_bytes, total) = baselines(&path, &old, &new);
-    assert!(total > 10, "save of the probe repo made only {total} durable ops");
+    assert!(
+        total >= MIN_SWEPT_OPS,
+        "save of the probe repo made {total} durable ops, fewer than {MIN_SWEPT_OPS}"
+    );
 
     let points = sweep_points(total, 40);
     let (mut recovered_old, mut recovered_new) = (0u64, 0u64);

@@ -81,10 +81,10 @@ Execute rows=0->3
     StructureSummaryAccess[paths=1 steps=1] rows=0->3
     For[$p] rows=9->3 loops=3
       StructureSummaryAccess[paths=1 steps=1] rows=0->9 loops=3
-      Predicate[where] rows=9->3 loops=9
+      Predicate[where] rows=9->3 loops=3
         StructureNav[child::buyer] rows=9->9 loops=9
         TextContent[@person] rows=9->9 loops=9
-        TextContent[@id] rows=9->9 loops=9
+        TextContent[@id] rows=9->9 loops=3
       StructureNav[child::name] rows=3->3 loops=3
       TextContent[text()] rows=3->3 loops=3
 Serialize[33 bytes] rows=3->3
@@ -95,8 +95,8 @@ const GOLDEN_SORT: &str = "\
 Execute rows=0->3
   For[$p] rows=3->3
     StructureSummaryAccess[paths=1 steps=1] rows=0->3
-    StructureNav[child::age] rows=6->6 loops=6
-    TextContent[text()] rows=6->6 loops=6
+    StructureNav[child::age] rows=6->6 loops=2
+    TextContent[text()] rows=6->6 loops=2
   Sort[ascending] rows=3->3
 Serialize[8 bytes] rows=3->3
 ";

@@ -12,10 +12,18 @@ use xquec_storage::{wal, FaultPager, FaultPlan, MemPager, Pager, StorageError};
 /// Every fault-injecting pager a save wrapped, kept for inspection afterwards.
 type CapturedPagers = Arc<Mutex<Vec<Arc<FaultPager<Arc<dyn Pager>>>>>>;
 
-fn build_repo() -> Repository {
-    let xml = xquec_xml::gen::Dataset::Xmark.generate(10_000);
+fn build_repo(bytes: usize) -> Repository {
+    let xml = xquec_xml::gen::Dataset::Xmark.generate(bytes);
     load_with(&xml, &LoaderOptions::default()).expect("reference document loads")
 }
+
+/// The XMark size most tests use: a small image, swept at every point.
+const SMALL: usize = 10_000;
+
+/// The XMark size of the read-corruption sweep, whose image must span at
+/// least `MIN_READ_PAGES` pages.
+const SWEPT: usize = 120_000;
+const MIN_READ_PAGES: u64 = 6;
 
 fn populated_store(repo: &Repository) -> Arc<MemPager> {
     let mem = Arc::new(MemPager::new());
@@ -38,7 +46,7 @@ fn sweep(total: u64, points: u64) -> Vec<u64> {
 
 #[test]
 fn every_write_failure_during_save_is_a_typed_error() {
-    let repo = build_repo();
+    let repo = build_repo(SMALL);
 
     // Measure a clean save to size the sweep.
     let probe = Arc::new(FaultPager::new(MemPager::new(), FaultPlan::none()));
@@ -73,7 +81,7 @@ fn every_write_failure_during_save_is_a_typed_error() {
 
 #[test]
 fn failed_sync_during_save_rolls_back_and_poisons() {
-    let old = build_repo();
+    let old = build_repo(SMALL);
     let new_xml = xquec_xml::gen::Dataset::Xmark.generate(14_000);
     let new = load_with(&new_xml, &LoaderOptions::default()).expect("new document loads");
 
@@ -115,7 +123,7 @@ fn failed_sync_during_save_rolls_back_and_poisons() {
 
 #[test]
 fn every_read_failure_during_load_is_a_typed_error() {
-    let repo = build_repo();
+    let repo = build_repo(SMALL);
     let mem = populated_store(&repo);
 
     // Measure a clean load to size the sweep.
@@ -137,7 +145,7 @@ fn every_read_failure_during_load_is_a_typed_error() {
 
 #[test]
 fn torn_writes_during_save_never_panic_the_loader() {
-    let repo = build_repo();
+    let repo = build_repo(SMALL);
     let probe = Arc::new(FaultPager::new(MemPager::new(), FaultPlan::none()));
     persist::save_to_pager(&repo, probe.clone()).expect("clean save");
     let (_, writes, _) = probe.op_counts();
@@ -164,11 +172,16 @@ fn torn_writes_during_save_never_panic_the_loader() {
 
 #[test]
 fn silent_read_corruption_during_load_never_panics() {
-    let repo = build_repo();
+    let repo = build_repo(SWEPT);
     let mem = populated_store(&repo);
     let probe = Arc::new(FaultPager::new(mem.clone(), FaultPlan::none()));
     persist::load_from_pager(probe.clone()).expect("clean load");
     let (reads, _, _) = probe.op_counts();
+    // A smaller image would silently narrow the sweep.
+    assert!(
+        reads >= MIN_READ_PAGES,
+        "the image spans {reads} page reads, fewer than {MIN_READ_PAGES}"
+    );
 
     let (mut ok, mut err) = (0u64, 0u64);
     for at in sweep(reads, 24) {
@@ -188,5 +201,7 @@ fn silent_read_corruption_during_load_never_panics() {
     }
     // The sweep must actually have tripped the logical validation somewhere.
     assert!(err > 0, "no flipped read was ever rejected ({ok} ok)");
-    println!("silent read corruption: {ok} loads survived, {err} typed errors");
+    println!(
+        "silent read corruption over {reads} page reads: {ok} loads survived, {err} typed errors"
+    );
 }
