@@ -139,5 +139,59 @@ fn alm_training(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, codec_throughput, xmark_block_blobs, alm_training);
+/// ALM decoding of two containers of 1 MB XMark, each record in record
+/// order into one reused buffer (`ValueCodec::decompress_into`, the path
+/// the serializer takes): the closed auctions' annotation prose (long
+/// values of many codes) and the people's names (short values).
+fn alm_xmark_decode(c: &mut Criterion) {
+    let repo = xmark_repository();
+    let container = |suffix: &str| {
+        repo.containers
+            .iter()
+            .find(|ct| {
+                ct.codec().kind() == CodecKind::Alm
+                    && repo
+                        .summary
+                        .path(ct.path, |t| repo.dict.name(t))
+                        .to_string()
+                        .ends_with(suffix)
+            })
+            .unwrap_or_else(|| panic!("an ALM container at {suffix}"))
+    };
+    let mut g = c.benchmark_group("alm_xmark_decode");
+    g.sample_size(20).measurement_time(Duration::from_secs(3));
+    for (name, suffix) in [
+        ("prose", "/closed_auction/annotation/description/text/text()"),
+        ("short_names", "/person/name/text()"),
+    ] {
+        let ct = container(suffix);
+        let codec = ct.codec();
+        let records: Vec<&[u8]> =
+            (0..ct.len() as u32).map(|i| ct.compressed(i).expect("individual")).collect();
+        let mut buf = Vec::new();
+        let plain: usize = records
+            .iter()
+            .map(|r| {
+                buf.clear();
+                codec.decompress_into(r, &mut buf).expect("loaded record decodes");
+                buf.len()
+            })
+            .sum();
+        g.throughput(Throughput::Bytes(plain as u64));
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut n = 0usize;
+                for r in &records {
+                    buf.clear();
+                    codec.decompress_into(r, &mut buf).expect("loaded record decodes");
+                    n += buf.len();
+                }
+                black_box(n)
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, codec_throughput, xmark_block_blobs, alm_training, alm_xmark_decode);
 criterion_main!(benches);

@@ -26,23 +26,54 @@
 //! Encoding is greedy longest-prefix: the deepest token matching the
 //! remaining input owns it; the interval within that token is found by
 //! counting its child tokens that order below the remaining input.
-//! Decompression is a flat table lookup per code — several output bytes per
-//! step, which is why ALM decodes faster than bit-by-bit Huffman (§2.1).
+//!
+//! Decompression is a flat table kernel — several output bytes per code,
+//! which is why ALM decodes faster than bit-by-bit Huffman (§2.1). Every
+//! token lives in one byte arena padded with 16 zero bytes, and one
+//! packed `u32` per code holds its token's arena offset and length. Each
+//! code copies a fixed 16-byte chunk from its token's offset into the
+//! output and advances by the token's length, so the copy needs no
+//! length-dependent branch; a token longer than the chunk takes a slice
+//! copy.
 
 use crate::error::{corrupt, CodecError};
 use std::collections::HashMap;
 
+/// Bytes the decoder copies per code, and the zero padding after the last
+/// token that keeps every such copy inside the arena.
+const CHUNK: usize = 16;
+
+/// Low bits of a decode-table entry: the token length, [`LONG`] when the
+/// token is too long for the field.
+const LEN_BITS: u32 = 8;
+const LONG: u32 = (1 << LEN_BITS) - 1;
+
+/// Token bytes a model may hold: every arena offset fits the entry's high
+/// bits, the chunk padding included.
+const MAX_ARENA: usize = (1 << (32 - LEN_BITS)) - CHUNK;
+
 /// A trained ALM model (dictionary + interval codes).
+///
+/// Tokens, their prefix tree and the interval table are flat arrays: a
+/// model makes a handful of allocations however many tokens it has.
 #[derive(Debug, Clone)]
 pub struct Alm {
-    /// Dictionary tokens, lexicographically sorted, deduplicated.
-    tokens: Vec<Vec<u8>>,
-    /// `children[t]` = indices of the immediate token-extensions of `t`.
-    children: Vec<Vec<u32>>,
-    /// `gap_codes[t][j]` = global code of token `t`'s `j`-th interval.
-    gap_codes: Vec<Vec<u32>>,
-    /// Decode table: code -> token index.
-    code_token: Vec<u32>,
+    /// The dictionary tokens, sorted and distinct, back to back, followed by
+    /// [`CHUNK`] zero bytes.
+    arena: Box<[u8]>,
+    /// Token `t` is `arena[starts[t]..starts[t + 1]]`.
+    starts: Box<[u32]>,
+    /// The immediate token-extensions of token `t` are
+    /// `kids[kid_start[t]..kid_start[t + 1]]`, in token order.
+    kid_start: Box<[u32]>,
+    kids: Box<[u32]>,
+    /// Token `t` owns one interval more than it has extensions: the global
+    /// code of its `j`-th interval is `gaps[kid_start[t] + t + j]`.
+    gaps: Box<[u32]>,
+    /// Decode table: code -> the arena offset of its token, shifted left by
+    /// [`LEN_BITS`], or'ed with the token's length ([`LONG`] when it does
+    /// not fit).
+    decode: Box<[u32]>,
     /// Code width in bytes (1 or 2).
     width: u8,
     /// Trie for longest-prefix matching.
@@ -170,9 +201,7 @@ impl Alm {
             let singles = single_tokens.iter().map(|t| &t[..]);
             singles.chain(cands[..extra].iter().map(|&(s, _)| s)).collect()
         };
-        let build = |extra: usize| {
-            Self::from_tokens(tokens(extra).into_iter().map(<[u8]>::to_vec).collect())
-        };
+        let build = |extra: usize| Self::from_tokens(&tokens(extra));
 
         // Wide model: full budget.
         let budget = cfg.max_tokens.saturating_sub(single_tokens.len()).min(cands.len());
@@ -201,15 +230,23 @@ impl Alm {
 
     /// [`Alm::from_tokens`] for *untrusted* token sets (deserialized models):
     /// rejects sets that would trip the construction asserts — no usable
-    /// token at all, or enough tokens to overflow the 2-byte interval table
-    /// (each token adds at most two intervals).
-    pub fn try_from_tokens(mut tokens: Vec<Vec<u8>>) -> Result<Self, CodecError> {
-        tokens.retain(|t| !t.is_empty());
-        if tokens.is_empty() {
+    /// token at all, enough tokens to overflow the 2-byte interval table
+    /// (each token adds at most two intervals), or more token bytes than
+    /// the decode table can address.
+    pub fn try_from_tokens<T: AsRef<[u8]>>(tokens: &[T]) -> Result<Self, CodecError> {
+        let (count, bytes) = tokens
+            .iter()
+            .map(AsRef::as_ref)
+            .filter(|t| !t.is_empty())
+            .fold((0usize, 0usize), |(n, b), t| (n + 1, b + t.len()));
+        if count == 0 {
             return Err(corrupt("alm", "model has no non-empty tokens"));
         }
-        if tokens.len() > 32_768 {
-            return Err(corrupt("alm", format!("{} tokens overflow interval table", tokens.len())));
+        if count > 32_768 {
+            return Err(corrupt("alm", format!("{count} tokens overflow interval table")));
+        }
+        if bytes > MAX_ARENA {
+            return Err(corrupt("alm", format!("{bytes} token bytes overflow decode table")));
         }
         Ok(Self::from_tokens(tokens))
     }
@@ -217,67 +254,110 @@ impl Alm {
     /// Build the interval structure from an explicit token set. Every byte
     /// that can appear in an encodable value must be present as a single-byte
     /// token (unknown bytes make [`Alm::compress`] return `None`).
-    pub fn from_tokens(mut tokens: Vec<Vec<u8>>) -> Self {
-        tokens.retain(|t| !t.is_empty());
-        tokens.sort();
+    pub fn from_tokens<T: AsRef<[u8]>>(tokens: &[T]) -> Self {
+        let mut tokens: Vec<&[u8]> =
+            tokens.iter().map(AsRef::as_ref).filter(|t| !t.is_empty()).collect();
+        tokens.sort_unstable();
         tokens.dedup();
         assert!(!tokens.is_empty(), "ALM requires at least one token");
         let n = tokens.len();
 
+        let total: usize = tokens.iter().map(|t| t.len()).sum();
+        assert!(total <= MAX_ARENA, "ALM token arena overflow");
+        let mut arena = Vec::with_capacity(total + CHUNK);
+        let mut starts = Vec::with_capacity(n + 1);
+        for t in &tokens {
+            starts.push(arena.len() as u32);
+            arena.extend_from_slice(t);
+        }
+        starts.push(total as u32);
+        arena.resize(total + CHUNK, 0);
+
         // Immediate-parent relation: walking the sorted list with a stack of
         // open prefixes yields each token's nearest proper prefix ancestor.
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut roots: Vec<u32> = Vec::new();
+        let mut parent: Vec<u32> = vec![NO_NODE; n];
         let mut stack: Vec<u32> = Vec::new();
         for i in 0..n {
-            while let Some(&top) = stack.last() {
-                if tokens[i].starts_with(&tokens[top as usize]) {
-                    break;
-                }
+            while stack.last().is_some_and(|&top| !tokens[i].starts_with(tokens[top as usize])) {
                 stack.pop();
             }
-            match stack.last() {
-                Some(&parent) => children[parent as usize].push(i as u32),
-                None => roots.push(i as u32),
+            if let Some(&p) = stack.last() {
+                parent[i] = p;
             }
             stack.push(i as u32);
         }
+        let mut kid_start = vec![0u32; n + 1];
+        for &p in parent.iter().filter(|&&p| p != NO_NODE) {
+            kid_start[p as usize + 1] += 1;
+        }
+        for t in 0..n {
+            kid_start[t + 1] += kid_start[t];
+        }
+        // `fill[t]`: the next free slot of token `t`, first among the kids,
+        // then among the gaps.
+        let mut fill: Vec<u32> = kid_start[..n].to_vec();
+        let mut kids = vec![0u32; kid_start[n] as usize];
+        for (i, &p) in parent.iter().enumerate().filter(|&(_, &p)| p != NO_NODE) {
+            kids[fill[p as usize] as usize] = i as u32;
+            fill[p as usize] += 1;
+        }
 
-        // DFS enumeration of intervals in lexicographic order.
-        let mut gap_codes: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut code_token: Vec<u32> = Vec::new();
-        // Iterative DFS to avoid recursion-depth issues on long token chains.
-        // Frame: (token, next child slot to process).
-        let mut frames: Vec<(u32, usize)> = Vec::new();
-        for &root in &roots {
-            frames.push((root, 0));
+        // DFS enumeration of intervals in lexicographic order; `code_token`
+        // collects each code's token. Iterative, to avoid recursion-depth
+        // issues on long token chains. Frame: (token, next kid slot).
+        for (t, f) in fill.iter_mut().enumerate() {
+            *f = kid_start[t] + t as u32;
+        }
+        let mut gaps = vec![0u32; kids.len() + n];
+        let mut code_token: Vec<u32> = Vec::with_capacity(gaps.len());
+        let mut open = |t: u32, code_token: &mut Vec<u32>| {
+            gaps[fill[t as usize] as usize] = code_token.len() as u32;
+            fill[t as usize] += 1;
+            code_token.push(t);
+        };
+        let mut frames: Vec<(u32, u32)> = Vec::new();
+        for root in (0..n as u32).filter(|&t| parent[t as usize] == NO_NODE) {
             // Opening a token: its first gap [t, c1) gets the next code.
-            gap_codes[root as usize].push(code_token.len() as u32);
-            code_token.push(root);
+            frames.push((root, kid_start[root as usize]));
+            open(root, &mut code_token);
             while let Some(&mut (t, ref mut slot)) = frames.last_mut() {
-                if *slot < children[t as usize].len() {
-                    let c = children[t as usize][*slot];
+                if *slot < kid_start[t as usize + 1] {
+                    let c = kids[*slot as usize];
                     *slot += 1;
-                    frames.push((c, 0));
-                    gap_codes[c as usize].push(code_token.len() as u32);
-                    code_token.push(c);
+                    frames.push((c, kid_start[c as usize]));
+                    open(c, &mut code_token);
                 } else {
                     frames.pop();
                     // Returning to the parent: the gap after this child.
                     if let Some(&(p, _)) = frames.last() {
-                        gap_codes[p as usize].push(code_token.len() as u32);
-                        code_token.push(p);
+                        open(p, &mut code_token);
                     }
                 }
             }
         }
-        debug_assert!(gap_codes.iter().enumerate().all(|(t, g)| g.len() == children[t].len() + 1));
+        debug_assert_eq!(code_token.len(), gaps.len());
 
         let width: u8 = if code_token.len() <= 256 { 1 } else { 2 };
         assert!(code_token.len() <= 65_536, "ALM piece table overflow");
+        let decode = code_token
+            .into_iter()
+            .map(|t| {
+                let (start, end) = (starts[t as usize], starts[t as usize + 1]);
+                start << LEN_BITS | (end - start).min(LONG)
+            })
+            .collect();
 
         let trie = Trie::new(&tokens);
-        Alm { tokens, children, gap_codes, code_token, width, trie }
+        Alm {
+            arena: arena.into(),
+            starts: starts.into(),
+            kid_start: kid_start.into(),
+            kids: kids.into(),
+            gaps: gaps.into(),
+            decode,
+            width,
+            trie,
+        }
     }
 
     /// Code width in bytes (1 or 2).
@@ -285,15 +365,20 @@ impl Alm {
         self.width
     }
 
+    /// Token `t`'s bytes.
+    fn token(&self, t: u32) -> &[u8] {
+        &self.arena[self.starts[t as usize] as usize..self.starts[t as usize + 1] as usize]
+    }
+
     /// The sorted dictionary tokens (the serializable model: the interval
     /// table is recomputed deterministically from these by `from_tokens`).
-    pub fn tokens(&self) -> &[Vec<u8>] {
-        &self.tokens
+    pub fn tokens(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        (0..self.starts.len() as u32 - 1).map(|t| self.token(t))
     }
 
     /// Number of partitioning intervals.
     pub fn interval_count(&self) -> usize {
-        self.code_token.len()
+        self.decode.len()
     }
 
     /// Serialized dictionary size estimate in bytes (source model cost).
@@ -305,7 +390,7 @@ impl Alm {
     pub fn model_size(&self) -> usize {
         let mut total = 0usize;
         let mut prev: &[u8] = &[];
-        for t in &self.tokens {
+        for t in self.tokens() {
             let common = prev.iter().zip(t.iter()).take_while(|(a, b)| a == b).count();
             total += 2 + (t.len() - common);
             prev = t;
@@ -331,9 +416,10 @@ impl Alm {
             // Interval within the token: count children ordering below the
             // remaining input. The remaining input starts with `tok` but with
             // no child token as prefix, so plain comparison is unambiguous.
-            let kids = &self.children[tok as usize];
-            let gap = kids.partition_point(|&c| self.tokens[c as usize].as_slice() < rest);
-            let code = self.gap_codes[tok as usize][gap];
+            let t = tok as usize;
+            let (first, end) = (self.kid_start[t] as usize, self.kid_start[t + 1] as usize);
+            let gap = self.kids[first..end].partition_point(|&c| self.token(c) < rest);
+            let code = self.gaps[first + t + gap];
             match self.width {
                 1 => out.push(code as u8),
                 _ => out.extend_from_slice(&(code as u16).to_be_bytes()),
@@ -354,34 +440,72 @@ impl Alm {
         Ok(out)
     }
 
-    /// [`Alm::decompress`], appending the value to `out`.
+    /// [`Alm::decompress`], appending the value to `out`, so a caller
+    /// decoding many values can reuse one buffer. On error `out` is left
+    /// as it was.
     pub(crate) fn decompress_into(&self, data: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
-        out.reserve(data.len() * 3);
         match self.width {
-            1 => {
-                for &b in data {
-                    let tok = *self
-                        .code_token
-                        .get(b as usize)
-                        .ok_or_else(|| corrupt("alm", format!("code {b} beyond interval table")))?;
-                    out.extend_from_slice(&self.tokens[tok as usize]);
-                }
-            }
+            1 => self.decode(data.iter().map(|&b| usize::from(b)), out),
             _ => {
                 if !data.len().is_multiple_of(2) {
                     return Err(corrupt("alm", "odd payload length for 2-byte codes"));
                 }
-                for pair in data.chunks_exact(2) {
-                    let code = u16::from_be_bytes([pair[0], pair[1]]) as usize;
-                    let tok = *self
-                        .code_token
-                        .get(code)
-                        .ok_or_else(|| corrupt("alm", format!("code {code} beyond interval table")))?;
-                    out.extend_from_slice(&self.tokens[tok as usize]);
-                }
+                let codes =
+                    data.chunks_exact(2).map(|p| usize::from(u16::from_be_bytes([p[0], p[1]])));
+                self.decode(codes, out)
             }
         }
+    }
+
+    /// The decode kernel: append the token of every code to `out`.
+    ///
+    /// `out` first grows by [`CHUNK`] bytes per code, an upper bound while
+    /// every token fits the chunk; each code then copies a whole chunk from
+    /// its token's arena offset and advances by the token's length, and the
+    /// bytes past the last token are cut off at the end. Before each code,
+    /// `out` holds at least a chunk per code still to come; a longer token
+    /// grows it to keep that so.
+    #[inline]
+    fn decode(
+        &self,
+        codes: impl ExactSizeIterator<Item = usize>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        let start = out.len();
+        let mut left = codes.len();
+        out.resize(start + left * CHUNK, 0);
+        let mut pos = start;
+        for code in codes {
+            left -= 1;
+            let Some(&entry) = self.decode.get(code) else {
+                out.truncate(start);
+                return Err(corrupt("alm", format!("code {code} beyond interval table")));
+            };
+            let off = (entry >> LEN_BITS) as usize;
+            let len = (entry & LONG) as usize;
+            if len <= CHUNK {
+                out[pos..pos + CHUNK].copy_from_slice(&self.arena[off..off + CHUNK]);
+                pos += len;
+            } else {
+                let len = if len < LONG as usize { len } else { self.long_token_len(off) };
+                let need = pos + len + left * CHUNK;
+                if out.len() < need {
+                    out.resize(need, 0);
+                }
+                out[pos..pos + len].copy_from_slice(&self.arena[off..off + len]);
+                pos += len;
+            }
+        }
+        out.truncate(pos);
         Ok(())
+    }
+
+    /// The length of the token at arena offset `off`, for a token too long
+    /// for its decode-table entry's length field.
+    #[cold]
+    fn long_token_len(&self, off: usize) -> usize {
+        let t = self.starts.partition_point(|&s| s as usize <= off) - 1;
+        (self.starts[t + 1] - self.starts[t]) as usize
     }
 }
 
@@ -493,13 +617,13 @@ impl Trie {
     /// preorder, the root 0: a sorted token shares its longest common
     /// prefix with the token before it, so it only adds nodes past that
     /// prefix, and every node's children appear in byte order.
-    fn new(tokens: &[Vec<u8>]) -> Self {
+    fn new<T: AsRef<[u8]>>(tokens: &[T]) -> Self {
         let mut parent_byte: Vec<(u32, u8)> = vec![(NO_NODE, 0)];
         let mut token = vec![NO_NODE];
         // path[d]: the node spelling the previous token's first d bytes.
         let mut path: Vec<u32> = vec![0];
         let mut prev: &[u8] = &[];
-        for (i, tok) in tokens.iter().enumerate() {
+        for (i, tok) in tokens.iter().map(AsRef::as_ref).enumerate() {
             let common = prev.iter().zip(tok).take_while(|(a, b)| a == b).count();
             path.truncate(common + 1);
             for &b in &tok[common..] {
@@ -568,7 +692,7 @@ mod tests {
             .iter()
             .map(|s| s.as_bytes().to_vec())
             .collect();
-        Alm::from_tokens(toks)
+        Alm::from_tokens(&toks)
     }
 
     #[test]
@@ -588,8 +712,8 @@ mod tests {
     fn fig2_multi_interval_token() {
         let alm = fig2_model();
         // "the" must own more than one interval (split around "there").
-        let the_idx = alm.tokens.iter().position(|t| t == b"the").unwrap();
-        assert_eq!(alm.gap_codes[the_idx].len(), 2);
+        let the = alm.tokens().position(|t| t == b"the").unwrap();
+        assert_eq!(alm.kid_start[the + 1] - alm.kid_start[the] + 1, 2);
     }
 
     #[test]
@@ -628,7 +752,7 @@ mod tests {
         // engineered to have nested tokens.
         let toks: Vec<Vec<u8>> =
             ["a", "b", "c", "ab", "abc", "ba", "bc", "ca"].iter().map(|s| s.as_bytes().to_vec()).collect();
-        let alm = Alm::from_tokens(toks);
+        let alm = Alm::from_tokens(&toks);
         let alphabet = [b'a', b'b', b'c'];
         let mut strings: Vec<Vec<u8>> = vec![vec![]];
         for _ in 0..3 {
@@ -708,7 +832,7 @@ mod tests {
     fn interval_count_needs_no_model() {
         for toks in random_token_sets() {
             let refs: Vec<&[u8]> = toks.iter().rev().map(Vec::as_slice).collect();
-            assert_eq!(interval_count_of(refs), Alm::from_tokens(toks.clone()).interval_count());
+            assert_eq!(interval_count_of(refs), Alm::from_tokens(&toks).interval_count());
         }
     }
 
@@ -734,6 +858,117 @@ mod tests {
         }
     }
 
+    /// Each code's token, read off the interval structure rather than the
+    /// decode table.
+    fn code_tokens(alm: &Alm) -> Vec<Vec<u8>> {
+        let mut by_code = vec![Vec::new(); alm.interval_count()];
+        for t in 0..alm.starts.len() - 1 {
+            let (first, end) = (alm.kid_start[t] as usize, alm.kid_start[t + 1] as usize);
+            for &code in &alm.gaps[first + t..=end + t] {
+                by_code[code as usize] = alm.token(t as u32).to_vec();
+            }
+        }
+        by_code
+    }
+
+    /// Token sets the decode kernel must handle: the random sets, each also
+    /// with tokens longer than its 16-byte chunk (one too long for the
+    /// length field), and a set large enough for 2-byte codes.
+    fn decode_token_sets() -> Vec<Vec<Vec<u8>>> {
+        let mut sets = random_token_sets();
+        for toks in sets.clone() {
+            let mut toks = toks;
+            for len in [17, 31, 255, 300] {
+                toks.push((0..len).map(|i| b'a' + (i % 5) as u8).collect());
+            }
+            sets.push(toks);
+        }
+        let mut wide: Vec<Vec<u8>> = (0u16..=255).map(|b| vec![b as u8]).collect();
+        for a in b'a'..=b'z' {
+            for b in b'a'..=b'l' {
+                wide.push(vec![a, b]);
+                wide.push(vec![b' ', a, b, b'e', b's', b't', b'i', b'm', b'a', b't', b'e', b'd']);
+            }
+        }
+        sets.push(wide);
+        sets
+    }
+
+    #[test]
+    fn decoder_equals_the_concatenated_tokens() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |m: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m as u64) as usize
+        };
+        let mut widths = [0usize; 3];
+        for toks in decode_token_sets() {
+            let alm = Alm::from_tokens(&toks);
+            widths[usize::from(alm.code_width())] += 1;
+            let by_code = code_tokens(&alm);
+            let mut out = b"kept".to_vec();
+            for round in 0..50 {
+                let codes: Vec<usize> =
+                    (0..next(40) + usize::from(round == 0)).map(|_| next(by_code.len())).collect();
+                let data: Vec<u8> = match alm.code_width() {
+                    1 => codes.iter().map(|&c| c as u8).collect(),
+                    _ => codes.iter().flat_map(|&c| (c as u16).to_be_bytes()).collect(),
+                };
+                let want: Vec<u8> =
+                    codes.iter().flat_map(|&c| by_code[c].iter().copied()).collect();
+                assert_eq!(alm.decompress(&data).unwrap(), want, "{codes:?} over {toks:?}");
+                // Appending into a reused buffer keeps what it held.
+                out.truncate(4);
+                alm.decompress_into(&data, &mut out).unwrap();
+                assert_eq!(&out[..4], b"kept");
+                assert_eq!(out[4..], want);
+            }
+        }
+        assert!(widths[1] > 0 && widths[2] > 0, "both code widths covered: {widths:?}");
+    }
+
+    #[test]
+    fn corrupt_codes_are_errors_and_leave_the_buffer_alone() {
+        for toks in decode_token_sets() {
+            let alm = Alm::from_tokens(&toks);
+            let beyond = alm.interval_count();
+            let mut out = b"kept".to_vec();
+            let bad: Vec<u8> = match alm.code_width() {
+                1 if beyond > 255 => continue,
+                1 => vec![0, beyond as u8],
+                _ => {
+                    // An odd payload, then a code past the table.
+                    assert!(alm.decompress_into(&[0, 0, 0], &mut out).is_err());
+                    assert_eq!(out, b"kept");
+                    if beyond > 0xFFFF {
+                        continue;
+                    }
+                    [0u16, beyond as u16].iter().flat_map(|c| c.to_be_bytes()).collect()
+                }
+            };
+            assert!(alm.decompress(&bad).is_err(), "{bad:?} over {toks:?}");
+            assert!(alm.decompress_into(&bad, &mut out).is_err());
+            assert_eq!(out, b"kept");
+        }
+    }
+
+    #[test]
+    fn long_tokens_round_trip() {
+        let long: Vec<u8> = (0..300).map(|i| b'a' + (i % 7) as u8).collect();
+        let mut toks: Vec<Vec<u8>> = (b'a'..=b'g').map(|b| vec![b]).collect();
+        toks.push(long[..17].to_vec());
+        toks.push(long.clone());
+        let alm = Alm::from_tokens(&toks);
+        for value in [&long[..], &long[..17], &long[..40], b"gab"] {
+            let mut v = value.to_vec();
+            v.extend_from_slice(&long);
+            let c = alm.compress(&v).unwrap();
+            assert_eq!(alm.decompress(&c).unwrap(), v);
+        }
+    }
+
     #[test]
     fn two_byte_width_when_dictionary_large() {
         // 300+ distinct tokens force 2-byte codes.
@@ -743,7 +978,7 @@ mod tests {
                 toks.push(vec![a, b]);
             }
         }
-        let alm = Alm::from_tokens(toks);
+        let alm = Alm::from_tokens(&toks);
         assert_eq!(alm.code_width(), 2);
         let c = alm.compress(b"hello world").unwrap();
         assert_eq!(alm.decompress(&c).unwrap(), b"hello world");

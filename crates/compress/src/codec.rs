@@ -399,10 +399,10 @@ impl ValueCodec {
                 for _ in 0..n {
                     let (len, used) = read_varint(data.get(pos..)?)?;
                     pos += used;
-                    tokens.push(data.get(pos..pos + len)?.to_vec());
+                    tokens.push(data.get(pos..pos + len)?);
                     pos += len;
                 }
-                Some(ValueCodec::Alm(Alm::try_from_tokens(tokens).ok()?))
+                Some(ValueCodec::Alm(Alm::try_from_tokens(&tokens).ok()?))
             }
             3 => {
                 let mut lengths = [0u8; 256];

@@ -427,12 +427,12 @@ fn string_function_extensions() {
 fn repeated_value_reads_hit_decompression_cache() {
     let r = repo();
     let e = Engine::new(&r);
-    // Every person's name is read once per closed auction (9 reads over 3
-    // distinct values): the memo decodes each value at most once.
+    // Every person's name is atomized once per closed auction (9 reads
+    // over 3 distinct values): the memo decodes each value at most once.
     e.run(
         r#"for $t in //closed_auction
            for $p in //person
-           return $p/name/text()"#,
+           return string($p/name/text())"#,
     )
     .unwrap();
     let stats = e.stats.borrow();
@@ -441,6 +441,36 @@ fn repeated_value_reads_hit_decompression_cache() {
         stats.decompressions <= 3,
         "3 distinct names decode at most once each: {stats:?}"
     );
+}
+
+/// The serializer decodes every individual value it writes straight into
+/// the output: one decompression per value, and the per-query memo is
+/// neither read nor filled.
+#[test]
+fn serialized_values_decode_once_each_and_skip_the_memo() {
+    let r = repo();
+    let e = Engine::new(&r);
+    let q = r#"for $t in //closed_auction
+               for $p in //person
+               return $p/name/text()"#;
+    let answer = e.run(q).unwrap();
+    assert_eq!(answer.matches("Alice Smith").count(), 3, "{answer}");
+    let stats = *e.stats.borrow();
+    assert_eq!(stats.value_fetches, 9, "{stats:?}");
+    assert_eq!(stats.decompressions, 9, "{stats:?}");
+    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0), "{stats:?}");
+    // Atomizing the same values afterwards still goes through the memo.
+    e.run(
+        r#"for $t in //closed_auction
+           for $p in //person
+           where string($p/name/text()) != ""
+           return $p/name/text()"#,
+    )
+    .unwrap();
+    let stats = *e.stats.borrow();
+    assert_eq!(stats.value_fetches, 18, "{stats:?}");
+    assert_eq!((stats.cache_misses, stats.cache_hits), (3, 6), "{stats:?}");
+    assert_eq!(stats.decompressions, 3 + 9, "{stats:?}");
 }
 
 #[test]
@@ -486,11 +516,12 @@ fn zero_capacity_block_cache_reinflates() {
 fn cache_hit_is_not_a_decompression() {
     let r = repo();
     let e = Engine::new(&r);
-    // 3 distinct names are read 3 times each (9 fetches): 3 decodes + 6 hits.
+    // 3 distinct names are atomized 3 times each (9 fetches): 3 decodes +
+    // 6 hits.
     e.run(
         r#"for $t in //closed_auction
            for $p in //person
-           return $p/name/text()"#,
+           return string($p/name/text())"#,
     )
     .unwrap();
     let stats = *e.stats.borrow();

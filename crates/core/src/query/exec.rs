@@ -16,25 +16,36 @@
 //!   values are decorrelated into a hash join keyed on *compressed* bytes
 //!   when both sides share a source model (the Q8/Q9 plan shape of Fig. 5);
 //! * `Decompress` — placed implicitly at the last possible moment: wildcard
-//!   matches, cross-model comparisons, and final serialization.
+//!   matches, cross-model comparisons, and final serialization. The
+//!   serializer decodes each value it writes straight from the container's
+//!   record arena into one reused buffer and escapes it from there into the
+//!   output.
 //!
 //! [`ExecStats`] counts decompressions and compressed-domain comparisons so
 //! tests and benchmarks can verify lazy decompression actually happens.
 //!
-//! Decompression is additionally *memoized*: a per-query cache maps a
+//! Values read more than once — by predicates, order keys, join keys and
+//! atomization — are additionally *memoized*: a per-query cache maps a
 //! container's compressed bytes to an interned `Rc<str>`, so each distinct
-//! compressed value is decoded at most once per query however many operators
-//! touch it, and inflated block containers sit in a capacity-bounded LRU
-//! that survives across queries ([`Engine::with_block_cache_capacity`]).
-//! Cache traffic is visible through [`ExecStats::cache_hits`] /
-//! [`ExecStats::cache_misses`]; a hit does not count as a decompression.
+//! compressed value is decoded at most once per query however many of those
+//! operators touch it. The serializer neither reads nor fills that memo:
+//! each value it writes counts one decompression. Inflated block containers
+//! sit in a capacity-bounded LRU that survives across queries
+//! ([`Engine::with_block_cache_capacity`]). Cache traffic is visible through
+//! [`ExecStats::cache_hits`] / [`ExecStats::cache_misses`]; a hit does not
+//! count as a decompression.
 //!
 //! How values are owned on the per-row path:
 //!
-//! * A decoded value is an `Rc<str>` from the cache it is decoded into (the
-//!   per-query memo, or a block container's shared `Rc<[Rc<str>]>` in the
-//!   LRU) to the serializer, which escapes it straight into the output;
-//!   `Item::Str` shares that `Rc` and no operator copies it into a `String`.
+//! * A value on its way to the output is never owned: an individual record
+//!   is decoded into the engine's one decode buffer, validated as UTF-8 in
+//!   place (a lossy copy only when it is not), and escaped into the output
+//!   `String`; a block container's value is read in place from the LRU's
+//!   shared `Rc<[Rc<str>]>`.
+//! * A value read by an operator is an `Rc<str>` from the cache it is
+//!   decoded into (the per-query memo, built with one copy out of the
+//!   decode buffer, or the LRU); `Item::Str` shares that `Rc` and no
+//!   operator copies it into a `String`.
 //! * The environment binds variable names borrowed from the query's AST,
 //!   and a path rooted at `$v` or `.` reads the bound nodes in place.
 //! * A `for` loop's clauses run a clause at a time over all its rows, and a
@@ -58,14 +69,13 @@ use crate::repo::Repository;
 use crate::summary::PathKind;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 use xquec_compress::ValueCodec;
 use xquec_obs::json::{Json, ToJson};
 use xquec_obs::{counter, span, Span};
-use xquec_xml::escape::{escape_attr, escape_text};
+use xquec_xml::escape::escape_into;
 
 /// Query-evaluation error.
 #[derive(Debug, Clone, PartialEq)]
@@ -304,7 +314,9 @@ impl<'q> Rows<'q> {
 struct Flwor<'q> {
     ret: &'q Expr,
     order_key: Option<&'q Expr>,
-    /// `where` conjuncts already applied by index pushdown, by address.
+    /// `where` conjuncts already applied by index pushdown to the rows
+    /// being evaluated, by address: a `for` adds the conjuncts it pushed
+    /// down while its rows run and removes them afterwards.
     consumed: RefCell<HashSet<usize>>,
 }
 
@@ -389,6 +401,9 @@ pub struct Engine<'r> {
     /// owned, not borrowed from the repository, because a `RefCell` holding
     /// `'r` would make `Engine` invariant in `'r`.
     value_cache: RefCell<HashMap<ContainerId, ValueMemo>>,
+    /// The one buffer every individual value is decoded into, reused
+    /// across values and queries.
+    decode_buf: RefCell<Vec<u8>>,
     /// Observed-physical-plan recorder for the current query (reset at every
     /// query start; read through [`Engine::last_plan`]).
     plan: RefCell<PlanRecorder>,
@@ -418,6 +433,7 @@ impl<'r> Engine<'r> {
             lifetime: RefCell::new(ExecStats::default()),
             block_cache: RefCell::new(BlockLru::new(capacity)),
             value_cache: RefCell::new(HashMap::new()),
+            decode_buf: RefCell::new(Vec::new()),
             plan: RefCell::new(PlanRecorder::default()),
             phase_nanos: Cell::new([0; 3]),
             timed: Cell::new(false),
@@ -521,14 +537,15 @@ impl<'r> Engine<'r> {
     /// Read one value of a block container, inflating the whole container on
     /// first touch (the deliberate cost of XMill-style storage).
     fn block_value(&self, cid: ContainerId, idx: u32) -> Result<Rc<str>, QueryError> {
-        let fetch = |all: &BlockValues| -> Result<Rc<str>, QueryError> {
-            all.get(idx as usize).cloned().ok_or_else(|| QueryError {
-                message: format!("value {idx} out of range in container {}", cid.0),
-            })
-        };
+        self.block_values(cid)?.get(idx as usize).cloned().ok_or_else(|| value_range(cid, idx))
+    }
+
+    /// Every value of a block container, from the LRU (a hit) or inflated
+    /// into it (a miss).
+    fn block_values(&self, cid: ContainerId) -> Result<BlockValues, QueryError> {
         if let Some(all) = self.block_cache.borrow_mut().get(cid) {
             self.stats.borrow_mut().cache_hits += 1;
-            return fetch(&all);
+            return Ok(all);
         }
         let c = self.repo.container(cid);
         {
@@ -539,7 +556,7 @@ impl<'r> Engine<'r> {
         let all: BlockValues = c.decompress_all_with(|v| Rc::from(v))?.into();
         self.stats.borrow_mut().bytes_decompressed += all.iter().map(|v| v.len()).sum::<usize>();
         self.block_cache.borrow_mut().insert(cid, all.clone());
-        fetch(&all)
+        Ok(all)
     }
 
     /// Read one container value as plaintext, going through the block cache
@@ -857,7 +874,10 @@ impl<'r> Engine<'r> {
             || {
                 let mut seq = self.eval(src, env, ctx)?;
                 // Index pushdown: apply indexable Where conjuncts that
-                // constrain this variable before iterating.
+                // constrain this variable before iterating. They are
+                // consumed for these rows only: the next evaluation of this
+                // `for` (the next outer row) pushes them down again.
+                let mut pushed: Vec<usize> = Vec::new();
                 if seq.iter().all(|i| matches!(i, Item::Node(_))) {
                     let mut nodes: Vec<ElemId> = seq
                         .iter()
@@ -876,6 +896,7 @@ impl<'r> Engine<'r> {
                             if let Some(filtered) = self.try_index_conjunct(&nodes, v, conj)? {
                                 nodes = filtered;
                                 flwor.consumed.borrow_mut().insert(id);
+                                pushed.push(id);
                             }
                         }
                     }
@@ -883,9 +904,16 @@ impl<'r> Engine<'r> {
                 }
                 self.plan.borrow_mut().annotate_rows(seq.len());
                 let before = out.len();
-                if !seq.is_empty() {
-                    self.eval_rows(Rows::new(Some(v), seq), rest, flwor, env, ctx, out)?;
+                let done = if seq.is_empty() {
+                    Ok(())
+                } else {
+                    self.eval_rows(Rows::new(Some(v), seq), rest, flwor, env, ctx, out)
+                };
+                let mut consumed = flwor.consumed.borrow_mut();
+                for id in &pushed {
+                    consumed.remove(id);
                 }
+                done?;
                 Ok(out.len() - before)
             },
             |n| *n,
@@ -2246,20 +2274,35 @@ impl<'r> Engine<'r> {
             self.stats.borrow_mut().cache_hits += 1;
             return Ok(hit);
         }
-        {
-            let mut st = self.stats.borrow_mut();
-            st.cache_misses += 1;
-            st.decompressions += 1;
-        }
-        let raw = self.repo.container(container).codec().decompress(bytes)?;
-        self.stats.borrow_mut().bytes_decompressed += raw.len();
-        let plain: Rc<str> = Rc::from(String::from_utf8_lossy(&raw).into_owned());
+        self.stats.borrow_mut().cache_misses += 1;
+        let plain: Rc<str> = self.with_decoded(container, bytes, |text| Rc::from(text))?;
         self.value_cache
             .borrow_mut()
             .entry(container)
             .or_default()
             .insert(bytes.into(), plain.clone());
         Ok(plain)
+    }
+
+    /// Decode an individual container's value into the engine's decode
+    /// buffer, counting one decompression, and hand it to `f` as text:
+    /// borrowed from the buffer when the bytes are valid UTF-8, a lossy
+    /// copy when not.
+    fn with_decoded<T>(
+        &self,
+        container: ContainerId,
+        bytes: &[u8],
+        f: impl FnOnce(&str) -> T,
+    ) -> Result<T, QueryError> {
+        let mut buf = self.decode_buf.borrow_mut();
+        buf.clear();
+        self.repo.container(container).codec().decompress_into(bytes, &mut buf)?;
+        {
+            let mut st = self.stats.borrow_mut();
+            st.decompressions += 1;
+            st.bytes_decompressed += buf.len();
+        }
+        Ok(f(&String::from_utf8_lossy(&buf)))
     }
 
     /// Effective boolean value of a sequence (XPath rules, simplified to the
@@ -2374,46 +2417,73 @@ impl<'r> Engine<'r> {
 
     fn serialize_item(&self, item: &Item, out: &mut String) -> Result<(), QueryError> {
         match item {
-            Item::Node(n) => self.serialize_element(*n, out)?,
-            Item::Tree(f) => self.serialize_fragment(f, out)?,
-            Item::Str(s) => out.push_str(&escape_text(s)),
-            Item::Comp { container, index } => {
-                out.push_str(&escape_text(&self.comp_value(*container, *index)?))
-            }
-            other => out.push_str(&escape_text(&self.string_value(other)?)),
+            Item::Node(n) => self.serialize_element(*n, out),
+            Item::Tree(f) => self.serialize_fragment(f, out),
+            other => self.write_text(other, false, out),
+        }
+    }
+
+    /// Write an item's string value escaped as text, or as an attribute
+    /// value when `attr`.
+    fn write_text(&self, item: &Item, attr: bool, out: &mut String) -> Result<(), QueryError> {
+        match item {
+            Item::Comp { container, index } => self.write_value(*container, *index, attr, out)?,
+            Item::Str(s) => escape_into(s, attr, out),
+            other => escape_into(&self.string_value(other)?, attr, out),
         }
         Ok(())
     }
 
-    /// Reconstruct an element subtree from the compressed repository.
+    /// The final `Decompress`: write one container value, escaped as text
+    /// or as an attribute value, straight into the output. An individual
+    /// record decodes into the engine's decode buffer and is escaped from
+    /// there (a decompression, never a memo read); a block container's
+    /// value is read in place from the LRU.
+    fn write_value(
+        &self,
+        cid: ContainerId,
+        idx: u32,
+        attr: bool,
+        out: &mut String,
+    ) -> Result<(), QueryError> {
+        self.stats.borrow_mut().value_fetches += 1;
+        if self.repo.container(cid).is_individual() {
+            self.with_decoded(cid, self.comp_bytes(cid, idx)?, |text| escape_into(text, attr, out))
+        } else {
+            let all = self.block_values(cid)?;
+            escape_into(all.get(idx as usize).ok_or_else(|| value_range(cid, idx))?, attr, out);
+            Ok(())
+        }
+    }
+
+    /// Reconstruct an element subtree from the compressed repository. Its
+    /// values are walked twice: attributes into the start tag, then text.
     pub fn serialize_element(&self, n: ElemId, out: &mut String) -> Result<(), QueryError> {
         let tag = self.repo.dict.name(self.repo.tree.tag(n));
         out.push('<');
         out.push_str(tag);
-        let mut texts: Vec<Rc<str>> = Vec::new();
+        let mut has_text = false;
         for vr in self.repo.tree.values(n) {
-            let c = self.repo.container(vr.container);
-            match c.leaf {
+            match self.repo.container(vr.container).leaf {
                 ContainerLeaf::Attribute(code) => {
-                    let _ = write!(
-                        out,
-                        " {}=\"{}\"",
-                        self.repo.dict.name(code),
-                        escape_attr(&self.read_value(vr.container, vr.index)?)
-                    );
+                    out.push(' ');
+                    out.push_str(self.repo.dict.name(code));
+                    out.push_str("=\"");
+                    self.write_value(vr.container, vr.index, true, out)?;
+                    out.push('"');
                 }
-                ContainerLeaf::Text => {
-                    texts.push(self.read_value(vr.container, vr.index)?);
-                }
+                ContainerLeaf::Text => has_text = true,
             }
         }
-        if texts.is_empty() && self.repo.tree.children(n, None).next().is_none() {
+        if !has_text && self.repo.tree.children(n, None).next().is_none() {
             out.push_str("/>");
             return Ok(());
         }
         out.push('>');
-        for t in &texts {
-            out.push_str(&escape_text(t));
+        for vr in self.repo.tree.values(n) {
+            if matches!(self.repo.container(vr.container).leaf, ContainerLeaf::Text) {
+                self.write_value(vr.container, vr.index, false, out)?;
+            }
         }
         for c in self.repo.tree.children(n, None) {
             self.serialize_element(c, out)?;
@@ -2428,12 +2498,14 @@ impl<'r> Engine<'r> {
         out.push('<');
         out.push_str(&f.tag);
         for (name, value) in &f.attrs {
-            let _ = write!(out, " {name}=\"");
+            out.push(' ');
+            out.push_str(name);
+            out.push_str("=\"");
             for (i, item) in value.iter().enumerate() {
                 if i > 0 {
                     out.push(' ');
                 }
-                out.push_str(&escape_attr(&self.text_value(item)?));
+                self.write_text(item, true, out)?;
             }
             out.push('"');
         }
@@ -2459,6 +2531,11 @@ impl Drop for Engine<'_> {
 }
 
 // ---- helpers -------------------------------------------------------------
+
+/// The error of a value index beyond its block container.
+fn value_range(cid: ContainerId, idx: u32) -> QueryError {
+    QueryError { message: format!("value {idx} out of range in container {}", cid.0) }
+}
 
 /// Nanoseconds since `start`, saturating.
 fn elapsed_ns(start: Instant) -> u64 {

@@ -78,11 +78,13 @@ fn live() -> i64 {
 }
 
 /// `(query id, allocation budget for one warm run)`: the measured count
-/// (1,783 / 2,162 / 4,592 / 784) plus 10%. A `for` body's row-local paths
+/// (1,415 / 1,794 / 3,422 / 758) plus 10%. A `for` body's row-local paths
 /// run once per clause for all rows, and a constructed element's content is
 /// one flat sequence, so a warm Q10 no longer makes a `Vec` per path step
-/// per row or one per child expression per element.
-const BUDGETS: &[(&str, u64)] = &[("Q8", 1_961), ("Q9", 2_378), ("Q10", 5_051), ("Q19", 862)];
+/// per row or one per child expression per element; the serializer decodes
+/// each value into one reused buffer and escapes it into the output, so it
+/// makes no codec `Vec`, `String`, `Rc<str>` or memo key per value.
+const BUDGETS: &[(&str, u64)] = &[("Q8", 1_556), ("Q9", 1_973), ("Q10", 3_764), ("Q19", 833)];
 
 #[test]
 fn warm_flwor_queries_stay_within_their_allocation_budgets() {
@@ -106,12 +108,13 @@ fn warm_flwor_queries_stay_within_their_allocation_budgets() {
 }
 
 /// Allocation budget for one `load_from_pager` of 200 KB XMark (seed 1,
-/// XMark workload, one loader thread): the measured count (5,349) plus
+/// XMark workload, one loader thread): the measured count (2,155) plus
 /// 10%. Open decodes every record and block blob to validate it, each
-/// record into one reused buffer, and fills the structure tree's arrays and
-/// each container's record arena directly, so a change that builds a
-/// per-node or per-value object again shows here.
-const OPEN_BUDGET: u64 = 5_883;
+/// record into one reused buffer, fills the structure tree's arrays and
+/// each container's record arena directly, and builds each ALM model's
+/// flat tables from token slices borrowed from the image, so a change that
+/// builds a per-node, per-value or per-token object again shows here.
+const OPEN_BUDGET: u64 = 2_370;
 
 #[test]
 fn opening_a_saved_repository_stays_within_its_allocation_budget() {
@@ -132,10 +135,10 @@ fn opening_a_saved_repository_stays_within_its_allocation_budget() {
 /// Live-heap budgets, in bytes, for 200 KB XMark (seed 1, XMark workload,
 /// one loader thread): what an opened repository holds once
 /// `load_from_pager` returns, and what `Engine::new` holds on it. Each is
-/// the measured value (468,411 and 704 bytes) plus 10%. Both count bytes,
-/// not allocations, so a per-node vector or an engine table sized by the
-/// node count fails here.
-const OPEN_LIVE_BUDGET: i64 = 515_252;
+/// the measured value (366,671 and 704 bytes) plus 10%. Both count bytes,
+/// not allocations, so a per-node vector, an engine table sized by the
+/// node count or a heap box per ALM token fails here.
+const OPEN_LIVE_BUDGET: i64 = 403_338;
 const ENGINE_LIVE_BUDGET: i64 = 774;
 
 #[test]

@@ -22,17 +22,30 @@ fn escape_with(s: &str, quotes: bool) -> Cow<'_, str> {
         return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if quotes => out.push_str("&quot;"),
-            '\'' if quotes => out.push_str("&apos;"),
-            _ => out.push(c),
-        }
-    }
+    escape_into(s, quotes, &mut out);
     Cow::Owned(out)
+}
+
+/// Append `s` to `out` escaped as [`escape_text`] does, or as
+/// [`escape_attr`] does when `quotes`. The bytes escaped are ASCII, which
+/// never occur inside a multi-byte UTF-8 sequence, so the runs between them
+/// are whole characters.
+pub fn escape_into(s: &str, quotes: bool, out: &mut String) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if quotes => "&quot;",
+            b'\'' if quotes => "&apos;",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(entity);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// Resolve the predefined XML entities and numeric character references in
@@ -102,6 +115,14 @@ mod tests {
     fn escape_attr_quotes() {
         assert_eq!(escape_attr(r#"say "hi""#), "say &quot;hi&quot;");
         assert_eq!(escape_attr("it's"), "it&apos;s");
+    }
+
+    #[test]
+    fn escaping_into_a_buffer_appends_the_escaped_text() {
+        let mut out = String::from("x");
+        escape_into("é < 日本 & 'q' \"", false, &mut out);
+        escape_into("é < 日本 & 'q' \"", true, &mut out);
+        assert_eq!(out, "xé &lt; 日本 &amp; 'q' \"é &lt; 日本 &amp; &apos;q&apos; &quot;");
     }
 
     #[test]

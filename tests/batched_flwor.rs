@@ -217,3 +217,28 @@ fn rows_rejected_by_where_never_read_their_return_paths() {
     );
     assert!(passed.decompressions > baseline.decompressions, "{passed:?}");
 }
+
+/// An inner `for` whose `where` conjunct it pushes down to the index does
+/// so again for every row of the outer `for`: the conjunct is skipped only
+/// for the rows that one pushdown filtered.
+#[test]
+fn an_inner_pushdown_filters_every_outer_row() {
+    let r = repo();
+    let names = r.container_by_path("//person/name/text()").unwrap();
+    assert!(r.container(names).is_individual(), "names must be individually compressed");
+    let q = r#"for $a in //closed_auction for $p in //person where $p/name/text() = "Ann"
+               return $p/name/text()"#;
+    let expected = GalaxEngine::load(DOC).unwrap().run(q).unwrap();
+    assert_eq!(expected, "Ann Ann Ann");
+    let e = Engine::new(&r);
+    for run in ["cold", "warm"] {
+        assert_eq!(e.run(q).unwrap(), expected, "{run}");
+        let mut pushdowns = 0;
+        e.last_plan().walk(&mut |n| {
+            if n.op == "ContAccess" {
+                pushdowns += n.invocations;
+            }
+        });
+        assert_eq!(pushdowns, 3, "{run}: one pushdown per closed auction");
+    }
+}
