@@ -496,19 +496,6 @@ fn block_container_decompressed_once_across_reads() {
     assert!(second.cache_hits > 0, "{second:?}");
 }
 
-#[test]
-fn zero_capacity_block_cache_reinflates() {
-    let spec = WorkloadSpec::new().constant("//name/text()", PredOp::Eq);
-    let r = load_with(DOC, &LoaderOptions { workload: Some(spec), ..Default::default() })
-        .unwrap();
-    let e = Engine::with_block_cache_capacity(&r, 0);
-    e.run("//person/@id").unwrap();
-    let first = e.stats.borrow().decompressions;
-    assert!(first > 0);
-    e.run("//person/@id").unwrap();
-    assert_eq!(e.stats.borrow().decompressions, first, "re-inflated: no retention");
-}
-
 /// The documented counter semantics, asserted: a cache hit does NOT count
 /// as a decompression. Reads that hit the memo/LRU increment `cache_hits`
 /// only; `decompressions` counts codec work alone.
@@ -625,16 +612,16 @@ fn profile_reports_phases_and_counters_for_distinct_queries() {
 fn query_results_unchanged_by_caching() {
     let r = repo();
     let cached = Engine::new(&r);
-    let uncached = Engine::with_block_cache_capacity(&r, 0);
+    let uncached = |q: &str| Engine::new(&r).run(q).unwrap();
     for q in [
         "/site/people/person/name/text()",
         "for $p in //person order by $p/age/text() return $p/age/text()",
         r#"for $i in //item where contains($i/description, "gold") return $i/name/text()"#,
         "sum(//closed_auction/price/text())",
     ] {
-        assert_eq!(cached.run(q).unwrap(), uncached.run(q).unwrap(), "{q}");
-        // Run twice: warm-cache results identical too.
-        assert_eq!(cached.run(q).unwrap(), uncached.run(q).unwrap(), "{q} (warm)");
+        // The reused engine answers cold, then warm, as a fresh one does.
+        assert_eq!(cached.run(q).unwrap(), uncached(q), "{q}");
+        assert_eq!(cached.run(q).unwrap(), uncached(q), "{q} (warm)");
     }
 }
 

@@ -30,10 +30,9 @@
 //! compressed value is decoded at most once per query however many of those
 //! operators touch it. The serializer neither reads nor fills that memo:
 //! each value it writes counts one decompression. Inflated block containers
-//! sit in a capacity-bounded LRU that survives across queries
-//! ([`Engine::with_block_cache_capacity`]). Cache traffic is visible through
-//! [`ExecStats::cache_hits`] / [`ExecStats::cache_misses`]; a hit does not
-//! count as a decompression.
+//! sit in a bounded LRU that survives across queries. Cache traffic is
+//! visible through [`ExecStats::cache_hits`] / [`ExecStats::cache_misses`];
+//! a hit does not count as a decompression.
 //!
 //! How values are owned on the per-row path:
 //!
@@ -224,13 +223,16 @@ impl Bound<'_> {
 /// The rows of one `for` loop (or of a hash join's matches), and the
 /// row-local paths of the clause being evaluated over them.
 ///
-/// A row-local path is rooted at the loop variable and takes only child
-/// element steps with at most positional predicates, optionally ending in
-/// `text()` or `@attr` ([`row_local_paths`]). The first row that reads one
-/// evaluates it for every row of the clause at once: one `StructureNav` per
-/// step and one `TextContent`, each over the whole batch. Every row of the
-/// clause reaches every such path exactly once, so the operators see the
-/// same nodes as a row-at-a-time evaluation would, and do the same work.
+/// A row-local path is rooted at the loop variable and takes child,
+/// descendant or parent element steps with at most positional predicates
+/// (no boolean filter), optionally ending in `text()` or `@attr`
+/// ([`is_row_local`]). When a clause runs over two or more rows, the first
+/// row that reads one evaluates it for every row of the clause at once,
+/// each row one row of context nodes for `Engine::steps_over_rows`: one
+/// `StructureNav` per step and one `TextContent`, each over the whole
+/// batch. Every row of the clause reaches every such path exactly once, so
+/// the operators see the same nodes as a row-at-a-time evaluation would,
+/// and do the same work.
 struct RowBatch<'q> {
     /// The loop variable's item in each row.
     items: Vec<Item>,
@@ -268,12 +270,13 @@ impl<'q> Rows<'q> {
     }
 
     /// Start evaluating a clause over the rows in `live`: the row-local
-    /// paths in `exprs` become pending.
+    /// paths in `exprs` become pending. A single row reads its paths in
+    /// place, sparing the copy out of a batch.
     fn start_clause(&self, live: &[u32], exprs: &[&'q Expr]) {
         let mut clause = self.batch.clause.borrow_mut();
         clause.pending.clear();
         clause.done.clear();
-        if let Some(var) = self.nodes {
+        if let Some(var) = self.nodes.filter(|_| live.len() > 1) {
             for e in exprs {
                 row_local_paths(e, var, &mut clause.pending);
             }
@@ -332,31 +335,25 @@ struct Ctx<'r> {
     join_cache: RefCell<HashMap<usize, Rc<JoinIndex<'r>>>>,
 }
 
-/// Inflated block containers retained by default (see
-/// [`Engine::with_block_cache_capacity`]). Sized to hold every block
-/// container of the evaluation documents at once — a scan query that
+/// Inflated block containers retained across queries. Sized to hold every
+/// block container of the evaluation documents at once — a scan query that
 /// cycles through more containers than the capacity would otherwise
 /// re-inflate all of them on every pass.
-pub const DEFAULT_BLOCK_CACHE_CAPACITY: usize = 64;
+const BLOCK_CACHE_CAPACITY: usize = 64;
 
 /// The values of one inflated block container, in record order, shared by
 /// the LRU and every item read from it.
 type BlockValues = Rc<[Rc<str>]>;
 
-/// LRU of wholesale-inflated block containers. `capacity` bounds how many
-/// containers stay inflated; `0` disables retention entirely (every read
-/// re-inflates, the literal XMill cost model).
+/// LRU of wholesale-inflated block containers, at most
+/// [`BLOCK_CACHE_CAPACITY`] of them.
+#[derive(Default)]
 struct BlockLru {
-    capacity: usize,
     tick: u64,
     entries: HashMap<ContainerId, (BlockValues, u64)>,
 }
 
 impl BlockLru {
-    fn new(capacity: usize) -> Self {
-        BlockLru { capacity, tick: 0, entries: HashMap::new() }
-    }
-
     fn get(&mut self, cid: ContainerId) -> Option<BlockValues> {
         self.tick += 1;
         let tick = self.tick;
@@ -367,10 +364,7 @@ impl BlockLru {
     }
 
     fn insert(&mut self, cid: ContainerId, values: BlockValues) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&cid) {
+        if self.entries.len() >= BLOCK_CACHE_CAPACITY && !self.entries.contains_key(&cid) {
             if let Some(&evict) =
                 self.entries.iter().min_by_key(|(_, (_, t))| *t).map(|(c, _)| c)
             {
@@ -421,17 +415,11 @@ impl<'r> Engine<'r> {
     /// Build an engine. It allocates nothing per node: subtree ranges come
     /// from the repository's structure tree.
     pub fn new(repo: &'r Repository) -> Self {
-        Self::with_block_cache_capacity(repo, DEFAULT_BLOCK_CACHE_CAPACITY)
-    }
-
-    /// Build an engine retaining at most `capacity` inflated block
-    /// containers across queries (`0` = re-inflate on every touch).
-    pub fn with_block_cache_capacity(repo: &'r Repository, capacity: usize) -> Self {
         Engine {
             repo,
             stats: RefCell::new(ExecStats::default()),
             lifetime: RefCell::new(ExecStats::default()),
-            block_cache: RefCell::new(BlockLru::new(capacity)),
+            block_cache: RefCell::default(),
             value_cache: RefCell::new(HashMap::new()),
             decode_buf: RefCell::new(Vec::new()),
             plan: RefCell::new(PlanRecorder::default()),
@@ -893,8 +881,8 @@ impl<'r> Engine<'r> {
                             if flwor.consumed.borrow().contains(&id) {
                                 continue;
                             }
-                            if let Some(filtered) = self.try_index_conjunct(&nodes, v, conj)? {
-                                nodes = filtered;
+                            if let Some(hits) = self.try_index_conjunct(&nodes, v, conj)? {
+                                nodes.retain(|n| hits.contains(n));
                                 flwor.consumed.borrow_mut().insert(id);
                                 pushed.push(id);
                             }
@@ -1058,8 +1046,10 @@ impl<'r> Engine<'r> {
             let Clause::Where(w) = clause else { continue };
             for conj in conjuncts(w) {
                 let Expr::Cmp(CmpOp::Eq, a, b) = conj else { continue };
-                let inner_ok = |e: &Expr| refs_var(e, v2) && !refs_any_free(e, v2);
-                let outer_ok = |e: &Expr| !refs_var(e, v2) && refs_env(e, env);
+                let inner_ok = |e: &Expr| refs(e, |v| v == v2) && !refs(e, |v| v != v2);
+                let outer_ok = |e: &Expr| {
+                    !refs(e, |v| v == v2) && refs(e, |v| env.iter().any(|(n, _)| *n == v))
+                };
                 if inner_ok(a) && outer_ok(b) {
                     join = Some((conj, a, b));
                     break 'outer;
@@ -1253,18 +1243,18 @@ impl<'r> Engine<'r> {
             PathRoot::Var(v) => v.as_str(),
             PathRoot::Context => ".",
         };
-        let bound = self.bound(env, var)?;
-        if let Bound::Row(batch, row) = bound {
-            if self.batched_path(batch, *row, p, out)? {
+        if let Bound::Row(batch, row) = self.bound(env, var)? {
+            let (batch, row) = (Rc::clone(batch), *row);
+            if self.batched_path(&batch, row, p, env, ctx, out)? {
                 return Ok(());
             }
         }
-        // Read the bound nodes in place; a single bound node needs no node
-        // list at all.
-        let bound = bound.items();
+        // Read the bound nodes in place as one row; a single bound node
+        // needs no node list at all.
+        let bound = self.bound(env, var)?.items();
         let items = if let [Item::Node(n)] = bound {
             let n = *n;
-            self.apply_steps(&[n], &p.steps, env, ctx)?
+            self.steps_over_rows(&[n], &mut [0, 1], &p.steps, env, ctx)?
         } else {
             let mut nodes = Vec::with_capacity(bound.len());
             for i in bound {
@@ -1273,7 +1263,7 @@ impl<'r> Engine<'r> {
                     _ => return err("path step applied to a non-node item"),
                 }
             }
-            self.apply_steps(&nodes, &p.steps, env, ctx)?
+            self.steps_over_rows(&nodes, &mut [0, nodes.len() as u32], &p.steps, env, ctx)?
         };
         append(out, items);
         Ok(())
@@ -1354,72 +1344,7 @@ impl<'r> Engine<'r> {
                 mark,
             );
         }
-        self.apply_steps(&nodes, &steps[i..], env, ctx)
-    }
-
-    /// Apply steps to a node set, node-navigation style.
-    fn apply_steps<'q>(
-        &self,
-        input: &[ElemId],
-        steps: &'q [Step],
-        env: &mut Env<'q>,
-        ctx: &Ctx<'r>,
-    ) -> Result<Sequence, QueryError> {
-        let mut nodes = input;
-        let mut owned: Vec<ElemId>;
-        for (si, step) in steps.iter().enumerate() {
-            let last = si + 1 == steps.len();
-            match &step.test {
-                NodeTest::Text => {
-                    if !last {
-                        return err("text() must be the final step");
-                    }
-                    return self.traced(
-                        "TextContent",
-                        Detail::Static("text()"),
-                        nodes.len(),
-                        || {
-                            let mut out = Vec::new();
-                            self.values_of(nodes, None, &mut out)?;
-                            Ok(out)
-                        },
-                        Vec::len,
-                    );
-                }
-                NodeTest::Attr(name) => {
-                    if !last {
-                        return err("attribute step must be the final step");
-                    }
-                    let Some(code) = self.repo.dict.code(name) else { return Ok(vec![]) };
-                    return self.traced(
-                        "TextContent",
-                        Detail::Prefixed("@", name),
-                        nodes.len(),
-                        || {
-                            let mut out = Vec::new();
-                            self.values_of(nodes, Some(code), &mut out)?;
-                            Ok(out)
-                        },
-                        Vec::len,
-                    );
-                }
-                NodeTest::Tag(_) | NodeTest::AnyElement => {
-                    let next = self.traced(
-                        "StructureNav",
-                        step_detail(step),
-                        nodes.len(),
-                        || self.element_step(nodes, step, env, ctx),
-                        Vec::len,
-                    )?;
-                    if next.is_empty() {
-                        return Ok(vec![]);
-                    }
-                    owned = next;
-                    nodes = &owned;
-                }
-            }
-        }
-        Ok(nodes.iter().map(|&n| Item::Node(n)).collect())
+        self.steps_over_rows(&nodes, &mut [0, nodes.len() as u32], &steps[i..], env, ctx)
     }
 
     /// Append row `row`'s result of `p` to `out` when `p` is a row-local
@@ -1430,6 +1355,8 @@ impl<'r> Engine<'r> {
         batch: &RowBatch<'q>,
         row: u32,
         p: &'q PathExpr,
+        env: &mut Env<'q>,
+        ctx: &Ctx<'r>,
         out: &mut Sequence,
     ) -> Result<bool, QueryError> {
         let mut clause = batch.clause.borrow_mut();
@@ -1441,7 +1368,21 @@ impl<'r> Engine<'r> {
                     return Ok(false);
                 };
                 clause.pending.swap_remove(j);
-                let (seq, starts) = self.path_over_rows(&batch.items, &clause.rows, &p.steps)?;
+                // One row per item; the rows outside the clause are empty.
+                let mut nodes = Vec::with_capacity(clause.rows.len());
+                let mut starts = Vec::with_capacity(batch.items.len() + 1);
+                let mut next_row = clause.rows.iter().copied().peekable();
+                for (i, item) in batch.items.iter().enumerate() {
+                    starts.push(nodes.len() as u32);
+                    if next_row.next_if_eq(&(i as u32)).is_some() {
+                        let &Item::Node(n) = item else { unreachable!("batched rows bind nodes") };
+                        nodes.push(n);
+                    }
+                }
+                starts.push(nodes.len() as u32);
+                // A row-local path has no step filter, so evaluating it
+                // reads no other path of the batch.
+                let seq = self.steps_over_rows(&nodes, &mut starts, &p.steps, env, ctx)?;
                 clause.done.push((p, seq, starts));
                 clause.done.len() - 1
             }
@@ -1452,103 +1393,129 @@ impl<'r> Engine<'r> {
         Ok(true)
     }
 
-    /// Evaluate a row-local path's steps for the nodes of `items` at
-    /// `rows` all at once: one `StructureNav` per step and one
-    /// `TextContent`, each over every row's nodes. Returns the results in
-    /// row order, and where each item's row starts in them (one entry per
-    /// item, then the end); rows not in `rows` are empty.
-    fn path_over_rows(
-        &self,
-        items: &[Item],
-        rows: &[u32],
-        steps: &[Step],
-    ) -> Result<(Sequence, Vec<u32>), QueryError> {
-        let none = || Ok((Vec::new(), vec![0; items.len() + 1]));
-        let mut nodes = Vec::with_capacity(rows.len());
-        let mut starts = Vec::with_capacity(items.len() + 1);
-        let mut next_row = rows.iter().copied().peekable();
-        for (i, item) in items.iter().enumerate() {
-            starts.push(nodes.len() as u32);
-            if next_row.next_if_eq(&(i as u32)).is_some() {
-                let &Item::Node(n) = item else { unreachable!("batched rows bind nodes") };
-                nodes.push(n);
-            }
-        }
-        starts.push(nodes.len() as u32);
-        for step in steps {
-            let (attr, detail) = match &step.test {
-                NodeTest::Text => (None, Detail::Static("text()")),
-                NodeTest::Attr(name) => match self.repo.dict.code(name) {
-                    Some(code) => (Some(code), Detail::Prefixed("@", name)),
-                    None => return none(),
-                },
-                NodeTest::Tag(_) | NodeTest::AnyElement => {
-                    let next = self.traced(
-                        "StructureNav",
-                        step_detail(step),
-                        nodes.len(),
-                        || Ok(self.child_step_rows(&nodes, &starts, step)),
-                        |(next, _)| next.len(),
-                    )?;
-                    if next.0.is_empty() {
-                        return none();
-                    }
-                    (nodes, starts) = next;
-                    continue;
-                }
-            };
-            // A value step is the last one (see `is_row_local`).
-            return self.traced(
-                "TextContent",
-                detail,
-                nodes.len(),
-                || {
-                    let mut out = Vec::new();
-                    let mut out_starts = Vec::with_capacity(starts.len());
-                    for w in starts.windows(2) {
-                        out_starts.push(out.len() as u32);
-                        self.values_of(&nodes[w[0] as usize..w[1] as usize], attr, &mut out)?;
-                    }
-                    out_starts.push(out.len() as u32);
-                    Ok((out, out_starts))
-                },
-                |(out, _)| out.len(),
-            );
-        }
-        Ok((nodes.into_iter().map(Item::Node).collect(), starts))
-    }
-
-    /// A child element step for several rows at once, each row's nodes
-    /// being `nodes[starts[i]..starts[i + 1]]`; returns the matches in the
-    /// same layout. A row's nodes lie at one depth in document order, so
-    /// their children do too and need no sort.
-    fn child_step_rows(
+    /// The path-step evaluator: apply `steps` to rows of context nodes, row
+    /// `i` being `nodes[starts[i]..starts[i + 1]]`; a node set is one row.
+    /// Each element step is one `StructureNav` over every row's nodes and a
+    /// final `text()` or `@attr` one `TextContent`. Returns the items in row
+    /// order and rewrites `starts` to delimit each row's items in them.
+    ///
+    /// An element step navigates from each context node and applies its
+    /// positional predicates to that node's matches, then sorts each row's
+    /// matches into document order without duplicates, then applies its
+    /// boolean filters to every row's matches at once.
+    fn steps_over_rows<'q>(
         &self,
         nodes: &[ElemId],
-        starts: &[u32],
-        step: &Step,
-    ) -> (Vec<ElemId>, Vec<u32>) {
-        let tag = match &step.test {
-            NodeTest::Tag(t) => match self.repo.dict.code(t) {
-                Some(c) => Some(c),
-                None => return (Vec::new(), vec![0; starts.len()]),
-            },
-            _ => None,
+        starts: &mut [u32],
+        steps: &'q [Step],
+        env: &mut Env<'q>,
+        ctx: &Ctx<'r>,
+    ) -> Result<Sequence, QueryError> {
+        let none = |starts: &mut [u32]| {
+            starts.fill(0);
+            Ok(Vec::new())
         };
-        let mut out = Vec::new();
-        let mut out_starts = Vec::with_capacity(starts.len());
-        for w in starts.windows(2) {
-            out_starts.push(out.len() as u32);
-            for &n in &nodes[w[0] as usize..w[1] as usize] {
-                let start = out.len();
-                out.extend(self.repo.tree.children(n, tag));
-                keep_positions(&step.predicates, &mut out, start);
+        let (value_step, element_steps) = match steps.split_last() {
+            Some((last, rest)) if matches!(last.test, NodeTest::Text | NodeTest::Attr(_)) => {
+                (Some(last), rest)
             }
+            _ => (None, steps),
+        };
+        let mut nodes = nodes;
+        let mut owned: Vec<ElemId>;
+        for step in element_steps {
+            match &step.test {
+                NodeTest::Text => return err("text() must be the final step"),
+                NodeTest::Attr(_) => return err("attribute step must be the final step"),
+                NodeTest::Tag(_) | NodeTest::AnyElement => {}
+            }
+            let navigate = || {
+                let tag = match &step.test {
+                    NodeTest::Tag(t) => match self.repo.dict.code(t) {
+                        Some(c) => Some(c),
+                        None => return Ok(Vec::new()), // tag absent from the document
+                    },
+                    _ => None,
+                };
+                let mut out = Vec::new();
+                per_row(starts, &mut out, |r, out| {
+                    let row = out.len();
+                    for &n in &nodes[r] {
+                        let start = out.len();
+                        match step.axis {
+                            Axis::Child => out.extend(self.repo.tree.children(n, tag)),
+                            Axis::Descendant => self.descendants_via_summary(n, tag, out),
+                            Axis::Parent => out.extend(
+                                self.repo
+                                    .tree
+                                    .parent(n)
+                                    .filter(|&p| tag.is_none_or(|t| self.repo.tree.tag(p) == t)),
+                            ),
+                        }
+                        keep_positions(&step.predicates, out, start);
+                    }
+                    sort_dedup_from(out, row);
+                    Ok(())
+                })?;
+                // Boolean filters over every row at once, with the
+                // ContAccess pushdown attempt first.
+                for pred in &step.predicates {
+                    let StepPredicate::Filter(f) = pred else { continue };
+                    let mut kept = Vec::with_capacity(out.len());
+                    if let Some(hits) = self.try_filter_index(&out, f)? {
+                        per_row(starts, &mut kept, |r, kept| {
+                            kept.extend(out[r].iter().filter(|&c| hits.contains(c)));
+                            Ok(())
+                        })?;
+                    } else {
+                        let scan = || {
+                            per_row(starts, &mut kept, |r, kept| {
+                                for &c in &out[r] {
+                                    env.push((".", Bound::One(Item::Node(c))));
+                                    let ok = self.ebv(f, env, ctx);
+                                    env.pop();
+                                    if ok? {
+                                        kept.push(c);
+                                    }
+                                }
+                                Ok(())
+                            })?;
+                            Ok(kept.len())
+                        };
+                        self.traced("Predicate", Detail::Static("scan"), out.len(), scan, |n| *n)?;
+                    }
+                    out = kept;
+                }
+                Ok(out)
+            };
+            let next =
+                self.traced("StructureNav", step_detail(step), nodes.len(), navigate, Vec::len)?;
+            if next.is_empty() {
+                return none(starts);
+            }
+            owned = next;
+            nodes = &owned;
         }
-        out_starts.push(out.len() as u32);
-        (out, out_starts)
+        let (attr, detail) = match value_step.map(|s| &s.test) {
+            None => return Ok(nodes.iter().map(|&n| Item::Node(n)).collect()),
+            Some(NodeTest::Attr(name)) => match self.repo.dict.code(name) {
+                Some(code) => (Some(code), Detail::Prefixed("@", name)),
+                None => return none(starts),
+            },
+            Some(_) => (None, Detail::Static("text()")),
+        };
+        self.traced(
+            "TextContent",
+            detail,
+            nodes.len(),
+            || {
+                let mut out = Vec::new();
+                per_row(starts, &mut out, |r, out| self.values_of(&nodes[r], attr, out))?;
+                Ok(out)
+            },
+            Vec::len,
+        )
     }
-
     /// `TextContent`: pair elements with their values through value refs,
     /// appending the values to `out`.
     fn values_of(
@@ -1578,115 +1545,46 @@ impl<'r> Engine<'r> {
         Ok(())
     }
 
-    fn element_step<'q>(
-        &self,
-        input: &[ElemId],
-        step: &'q Step,
-        env: &mut Env<'q>,
-        ctx: &Ctx<'r>,
-    ) -> Result<Vec<ElemId>, QueryError> {
-        let tag = match &step.test {
-            NodeTest::Tag(t) => match self.repo.dict.code(t) {
-                Some(c) => Some(c),
-                None => return Ok(vec![]),
-            },
-            NodeTest::AnyElement => None,
-            _ => unreachable!("value tests handled by caller"),
-        };
-        // Each input node's matches are appended to `out`, where positional
-        // predicates then narrow them down in place.
-        let mut out: Vec<ElemId> = Vec::new();
-        for &n in input {
-            let start = out.len();
-            match step.axis {
-                Axis::Child => out.extend(self.repo.tree.children(n, tag)),
-                Axis::Descendant => out.extend(self.descendants_via_summary(n, tag)),
-                Axis::Parent => out.extend(
-                    self.repo
-                        .tree
-                        .parent(n)
-                        .filter(|&p| tag.is_none_or(|t| self.repo.tree.tag(p) == t)),
-                ),
-            }
-            keep_positions(&step.predicates, &mut out, start);
-        }
-        out.sort();
-        out.dedup();
-        // Boolean filters, with the ContAccess pushdown attempt first.
-        for pred in &step.predicates {
-            let StepPredicate::Filter(f) = pred else { continue };
-            if let Some(filtered) = self.try_filter_index(&out, f)? {
-                out = filtered;
-                continue;
-            }
-            let rows_in = out.len();
-            out = self.traced(
-                "Predicate",
-                Detail::Static("scan"),
-                rows_in,
-                || {
-                    let mut kept = Vec::with_capacity(out.len());
-                    for &c in &out {
-                        env.push((".", Bound::One(Item::Node(c))));
-                        let ok = self.ebv(f, env, ctx);
-                        env.pop();
-                        if ok? {
-                            kept.push(c);
-                        }
-                    }
-                    Ok(kept)
-                },
-                Vec::len,
-            )?;
-        }
-        Ok(out)
-    }
-
     /// Descendant step through the summary: find matching descendant paths,
     /// then binary-search each extent for the subtree id range — no tree
-    /// walk (the §2.3 Q14 access pattern).
-    fn descendants_via_summary(&self, n: ElemId, tag: Option<TagCode>) -> Vec<ElemId> {
+    /// walk (the §2.3 Q14 access pattern). Appends the matches to `out` in
+    /// document order.
+    fn descendants_via_summary(&self, n: ElemId, tag: Option<TagCode>, out: &mut Vec<ElemId>) {
+        let Some(code) = tag else { return out.extend(self.repo.tree.descendants(n)) };
+        let start = out.len();
         let end = self.repo.tree.subtree_end(n).0;
-        let mut out = Vec::new();
-        match tag {
-            Some(code) => {
-                let p = self.repo.tree.path(n);
-                for s in self.repo.summary.descendant_elements(p, code) {
-                    let extent = &self.repo.summary.node(s).extent;
-                    let lo = extent.partition_point(|&e| e <= n);
-                    let hi = extent.partition_point(|&e| e.0 <= end);
-                    out.extend(extent[lo..hi].iter().copied());
-                }
-                out.sort();
-                out.dedup();
-            }
-            None => out = self.repo.tree.descendants(n).collect(),
+        for s in self.repo.summary.descendant_elements(self.repo.tree.path(n), code) {
+            let extent = &self.repo.summary.node(s).extent;
+            let lo = extent.partition_point(|&e| e <= n);
+            let hi = extent.partition_point(|&e| e.0 <= end);
+            out.extend(extent[lo..hi].iter().copied());
         }
-        out
+        sort_dedup_from(out, start);
     }
 
     // ---- ContAccess pushdown --------------------------------------------
 
-    /// Try to answer a step filter `[relpath op const]` via container ranges.
-    /// `Ok(None)` means "not indexable, fall back to a scan".
+    /// Try to answer a step filter `[relpath op const]` via container ranges:
+    /// the candidates that pass are among the returned nodes. `Ok(None)`
+    /// means "not indexable, fall back to a scan".
     fn try_filter_index(
         &self,
         candidates: &[ElemId],
         filter: &Expr,
-    ) -> Result<Option<Vec<ElemId>>, QueryError> {
+    ) -> Result<Option<HashSet<ElemId>>, QueryError> {
         let Some((op, rel, konst)) = split_cmp_const(filter) else { return Ok(None) };
         let PathExpr { root: PathRoot::Context, steps } = rel else { return Ok(None) };
         self.index_candidates(candidates, steps, op, konst)
     }
 
     /// Try to answer a FLWOR conjunct `$v/relpath op const` via container
-    /// ranges, filtering the node set bound to `$v`.
+    /// ranges, for the node set bound to `$v`.
     fn try_index_conjunct(
         &self,
         candidates: &[ElemId],
         var: &str,
         conj: &Expr,
-    ) -> Result<Option<Vec<ElemId>>, QueryError> {
+    ) -> Result<Option<HashSet<ElemId>>, QueryError> {
         let Some((op, rel, konst)) = split_cmp_const(conj) else { return Ok(None) };
         match &rel.root {
             PathRoot::Var(v) if v == var => {}
@@ -1701,9 +1599,9 @@ impl<'r> Engine<'r> {
         rel_steps: &[Step],
         op: CmpOp,
         konst: &Expr,
-    ) -> Result<Option<Vec<ElemId>>, QueryError> {
+    ) -> Result<Option<HashSet<ElemId>>, QueryError> {
         if candidates.is_empty() {
-            return Ok(Some(vec![]));
+            return Ok(Some(HashSet::new()));
         }
         if op == CmpOp::Ne {
             return Ok(None); // != is not a range
@@ -1805,7 +1703,7 @@ impl<'r> Engine<'r> {
                 mark,
             );
         }
-        Ok(Some(candidates.iter().copied().filter(|c| hits.contains(c)).collect()))
+        Ok(Some(hits))
     }
 
     /// Render a constant for binary search in `c`'s value order; `None` when
@@ -2576,6 +2474,45 @@ fn append(out: &mut Sequence, items: Sequence) {
     }
 }
 
+/// Rebuild a row-delimited sequence a row at a time: `f` appends to `out`
+/// what row `i`, the input range `starts[i]..starts[i + 1]`, produces, and
+/// `starts` is rewritten to delimit the rows in `out`.
+fn per_row<T>(
+    starts: &mut [u32],
+    out: &mut Vec<T>,
+    mut f: impl FnMut(std::ops::Range<usize>, &mut Vec<T>) -> Result<(), QueryError>,
+) -> Result<(), QueryError> {
+    let mut lo = starts[0] as usize;
+    for i in 1..starts.len() {
+        let hi = starts[i] as usize;
+        starts[i - 1] = out.len() as u32;
+        f(lo..hi, out)?;
+        lo = hi;
+    }
+    if let Some(end) = starts.last_mut() {
+        *end = out.len() as u32;
+    }
+    Ok(())
+}
+
+/// Sort `out[start..]` into document order and drop its duplicates.
+fn sort_dedup_from(out: &mut Vec<ElemId>, start: usize) {
+    let tail = &mut out[start..];
+    // One context node's matches usually are in order already.
+    if tail.is_sorted_by(|a, b| a < b) {
+        return;
+    }
+    tail.sort_unstable();
+    let mut kept = 1;
+    for j in 1..tail.len() {
+        if tail[j] != tail[kept - 1] {
+            tail[kept] = tail[j];
+            kept += 1;
+        }
+    }
+    out.truncate(start + kept);
+}
+
 /// Narrow `out[start..]`, one context node's matches for a step, to what
 /// the step's positional predicates select; filters apply later, to the
 /// whole step.
@@ -2594,10 +2531,11 @@ fn keep_positions(predicates: &[StepPredicate], out: &mut Vec<ElemId>, start: us
     }
 }
 
-/// Collect the row-local paths of `var` in `e` that each evaluation of `e`
-/// reads exactly once. Parts of `e` that run a varying number of times per
-/// evaluation are skipped: `if` branches, the right operand of `and` and
-/// `or`, `some`/`every` conditions, step filters and nested FLWORs.
+/// Collect the row-local paths of `var` in `e` (see [`is_row_local`]: steps
+/// on any axis, no step filter) that each evaluation of `e` reads exactly
+/// once. Parts of `e` that run a varying number of times per evaluation are
+/// skipped: `if` branches, the right operand of `and` and `or`,
+/// `some`/`every` conditions, step filters and nested FLWORs.
 fn row_local_paths<'q>(e: &'q Expr, var: &str, out: &mut Vec<&'q PathExpr>) {
     walk(e, &mut |x| match x {
         Expr::Path(p) => {
@@ -2619,20 +2557,16 @@ fn row_local_paths<'q>(e: &'q Expr, var: &str, out: &mut Vec<&'q PathExpr>) {
     });
 }
 
-/// Is `p` rooted at `$var` with only child element steps, each with at most
-/// positional predicates, optionally ending in `text()` or `@attr`?
+/// Is `p` rooted at `$var` with element steps on any axis, each with at
+/// most positional predicates (no boolean filter), optionally ending in
+/// `text()` or `@attr`?
 fn is_row_local(p: &PathExpr, var: &str) -> bool {
     matches!(&p.root, PathRoot::Var(v) if v == var)
-        && p.steps.iter().enumerate().all(|(i, s)| {
-            s.axis == Axis::Child
-                && match &s.test {
-                    NodeTest::Tag(_) | NodeTest::AnyElement => {
-                        s.predicates.iter().all(|p| !matches!(p, StepPredicate::Filter(_)))
-                    }
-                    NodeTest::Text | NodeTest::Attr(_) => {
-                        i + 1 == p.steps.len() && s.predicates.is_empty()
-                    }
-                }
+        && p.steps.iter().enumerate().all(|(i, s)| match &s.test {
+            NodeTest::Tag(_) | NodeTest::AnyElement => {
+                s.predicates.iter().all(|p| !matches!(p, StepPredicate::Filter(_)))
+            }
+            NodeTest::Text | NodeTest::Attr(_) => i + 1 == p.steps.len() && s.predicates.is_empty(),
         })
 }
 
@@ -2658,54 +2592,14 @@ fn split_cmp_const(e: &Expr) -> Option<(CmpOp, &PathExpr, &Expr)> {
     }
 }
 
-/// Does the expression reference the given variable?
-fn refs_var(e: &Expr, var: &str) -> bool {
+/// Does the expression reference a variable whose name satisfies `hit`?
+fn refs(e: &Expr, mut hit: impl FnMut(&str) -> bool) -> bool {
     let mut found = false;
     walk(e, &mut |x| {
-        match x {
-            Expr::Var(v) if v == var => found = true,
-            Expr::Path(PathExpr { root: PathRoot::Var(v), .. }) if v == var => found = true,
-            _ => {}
+        if let Expr::Var(v) | Expr::Path(PathExpr { root: PathRoot::Var(v), .. }) = x {
+            found |= hit(v);
         }
-        true
-    });
-    found
-}
-
-/// Does the expression reference any variable currently bound in `env`?
-fn refs_env(e: &Expr, env: &Env) -> bool {
-    let mut found = false;
-    walk(e, &mut |x| {
-        let name = match x {
-            Expr::Var(v) => Some(v),
-            Expr::Path(PathExpr { root: PathRoot::Var(v), .. }) => Some(v),
-            _ => None,
-        };
-        if let Some(v) = name {
-            if env.iter().any(|(n, _)| *n == v) {
-                found = true;
-            }
-        }
-        true
-    });
-    found
-}
-
-/// Does the expression reference any free variable other than `var`?
-fn refs_any_free(e: &Expr, var: &str) -> bool {
-    let mut found = false;
-    walk(e, &mut |x| {
-        let name = match x {
-            Expr::Var(v) => Some(v),
-            Expr::Path(PathExpr { root: PathRoot::Var(v), .. }) => Some(v),
-            _ => None,
-        };
-        if let Some(v) = name {
-            if v != var {
-                found = true;
-            }
-        }
-        true
+        !found
     });
     found
 }

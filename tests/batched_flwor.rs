@@ -1,9 +1,9 @@
 //! Differential tests for clause-at-a-time FLWOR evaluation.
 //!
 //! The engine evaluates the row-local paths of a `for` loop (paths rooted
-//! at the loop variable with child element steps, positional predicates and
-//! a final `text()` or `@attr`) once per clause over all of the clause's
-//! rows. Each case here pairs such a query with a row-at-a-time twin: the
+//! at the loop variable with child, descendant or parent element steps,
+//! positional predicates and a final `text()` or `@attr`, but no boolean
+//! step filter) once per clause over all of the clause's rows. Each case here pairs such a query with a row-at-a-time twin: the
 //! same query reading the loop variable through `let $w := $v`, which the
 //! engine evaluates per row. Both must give the same answer as the Galax
 //! baseline and the same [`ExecStats`], cold and warm: batching moves where
@@ -101,6 +101,52 @@ fn positional_predicates_apply_per_parent_within_each_row() {
 }
 
 #[test]
+fn descendant_steps_run_per_row_as_one_batch() {
+    let r = repo();
+    check(
+        &r,
+        "for $a in //open_auction return <n>{ count($a//increase) }</n>",
+        "for $a in //open_auction let $w := $a return <n>{ count($w//increase) }</n>",
+    );
+    // The position is taken among each context node's descendants.
+    check(
+        &r,
+        "for $a in //open_auction
+         return <r><f>{ $a//increase[1]/text() }</f><l>{ $a//increase[last()]/text() }</l></r>",
+        "for $a in //open_auction let $w := $a
+         return <r><f>{ $w//increase[1]/text() }</f><l>{ $w//increase[last()]/text() }</l></r>",
+    );
+    // Rows sharing a parent each keep all of its descendants.
+    check(
+        &r,
+        "for $b in //bidder return <b>{ $b/..//increase/text() }</b>",
+        "for $b in //bidder let $w := $b return <b>{ $w/..//increase/text() }</b>",
+    );
+    let e = Engine::new(&r);
+    e.run("for $a in //open_auction return count($a//increase)").unwrap();
+    assert_eq!(batched_rows(&e, "StructureNav"), 3, "{}", e.last_plan().render_stable());
+}
+
+#[test]
+fn parent_steps_run_per_row_as_one_batch() {
+    let r = repo();
+    check(
+        &r,
+        "for $c in //city return $c/../name/text()",
+        "for $c in //city let $w := $c return $w/../name/text()",
+    );
+    check(
+        &r,
+        "for $c in //city return <c>{ $c/../../name/text() }{ $c/../../@id }</c>",
+        "for $c in //city let $w := $c return <c>{ $w/../../name/text() }{ $w/../../@id }</c>",
+    );
+    let e = Engine::new(&r);
+    e.run("for $c in //city return $c/../../name/text()").unwrap();
+    assert_eq!(batched_rows(&e, "StructureNav"), 3, "{}", e.last_plan().render_stable());
+    assert_eq!(batched_rows(&e, "TextContent"), 3, "{}", e.last_plan().render_stable());
+}
+
+#[test]
 fn paths_empty_for_some_rows_or_for_all() {
     let r = repo();
     check(
@@ -110,6 +156,23 @@ fn paths_empty_for_some_rows_or_for_all() {
         "for $p in //person let $w := $p
          return <p>{ $w/homepage/text() }{ $w/nosuch/text() }{ $w/name/nosuch }{ $w/address/city/text() }</p>",
     );
+    check(
+        &r,
+        "for $a in //open_auction
+         return <a>{ $a//increase/text() }{ $a//nosuch }{ $a//initial/text() }</a>",
+        "for $a in //open_auction let $w := $a
+         return <a>{ $w//increase/text() }{ $w//nosuch }{ $w//initial/text() }</a>",
+    );
+    check(
+        &r,
+        "for $p in //person return <p>{ $p//city/text() }{ $p//address//increase }</p>",
+        "for $p in //person let $w := $p
+         return <p>{ $w//city/text() }{ $w//address//increase }</p>",
+    );
+    // A descendant step empty for some rows still ran as one batch.
+    let e = Engine::new(&r);
+    e.run("for $p in //person return $p//city/text()").unwrap();
+    assert_eq!(batched_rows(&e, "StructureNav"), 4, "{}", e.last_plan().render_stable());
 }
 
 #[test]
