@@ -2,7 +2,9 @@
 //! calls out:
 //!
 //! * A2: hash-join decorrelation (XQueC) vs naive nested-loop re-evaluation
-//!   (Galax-like) on the Q8 join shape;
+//!   (Galax-like) on the Q8 join shape, and XQueC alone on the Q9 (two
+//!   nested joins) and Q10 (a join returning nested constructors) shapes,
+//!   on which the nested loop does not finish;
 //! * A3: descendant steps answered from structure-summary extents vs a full
 //!   structure-tree walk (the §2.3 Q14 argument);
 //! * A4: lazy (compressed-domain) predicate evaluation vs eager
@@ -13,7 +15,7 @@ use std::hint::black_box;
 use std::time::Duration;
 use xquec_baselines::GalaxEngine;
 use xquec_core::loader::{load_with, LoaderOptions};
-use xquec_core::queries::xmark_workload;
+use xquec_core::queries::{query, xmark_workload};
 use xquec_core::query::Engine;
 use xquec_xml::gen::Dataset;
 
@@ -39,6 +41,16 @@ fn join_ablation(c: &mut Criterion) {
     g.bench_function("galax_nested_loop", |b| {
         b.iter(|| black_box(galax.run(Q8).expect("query")))
     });
+    g.finish();
+
+    let mut g = c.benchmark_group("a2_join_q9_q10_150kb");
+    g.sample_size(10).measurement_time(Duration::from_secs(4));
+    for id in ["Q9", "Q10"] {
+        let text = query(id).expect("catalog query").text;
+        g.bench_function(&format!("xquec_hash_join_{id}"), |b| {
+            b.iter(|| black_box(engine.run(text).expect("query")))
+        });
+    }
     g.finish();
 }
 

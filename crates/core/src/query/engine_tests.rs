@@ -2,6 +2,7 @@
 
 use super::exec::{Engine, ExecStats};
 use super::plan::QueryPlan;
+use super::value::Item;
 use crate::loader::{load, load_with, LoaderOptions, WorkloadSpec};
 use crate::repo::Repository;
 use crate::workload::PredOp;
@@ -301,6 +302,24 @@ fn element_construction_nested() {
         .run(r#"<summary count={count(//item)}><first>{ //item[1]/name/text() }</first></summary>"#)
         .unwrap();
     assert_eq!(out, "<summary count=\"3\"><first>old brass lamp</first></summary>");
+}
+
+#[test]
+fn nested_constructors_build_one_flat_fragment() {
+    let r = repo();
+    let e = Engine::new(&r);
+    // A nested element sits at its place among the outer element's items:
+    // atomic items of two child expressions of one element join without a
+    // space, and none is written across a nested element.
+    let q = r#"<a n={ 1 }>{ "x" }{ "y" }<b m="2">{ "z" }<c/>{ //person[1]/age/text() }</b>{ "w" }{ ("u", "v") }</a>"#;
+    assert_eq!(e.run(q).unwrap(), r#"<a n="1">xy<b m="2">z<c/>31</b>wu v</a>"#);
+    let seq = e.eval_query(q).unwrap();
+    let [Item::Tree(f)] = &seq[..] else { panic!("{seq:?}") };
+    let tags: Vec<&str> = f.nested.iter().map(|n| &*n.tag).collect();
+    assert_eq!(tags, ["b", "c"]);
+    assert_eq!(e.run(&format!("string({q})")).unwrap(), "xyz31wuv");
+    assert_eq!(e.run(&format!("name({q})")).unwrap(), "a");
+    assert_eq!(std::mem::size_of::<Item>(), 24);
 }
 
 #[test]

@@ -14,7 +14,8 @@
 //!   records' value pointers;
 //! * `HashJoin` — correlated FLWOR subqueries with an equality on container
 //!   values are decorrelated into a hash join keyed on *compressed* bytes
-//!   when both sides share a source model (the Q8/Q9 plan shape of Fig. 5);
+//!   when both sides share a source model (the Q8/Q9 plan shape of Fig. 5),
+//!   and probed once per clause with all of the clause's outer rows;
 //! * `Decompress` — placed implicitly at the last possible moment: wildcard
 //!   matches, cross-model comparisons, and final serialization. The
 //!   serializer decodes each value it writes straight from the container's
@@ -48,12 +49,13 @@
 //! * The environment binds variable names borrowed from the query's AST,
 //!   and a path rooted at `$v` or `.` reads the bound nodes in place.
 //! * A `for` loop's clauses run a clause at a time over all its rows, and a
-//!   row-local path of the loop variable runs once per clause for all of
-//!   them (set-at-a-time, as in MonetDB/X100); a row reads its slice of
-//!   the result (`RowBatch`).
+//!   row-local path of the loop variable, or a join FLWOR, runs once per
+//!   clause for all of them (set-at-a-time, as in MonetDB/X100); a row
+//!   reads its slice of the result (`RowBatch`).
 //! * Constructed elements share their tag and attribute names with the AST,
 //!   and their content is one flat sequence the child expressions
-//!   evaluate into.
+//!   evaluate into; a constructor directly in another's content is an
+//!   entry of the outer one's fragment, not a fragment of its own.
 //! * Plan details are borrowed text the recorder copies only when it creates
 //!   a plan node (see [`super::plan`]).
 
@@ -61,7 +63,7 @@ use super::ast::*;
 use super::parser::{parse, ParseError};
 use super::plan::{Detail, OpStats, PlanRecorder, QueryPlan};
 use super::profile::{QueryPhase, QueryProfile, PHASES};
-use super::value::{Fragment, Item, Sequence};
+use super::value::{Fragment, Item, Nested, Sequence};
 use crate::container::{ContainerLeaf, ValueType};
 use crate::ids::{ContainerId, ElemId, PathId, TagCode};
 use crate::repo::Repository;
@@ -221,7 +223,7 @@ impl Bound<'_> {
 }
 
 /// The rows of one `for` loop (or of a hash join's matches), and the
-/// row-local paths of the clause being evaluated over them.
+/// row-local paths and join FLWORs of the clause being evaluated over them.
 ///
 /// A row-local path is rooted at the loop variable and takes child,
 /// descendant or parent element steps with at most positional predicates
@@ -230,9 +232,11 @@ impl Bound<'_> {
 /// row that reads one evaluates it for every row of the clause at once,
 /// each row one row of context nodes for `Engine::steps_over_rows`: one
 /// `StructureNav` per step and one `TextContent`, each over the whole
-/// batch. Every row of the clause reaches every such path exactly once, so
-/// the operators see the same nodes as a row-at-a-time evaluation would,
-/// and do the same work.
+/// batch. A FLWOR that `Engine::hash_join` decorrelates is evaluated for
+/// every row of the clause before the first row runs: one `HashJoin` per
+/// clause. Every row of the clause reaches every such path and join exactly
+/// once, so the operators see the same nodes as a row-at-a-time evaluation
+/// would, and do the same work.
 struct RowBatch<'q> {
     /// The loop variable's item in each row.
     items: Vec<Item>,
@@ -245,10 +249,21 @@ struct ClauseBatch<'q> {
     rows: Vec<u32>,
     /// The clause's row-local paths no row has read yet.
     pending: Vec<&'q PathExpr>,
-    /// The paths read so far: row `i`'s items are
-    /// `items[starts[i]..starts[i + 1]]`, with `starts` one longer than the
-    /// batch; rows outside the clause have empty slices.
-    done: Vec<(&'q PathExpr, Sequence, Vec<u32>)>,
+    /// The paths read so far and the clause's joins, by address: row `i`'s
+    /// items are `items[starts[i]..starts[i + 1]]`, with `starts` one longer
+    /// than the batch; rows outside the clause have empty slices.
+    done: Vec<(usize, Sequence, Vec<u32>)>,
+}
+
+impl ClauseBatch<'_> {
+    /// Append row `row`'s items of the done path or join at address `key`
+    /// to `out`; false when the clause has none.
+    fn read(&self, key: usize, row: u32, out: &mut Sequence) -> bool {
+        let Some((_, items, starts)) = self.done.iter().find(|d| d.0 == key) else { return false };
+        let row = row as usize;
+        out.extend_from_slice(&items[starts[row] as usize..starts[row + 1] as usize]);
+        true
+    }
 }
 
 /// The rows of a batch as the clauses after its `for` see them.
@@ -269,21 +284,16 @@ impl<'q> Rows<'q> {
         Rows { var, nodes, batch, lets: Vec::new() }
     }
 
-    /// Start evaluating a clause over the rows in `live`: the row-local
-    /// paths in `exprs` become pending. A single row reads its paths in
-    /// place, sparing the copy out of a batch.
-    fn start_clause(&self, live: &[u32], exprs: &[&'q Expr]) {
-        let mut clause = self.batch.clause.borrow_mut();
-        clause.pending.clear();
-        clause.done.clear();
-        if let Some(var) = self.nodes.filter(|_| live.len() > 1) {
-            for e in exprs {
-                row_local_paths(e, var, &mut clause.pending);
-            }
-        }
-        clause.rows.clear();
-        if !clause.pending.is_empty() {
-            clause.rows.extend_from_slice(live);
+    /// Does a row bind `name`?
+    fn binds(&self, name: &str) -> bool {
+        self.var == Some(name) || self.lets.iter().any(|(n, _)| *n == name)
+    }
+
+    /// Row `i`'s value of `name`, which a row binds.
+    fn value(&self, name: &str, i: u32) -> Sequence {
+        match self.lets.iter().rev().find(|(n, _)| *n == name) {
+            Some((_, values)) => values[i as usize].clone(),
+            None => vec![self.batch.items[i as usize].clone()],
         }
     }
 
@@ -317,10 +327,37 @@ impl<'q> Rows<'q> {
 struct Flwor<'q> {
     ret: &'q Expr,
     order_key: Option<&'q Expr>,
-    /// `where` conjuncts already applied by index pushdown to the rows
-    /// being evaluated, by address: a `for` adds the conjuncts it pushed
-    /// down while its rows run and removes them afterwards.
-    consumed: RefCell<HashSet<usize>>,
+    /// `where` conjuncts already applied to the rows being evaluated, by
+    /// address: a join's conjunct, and the conjuncts a `for` pushed down
+    /// while its rows run (it removes them afterwards).
+    consumed: RefCell<Vec<usize>>,
+}
+
+/// The rows a FLWOR's clauses produce, in order: the return clause's items,
+/// flat, and per row the batch row it came from, its order key and the end
+/// of its items.
+#[derive(Default)]
+struct FlworOut {
+    items: Sequence,
+    rows: Vec<(u32, Option<Rc<str>>, u32)>,
+}
+
+/// A FLWOR that `Engine::hash_join` decorrelates: `for $var in <absolute
+/// path>` followed by a `where` conjunct `inner = outer`, where `inner`
+/// reads `$var` alone and `outer` reads no variable of the FLWOR but one
+/// bound outside it (the Q8/Q9 pattern).
+struct Join<'q> {
+    /// The FLWOR's address: the key of its cached index.
+    key: usize,
+    var: &'q str,
+    src: &'q Expr,
+    /// The clauses after the `for`.
+    rest: &'q [Clause],
+    ret: &'q Expr,
+    conj: &'q Expr,
+    inner: &'q Expr,
+    outer: &'q Expr,
+    order: Option<(&'q Expr, bool)>,
 }
 
 struct JoinIndex<'r> {
@@ -636,7 +673,7 @@ impl<'r> Engine<'r> {
         match expr {
             Expr::Str(s) => Ok(vec![Item::Str(Rc::from(s.as_str()))]),
             Expr::Num(n) => Ok(vec![Item::Num(*n)]),
-            Expr::Var(_) | Expr::Seq(_) | Expr::Elem(_) | Expr::Path(_) => {
+            Expr::Var(_) | Expr::Seq(_) | Expr::Elem(_) | Expr::Path(_) | Expr::Flwor(..) => {
                 let mut out = Vec::new();
                 self.eval_into(expr, env, ctx, &mut out)?;
                 Ok(out)
@@ -703,14 +740,7 @@ impl<'r> Engine<'r> {
                 out.extend(self.eval(b, env, ctx)?);
                 // Node union: document order with duplicates removed; other
                 // items keep their order of appearance.
-                if out.iter().all(|i| matches!(i, Item::Node(_))) {
-                    let mut nodes: Vec<ElemId> = out
-                        .iter()
-                        .map(|i| match i {
-                            Item::Node(n) => *n,
-                            _ => unreachable!(),
-                        })
-                        .collect();
+                if let Some(mut nodes) = node_ids(&out) {
                     nodes.sort();
                     nodes.dedup();
                     out = nodes.into_iter().map(Item::Node).collect();
@@ -718,15 +748,12 @@ impl<'r> Engine<'r> {
                 Ok(out)
             }
             Expr::Call(name, args) => self.call(name, args, env, ctx),
-            Expr::Flwor(clauses, ret) => {
-                self.eval_flwor(expr as *const Expr as usize, clauses, ret, env, ctx)
-            }
         }
     }
 
     /// Evaluate `expr`, appending its items to `out`. Variables, sequences,
-    /// constructors and paths write straight into `out`, so a constructed
-    /// element's content is built in one sequence.
+    /// constructors, paths and FLWORs write straight into `out`, so a
+    /// constructed element's content is built in one sequence.
     fn eval_into<'q>(
         &self,
         expr: &'q Expr,
@@ -742,25 +769,75 @@ impl<'r> Engine<'r> {
                 }
             }
             Expr::Elem(ctor) => {
-                let mut attrs = Vec::with_capacity(ctor.attrs.len());
-                for (n, e) in &ctor.attrs {
-                    attrs.push((Rc::clone(n), self.eval(e, env, ctx)?));
-                }
-                let mut children = Vec::new();
-                let mut seams = Vec::new();
-                for e in &ctor.children {
-                    let start = children.len();
-                    self.eval_into(e, env, ctx, &mut children)?;
-                    let atomic = |i: usize| children.get(i).is_some_and(|i| !i.is_node());
-                    if start > 0 && atomic(start - 1) && atomic(start) {
-                        seams.push(start as u32);
-                    }
-                }
-                let tag = Rc::clone(&ctor.tag);
-                out.push(Item::Tree(Rc::new(Fragment { tag, attrs, children, seams })));
+                // A single element's content may take over the buffer of
+                // its one child expression's result (`append`).
+                let (nested, exprs) = flat_size(ctor);
+                let mut f = Fragment {
+                    tag: Rc::clone(&ctor.tag),
+                    attrs: self.attrs_of(ctor, env, ctx)?,
+                    children: Vec::with_capacity(if nested > 0 { exprs } else { 0 }),
+                    seams: Vec::new(),
+                    nested: Vec::with_capacity(nested),
+                };
+                self.content_into(ctor, env, ctx, &mut f)?;
+                out.push(Item::Tree(Rc::new(f)));
             }
             Expr::Path(p) => self.eval_path(p, env, ctx, out)?,
+            Expr::Flwor(..) => {
+                if !precomputed(expr, env, out) {
+                    self.eval_flwor(expr, env, ctx, out)?;
+                }
+            }
             other => append(out, self.eval(other, env, ctx)?),
+        }
+        Ok(())
+    }
+
+    fn attrs_of<'q>(
+        &self,
+        ctor: &'q ElemCtor,
+        env: &mut Env<'q>,
+        ctx: &Ctx<'r>,
+    ) -> Result<Vec<(Rc<str>, Sequence)>, QueryError> {
+        let mut attrs = Vec::with_capacity(ctor.attrs.len());
+        for (n, e) in &ctor.attrs {
+            attrs.push((Rc::clone(n), self.eval(e, env, ctx)?));
+        }
+        Ok(attrs)
+    }
+
+    /// Evaluate a constructor's content into `f.children`. A constructor
+    /// directly in the content becomes one of `f`'s nested elements, its
+    /// content evaluated in place.
+    fn content_into<'q>(
+        &self,
+        ctor: &'q ElemCtor,
+        env: &mut Env<'q>,
+        ctx: &Ctx<'r>,
+        f: &mut Fragment,
+    ) -> Result<(), QueryError> {
+        let first = f.children.len();
+        // Where the last nested element ended: the item before it is not
+        // this element's own.
+        let mut after_nested = None;
+        for e in &ctor.children {
+            let start = f.children.len();
+            if let Expr::Elem(inner) = e {
+                let attrs = self.attrs_of(inner, env, ctx)?;
+                let k = f.nested.len();
+                let tag = Rc::clone(&inner.tag);
+                f.nested.push(Nested { tag, attrs, start: start as u32, end: 0, next: 0 });
+                self.content_into(inner, env, ctx, f)?;
+                f.nested[k].end = f.children.len() as u32;
+                f.nested[k].next = f.nested.len() as u32;
+                after_nested = Some(f.children.len());
+                continue;
+            }
+            self.eval_into(e, env, ctx, &mut f.children)?;
+            let atomic = |i: usize| f.children.get(i).is_some_and(|i| !i.is_node());
+            if start > first && after_nested != Some(start) && atomic(start - 1) && atomic(start) {
+                f.seams.push(start as u32);
+            }
         }
         Ok(())
     }
@@ -789,25 +866,24 @@ impl<'r> Engine<'r> {
 
     // ---- FLWOR ------------------------------------------------------------
 
+    /// Evaluate the FLWOR `e`, appending its items to `out`. A join runs as
+    /// the one-row case of [`Engine::hash_join`].
     fn eval_flwor<'q>(
         &self,
-        key: usize,
-        clauses: &'q [Clause],
-        ret: &'q Expr,
+        e: &'q Expr,
         env: &mut Env<'q>,
         ctx: &Ctx<'r>,
-    ) -> Result<Sequence, QueryError> {
-        // Hash-join decorrelation for the Q8/Q9 pattern.
-        if let Some(out) = self.try_hash_join(key, clauses, ret, env, ctx)? {
-            return Ok(out);
+        out: &mut Sequence,
+    ) -> Result<(), QueryError> {
+        if let Some(join) = join_of(e, |v| env.iter().any(|(n, _)| *n == v)) {
+            append(out, self.hash_join(&join, None, env, ctx)?.0);
+            return Ok(());
         }
-        let order: Option<(&'q Expr, bool)> = clauses.iter().find_map(|c| match c {
-            Clause::OrderBy(e, desc) => Some((e, *desc)),
-            _ => None,
-        });
+        let Expr::Flwor(clauses, ret) = e else { unreachable!("eval_flwor takes a FLWOR") };
+        let order = order_of(clauses);
         let flwor = Flwor { ret, order_key: order.map(|(e, _)| e), consumed: RefCell::default() };
-        let mut rows: Vec<(Option<Rc<str>>, Sequence)> = Vec::new();
-        match clauses {
+        let mut rows = FlworOut::default();
+        match &clauses[..] {
             [Clause::For(v, src), rest @ ..] => {
                 self.for_clause(v, src, rest, &flwor, env, ctx, &mut rows)?
             }
@@ -819,26 +895,38 @@ impl<'r> Engine<'r> {
             }
         }
         if let Some((_, desc)) = order {
-            let n = rows.len();
-            self.traced(
-                "Sort",
-                Detail::Static(if desc { "descending" } else { "ascending" }),
-                n,
-                || {
-                    rows.sort_by(|a, b| {
-                        let cmp = compare_order_keys(a.0.as_deref(), b.0.as_deref());
-                        if desc {
-                            cmp.reverse()
-                        } else {
-                            cmp
-                        }
-                    });
-                    Ok(n)
-                },
-                |out| *out,
-            )?;
+            self.sort_rows(&mut rows, desc, |_| 0)?;
         }
-        Ok(rows.into_iter().flat_map(|(_, s)| s).collect())
+        append(out, rows.items);
+        Ok(())
+    }
+
+    /// `Sort`: order the rows by their order keys, stably, within each run
+    /// of rows of one `group`.
+    fn sort_rows(
+        &self,
+        out: &mut FlworOut,
+        desc: bool,
+        group: impl Fn(u32) -> u32,
+    ) -> Result<(), QueryError> {
+        let n = out.rows.len();
+        let sort = || {
+            let FlworOut { items, rows } = std::mem::take(out);
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&a, &b| {
+                let cmp = compare_order_keys(rows[a].1.as_deref(), rows[b].1.as_deref());
+                group(rows[a].0).cmp(&group(rows[b].0)).then(if desc { cmp.reverse() } else { cmp })
+            });
+            out.items.reserve(items.len());
+            for k in order {
+                let start = if k == 0 { 0 } else { rows[k - 1].2 as usize };
+                out.items.extend_from_slice(&items[start..rows[k].2 as usize]);
+                out.rows.push((rows[k].0, rows[k].1.clone(), out.items.len() as u32));
+            }
+            Ok(n)
+        };
+        let detail = Detail::Static(if desc { "descending" } else { "ascending" });
+        self.traced("Sort", detail, n, sort, |n| *n).map(drop)
     }
 
     /// `for $v in src` and the clauses after it, under the loop's own `For`
@@ -853,7 +941,7 @@ impl<'r> Engine<'r> {
         flwor: &Flwor<'q>,
         env: &mut Env<'q>,
         ctx: &Ctx<'r>,
-        out: &mut Vec<(Option<Rc<str>>, Sequence)>,
+        out: &mut FlworOut,
     ) -> Result<(), QueryError> {
         self.traced(
             "For",
@@ -866,14 +954,7 @@ impl<'r> Engine<'r> {
                 // consumed for these rows only: the next evaluation of this
                 // `for` (the next outer row) pushes them down again.
                 let mut pushed: Vec<usize> = Vec::new();
-                if seq.iter().all(|i| matches!(i, Item::Node(_))) {
-                    let mut nodes: Vec<ElemId> = seq
-                        .iter()
-                        .map(|i| match i {
-                            Item::Node(n) => *n,
-                            _ => unreachable!(),
-                        })
-                        .collect();
+                if let Some(mut nodes) = node_ids(&seq) {
                     for clause in rest {
                         let Clause::Where(w) = clause else { continue };
                         for conj in conjuncts(w) {
@@ -881,9 +962,10 @@ impl<'r> Engine<'r> {
                             if flwor.consumed.borrow().contains(&id) {
                                 continue;
                             }
-                            if let Some(hits) = self.try_index_conjunct(&nodes, v, conj)? {
+                            let var = |r: &PathRoot| matches!(r, PathRoot::Var(x) if x == v);
+                            if let Some(hits) = self.try_index(&nodes, conj, var)? {
                                 nodes.retain(|n| hits.contains(n));
-                                flwor.consumed.borrow_mut().insert(id);
+                                flwor.consumed.borrow_mut().push(id);
                                 pushed.push(id);
                             }
                         }
@@ -891,18 +973,15 @@ impl<'r> Engine<'r> {
                     seq = nodes.into_iter().map(Item::Node).collect();
                 }
                 self.plan.borrow_mut().annotate_rows(seq.len());
-                let before = out.len();
+                let before = out.rows.len();
                 let done = if seq.is_empty() {
                     Ok(())
                 } else {
                     self.eval_rows(Rows::new(Some(v), seq), rest, flwor, env, ctx, out)
                 };
-                let mut consumed = flwor.consumed.borrow_mut();
-                for id in &pushed {
-                    consumed.remove(id);
-                }
+                flwor.consumed.borrow_mut().retain(|id| !pushed.contains(id));
                 done?;
-                Ok(out.len() - before)
+                Ok(out.rows.len() - before)
             },
             |n| *n,
         )
@@ -917,8 +996,9 @@ impl<'r> Engine<'r> {
     /// conjunct runs as one `Predicate` over the rows that passed the
     /// conjuncts before it; each `let`, the order key and the return clause
     /// over the rows that passed every `where` before them; a nested `for`
-    /// row by row. The row-local paths of the loop variable in a clause are
-    /// evaluated once over all of its rows (see [`RowBatch`]).
+    /// row by row. The row-local paths of the loop variable and the join
+    /// FLWORs in a clause are evaluated once over all of its rows (see
+    /// [`RowBatch`]).
     fn eval_rows<'q>(
         &self,
         mut rows: Rows<'q>,
@@ -926,7 +1006,7 @@ impl<'r> Engine<'r> {
         flwor: &Flwor<'q>,
         env: &mut Env<'q>,
         ctx: &Ctx<'r>,
-        out: &mut Vec<(Option<Rc<str>>, Sequence)>,
+        out: &mut FlworOut,
     ) -> Result<(), QueryError> {
         let mut live: Vec<u32> = (0..rows.batch.items.len() as u32).collect();
         for (k, clause) in clauses.iter().enumerate() {
@@ -935,16 +1015,20 @@ impl<'r> Engine<'r> {
             }
             match clause {
                 Clause::For(v, src) => {
-                    rows.start_clause(&live, &[]);
+                    self.start_clause(&mut rows, &live, &[], env, ctx)?;
                     for &i in &live {
+                        let before = out.rows.len();
                         rows.bind(i, env, |env| {
                             self.for_clause(v, src, &clauses[k + 1..], flwor, env, ctx, out)
                         })?;
+                        for row in &mut out.rows[before..] {
+                            row.0 = i;
+                        }
                     }
                     return Ok(());
                 }
                 Clause::Let(v, src) => {
-                    rows.start_clause(&live, &[src]);
+                    self.start_clause(&mut rows, &live, &[src], env, ctx)?;
                     let mut values = vec![Vec::new(); rows.batch.items.len()];
                     for &i in &live {
                         values[i as usize] = rows.bind(i, env, |env| self.eval(src, env, ctx))?;
@@ -956,11 +1040,11 @@ impl<'r> Engine<'r> {
             }
         }
         match flwor.order_key {
-            Some(key) => rows.start_clause(&live, &[key, flwor.ret]),
-            None => rows.start_clause(&live, &[flwor.ret]),
+            Some(key) => self.start_clause(&mut rows, &live, &[key, flwor.ret], env, ctx)?,
+            None => self.start_clause(&mut rows, &live, &[flwor.ret], env, ctx)?,
         }
         for &i in &live {
-            let row = rows.bind(i, env, |env| {
+            let key = rows.bind(i, env, |env| {
                 let key = match flwor.order_key {
                     Some(e) => {
                         let k = self.eval(e, env, ctx)?;
@@ -971,9 +1055,57 @@ impl<'r> Engine<'r> {
                     }
                     None => None,
                 };
-                Ok((key, self.eval(flwor.ret, env, ctx)?))
+                self.eval_into(flwor.ret, env, ctx, &mut out.items)?;
+                Ok(key)
             })?;
-            out.push(row);
+            out.rows.push((i, key, out.items.len() as u32));
+        }
+        Ok(())
+    }
+
+    /// Start evaluating a clause's expressions `exprs` over the rows in
+    /// `live`. With two or more rows, each join FLWOR the expressions
+    /// evaluate once per row runs now as one `HashJoin` for all the rows,
+    /// and the row-local paths of the loop variable become pending; each
+    /// row then reads its slice of either (see [`RowBatch`]). A single row
+    /// evaluates both in place.
+    fn start_clause<'q>(
+        &self,
+        rows: &mut Rows<'q>,
+        live: &[u32],
+        exprs: &[&'q Expr],
+        env: &mut Env<'q>,
+        ctx: &Ctx<'r>,
+    ) -> Result<(), QueryError> {
+        let mut joins = Vec::new();
+        if live.len() > 1 {
+            for e in exprs {
+                once_per_eval(e, &mut |x| {
+                    joins.extend(join_of(x, |v| rows.binds(v) || env.iter().any(|(n, _)| *n == v)))
+                });
+            }
+        }
+        let mut done = Vec::with_capacity(joins.len());
+        for join in &joins {
+            let (items, starts) = self.hash_join(join, Some((rows, live)), env, ctx)?;
+            done.push((join.key, items, starts));
+        }
+        let mut clause = rows.batch.clause.borrow_mut();
+        let clause = &mut *clause;
+        clause.pending.clear();
+        clause.done.clear();
+        clause.done.extend(done);
+        if let Some(var) = rows.nodes.filter(|_| live.len() > 1) {
+            for e in exprs {
+                once_per_eval(e, &mut |x| match x {
+                    Expr::Path(p) if is_row_local(p, var) => clause.pending.push(p),
+                    _ => {}
+                });
+            }
+        }
+        clause.rows.clear();
+        if !clause.pending.is_empty() {
+            clause.rows.extend_from_slice(live);
         }
         Ok(())
     }
@@ -981,7 +1113,7 @@ impl<'r> Engine<'r> {
     /// Apply a `where` clause's conjuncts to the rows in `live`, left to
     /// right, each under one `Predicate` operator over the rows that passed
     /// the conjuncts before it; conjuncts already answered by index
-    /// pushdown are skipped.
+    /// pushdown or a join are skipped.
     fn where_rows<'q>(
         &self,
         w: &'q Expr,
@@ -998,13 +1130,13 @@ impl<'r> Engine<'r> {
         if live.is_empty() || flwor.consumed.borrow().contains(&(w as *const Expr as usize)) {
             return Ok(live);
         }
-        rows.start_clause(&live, &[w]);
         let n = live.len();
         self.traced(
             "Predicate",
             Detail::Static("where"),
             n,
             || {
+                self.start_clause(rows, &live, &[w], env, ctx)?;
                 let mut live = live;
                 let mut kept = 0;
                 for j in 0..live.len() {
@@ -1023,127 +1155,142 @@ impl<'r> Engine<'r> {
 
     // ---- hash-join decorrelation ---------------------------------------
 
-    /// Detect `for $t in <independent path> … where <$t-path> = <outer expr>`
-    /// and evaluate it as a hash join: the inner side is materialized and
-    /// indexed once (cached across re-evaluations of this sub-FLWOR), keyed
-    /// on compressed bytes when possible.
-    fn try_hash_join<'q>(
+    /// `HashJoin`: evaluate the decorrelated FLWOR `join` for the rows of
+    /// `outer`, a batch and its rows in the clause being evaluated, or once
+    /// under the current bindings when `outer` is `None`. The inner side is
+    /// materialized and indexed once per query, keyed on compressed bytes
+    /// when possible. The outer side runs as one clause over all the rows,
+    /// and each row's matches are probed, sorted into inner order and
+    /// deduplicated. The clauses after the `for` and the return clause then
+    /// run once over every row's matches together, each match binding the
+    /// outer variables they read to its row's values, and each row's
+    /// results are sorted by the order key. Returns the items with per-row
+    /// offsets as in [`ClauseBatch::done`] (one row when `outer` is `None`).
+    fn hash_join<'q>(
         &self,
-        key: usize,
-        clauses: &'q [Clause],
-        ret: &'q Expr,
+        join: &Join<'q>,
+        mut outer: Option<(&mut Rows<'q>, &[u32])>,
         env: &mut Env<'q>,
         ctx: &Ctx<'r>,
-    ) -> Result<Option<Sequence>, QueryError> {
-        let Some(Clause::For(v2, src2)) = clauses.first() else { return Ok(None) };
-        if !matches!(src2, Expr::Path(PathExpr { root: PathRoot::Document, .. })) {
-            return Ok(None);
-        }
-        // Find the correlated equality conjunct: one side depends only on
-        // $v2 (the inner key), the other references an outer binding.
-        let mut join: Option<(&Expr, &Expr, &Expr)> = None; // (conjunct, inner side, outer side)
-        'outer: for clause in &clauses[1..] {
-            let Clause::Where(w) = clause else { continue };
-            for conj in conjuncts(w) {
-                let Expr::Cmp(CmpOp::Eq, a, b) = conj else { continue };
-                let inner_ok = |e: &Expr| refs(e, |v| v == v2) && !refs(e, |v| v != v2);
-                let outer_ok = |e: &Expr| {
-                    !refs(e, |v| v == v2) && refs(e, |v| env.iter().any(|(n, _)| *n == v))
-                };
-                if inner_ok(a) && outer_ok(b) {
-                    join = Some((conj, a, b));
-                    break 'outer;
+    ) -> Result<(Sequence, Vec<u32>), QueryError> {
+        // The index is built by the first join; later ones enter the
+        // operator with its final detail.
+        let cached = ctx.join_cache.borrow().get(&join.key).cloned();
+        let detail = compressed_keys(cached.as_ref().map(|i| i.codec.is_some()));
+        let run = || {
+            let index = match cached {
+                Some(i) => i,
+                None => {
+                    // The key operators the build runs nest under it.
+                    let built = self.traced(
+                        "JoinIndexBuild",
+                        compressed_keys(None),
+                        0,
+                        || {
+                            let built = self.build_join_index(join, ctx)?;
+                            let keys = compressed_keys(Some(built.codec.is_some()));
+                            self.plan.borrow_mut().annotate_detail(keys);
+                            Ok(built)
+                        },
+                        |built| built.rows.len(),
+                    )?;
+                    let rc = Rc::new(built);
+                    ctx.join_cache.borrow_mut().insert(join.key, rc.clone());
+                    rc
                 }
-                if inner_ok(b) && outer_ok(a) {
-                    join = Some((conj, b, a));
-                    break 'outer;
+            };
+            // Each row's probe keys: `(row, end of its keys)`.
+            let (mut keys, mut key_rows) = (Vec::new(), Vec::new());
+            match &mut outer {
+                Some((rows, live)) => {
+                    self.start_clause(rows, live, &[join.outer], env, ctx)?;
+                    for &i in live.iter() {
+                        rows.bind(i, env, |env| self.eval_into(join.outer, env, ctx, &mut keys))?;
+                        key_rows.push((i, keys.len()));
+                    }
+                }
+                None => {
+                    self.eval_into(join.outer, env, ctx, &mut keys)?;
+                    key_rows.push((0, keys.len()));
                 }
             }
-        }
-        let Some((conj, inner_side, outer_side)) = join else { return Ok(None) };
-
-        // The index is built on the first probe; later probes enter the
-        // operator with its final detail.
-        let cached = ctx.join_cache.borrow().get(&key).cloned();
-        let out = self.traced(
-            "HashJoin",
-            compressed_keys(cached.as_ref().map(|i| i.codec.is_some())),
-            0,
-            || {
-                let index = match cached {
-                    Some(i) => i,
-                    None => {
-                        // The key operators the build runs nest under it.
-                        let built = self.traced(
-                            "JoinIndexBuild",
-                            compressed_keys(None),
-                            0,
-                            || {
-                                let built = self.build_join_index(src2, v2, inner_side, ctx)?;
-                                let keys = compressed_keys(Some(built.codec.is_some()));
-                                self.plan.borrow_mut().annotate_detail(keys);
-                                Ok(built)
-                            },
-                            |built| built.rows.len(),
-                        )?;
-                        let rc = Rc::new(built);
-                        ctx.join_cache.borrow_mut().insert(key, rc.clone());
-                        rc
+            let (mut matched, mut origin) = (Vec::new(), Vec::new());
+            let (mut atoms, mut hits) = (Vec::new(), Vec::new());
+            let mut start = 0;
+            for (row, end) in key_rows {
+                atoms.clear();
+                self.atomize_into(&keys[start..end], &mut atoms)?;
+                start = end;
+                hits.clear();
+                for atom in &atoms {
+                    self.probe_join_index(&index, atom, &mut hits)?;
+                }
+                hits.sort_unstable();
+                hits.dedup();
+                matched.extend(hits.iter().map(|&h| index.rows[h as usize].clone()));
+                origin.resize(matched.len(), row);
+            }
+            {
+                let mut plan = self.plan.borrow_mut();
+                plan.annotate_rows(matched.len());
+                plan.annotate_detail(compressed_keys(Some(index.codec.is_some())));
+            }
+            let n = outer.as_ref().map_or(1, |(rows, _)| rows.batch.items.len());
+            let mut starts = vec![0; n + 1];
+            if matched.is_empty() {
+                return Ok((Vec::new(), starts));
+            }
+            let mut matches = Rows::new(Some(join.var), matched);
+            if let Some((rows, _)) = &outer {
+                let names = rows.var.into_iter().chain(rows.lets.iter().map(|(n, _)| *n));
+                for name in names {
+                    if name != join.var && !matches.binds(name) && reads(join, name) {
+                        let values = origin.iter().map(|&o| rows.value(name, o)).collect();
+                        matches.lets.push((name, values));
                     }
-                };
-
-                // Probe with the outer side under the current environment.
-                let probe_keys = self.eval(outer_side, env, ctx)?;
-                let mut match_rows: Vec<u32> = Vec::new();
-                for pk in &probe_keys {
-                    self.probe_join_index(&index, pk, &mut match_rows)?;
                 }
-                match_rows.sort_unstable();
-                match_rows.dedup();
-                {
-                    let mut plan = self.plan.borrow_mut();
-                    plan.annotate_rows(match_rows.len());
-                    plan.annotate_detail(compressed_keys(Some(index.codec.is_some())));
-                }
-
-                // Evaluate the remaining clauses + return over the matching rows.
-                if match_rows.is_empty() {
-                    return Ok(Vec::new());
-                }
-                let consumed = RefCell::new(HashSet::from([conj as *const Expr as usize]));
-                let flwor = Flwor { ret, order_key: None, consumed };
-                let matched =
-                    match_rows.iter().map(|&ri| index.rows[ri as usize].clone()).collect();
-                let matched = Rows::new(Some(v2), matched);
-                let mut rows: Vec<(Option<Rc<str>>, Sequence)> = Vec::new();
-                self.eval_rows(matched, &clauses[1..], &flwor, env, ctx, &mut rows)?;
-                Ok(rows.into_iter().flat_map(|(_, s)| s).collect::<Sequence>())
-            },
-            Vec::len,
-        )?;
-        Ok(Some(out))
+            }
+            let consumed = RefCell::new(vec![join.conj as *const Expr as usize]);
+            let flwor = Flwor { ret: join.ret, order_key: join.order.map(|(e, _)| e), consumed };
+            let mut out = FlworOut::default();
+            self.eval_rows(matches, join.rest, &flwor, env, ctx, &mut out)?;
+            if let Some((_, desc)) = join.order {
+                self.sort_rows(&mut out, desc, |m| origin[m as usize])?;
+            }
+            // Each row's results end where its last match's do.
+            for &(m, _, end) in &out.rows {
+                starts[origin[m as usize] as usize + 1] = end;
+            }
+            for i in 1..=n {
+                starts[i] = starts[i].max(starts[i - 1]);
+            }
+            Ok((out.items, starts))
+        };
+        self.traced("HashJoin", detail, 0, run, |(items, _)| items.len())
     }
 
-    fn build_join_index<'q>(
+    fn build_join_index(
         &self,
-        src: &'q Expr,
-        var: &'q str,
-        key_expr: &'q Expr,
+        join: &Join<'_>,
         ctx: &Ctx<'r>,
     ) -> Result<JoinIndex<'r>, QueryError> {
         let mut env: Env = Vec::new();
-        let rows = self.eval(src, &mut env, ctx)?;
+        let rows = self.eval(join.src, &mut env, ctx)?;
         // First pass: gather raw key items per row, the key being one
         // clause over all the rows.
         let mut keyed: Vec<(u32, Item)> = Vec::new();
         let mut codec: Option<Arc<ValueCodec>> = None;
         let mut uniform = true;
-        let mut build = Rows::new(Some(var), rows.clone());
+        let mut build = Rows::new(Some(join.var), rows.clone());
         let all: Vec<u32> = (0..rows.len() as u32).collect();
-        build.start_clause(&all, &[key_expr]);
+        self.start_clause(&mut build, &all, &[join.inner], &mut env, ctx)?;
+        let (mut keys, mut atoms) = (Vec::new(), Vec::new());
         for row in all {
-            let keys = build.bind(row, &mut env, |env| self.eval(key_expr, env, ctx))?;
-            for k in self.atomize_all(&keys)? {
+            keys.clear();
+            build.bind(row, &mut env, |env| self.eval_into(join.inner, env, ctx, &mut keys))?;
+            atoms.clear();
+            self.atomize_into(&keys, &mut atoms)?;
+            for k in atoms.drain(..) {
                 if let Item::Comp { container, .. } = &k {
                     let c = self.repo.container(*container).codec().clone();
                     match &codec {
@@ -1179,46 +1326,45 @@ impl<'r> Engine<'r> {
         })
     }
 
+    /// Append the index rows whose key equals the atomic item `atom`.
     fn probe_join_index(
         &self,
         index: &JoinIndex<'r>,
-        probe: &Item,
+        atom: &Item,
         out: &mut Vec<u32>,
     ) -> Result<(), QueryError> {
-        for atom in self.atomize_all(std::slice::from_ref(probe))? {
-            match (&atom, &index.codec) {
-                (&Item::Comp { container, index: idx }, Some(codec))
-                    if Arc::ptr_eq(self.repo.container(container).codec(), codec) =>
-                {
-                    // Same source model: probe on compressed bytes.
-                    self.stats.borrow_mut().compressed_eq += 1;
-                    if let Some(rows) = index.by_bytes.get(self.comp_bytes(container, idx)?) {
-                        out.extend(rows.iter().copied());
-                    }
+        match (atom, &index.codec) {
+            (&Item::Comp { container, index: idx }, Some(codec))
+                if Arc::ptr_eq(self.repo.container(container).codec(), codec) =>
+            {
+                // Same source model: probe on compressed bytes.
+                self.stats.borrow_mut().compressed_eq += 1;
+                if let Some(rows) = index.by_bytes.get(self.comp_bytes(container, idx)?) {
+                    out.extend(rows.iter().copied());
                 }
-                _ => {
-                    // Fall back to a lazily built decompressed-key index.
-                    let s = self.string_value(&atom)?;
-                    let mut by_str = index.by_str.borrow_mut();
-                    if by_str.is_none() {
-                        let mut m: HashMap<String, Vec<u32>> = HashMap::new();
-                        if let Some(codec) = &index.codec {
-                            for (k, rows) in &index.by_bytes {
-                                let raw = codec.decompress(k)?;
-                                {
-                                    let mut st = self.stats.borrow_mut();
-                                    st.decompressions += 1;
-                                    st.bytes_decompressed += raw.len();
-                                }
-                                let plain = String::from_utf8_lossy(&raw).into_owned();
-                                m.entry(plain).or_default().extend(rows.iter().copied());
+            }
+            _ => {
+                // Fall back to a lazily built decompressed-key index.
+                let s = self.string_value(atom)?;
+                let mut by_str = index.by_str.borrow_mut();
+                if by_str.is_none() {
+                    let mut m: HashMap<String, Vec<u32>> = HashMap::new();
+                    if let Some(codec) = &index.codec {
+                        for (k, rows) in &index.by_bytes {
+                            let raw = codec.decompress(k)?;
+                            {
+                                let mut st = self.stats.borrow_mut();
+                                st.decompressions += 1;
+                                st.bytes_decompressed += raw.len();
                             }
+                            let plain = String::from_utf8_lossy(&raw).into_owned();
+                            m.entry(plain).or_default().extend(rows.iter().copied());
                         }
-                        *by_str = Some(m);
                     }
-                    if let Some(rows) = by_str.as_ref().expect("just built").get(&s) {
-                        out.extend(rows.iter().copied());
-                    }
+                    *by_str = Some(m);
+                }
+                if let Some(rows) = by_str.as_ref().expect("just built").get(&s) {
+                    out.extend(rows.iter().copied());
                 }
             }
         }
@@ -1256,13 +1402,9 @@ impl<'r> Engine<'r> {
             let n = *n;
             self.steps_over_rows(&[n], &mut [0, 1], &p.steps, env, ctx)?
         } else {
-            let mut nodes = Vec::with_capacity(bound.len());
-            for i in bound {
-                match i {
-                    Item::Node(n) => nodes.push(*n),
-                    _ => return err("path step applied to a non-node item"),
-                }
-            }
+            let Some(nodes) = node_ids(bound) else {
+                return err("path step applied to a non-node item");
+            };
             self.steps_over_rows(&nodes, &mut [0, nodes.len() as u32], &p.steps, env, ctx)?
         };
         append(out, items);
@@ -1360,37 +1502,31 @@ impl<'r> Engine<'r> {
         out: &mut Sequence,
     ) -> Result<bool, QueryError> {
         let mut clause = batch.clause.borrow_mut();
-        let clause = &mut *clause;
-        let k = match clause.done.iter().position(|d| std::ptr::eq(d.0, p)) {
-            Some(k) => k,
-            None => {
-                let Some(j) = clause.pending.iter().position(|&q| std::ptr::eq(q, p)) else {
-                    return Ok(false);
-                };
-                clause.pending.swap_remove(j);
-                // One row per item; the rows outside the clause are empty.
-                let mut nodes = Vec::with_capacity(clause.rows.len());
-                let mut starts = Vec::with_capacity(batch.items.len() + 1);
-                let mut next_row = clause.rows.iter().copied().peekable();
-                for (i, item) in batch.items.iter().enumerate() {
-                    starts.push(nodes.len() as u32);
-                    if next_row.next_if_eq(&(i as u32)).is_some() {
-                        let &Item::Node(n) = item else { unreachable!("batched rows bind nodes") };
-                        nodes.push(n);
-                    }
-                }
-                starts.push(nodes.len() as u32);
-                // A row-local path has no step filter, so evaluating it
-                // reads no other path of the batch.
-                let seq = self.steps_over_rows(&nodes, &mut starts, &p.steps, env, ctx)?;
-                clause.done.push((p, seq, starts));
-                clause.done.len() - 1
-            }
+        let key = p as *const PathExpr as usize;
+        if clause.read(key, row, out) {
+            return Ok(true);
+        }
+        let Some(j) = clause.pending.iter().position(|&q| std::ptr::eq(q, p)) else {
+            return Ok(false);
         };
-        let (_, seq, starts) = &clause.done[k];
-        let row = row as usize;
-        out.extend_from_slice(&seq[starts[row] as usize..starts[row + 1] as usize]);
-        Ok(true)
+        clause.pending.swap_remove(j);
+        // One row per item; the rows outside the clause are empty.
+        let mut nodes = Vec::with_capacity(clause.rows.len());
+        let mut starts = Vec::with_capacity(batch.items.len() + 1);
+        let mut next_row = clause.rows.iter().copied().peekable();
+        for (i, item) in batch.items.iter().enumerate() {
+            starts.push(nodes.len() as u32);
+            if next_row.next_if_eq(&(i as u32)).is_some() {
+                let &Item::Node(n) = item else { unreachable!("batched rows bind nodes") };
+                nodes.push(n);
+            }
+        }
+        starts.push(nodes.len() as u32);
+        // A row-local path has no step filter, so evaluating it reads no
+        // other path of the batch.
+        let seq = self.steps_over_rows(&nodes, &mut starts, &p.steps, env, ctx)?;
+        clause.done.push((key, seq, starts));
+        Ok(clause.read(key, row, out))
     }
 
     /// The path-step evaluator: apply `steps` to rows of context nodes, row
@@ -1399,10 +1535,14 @@ impl<'r> Engine<'r> {
     /// final `text()` or `@attr` one `TextContent`. Returns the items in row
     /// order and rewrites `starts` to delimit each row's items in them.
     ///
-    /// An element step navigates from each context node and applies its
-    /// positional predicates to that node's matches, then sorts each row's
-    /// matches into document order without duplicates, then applies its
-    /// boolean filters to every row's matches at once.
+    /// An element step applies its predicates in query order. It navigates
+    /// from each context node and narrows that node's matches by the
+    /// positional predicates before the first boolean filter, sorts each
+    /// row's matches into document order without duplicates, then applies
+    /// the rest: a filter to every row's matches at once, a positional
+    /// predicate to each row's. Positions after a filter count per context
+    /// node too: each context node then runs as a row of its own, and each
+    /// row's nodes merge afterwards.
     fn steps_over_rows<'q>(
         &self,
         nodes: &[ElemId],
@@ -1437,8 +1577,20 @@ impl<'r> Engine<'r> {
                     },
                     _ => None,
                 };
+                let lead =
+                    step.predicates.iter().take_while(|p| !matches!(p, StepPredicate::Filter(_)));
+                let (lead, rest) = step.predicates.split_at(lead.count());
+                let per_node = rest.iter().any(|p| !matches!(p, StepPredicate::Filter(_)))
+                    && starts.windows(2).any(|w| w[1] - w[0] > 1);
+                let mut each = Vec::new();
+                let rows: &mut [u32] = if per_node {
+                    each.extend(0..=nodes.len() as u32);
+                    &mut each
+                } else {
+                    starts
+                };
                 let mut out = Vec::new();
-                per_row(starts, &mut out, |r, out| {
+                per_row(rows, &mut out, |r, out| {
                     let row = out.len();
                     for &n in &nodes[r] {
                         let start = out.len();
@@ -1452,24 +1604,33 @@ impl<'r> Engine<'r> {
                                     .filter(|&p| tag.is_none_or(|t| self.repo.tree.tag(p) == t)),
                             ),
                         }
-                        keep_positions(&step.predicates, out, start);
+                        keep_positions(lead, out, start);
                     }
                     sort_dedup_from(out, row);
                     Ok(())
                 })?;
-                // Boolean filters over every row at once, with the
-                // ContAccess pushdown attempt first.
-                for pred in &step.predicates {
-                    let StepPredicate::Filter(f) = pred else { continue };
+                for pred in rest {
                     let mut kept = Vec::with_capacity(out.len());
-                    if let Some(hits) = self.try_filter_index(&out, f)? {
-                        per_row(starts, &mut kept, |r, kept| {
+                    let StepPredicate::Filter(f) = pred else {
+                        per_row(rows, &mut kept, |r, kept| {
+                            let start = kept.len();
+                            kept.extend_from_slice(&out[r]);
+                            keep_positions(std::slice::from_ref(pred), kept, start);
+                            Ok(())
+                        })?;
+                        out = kept;
+                        continue;
+                    };
+                    // A boolean filter over every row at once, with the
+                    // ContAccess pushdown attempt first.
+                    if let Some(hits) = self.try_index(&out, f, |r| *r == PathRoot::Context)? {
+                        per_row(rows, &mut kept, |r, kept| {
                             kept.extend(out[r].iter().filter(|&c| hits.contains(c)));
                             Ok(())
                         })?;
                     } else {
                         let scan = || {
-                            per_row(starts, &mut kept, |r, kept| {
+                            per_row(rows, &mut kept, |r, kept| {
                                 for &c in &out[r] {
                                     env.push((".", Bound::One(Item::Node(c))));
                                     let ok = self.ebv(f, env, ctx);
@@ -1485,6 +1646,19 @@ impl<'r> Engine<'r> {
                         self.traced("Predicate", Detail::Static("scan"), out.len(), scan, |n| *n)?;
                     }
                     out = kept;
+                }
+                if per_node {
+                    for s in starts.iter_mut() {
+                        *s = each[*s as usize];
+                    }
+                    let mut merged = Vec::with_capacity(out.len());
+                    per_row(starts, &mut merged, |r, merged| {
+                        let row = merged.len();
+                        merged.extend_from_slice(&out[r]);
+                        sort_dedup_from(merged, row);
+                        Ok(())
+                    })?;
+                    out = merged;
                 }
                 Ok(out)
             };
@@ -1564,42 +1738,21 @@ impl<'r> Engine<'r> {
 
     // ---- ContAccess pushdown --------------------------------------------
 
-    /// Try to answer a step filter `[relpath op const]` via container ranges:
-    /// the candidates that pass are among the returned nodes. `Ok(None)`
-    /// means "not indexable, fall back to a scan".
-    fn try_filter_index(
+    /// Try to answer `relpath op const` via container ranges, for a step
+    /// filter (`relpath` rooted at `.`) or a FLWOR conjunct (at the loop
+    /// variable), as `root` accepts: the candidates that pass are among the
+    /// returned nodes. `Ok(None)` means "not indexable, fall back to a scan".
+    fn try_index(
         &self,
         candidates: &[ElemId],
-        filter: &Expr,
+        e: &Expr,
+        root: impl Fn(&PathRoot) -> bool,
     ) -> Result<Option<HashSet<ElemId>>, QueryError> {
-        let Some((op, rel, konst)) = split_cmp_const(filter) else { return Ok(None) };
-        let PathExpr { root: PathRoot::Context, steps } = rel else { return Ok(None) };
-        self.index_candidates(candidates, steps, op, konst)
-    }
-
-    /// Try to answer a FLWOR conjunct `$v/relpath op const` via container
-    /// ranges, for the node set bound to `$v`.
-    fn try_index_conjunct(
-        &self,
-        candidates: &[ElemId],
-        var: &str,
-        conj: &Expr,
-    ) -> Result<Option<HashSet<ElemId>>, QueryError> {
-        let Some((op, rel, konst)) = split_cmp_const(conj) else { return Ok(None) };
-        match &rel.root {
-            PathRoot::Var(v) if v == var => {}
-            _ => return Ok(None),
+        let Some((op, rel, konst)) = split_cmp_const(e) else { return Ok(None) };
+        if !root(&rel.root) {
+            return Ok(None);
         }
-        self.index_candidates(candidates, &rel.steps, op, konst)
-    }
-
-    fn index_candidates(
-        &self,
-        candidates: &[ElemId],
-        rel_steps: &[Step],
-        op: CmpOp,
-        konst: &Expr,
-    ) -> Result<Option<HashSet<ElemId>>, QueryError> {
+        let rel_steps = &rel.steps;
         if candidates.is_empty() {
             return Ok(Some(HashSet::new()));
         }
@@ -1621,46 +1774,25 @@ impl<'r> Engine<'r> {
         cpaths.sort();
         cpaths.dedup();
         let mut leafs: Vec<PathId> = Vec::new();
-        for mut p in cpaths {
-            let mut ok = true;
+        'paths: for mut p in cpaths {
             for s in elem_steps {
                 let NodeTest::Tag(t) = &s.test else { return Ok(None) };
                 let Some(code) = self.repo.dict.code(t) else { return Ok(None) };
                 match self.repo.summary.child_element(p, code) {
                     Some(next) => p = next,
-                    None => {
-                        ok = false;
-                        break;
-                    }
+                    None => continue 'paths,
                 }
-            }
-            if !ok {
-                continue;
             }
             let leaf = match &value_test.test {
-                NodeTest::Text => self
-                    .repo
-                    .summary
-                    .node(p)
-                    .children
-                    .iter()
-                    .copied()
-                    .find(|&c| self.repo.summary.node(c).kind == PathKind::Text),
-                NodeTest::Attr(a) => {
-                    let Some(code) = self.repo.dict.code(a) else { return Ok(None) };
-                    self.repo
-                        .summary
-                        .node(p)
-                        .children
-                        .iter()
-                        .copied()
-                        .find(|&c| self.repo.summary.node(c).kind == PathKind::Attribute(code))
-                }
+                NodeTest::Text => PathKind::Text,
+                NodeTest::Attr(a) => match self.repo.dict.code(a) {
+                    Some(code) => PathKind::Attribute(code),
+                    None => return Ok(None),
+                },
                 _ => return Ok(None),
             };
-            if let Some(l) = leaf {
-                leafs.push(l);
-            }
+            let kids = &self.repo.summary.node(p).children;
+            leafs.extend(kids.iter().copied().find(|&c| self.repo.summary.node(c).kind == leaf));
         }
         let up = elem_steps.len();
         let mut hits: HashSet<ElemId> = HashSet::new();
@@ -1748,11 +1880,17 @@ impl<'r> Engine<'r> {
     /// Atomization: nodes become their (still compressed) text values.
     fn atomize_all(&self, seq: &[Item]) -> Result<Sequence, QueryError> {
         let mut out = Vec::with_capacity(seq.len());
+        self.atomize_into(seq, &mut out)?;
+        Ok(out)
+    }
+
+    /// Append the atomization of `seq` to `out`.
+    fn atomize_into(&self, seq: &[Item], out: &mut Sequence) -> Result<(), QueryError> {
         for item in seq {
             match item {
                 Item::Node(n) => {
                     let start = out.len();
-                    self.values_of(std::slice::from_ref(n), None, &mut out)?;
+                    self.values_of(std::slice::from_ref(n), None, out)?;
                     if out.len() == start {
                         out.push(Item::Str(Rc::from(self.string_value(item)?)));
                     }
@@ -1761,7 +1899,7 @@ impl<'r> Engine<'r> {
                 other => out.push(other.clone()),
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn compare_pair(&self, op: CmpOp, a: &Item, b: &Item) -> Result<bool, QueryError> {
@@ -1833,9 +1971,6 @@ impl<'r> Engine<'r> {
                         return Ok(ord_ok(ord));
                     }
                 }
-                let x = self.string_value(a)?;
-                let y = self.string_value(b)?;
-                Ok(ord_ok(x.cmp(&y)))
             }
             (&Item::Comp { container, index }, Item::Str(s))
             | (Item::Str(s), &Item::Comp { container, index }) => {
@@ -1857,16 +1992,13 @@ impl<'r> Engine<'r> {
                         }
                     }
                 }
-                let x = self.string_value(a)?;
-                let y = self.string_value(b)?;
-                Ok(ord_ok(x.cmp(&y)))
             }
-            _ => {
-                let x = self.string_value(a)?;
-                let y = self.string_value(b)?;
-                Ok(ord_ok(x.cmp(&y)))
-            }
+            _ => {}
         }
+        // Otherwise compare the plaintexts.
+        let x = self.string_value(a)?;
+        let y = self.string_value(b)?;
+        Ok(ord_ok(x.cmp(&y)))
     }
 
     // ---- functions ----------------------------------------------------
@@ -1883,14 +2015,22 @@ impl<'r> Engine<'r> {
                 .map(|e| self.eval(e, env, ctx))
                 .unwrap_or_else(|| err(format!("{name}() missing argument {n}")))
         };
+        // The string value of argument `n`'s first item, "" when it is empty.
+        let str_arg = |n: usize, env: &mut Env<'q>| match eval_arg(n, env)?.first() {
+            Some(i) => self.string_value(i),
+            None => Ok(String::new()),
+        };
         match name {
             "document" | "doc" => {
                 // Single-document engine: document(*) is the root.
                 Ok(self.repo.root().map(Item::Node).into_iter().collect())
             }
             "count" => {
-                let s = eval_arg(0, env)?;
-                Ok(vec![Item::Num(s.len() as f64)])
+                let n = match args {
+                    [Expr::Var(v)] => self.lookup(env, v)?.len(),
+                    _ => eval_arg(0, env)?.len(),
+                };
+                Ok(vec![Item::Num(n as f64)])
             }
             "sum" | "avg" | "min" | "max" => {
                 let s = eval_arg(0, env)?;
@@ -1909,25 +2049,12 @@ impl<'r> Engine<'r> {
                 };
                 Ok(vec![Item::Num(v)])
             }
-            "not" => {
-                let s = eval_arg(0, env)?;
-                Ok(vec![Item::Bool(!self.effective_boolean(&s)?)])
-            }
-            "empty" => {
-                let s = eval_arg(0, env)?;
-                Ok(vec![Item::Bool(s.is_empty())])
-            }
-            "exists" => {
-                let s = eval_arg(0, env)?;
-                Ok(vec![Item::Bool(!s.is_empty())])
-            }
+            "not" => Ok(vec![Item::Bool(!self.effective_boolean(&eval_arg(0, env)?)?)]),
+            "empty" => Ok(vec![Item::Bool(eval_arg(0, env)?.is_empty())]),
+            "exists" => Ok(vec![Item::Bool(!eval_arg(0, env)?.is_empty())]),
             "contains" => {
                 let hay = eval_arg(0, env)?;
-                let needle = eval_arg(1, env)?;
-                let n = match needle.first() {
-                    Some(i) => self.string_value(i)?,
-                    None => String::new(),
-                };
+                let n = str_arg(1, env)?;
                 // Substring match requires plaintext (§2.1: wildcard
                 // operations decompress).
                 let mut found = false;
@@ -1941,11 +2068,7 @@ impl<'r> Engine<'r> {
             }
             "starts-with" => {
                 let s = eval_arg(0, env)?;
-                let p = eval_arg(1, env)?;
-                let prefix = match p.first() {
-                    Some(i) => self.string_value(i)?,
-                    None => String::new(),
-                };
+                let prefix = str_arg(1, env)?;
                 let atoms = self.atomize_all(&s)?;
                 let Some(first) = atoms.first() else { return Ok(vec![Item::Bool(false)]) };
                 // Prefix match in the compressed domain when supported
@@ -1982,30 +2105,13 @@ impl<'r> Engine<'r> {
                 };
                 Ok(vec![Item::Num(v)])
             }
-            "string-length" => {
-                let s = eval_arg(0, env)?;
-                let len = match s.first() {
-                    Some(i) => self.string_value(i)?.chars().count(),
-                    None => 0,
-                };
-                Ok(vec![Item::Num(len as f64)])
-            }
+            "string-length" => Ok(vec![Item::Num(str_arg(0, env)?.chars().count() as f64)]),
             "concat" => {
                 let mut out = String::new();
                 for i in 0..args.len() {
-                    let s = eval_arg(i, env)?;
-                    if let Some(item) = s.first() {
-                        out.push_str(&self.string_value(item)?);
-                    }
+                    out.push_str(&str_arg(i, env)?);
                 }
                 Ok(vec![Item::Str(Rc::from(out.as_str()))])
-            }
-            "round" => {
-                let s = eval_arg(0, env)?;
-                Ok(match s.first() {
-                    Some(i) => vec![Item::Num(self.num_value(i)?.round())],
-                    None => vec![],
-                })
             }
             "distinct-values" => {
                 let s = eval_arg(0, env)?;
@@ -2047,11 +2153,7 @@ impl<'r> Engine<'r> {
                 Ok(out)
             }
             "substring" => {
-                let s = eval_arg(0, env)?;
-                let text = match s.first() {
-                    Some(i) => self.string_value(i)?,
-                    None => String::new(),
-                };
+                let text = str_arg(0, env)?;
                 let start = match eval_arg(1, env)?.first() {
                     Some(i) => self.num_value(i)?,
                     None => 1.0,
@@ -2076,41 +2178,26 @@ impl<'r> Engine<'r> {
                 Ok(vec![Item::Str(Rc::from(out.as_str()))])
             }
             "upper-case" | "lower-case" => {
-                let s = eval_arg(0, env)?;
-                let text = match s.first() {
-                    Some(i) => self.string_value(i)?,
-                    None => String::new(),
-                };
+                let text = str_arg(0, env)?;
                 let out =
                     if name == "upper-case" { text.to_uppercase() } else { text.to_lowercase() };
                 Ok(vec![Item::Str(Rc::from(out.as_str()))])
             }
             "normalize-space" => {
-                let s = eval_arg(0, env)?;
-                let text = match s.first() {
-                    Some(i) => self.string_value(i)?,
-                    None => String::new(),
-                };
+                let text = str_arg(0, env)?;
                 let out = text.split_whitespace().collect::<Vec<_>>().join(" ");
                 Ok(vec![Item::Str(Rc::from(out.as_str()))])
             }
             "string-join" => {
                 let s = eval_arg(0, env)?;
-                let sep = if args.len() > 1 {
-                    match eval_arg(1, env)?.first() {
-                        Some(i) => self.string_value(i)?,
-                        None => String::new(),
-                    }
-                } else {
-                    String::new()
-                };
+                let sep = if args.len() > 1 { str_arg(1, env)? } else { String::new() };
                 let mut parts: Vec<String> = Vec::with_capacity(s.len());
                 for i in &s {
                     parts.push(self.string_value(i)?);
                 }
                 Ok(vec![Item::Str(Rc::from(parts.join(&sep).as_str()))])
             }
-            "abs" | "floor" | "ceiling" => {
+            "abs" | "floor" | "ceiling" | "round" => {
                 let s = eval_arg(0, env)?;
                 Ok(match s.first() {
                     Some(i) => {
@@ -2118,6 +2205,7 @@ impl<'r> Engine<'r> {
                         vec![Item::Num(match name {
                             "abs" => n.abs(),
                             "floor" => n.floor(),
+                            "round" => n.round(),
                             _ => n.ceil(),
                         })]
                     }
@@ -2288,23 +2376,24 @@ impl<'r> Engine<'r> {
     /// Serialize a result sequence to XML text.
     pub fn serialize(&self, seq: &Sequence) -> Result<String, QueryError> {
         let mut out = String::new();
-        self.serialize_items(seq, &[], &mut out)?;
+        self.serialize_items(seq, 0, &[], &mut out)?;
         Ok(out)
     }
 
-    /// Serialize `items`, separating adjacent atomic items with a space
-    /// except at the positions listed in `seams` (ascending).
+    /// Serialize `items`, the ones from position `at` of a sequence,
+    /// separating adjacent atomic items with a space except at the
+    /// positions listed in `seams` (ascending).
     fn serialize_items(
         &self,
         items: &[Item],
+        at: usize,
         seams: &[u32],
         out: &mut String,
     ) -> Result<(), QueryError> {
-        let mut seams = seams.iter().copied().peekable();
         let mut prev_atomic = false;
         for (i, item) in items.iter().enumerate() {
             let atomic = !item.is_node();
-            if atomic && prev_atomic && seams.next_if_eq(&(i as u32)).is_none() {
+            if atomic && prev_atomic && seams.binary_search(&((at + i) as u32)).is_err() {
                 out.push(' ');
             }
             self.serialize_item(item, out)?;
@@ -2393,9 +2482,24 @@ impl<'r> Engine<'r> {
     }
 
     fn serialize_fragment(&self, f: &Fragment, out: &mut String) -> Result<(), QueryError> {
+        self.write_constructed(f, &f.tag, &f.attrs, 0..f.children.len(), 0..f.nested.len(), out)
+    }
+
+    /// Write one element of the flat fragment `f`: its content is
+    /// `f.children[content]`, with the nested elements `f.nested[nested]`
+    /// (its subtree) at their places in it.
+    fn write_constructed(
+        &self,
+        f: &Fragment,
+        tag: &str,
+        attrs: &[(Rc<str>, Sequence)],
+        content: std::ops::Range<usize>,
+        nested: std::ops::Range<usize>,
+        out: &mut String,
+    ) -> Result<(), QueryError> {
         out.push('<');
-        out.push_str(&f.tag);
-        for (name, value) in &f.attrs {
+        out.push_str(tag);
+        for (name, value) in attrs {
             out.push(' ');
             out.push_str(name);
             out.push_str("=\"");
@@ -2407,14 +2511,22 @@ impl<'r> Engine<'r> {
             }
             out.push('"');
         }
-        if f.children.is_empty() {
+        if content.is_empty() && nested.is_empty() {
             out.push_str("/>");
             return Ok(());
         }
         out.push('>');
-        self.serialize_items(&f.children, &f.seams, out)?;
+        let (mut at, mut k) = (content.start, nested.start);
+        while k < nested.end {
+            let n = &f.nested[k];
+            let (start, end) = (n.start as usize, n.end as usize);
+            self.serialize_items(&f.children[at..start], at, &f.seams, out)?;
+            self.write_constructed(f, &n.tag, &n.attrs, start..end, k + 1..n.next as usize, out)?;
+            (at, k) = (end, n.next as usize);
+        }
+        self.serialize_items(&f.children[at..content.end], at, &f.seams, out)?;
         out.push_str("</");
-        out.push_str(&f.tag);
+        out.push_str(tag);
         out.push('>');
         Ok(())
     }
@@ -2463,6 +2575,16 @@ fn compressed_keys(compressed: Option<bool>) -> Detail<'static> {
         Some(false) => "compressed_keys=false",
         None => "",
     })
+}
+
+/// The element ids of `seq` when every item is a node.
+fn node_ids(seq: &[Item]) -> Option<Vec<ElemId>> {
+    seq.iter()
+        .map(|i| match i {
+            Item::Node(n) => Some(*n),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Append `items` to `out`, taking over their buffer when `out` has none.
@@ -2514,8 +2636,8 @@ fn sort_dedup_from(out: &mut Vec<ElemId>, start: usize) {
 }
 
 /// Narrow `out[start..]`, one context node's matches for a step, to what
-/// the step's positional predicates select; filters apply later, to the
-/// whole step.
+/// the positional predicates in `predicates` select, in order; filters
+/// apply elsewhere.
 fn keep_positions(predicates: &[StepPredicate], out: &mut Vec<ElemId>, start: usize) {
     for pred in predicates {
         let keep = match pred {
@@ -2531,30 +2653,107 @@ fn keep_positions(predicates: &[StepPredicate], out: &mut Vec<ElemId>, start: us
     }
 }
 
-/// Collect the row-local paths of `var` in `e` (see [`is_row_local`]: steps
-/// on any axis, no step filter) that each evaluation of `e` reads exactly
+/// Visit the paths and FLWORs that each evaluation of `e` evaluates exactly
 /// once. Parts of `e` that run a varying number of times per evaluation are
 /// skipped: `if` branches, the right operand of `and` and `or`,
-/// `some`/`every` conditions, step filters and nested FLWORs.
-fn row_local_paths<'q>(e: &'q Expr, var: &str, out: &mut Vec<&'q PathExpr>) {
+/// `some`/`every` conditions, step filters and the insides of FLWORs.
+fn once_per_eval<'q>(e: &'q Expr, f: &mut impl FnMut(&'q Expr)) {
     walk(e, &mut |x| match x {
-        Expr::Path(p) => {
-            if is_row_local(p, var) {
-                out.push(p);
-            }
+        Expr::Path(_) | Expr::Flwor(..) => {
+            f(x);
             false
         }
         Expr::If(once, ..) | Expr::And(once, _) | Expr::Or(once, _) => {
-            row_local_paths(once, var, out);
+            once_per_eval(once, f);
             false
         }
         Expr::Some { source, .. } => {
-            row_local_paths(source, var, out);
+            once_per_eval(source, f);
             false
         }
-        Expr::Flwor(..) => false,
         _ => true,
     });
+}
+
+/// How many nested elements and other content expressions the flat
+/// fragment of `ctor` holds.
+fn flat_size(ctor: &ElemCtor) -> (usize, usize) {
+    ctor.children.iter().fold((0, 0), |(nested, exprs), c| match c {
+        Expr::Elem(inner) => {
+            let (n, e) = flat_size(inner);
+            (nested + 1 + n, exprs + e)
+        }
+        _ => (nested, exprs + 1),
+    })
+}
+
+/// Append row `i`'s items of the FLWOR `e` to `out` when the clause being
+/// evaluated over the innermost row batch, row `i` among its rows, ran `e`
+/// as a join for all of them; false when it did not.
+fn precomputed(e: &Expr, env: &Env, out: &mut Sequence) -> bool {
+    let key = e as *const Expr as usize;
+    env.iter().rev().find_map(|(_, b)| match b {
+        Bound::Row(batch, row) => Some(batch.clause.borrow().read(key, *row, out)),
+        _ => None,
+    }) == Some(true)
+}
+
+/// The join of the FLWOR `e` when [`Engine::hash_join`] decorrelates it;
+/// `bound` tells the variables bound outside `e`.
+fn join_of<'q>(e: &'q Expr, bound: impl Fn(&str) -> bool) -> Option<Join<'q>> {
+    let Expr::Flwor(clauses, ret) = e else { return None };
+    let [Clause::For(var, src), rest @ ..] = &clauses[..] else { return None };
+    if !matches!(src, Expr::Path(PathExpr { root: PathRoot::Document, .. })) {
+        return None;
+    }
+    // The equality conjunct: one side reads only `$var` (the inner key),
+    // the other no variable of the FLWOR but one bound outside it.
+    let local = |v: &str| {
+        v == var
+            || rest.iter().any(|c| matches!(c, Clause::For(n, _) | Clause::Let(n, _) if n == v))
+    };
+    let inner_ok = |e: &Expr| refs(e, |v| v == var) && !refs(e, |v| v != var);
+    let outer_ok = |e: &Expr| !refs(e, local) && refs(e, &bound);
+    let (conj, inner, outer) = rest
+        .iter()
+        .filter_map(|c| match c {
+            Clause::Where(w) => Some(w),
+            _ => None,
+        })
+        .flat_map(conjuncts)
+        .find_map(|conj| {
+            let Expr::Cmp(CmpOp::Eq, a, b) = conj else { return None };
+            if inner_ok(a) && outer_ok(b) {
+                Some((conj, &**a, &**b))
+            } else if inner_ok(b) && outer_ok(a) {
+                Some((conj, &**b, &**a))
+            } else {
+                None
+            }
+        })?;
+    let key = e as *const Expr as usize;
+    Some(Join { key, var, src, rest, ret, conj, inner, outer, order: order_of(clauses) })
+}
+
+/// Do a join's clauses after its `for`, its conjunct aside, or its return
+/// clause read the variable `name`?
+fn reads(join: &Join, name: &str) -> bool {
+    let read = |e: &Expr| refs(e, |v| v == name);
+    read(join.ret)
+        || join.rest.iter().any(|c| match c {
+            Clause::Where(w) => {
+                conjuncts(w).into_iter().any(|c| !std::ptr::eq(c, join.conj) && read(c))
+            }
+            Clause::For(_, e) | Clause::Let(_, e) | Clause::OrderBy(e, _) => read(e),
+        })
+}
+
+/// A FLWOR's `order by` key and whether it is descending.
+fn order_of(clauses: &[Clause]) -> Option<(&Expr, bool)> {
+    clauses.iter().find_map(|c| match c {
+        Clause::OrderBy(e, desc) => Some((e, *desc)),
+        _ => None,
+    })
 }
 
 /// Is `p` rooted at `$var` with element steps on any axis, each with at

@@ -32,19 +32,42 @@ pub enum Item {
     Tree(Rc<Fragment>),
 }
 
-/// A constructed element (result of a direct constructor).
+/// A constructed element (result of a direct constructor), flat: the
+/// elements constructed directly in its content, and in theirs, are
+/// [`Nested`] entries of the same fragment, not fragments of their own.
 #[derive(Debug)]
 pub struct Fragment {
     /// Element name (shared with the constructor's AST node).
     pub tag: Rc<str>,
     /// Attributes: name and the evaluated value sequence.
     pub attrs: Vec<(Rc<str>, Sequence)>,
-    /// Child content: the child expressions' sequences, concatenated.
+    /// Child content in document order: the child expressions' sequences,
+    /// concatenated, with each nested element's content at its place.
     pub children: Sequence,
     /// Positions in `children` where an atomic item of one child expression
-    /// follows an atomic item of an earlier one. Serialization separates
-    /// adjacent atomic items with a space, but not across these seams.
+    /// follows an atomic item of an earlier one of the same element.
+    /// Serialization separates adjacent atomic items with a space, but not
+    /// across these seams.
     pub seams: Vec<u32>,
+    /// The nested elements in document order (empty for a single element).
+    pub nested: Vec<Nested>,
+}
+
+/// An element constructed directly in the content of another constructor,
+/// stored inside the outermost one's [`Fragment`].
+#[derive(Debug)]
+pub struct Nested {
+    /// Element name.
+    pub tag: Rc<str>,
+    /// Attributes: name and the evaluated value sequence.
+    pub attrs: Vec<(Rc<str>, Sequence)>,
+    /// Its content is `children[start..end]`, the nested elements inside it
+    /// included.
+    pub start: u32,
+    /// End of its content in `children`.
+    pub end: u32,
+    /// Index in `nested` of the first element after its subtree.
+    pub next: u32,
 }
 
 /// A sequence of items (the XQuery data model's only collection).

@@ -3,11 +3,16 @@
 //! The engine evaluates the row-local paths of a `for` loop (paths rooted
 //! at the loop variable with child, descendant or parent element steps,
 //! positional predicates and a final `text()` or `@attr`, but no boolean
-//! step filter) once per clause over all of the clause's rows. Each case here pairs such a query with a row-at-a-time twin: the
-//! same query reading the loop variable through `let $w := $v`, which the
-//! engine evaluates per row. Both must give the same answer as the Galax
-//! baseline and the same [`ExecStats`], cold and warm: batching moves where
-//! the work happens, not how much of it there is.
+//! step filter) once per clause over all of the clause's rows. Each case
+//! here pairs such a query with a row-at-a-time twin: the same query
+//! reading the loop variable through `let $w := $v`, which the engine
+//! evaluates per row. Both must give the same answer as the Galax baseline
+//! and the same [`ExecStats`], cold and warm: batching moves where the work
+//! happens, not how much of it there is.
+//!
+//! A FLWOR the engine decorrelates into a hash join runs once per clause
+//! too, over all of the clause's rows. The join cases check the answer
+//! against Galax and that every `HashJoin` of the plan ran exactly once.
 
 use xquec::baselines::GalaxEngine;
 use xquec::core::loader::{load_with, LoaderOptions, WorkloadSpec};
@@ -304,4 +309,191 @@ fn an_inner_pushdown_filters_every_outer_row() {
         });
         assert_eq!(pushdowns, 3, "{run}: one pushdown per closed auction");
     }
+}
+
+#[test]
+fn step_predicates_apply_in_query_order() {
+    let r = repo();
+    let galax = GalaxEngine::load(DOC).unwrap();
+    let e = Engine::new(&r);
+    for (q, expected) in [
+        ("/site/people/person[age/text() > 40][1]/name/text()", "Cy"),
+        ("/site/people/person[1][age/text() > 40]/name/text()", ""),
+        ("//person[age/text() > 28][last()]/name/text()", "Cy"),
+        // Positions after a filter count per context node: per bidder.
+        ("//bidder/increase[. > 1][1]/text()", "2 3 4"),
+        ("//bidder/increase[1][. > 1]/text()", "3 4"),
+        ("//open_auction/bidder[increase/text() > 2][last()]/increase[1]/text()", "3 4"),
+        (
+            "for $a in //open_auction return <a>{ $a/bidder/increase[. > 1][1]/text() }</a>",
+            "<a>2 3</a><a/><a>4</a>",
+        ),
+    ] {
+        assert_eq!(galax.run(q).unwrap(), expected, "Galax: {q}");
+        assert_eq!(e.run(q).unwrap(), expected, "{q}");
+    }
+}
+
+const JOIN_DOC: &str = r#"<site>
+  <people>
+    <person id="p0"><name>Ann</name><age>31</age></person>
+    <person id="p1"><name>Bob</name><age>27</age></person>
+    <person id="p2"><name>Cy</name><age>45</age></person>
+    <person id="p0"><name>Ann2</name><age>52</age></person>
+    <person id="p3"><name>Di</name></person>
+  </people>
+  <pairs><pair><key>p1</key><key>p3</key></pair><pair><key>p9</key></pair></pairs>
+  <closed_auctions>
+    <closed_auction id="c0"><buyer person="p0"/><seller person="p2"/><price>30</price>
+      <itemref item="i1"/></closed_auction>
+    <closed_auction id="c1"><buyer person="p2"/><seller person="p0"/><price>20</price>
+      <itemref item="i0"/></closed_auction>
+    <closed_auction id="c2"><buyer person="p0"/><seller person="p0"/><price>10</price>
+      <itemref item="i1"/></closed_auction>
+    <closed_auction id="c3"><buyer person="p0"/><seller person="p1"/><price>25</price>
+      <itemref item="i9"/></closed_auction>
+    <closed_auction id="c4"><buyer person="p1"/><buyer person="p3"/><price>5</price>
+      <itemref item="i0"/></closed_auction>
+  </closed_auctions>
+  <regions><europe><item id="i0"><name>lamp</name></item><item id="i1"><name>ring</name></item>
+  </europe></regions>
+</site>"#;
+
+/// Buyers and person ids share one source model, so their join is keyed on
+/// compressed bytes; sellers are compressed apart.
+fn join_repo() -> Repository {
+    let spec = WorkloadSpec::new().join("//buyer/@person", "//person/@id", PredOp::Eq);
+    let spec = spec.join("//itemref/@item", "//item/@id", PredOp::Eq);
+    load_with(JOIN_DOC, &LoaderOptions { workload: Some(spec), ..Default::default() }).unwrap()
+}
+
+/// Run `q`, cold and then warm on one engine, against Galax, and check
+/// that each of its `HashJoin`s ran once: one probe pass for all the rows
+/// of its clause. Returns the answer.
+fn check_join(r: &Repository, q: &str) -> String {
+    let expected =
+        GalaxEngine::load(JOIN_DOC).unwrap().run(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+    let e = Engine::new(r);
+    for run in ["cold", "warm"] {
+        assert_eq!(e.run(q).unwrap_or_else(|e| panic!("{q}: {e}")), expected, "{run}: {q}");
+        let plan = e.last_plan();
+        let mut joins = Vec::new();
+        plan.walk(&mut |n| {
+            if n.op == "HashJoin" {
+                joins.push(n.invocations);
+            }
+        });
+        assert!(!joins.is_empty(), "{run}: no HashJoin in\n{}", plan.render_stable());
+        assert!(joins.iter().all(|&n| n == 1), "{run}: {joins:?} in\n{}", plan.render_stable());
+    }
+    expected
+}
+
+#[test]
+fn joins_with_zero_one_or_several_matches_and_duplicate_keys() {
+    let r = join_repo();
+    let out = check_join(
+        &r,
+        "for $p in //person
+         let $a := for $t in //closed_auction where $t/buyer/@person = $p/@id return $t/price/text()
+         return <p n={ count($a) }>{ $a }</p>",
+    );
+    assert_eq!(
+        out,
+        r#"<p n="3">30 10 25</p><p n="1">5</p><p n="1">20</p><p n="3">30 10 25</p><p n="1">5</p>"#
+    );
+    // Two probe keys of one row hit one inner row (c4) once; a key with no
+    // match leaves its row empty.
+    let out = check_join(
+        &r,
+        "for $x in //pair
+         let $a := for $t in //closed_auction where $t/buyer/@person = $x/key/text() return $t/@id
+         return <x>{ $a }</x>",
+    );
+    assert_eq!(out, "<x>c4</x><x/>");
+}
+
+#[test]
+fn join_returns_and_conjuncts_read_the_outer_row() {
+    let r = join_repo();
+    check_join(
+        &r,
+        "for $p in //person
+         let $a := for $t in //closed_auction where $t/buyer/@person = $p/@id
+                   return <x a={ $p/name/text() }>{ $t/price/text() }</x>
+         return <p>{ $a }</p>",
+    );
+    // An outer `let`, and a non-join conjunct reading the outer row.
+    check_join(
+        &r,
+        "for $p in //person let $n := $p/name/text()
+         let $a := for $t in //closed_auction
+                   where $t/buyer/@person = $p/@id and $p/age/text() > 40 and $t/price/text() > 15
+                   return <x n={ $n }>{ $t/price/text() }</x>
+         return <p>{ $a }</p>",
+    );
+    // An inner `for` that rebinds the outer variable's name.
+    check_join(
+        &r,
+        "for $p in //person
+         let $a := for $t in //closed_auction where $t/buyer/@person = $p/@id
+                   return <x n={ $p/name/text() }>{ for $p in $t/price return $p/text() }</x>
+         return <p>{ $a }{ $p/name/text() }</p>",
+    );
+}
+
+#[test]
+fn joins_in_a_return_clause_and_nested_two_levels() {
+    let r = join_repo();
+    check_join(
+        &r,
+        "for $p in //person
+         return <p n={ $p/name/text() }>{
+           for $t in //closed_auction where $t/buyer/@person = $p/@id return $t/price/text()
+         }</p>",
+    );
+    // The Q9 shape: the inner join runs once over all the outer matches.
+    check_join(
+        &r,
+        "for $p in //person
+         let $a := for $t in //closed_auction
+                   let $n := for $t2 in //europe/item where $t/itemref/@item = $t2/@id return $t2
+                   where $p/@id = $t/buyer/@person
+                   return <item>{ $n/name/text() }</item>
+         return <person name={ $p/name/text() }>{ $a }</person>",
+    );
+}
+
+#[test]
+fn joins_on_keys_from_several_source_models() {
+    let r = join_repo();
+    // Buyers and sellers are compressed apart: the index is keyed on
+    // decompressed strings.
+    let out = check_join(
+        &r,
+        "for $p in //person
+         let $a := for $t in /site/closed_auctions/closed_auction/* where $t/@person = $p/@id
+                   return $t/../@id
+         return <p>{ $a }</p>",
+    );
+    // c2's buyer and seller are both p0: two matches.
+    let (ann, bob) = ("<p>c0 c1 c2 c2 c3</p>", "<p>c3 c4</p>");
+    assert_eq!(out, format!("{ann}{bob}<p>c0 c1</p>{ann}<p>c4</p>"));
+}
+
+#[test]
+fn joins_keep_their_order_by() {
+    let r = join_repo();
+    let q = |dir: &str| {
+        format!(
+            "for $p in //person
+             let $s := for $t in //closed_auction where $t/buyer/@person = $p/@id
+                       order by $t/price/text() {dir} return $t/price/text()
+             return <p n={{ $p/name/text() }}>{{ $s }}</p>"
+        )
+    };
+    let up = check_join(&r, &q("ascending"));
+    assert!(up.starts_with(r#"<p n="Ann">10 25 30</p>"#), "{up}");
+    let down = check_join(&r, &q("descending"));
+    assert!(down.starts_with(r#"<p n="Ann">30 25 10</p>"#), "{down}");
 }
