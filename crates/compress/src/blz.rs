@@ -7,11 +7,31 @@
 //! whole containers with. It is *not* individually-accessible: a block must
 //! be fully decompressed before any value inside it can be read — exactly
 //! the property that distinguishes XMill-style from XQueC-style storage.
+//!
+//! ```text
+//! blob  := varint total, block*
+//! block := varint len, varint primary, entry rows, varint rle len,
+//!          u8 code length x 256, huffman codes
+//! entry rows := (walks(len) - 1) rows, each in as many bits as len takes,
+//!          MSB first, the last byte padded with zeros
+//! huffman codes := the rle len symbols' codewords, MSB first, the last
+//!          byte padded with zeros
+//! ```
+//!
+//! A block is at most [`BLOCK_SIZE`] bytes of the input. `primary` is the
+//! BWT row that holds the sentinel; the entry rows are the rows at which
+//! the inverse's walks start (see [`crate::bwt::walks`]: one per full
+//! 8 KiB, at most 7), so a block under 8 KiB stores none. The Huffman
+//! codes carry no length of their own: the block ends with the byte that
+//! holds the last of its `rle len` codes. Decoding a block is one pass
+//! from the Huffman bits through zero-run-length and move-to-front
+//! decoding into the BWT's last column, then one loop that advances every
+//! walk.
 
-use crate::bitio::{read_varint, write_varint};
-use crate::bwt::{bwt, invert, Column};
+use crate::bitio::{read_varint, write_varint, BitReader, BitWriter};
+use crate::bwt::{bwt, invert, walks, Column, MAX_WALKS};
 use crate::error::{corrupt, CodecError, MAX_DECODE_OUTPUT};
-use crate::huffman::{canonical_codes, code_lengths, encode, Decoder};
+use crate::huffman::{canonical_codes, code_lengths, raw_bits, Decoder};
 
 /// Maximum bytes per BWT block.
 pub const BLOCK_SIZE: usize = 256 * 1024;
@@ -39,11 +59,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
     }
     let mut out = Vec::with_capacity(total.min(data.len().saturating_mul(8)));
     while out.len() < total {
-        let before = out.len();
         pos = decompress_block(data, pos, &mut out)?;
-        if out.len() == before {
-            return Err(corrupt("blz", "empty block makes no progress"));
-        }
     }
     if out.len() != total {
         return Err(corrupt("blz", format!("decoded {} bytes, header says {total}", out.len())));
@@ -52,7 +68,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
 }
 
 fn compress_block(block: &[u8], out: &mut Vec<u8>) {
-    let (l, primary) = bwt(block);
+    let (l, rows) = bwt(block);
     let rle = mtf_rle0_encode(&l);
 
     // Train a per-block Huffman model and serialize its length table.
@@ -62,13 +78,87 @@ fn compress_block(block: &[u8], out: &mut Vec<u8>) {
     }
     let lengths = code_lengths(&freq);
 
-    write_varint(out, block.len());
-    write_varint(out, primary);
-    write_varint(out, rle.len());
+    let mut header = BlockHeader { len: block.len(), rows: [0; MAX_WALKS], rle_len: rle.len() };
+    header.rows[..rows.len()].copy_from_slice(&rows);
+    header.write(out);
     out.extend_from_slice(&lengths);
-    let payload = encode(&canonical_codes(&lengths), &rle);
-    write_varint(out, payload.len());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&raw_bits(&canonical_codes(&lengths), &rle).0);
+}
+
+/// The header of one block: the fields before its Huffman code lengths.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockHeader {
+    /// Input bytes in the block.
+    pub len: usize,
+    /// The rows at which the inverse BWT's walks start, `primary` first;
+    /// only the first `walks(len)` are part of the block.
+    pub rows: [usize; MAX_WALKS],
+    /// Symbols in the zero-run-length stream.
+    pub rle_len: usize,
+}
+
+impl BlockHeader {
+    /// Append the header to `out`. Each entry row is written in the bits
+    /// `len` takes, which hold every row in `0..=len`; higher bits are
+    /// dropped.
+    pub fn write(&self, out: &mut Vec<u8>) {
+        write_varint(out, self.len);
+        write_varint(out, self.rows[0]);
+        let mut entries = BitWriter::new();
+        let width = row_bits(self.len);
+        for &row in &self.rows[1..walks(self.len)] {
+            entries.push_bits(row as u64, width);
+        }
+        out.extend_from_slice(&entries.finish().0);
+        write_varint(out, self.rle_len);
+    }
+
+    /// The header at `*pos`, which moves past it. Fails on a truncated
+    /// header, a block length outside `1..=BLOCK_SIZE`, or an rle length
+    /// no block of that size can have; the rows are checked by the
+    /// inverse BWT.
+    pub fn read(data: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        let len = field(data, pos, "length")?;
+        if len == 0 {
+            return Err(corrupt("blz", "empty block makes no progress"));
+        }
+        if len > BLOCK_SIZE {
+            return Err(corrupt("blz", format!("block length {len} exceeds {BLOCK_SIZE}")));
+        }
+        let mut rows = [0usize; MAX_WALKS];
+        rows[0] = field(data, pos, "primary index")?;
+        let width = row_bits(len);
+        let bits = (walks(len) - 1) * usize::from(width);
+        let truncated = || corrupt("blz", "truncated block entry rows");
+        let entries = data.get(*pos..*pos + bits.div_ceil(8)).ok_or_else(truncated)?;
+        *pos += entries.len();
+        let mut entries = BitReader::new(entries, bits);
+        for row in &mut rows[1..walks(len)] {
+            *row = entries.next_bits(width).ok_or_else(truncated)? as usize;
+        }
+        let rle_len = field(data, pos, "rle length")?;
+        // RLE0 output is at most 2 bytes per input byte (a 0x00 escape plus
+        // a one-byte run varint), so anything larger cannot decode to this
+        // block.
+        if rle_len > 2 * BLOCK_SIZE {
+            return Err(corrupt("blz", format!("rle length {rle_len} implausible for one block")));
+        }
+        Ok(BlockHeader { len, rows, rle_len })
+    }
+}
+
+/// Bits that hold every entry row of the BWT of `n` bytes (`1..=n`).
+fn row_bits(n: usize) -> u8 {
+    (usize::BITS - n.leading_zeros()) as u8
+}
+
+/// The varint header field at `*pos`, which moves past it.
+fn field(data: &[u8], pos: &mut usize, what: &str) -> Result<usize, CodecError> {
+    let (v, used) = read_varint(data.get(*pos..).unwrap_or(&[]))
+        .ok_or_else(|| corrupt("blz", format!("truncated block {what}")))?;
+    *pos += used;
+    Ok(v)
 }
 
 fn decompress_block(
@@ -76,46 +166,27 @@ fn decompress_block(
     mut pos: usize,
     out: &mut Vec<u8>,
 ) -> Result<usize, CodecError> {
-    let header = |field: &str| corrupt("blz", format!("truncated block {field}"));
-    let (block_len, used) =
-        read_varint(data.get(pos..).unwrap_or(&[])).ok_or_else(|| header("length"))?;
-    pos += used;
-    if block_len > BLOCK_SIZE {
-        return Err(corrupt("blz", format!("block length {block_len} exceeds {BLOCK_SIZE}")));
-    }
-    let (primary, used) =
-        read_varint(data.get(pos..).unwrap_or(&[])).ok_or_else(|| header("primary index"))?;
-    pos += used;
-    let (rle_len, used) =
-        read_varint(data.get(pos..).unwrap_or(&[])).ok_or_else(|| header("rle length"))?;
-    pos += used;
-    // RLE0 output is at most 2 bytes per input byte (a 0x00 escape plus a
-    // one-byte run varint), so anything larger cannot decode to this block.
-    if rle_len > 2 * BLOCK_SIZE {
-        return Err(corrupt("blz", format!("rle length {rle_len} implausible for one block")));
-    }
+    let BlockHeader { len: block_len, rows, rle_len } = BlockHeader::read(data, &mut pos)?;
+    let rows = &rows[..walks(block_len)];
+    let primary = rows[0];
     let mut lengths = [0u8; 256];
     lengths.copy_from_slice(
-        data.get(pos..pos + 256).ok_or_else(|| header("huffman length table"))?,
+        data.get(pos..pos + 256)
+            .ok_or_else(|| corrupt("blz", "truncated block huffman length table"))?,
     );
     pos += 256;
     let decoder = Decoder::new(&lengths)?;
-    let (payload_len, used) =
-        read_varint(data.get(pos..).unwrap_or(&[])).ok_or_else(|| header("payload length"))?;
-    pos += used;
-    let payload = data.get(pos..pos + payload_len).ok_or_else(|| header("payload"))?;
-    pos += payload_len;
-    // Every symbol takes at least one bit, so the payload bounds the
-    // reservation as well as the header does.
-    let mut rle = Vec::with_capacity(rle_len.min(payload.len().saturating_mul(8)));
-    decoder.decode(payload, rle_len, &mut rle)?;
-    if rle.len() != rle_len {
-        return Err(corrupt("blz", format!("rle decoded {} bytes, header says {rle_len}", rle.len())));
-    }
-
-    let column = undo_rle0_mtf(&rle, block_len)?;
-    if !invert(column, primary, out) {
-        return Err(corrupt("blz", format!("inverse BWT rejects primary index {primary}")));
+    let column = Column::new(block_len, primary)
+        .ok_or_else(|| corrupt("blz", format!("primary index {primary} outside the block")))?;
+    // The Huffman codes go straight into the column.
+    let mut codes = decoder.codes(&data[pos..]);
+    let column = undo_rle0_mtf(|| codes.next(), rle_len, column, block_len)?;
+    pos += codes.bytes_read();
+    if !invert(column, &rows[1..], out) {
+        return Err(corrupt(
+            "blz",
+            format!("inverse BWT rejects primary index {primary} with entry rows {:?}", &rows[1..]),
+        ));
     }
     Ok(pos)
 }
@@ -156,52 +227,140 @@ fn mtf_rle0_encode(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Undo [`mtf_rle0_encode`] in one pass, straight into the BWT's last
-/// column, which must come to exactly `block_len` bytes. A zero run repeats
-/// the byte at the front of the move-to-front table. The column never grows
-/// past `block_len`.
-fn undo_rle0_mtf(rle: &[u8], block_len: usize) -> Result<Column, CodecError> {
-    let mut table: [u8; 256] = std::array::from_fn(|i| i as u8);
-    let mut column = Column::with_capacity(block_len);
-    let mut i = 0usize;
-    while i < rle.len() {
-        let idx = rle[i] as usize;
-        i += 1;
+/// Undo [`mtf_rle0_encode`] on the first `rle_len` symbols `next`
+/// yields, one at a time, straight into `column`, the BWT's last column,
+/// which must come to exactly `block_len` bytes and never grows past it.
+/// A zero run repeats the byte at the front of the move-to-front table.
+fn undo_rle0_mtf(
+    mut next: impl FnMut() -> Result<Option<u8>, CodecError>,
+    rle_len: usize,
+    mut column: Column,
+    block_len: usize,
+) -> Result<Column, CodecError> {
+    let mut taken = 0usize;
+    let mut next = || {
+        if taken == rle_len {
+            return Ok(None);
+        }
+        taken += 1;
+        next()?.map(Some).ok_or_else(|| {
+            corrupt("blz", format!("rle ends after {} of {rle_len} symbols", taken - 1))
+        })
+    };
+    let mut table = Mtf::new();
+    let mut left = block_len;
+    while let Some(idx) = next()? {
         if idx == 0 {
-            let (run, used) = read_varint(&rle[i..])
-                .ok_or_else(|| corrupt("rle0", "truncated run length"))?;
-            i += used;
-            if run > block_len - column.rows.len() {
+            // The run's length, a varint of at most ten bytes as
+            // `read_varint` reads it.
+            let (mut run, mut shift) = (0usize, 0u32);
+            loop {
+                let b = next()?.ok_or_else(|| corrupt("rle0", "truncated run length"))?;
+                run |= usize::from(b & 0x7f) << shift;
+                if b & 0x80 == 0 {
+                    break;
+                }
+                shift += 7;
+                if shift > 63 {
+                    return Err(corrupt("rle0", "truncated run length"));
+                }
+            }
+            if run > left {
                 return Err(corrupt("rle0", format!("run of {run} zeros exceeds output bound")));
             }
-            column.push_run(table[0], run);
+            left -= run;
+            column.push_run(table.front(), run);
         } else {
-            if column.rows.len() == block_len {
+            if left == 0 {
                 return Err(corrupt("rle0", "output exceeds bound"));
             }
-            let b = table[idx];
-            table.copy_within(0..idx, 1);
-            table[0] = b;
-            column.push(b);
+            left -= 1;
+            column.push(table.move_to_front(idx));
         }
     }
-    if column.rows.len() != block_len {
-        return Err(corrupt(
-            "blz",
-            format!("mtf has {} bytes, header says {block_len}", column.rows.len()),
-        ));
+    if left > 0 {
+        return Err(corrupt("blz", format!("mtf ends {left} bytes short of the block")));
     }
     Ok(column)
+}
+
+/// The move-to-front table of [`undo_rle0_mtf`].
+struct Mtf {
+    /// The first 16 bytes, byte `i` in bits `8 * i..8 * i + 8`.
+    front: u128,
+    /// The rest.
+    rest: [u8; 240],
+}
+
+impl Mtf {
+    fn new() -> Self {
+        Mtf {
+            front: u128::from_le_bytes(std::array::from_fn(|i| i as u8)),
+            rest: std::array::from_fn(|i| (i + 16) as u8),
+        }
+    }
+
+    fn front(&self) -> u8 {
+        self.front as u8
+    }
+
+    /// The byte at index `idx` (at least 1), moved to the front. Below 16
+    /// the move is a shift of the front bytes, blended in by a mask.
+    #[inline]
+    fn move_to_front(&mut self, idx: u8) -> u8 {
+        let i = u32::from(idx);
+        if i < 16 {
+            let b = (self.front >> (8 * i)) as u8;
+            let moved = u128::MAX >> (8 * (15 - i));
+            self.front = self.front & !moved | (self.front << 8) & moved | u128::from(b);
+            b
+        } else {
+            let i = i as usize - 16;
+            let b = self.rest[i];
+            self.rest.copy_within(0..i, 1);
+            self.rest[0] = (self.front >> 120) as u8;
+            self.front = self.front << 8 | u128::from(b);
+            b
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `rle` through [`undo_rle0_mtf`] for a block of `block_len` bytes
+    /// whose sentinel sits in the last row.
+    fn undo_rle(rle: &[u8], block_len: usize) -> Result<Column, CodecError> {
+        let mut symbols = rle.iter().copied();
+        let column = Column::new(block_len, block_len).unwrap();
+        undo_rle0_mtf(|| Ok(symbols.next()), rle.len(), column, block_len)
+    }
+
     /// The last column `undo_rle0_mtf` rebuilds from `mtf_rle0_encode(data)`.
     fn undo(data: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let column = undo_rle0_mtf(&mtf_rle0_encode(data), data.len())?;
-        Ok(column.rows.into_iter().map(|e| e as u8).collect())
+        Ok(undo_rle(&mtf_rle0_encode(data), data.len())?.bytes())
+    }
+
+    #[test]
+    fn move_to_front_matches_a_shifted_table() {
+        let mut table: [u8; 256] = std::array::from_fn(|i| i as u8);
+        let mut mtf = Mtf::new();
+        let mut x = 0x2545_F491u32;
+        for step in 0..5000 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            // Mostly the branchless front, every index at least once.
+            let idx = if step < 255 { step as u8 + 1 } else { 1 + (x % [15, 255][step % 2]) as u8 };
+            let b = table[idx as usize];
+            table.copy_within(0..idx as usize, 1);
+            table[0] = b;
+            assert_eq!(mtf.move_to_front(idx), b, "step {step}");
+            let mut now = mtf.front.to_le_bytes().to_vec();
+            now.extend_from_slice(&mtf.rest);
+            assert_eq!(now, table, "step {step}");
+        }
     }
 
     #[test]
@@ -233,11 +392,17 @@ mod tests {
     #[test]
     fn rle0_lengths_are_checked() {
         let rle = mtf_rle0_encode(b"aaaabbbb");
-        assert!(undo_rle0_mtf(&rle, 8).is_ok());
-        assert!(undo_rle0_mtf(&rle, 7).is_err(), "a run past the block");
-        assert!(undo_rle0_mtf(&rle, 9).is_err(), "short of the block");
-        assert!(undo_rle0_mtf(&[5, 0], 10).is_err(), "truncated run length");
-        assert!(undo_rle0_mtf(&[5, 6], 1).is_err(), "a literal past the block");
+        assert!(undo_rle(&rle, 8).is_ok());
+        assert!(undo_rle(&rle, 7).is_err(), "a run past the block");
+        assert!(undo_rle(&rle, 9).is_err(), "short of the block");
+        assert!(undo_rle(&[5, 0], 10).is_err(), "truncated run length");
+        assert!(undo_rle(&[5, 0, 0x80], 10).is_err(), "run length cut mid-varint");
+        assert!(
+            undo_rle(&[5, 0, 0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0], 10)
+                .is_err(),
+            "an eleven-byte run length"
+        );
+        assert!(undo_rle(&[5, 6], 1).is_err(), "a literal past the block");
     }
 
     #[test]
@@ -268,15 +433,49 @@ mod tests {
         for cut in 0..c.len() {
             let _ = decompress(&c[..cut]); // must return, Ok or Err — never panic
         }
-        let mut x = 0x9E37_79B9u32;
-        for _ in 0..500 {
+        for seed in crate::bwt::tests::fuzz_seeds() {
+            let mut x = 0x9E37_79B9u32 ^ seed;
+            let mut flip = |c: &[u8], bits: std::ops::Range<usize>| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                let bit = bits.start + x as usize % bits.len();
+                let mut m = c.to_vec();
+                m[bit / 8] ^= 0x80 >> (bit % 8);
+                m
+            };
+            for _ in 0..500 {
+                let _ = decompress(&flip(&c, 0..c.len() * 8));
+            }
+            // Over 64 KiB, one block with seven entry rows. A flip of any
+            // bit of a row must be caught; any other flip, Ok or Err, must
+            // not panic.
+            let big = xml_like(70_000, seed);
+            let c = compress(&big);
+            // Past the total, the block length and the primary index: the
+            // seven entry rows, 17 bits each.
+            let rows = (0..3).fold(0, |pos, _| pos + read_varint(&c[pos..]).unwrap().1);
+            for _ in 0..200 {
+                let m = flip(&c, rows * 8..rows * 8 + 7 * 17);
+                assert!(decompress(&m).is_err(), "a row bit flipped");
+                let _ = decompress(&flip(&c, 0..c.len() * 8));
+            }
+        }
+    }
+
+    /// `len` bytes of markup-like text with seeded names and numbers.
+    fn xml_like(len: usize, seed: u32) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9) | 1;
+        let mut text = Vec::with_capacity(len + 64);
+        while text.len() < len {
             x ^= x << 13;
             x ^= x >> 17;
             x ^= x << 5;
-            let mut m = c.clone();
-            m[x as usize % c.len()] ^= 1 << ((x >> 16) & 7);
-            let _ = decompress(&m);
+            let item = format!("<item id=\"i{}\"><price>{}</price></item>", x % 997, x % 10_007);
+            text.extend_from_slice(item.as_bytes());
         }
+        text.truncate(len);
+        text
     }
 
     #[test]

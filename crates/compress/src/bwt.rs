@@ -242,57 +242,113 @@ fn induce<T: Symbol, const MARK_LMS: bool>(
     }
 }
 
+/// Text bytes per inverse-BWT walk before a block gets one more walk.
+pub const SEGMENT: usize = 8 * 1024;
+
+/// Most walks the inverse of one BWT runs at once.
+pub const MAX_WALKS: usize = 8;
+
+/// Walks that invert the BWT of `n` bytes: one, plus one per full
+/// [`SEGMENT`], at most [`MAX_WALKS`]. Walk `w` writes segment `w`, the
+/// text from byte `w * (n / walks(n))` up to the next segment (the last
+/// segment runs to the end).
+pub fn walks(n: usize) -> usize {
+    (n / SEGMENT).min(MAX_WALKS - 1) + 1
+}
+
 /// Forward BWT with an implicit end-of-block sentinel.
 ///
-/// Returns the last column with the sentinel *omitted* plus the row index
-/// (`primary`) where the sentinel sat, which the inverse transform needs.
-pub fn bwt(data: &[u8]) -> (Vec<u8>, usize) {
+/// Returns the last column with the sentinel *omitted*, and for each of
+/// the [`walks`] segments the row of the rotation that starts at the
+/// segment's first byte. The first of these rows is `primary`, where the
+/// sentinel sits in the last column; the others are the *entry rows* at
+/// which the inverse's walks start. They are read off the suffix array
+/// the column is built from.
+pub fn bwt(data: &[u8]) -> (Vec<u8>, Vec<usize>) {
     let n = data.len();
     if n == 0 {
-        return (Vec::new(), 0);
+        return (Vec::new(), vec![0]);
     }
     let sa = suffix_array(data);
+    let walks = walks(n);
+    let seg = (n / walks) as u32;
     let mut out = Vec::with_capacity(n);
+    let mut rows = vec![0; walks];
     // Row 0 is the rotation starting at the sentinel; its last column entry
     // is the final character of the data.
     out.push(data[n - 1]);
-    let mut primary = 0usize;
     for (key, &s) in sa.iter().enumerate() {
-        if s == 0 {
-            primary = key + 1;
-        } else {
-            out.push(data[s as usize - 1]);
+        let w = (s / seg) as usize;
+        if s % seg == 0 && w < walks {
+            rows[w] = key + 1;
+        }
+        let s = s as usize;
+        if s != 0 {
+            out.push(data[s - 1]);
         }
     }
-    (out, primary)
+    (out, rows)
 }
 
-/// Rows the packed walk of [`invert`] can index: 24 bits of LF per entry.
+/// Rows the walk of [`invert`] can index: 24 bits of rank per entry.
 const MAX_ROWS: usize = 1 << 24;
 
-/// The last column of a BWT (sentinel omitted, as [`bwt`] returns it), as
-/// [`invert`] takes it: entry `i` is `rank << 8 | byte`, where `rank`
-/// counts the earlier entries holding the same byte. Fewer than
-/// [`MAX_ROWS`] entries.
+/// The last column of a BWT as [`invert`] takes it, one entry per row:
+/// `rank << 8 | byte`, where `rank` counts the earlier entries holding the
+/// same byte. The sentinel's row is left empty as the column fills, so no
+/// entry moves to make room for it.
 pub(crate) struct Column {
-    pub(crate) rows: Vec<u32>,
+    rows: Vec<u32>,
     /// Entries per byte value so far.
     counts: [u32; 256],
+    /// The sentinel's row.
+    primary: usize,
 }
 
 impl Column {
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        Column { rows: Vec::with_capacity(n + 1), counts: [0; 256] }
+    /// An empty column for a text of `n` bytes whose sentinel sits in row
+    /// `primary`; `None` unless `primary` lies in `1..=n` (is 0 for an
+    /// empty text) and `n` is below [`MAX_ROWS`].
+    pub(crate) fn new(n: usize, primary: usize) -> Option<Self> {
+        let valid = if n == 0 { primary == 0 } else { (1..=n).contains(&primary) };
+        (valid && n < MAX_ROWS).then(|| Column {
+            rows: Vec::with_capacity(n + 1),
+            counts: [0; 256],
+            primary,
+        })
     }
 
+    #[inline]
     pub(crate) fn push(&mut self, b: u8) {
+        if self.rows.len() == self.primary {
+            self.rows.push(0);
+        }
         let rank = &mut self.counts[b as usize];
         self.rows.push(*rank << 8 | u32::from(b));
         *rank += 1;
     }
 
     /// Append `run` copies of `b`.
+    #[inline]
     pub(crate) fn push_run(&mut self, b: u8, run: usize) {
+        // Entries before the sentinel's row, when it falls inside the run.
+        let head = self.primary.wrapping_sub(self.rows.len());
+        if head < run {
+            self.extend(b, head);
+            self.rows.push(0);
+            self.extend(b, run - head);
+        } else {
+            self.extend(b, run);
+        }
+    }
+
+    /// The entries' bytes, the sentinel's row included once placed.
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> Vec<u8> {
+        self.rows.iter().map(|&e| e as u8).collect()
+    }
+
+    fn extend(&mut self, b: u8, run: usize) {
         let first = self.counts[b as usize];
         let end = first + run as u32;
         self.rows.extend((first..end).map(|rank| rank << 8 | u32::from(b)));
@@ -301,64 +357,220 @@ impl Column {
 }
 
 /// Invert the BWT whose last column is `column`, appending the text to
-/// `out`.
+/// `out`. `entries` are the entry rows [`bwt`] returns after `primary`.
 ///
-/// The column becomes the walk table: the sentinel's row is inserted at
-/// `primary`, and every other row `r` holds `LF(r) << 8 | byte`, so each
-/// output byte costs one random access. Returns `false`, leaving `out` as
-/// it was, when `primary` is out of range or the walk meets the sentinel's
-/// row before the end.
-pub(crate) fn invert(column: Column, primary: usize, out: &mut Vec<u8>) -> bool {
-    let Column { mut rows, counts } = column;
-    let n = rows.len();
-    if n == 0 {
-        return primary == 0;
+/// One pass adds to each entry's rank its byte's first row in the sorted
+/// first column, which makes the entry `LF << 8 | byte`. Then one walk per
+/// segment runs backwards from the row where the next segment starts (the
+/// last from row 0, the sentinel's rotation), all of them advanced in one
+/// loop, each output byte one random access into the column. Returns `false`,
+/// leaving `out` as it was, unless every walk ends on the row where the
+/// walk of the segment before it starts, the first on `primary`, and no
+/// walk meets the sentinel's row before its end: exactly the texts one
+/// walk from row 0 over the whole column accepts, with entry rows that
+/// are its rows at the segment starts.
+pub(crate) fn invert(column: Column, entries: &[usize], out: &mut Vec<u8>) -> bool {
+    let Column { mut rows, counts, primary } = column;
+    if rows.len() == primary {
+        rows.push(0);
     }
-    if primary < 1 || primary > n || n >= MAX_ROWS {
+    let n = rows.len() - 1;
+    let walks = entries.len() + 1;
+    if walks > MAX_WALKS || entries.iter().any(|&r| r > n) {
         return false;
     }
-    // first[b]: the first row of F holding byte b, shifted to the LF field;
-    // the sentinel sorts first, in row 0.
+    // first[b]: the first row of F holding byte b; the sentinel sorts
+    // first, in row 0.
     let mut first = [0u32; 256];
     let mut row = 1u32;
     for (f, &count) in first.iter_mut().zip(&counts) {
         *f = row << 8;
         row += count;
     }
-    rows.insert(primary, 0);
-    let (before, after) = rows.split_at_mut(primary);
-    for e in before.iter_mut().chain(&mut after[1..]) {
+    for e in rows.iter_mut() {
         *e += first[(*e & 0xff) as usize];
     }
-    // Walk backwards from row 0, whose last-column byte ends the text.
+    // Walk w's current row: it starts where segment w + 1 does.
+    let mut at = [0usize; MAX_WALKS];
+    at[..walks - 1].copy_from_slice(entries);
     let start = out.len();
     out.resize(start + n, 0);
-    let mut r = 0usize;
-    for slot in out[start..].iter_mut().rev() {
-        if r == primary {
-            out.truncate(start);
-            return false; // corrupt: sentinel row reached mid-walk
-        }
-        let e = rows[r];
-        *slot = e as u8;
-        r = (e >> 8) as usize;
+    let text = &mut out[start..];
+    let at = &mut at[..walks];
+    let met = match walks {
+        1 => walk::<1>(&rows, primary, at, text),
+        2 => walk::<2>(&rows, primary, at, text),
+        3 => walk::<3>(&rows, primary, at, text),
+        4 => walk::<4>(&rows, primary, at, text),
+        5 => walk::<5>(&rows, primary, at, text),
+        6 => walk::<6>(&rows, primary, at, text),
+        7 => walk::<7>(&rows, primary, at, text),
+        _ => walk::<MAX_WALKS>(&rows, primary, at, text),
+    };
+    if met || at[0] != primary || at[1..] != entries[..] {
+        out.truncate(start);
+        return false;
     }
     true
 }
 
+/// Advance `W` walks from the rows `at` over `W` segments of `text`, each
+/// walk writing its segment backwards; leave in `at` the rows where they
+/// end. Returns whether any walk read the sentinel's row, `primary`.
+fn walk<const W: usize>(rows: &[u32], primary: usize, at: &mut [usize], text: &mut [u8]) -> bool {
+    let mut r: [usize; W] = at.try_into().expect("one row per walk");
+    let seg = text.len() / W;
+    let mut met = false;
+    let mut step = |r: &mut usize| {
+        met |= *r == primary;
+        let e = rows[*r];
+        *r = (e >> 8) as usize;
+        e as u8
+    };
+    // The last segment is longest: its walk runs its extra bytes alone.
+    for p in (W * seg..text.len()).rev() {
+        text[p] = step(&mut r[W - 1]);
+    }
+    for k in (0..seg).rev() {
+        for (w, r) in r.iter_mut().enumerate() {
+            text[w * seg + k] = step(r);
+        }
+    }
+    at.copy_from_slice(&r);
+    met
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Invert through [`invert`]: `None` when `primary` is out of range or
-    /// the walk meets the sentinel row early.
-    fn ibwt_checked(l: &[u8], primary: usize) -> Option<Vec<u8>> {
-        let mut column = Column::with_capacity(l.len());
+    /// The seeds of `XQUEC_FUZZ_SEEDS` (`lo..hi` or one seed; `0..2` when
+    /// unset).
+    pub(crate) fn fuzz_seeds() -> std::ops::Range<u32> {
+        let spec = std::env::var("XQUEC_FUZZ_SEEDS").unwrap_or_else(|_| "0..2".to_owned());
+        match spec.split_once("..") {
+            Some((lo, hi)) => lo.trim().parse().unwrap()..hi.trim().parse().unwrap(),
+            None => {
+                let seed: u32 = spec.trim().parse().unwrap();
+                seed..seed + 1
+            }
+        }
+    }
+
+    /// Invert through [`invert`], given `primary` and then the entry rows
+    /// as [`bwt`] returns them: `None` when it rejects them.
+    fn ibwt_checked(l: &[u8], rows: &[usize]) -> Option<Vec<u8>> {
+        let mut column = Column::new(l.len(), rows[0])?;
         for &b in l {
             column.push(b);
         }
         let mut out = Vec::new();
-        invert(column, primary, &mut out).then_some(out)
+        invert(column, &rows[1..], &mut out).then_some(out)
+    }
+
+    /// The textbook inverse, kept as the reference for [`invert`]: one
+    /// walk from row 0 over the whole column, with LF from a stable sort
+    /// of the rows by byte, stopping at the sentinel's row. Returns the
+    /// text and the row of the rotation starting at each text position
+    /// (`primary` at 0), or `None` when the walk meets the sentinel's row
+    /// early or `primary` is out of range.
+    fn single_walk(l: &[u8], primary: usize) -> Option<(Vec<u8>, Vec<usize>)> {
+        let n = l.len();
+        if !(n == 0 && primary == 0 || (1..=n).contains(&primary)) {
+            return None;
+        }
+        let column: Vec<Option<u8>> = (0..=n)
+            .map(|r| match r.cmp(&primary) {
+                std::cmp::Ordering::Less => Some(l[r]),
+                std::cmp::Ordering::Equal => None,
+                std::cmp::Ordering::Greater => Some(l[r - 1]),
+            })
+            .collect();
+        let mut by_byte: Vec<usize> = (0..=n).filter(|&r| r != primary).collect();
+        by_byte.sort_by_key(|&r| column[r]);
+        let mut lf = vec![0; n + 1];
+        for (f, &r) in by_byte.iter().enumerate() {
+            lf[r] = f + 1;
+        }
+        let mut text = vec![0; n];
+        let mut at = vec![0; n + 1];
+        for p in (0..n).rev() {
+            let r = at[p + 1];
+            text[p] = column[r]?;
+            at[p] = lf[r];
+        }
+        Some((text, at))
+    }
+
+    /// [`single_walk`]'s answer for `rows` (`primary`, then entry rows):
+    /// its text when the entry rows are its rows at the segment starts.
+    fn reference(l: &[u8], rows: &[usize]) -> Option<Vec<u8>> {
+        let (text, at) = single_walk(l, rows[0])?;
+        let seg = l.len() / rows.len();
+        (rows.len() <= MAX_WALKS && (1..rows.len()).all(|w| at[w * seg] == rows[w])).then_some(text)
+    }
+
+    /// The rows [`single_walk`] passes at the starts of `walks` segments.
+    fn rows_of(l: &[u8], primary: usize, walks: usize) -> Vec<usize> {
+        let at = single_walk(l, primary).map_or_else(|| vec![0; l.len() + 1], |(_, at)| at);
+        (0..walks).map(|w| if w == 0 { primary } else { at[w * (l.len() / walks)] }).collect()
+    }
+
+    #[test]
+    fn interleaved_walks_match_the_single_walk_reference() {
+        for seed in fuzz_seeds() {
+            let mut x = 0x2545_F491u32 ^ seed.wrapping_mul(0x9E37_79B9);
+            let mut next = move |m: usize| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as usize % m
+            };
+            let check = |l: &[u8], rows: &[usize]| {
+                let n = l.len();
+                assert_eq!(ibwt_checked(l, rows), reference(l, rows), "n {n} rows {rows:?}");
+            };
+            // Genuine transforms, each segment start of every walk count
+            // from the reference, then with one row damaged.
+            let lens = [1, 2, 7, 100, 4095, SEGMENT - 1, SEGMENT, SEGMENT + 1, 3 * SEGMENT + 5];
+            for n in lens.into_iter().chain([70_000]) {
+                let alphabet = [2, 4, 26, 256][next(4)];
+                let text: Vec<u8> = (0..n).map(|_| next(alphabet) as u8).collect();
+                let (l, rows) = bwt(&text);
+                assert_eq!(rows.len(), walks(n));
+                assert_eq!(rows, rows_of(&l, rows[0], rows.len()));
+                assert_eq!(ibwt_checked(&l, &rows).as_deref(), Some(&text[..]));
+                for walks in 1..=MAX_WALKS + 1 {
+                    let rows = rows_of(&l, rows[0], walks);
+                    check(&l, &rows);
+                    for _ in 0..4 {
+                        let mut bad = rows.clone();
+                        let w = next(walks);
+                        bad[w] = match next(4) {
+                            0 => bad[w] + 1,
+                            1 => bad[w].wrapping_sub(1),
+                            2 => next(n + 2),
+                            _ => bad[next(walks)],
+                        };
+                        check(&l, &bad);
+                    }
+                }
+            }
+            // Random columns over small alphabets: most have no text.
+            for _ in 0..400 {
+                let n = 1 + next(300);
+                let alphabet = 2 + next(3);
+                let l: Vec<u8> = (0..n).map(|_| b'a' + next(alphabet) as u8).collect();
+                let primary = next(n + 2);
+                let walks = 1 + next(MAX_WALKS);
+                let mut rows = rows_of(&l, primary, walks);
+                if next(3) == 0 {
+                    let w = next(walks);
+                    rows[w] = next(n + 2);
+                }
+                check(&l, &rows);
+            }
+        }
     }
 
     fn naive_suffix_array(data: &[u8]) -> Vec<u32> {
@@ -485,18 +697,18 @@ mod tests {
     #[test]
     fn bwt_roundtrip_simple() {
         for s in ["banana", "", "a", "abracadabra", "mississippi", "zzzzzz"] {
-            let (l, p) = bwt(s.as_bytes());
-            assert_eq!(ibwt_checked(&l, p).unwrap(), s.as_bytes(), "for {s:?}");
+            let (l, rows) = bwt(s.as_bytes());
+            assert_eq!(ibwt_checked(&l, &rows).unwrap(), s.as_bytes(), "for {s:?}");
         }
     }
 
     #[test]
     fn ibwt_checked_rejects_bad_primary() {
-        let (l, p) = bwt(b"banana");
-        assert!(ibwt_checked(&l, 0).is_none());
-        assert!(ibwt_checked(&l, l.len() + 1).is_none());
-        assert!(ibwt_checked(&l, p).is_some());
-        assert!(ibwt_checked(&[], 3).is_none());
+        let (l, rows) = bwt(b"banana");
+        assert!(ibwt_checked(&l, &[0]).is_none());
+        assert!(ibwt_checked(&l, &[l.len() + 1]).is_none());
+        assert!(ibwt_checked(&l, &rows).is_some());
+        assert!(ibwt_checked(&[], &[3]).is_none());
     }
 
     #[test]
@@ -509,8 +721,8 @@ mod tests {
             for bits in 0..1u32 << n {
                 let l: Vec<u8> = (0..n).map(|i| b'a' + (bits >> i & 1) as u8).collect();
                 for p in 1..=n {
-                    match ibwt_checked(&l, p) {
-                        Some(text) => assert_eq!(bwt(&text), (l.clone(), p)),
+                    match ibwt_checked(&l, &[p]) {
+                        Some(text) => assert_eq!(bwt(&text), (l.clone(), vec![p])),
                         None => rejected += 1,
                     }
                 }
@@ -522,8 +734,8 @@ mod tests {
     #[test]
     fn bwt_roundtrip_binary() {
         let data: Vec<u8> = (0..=255u8).cycle().take(3000).collect();
-        let (l, p) = bwt(&data);
-        assert_eq!(ibwt_checked(&l, p).unwrap(), data);
+        let (l, rows) = bwt(&data);
+        assert_eq!(ibwt_checked(&l, &rows).unwrap(), data);
     }
 
     #[test]
@@ -538,8 +750,8 @@ mod tests {
                 (x & 0xff) as u8
             })
             .collect();
-        let (l, p) = bwt(&data);
-        assert_eq!(ibwt_checked(&l, p).unwrap(), data);
+        let (l, rows) = bwt(&data);
+        assert_eq!(ibwt_checked(&l, &rows).unwrap(), data);
     }
 
     #[test]

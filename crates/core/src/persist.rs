@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! image      := catalog dictionary summary nodes models containers
-//! catalog    := magic b"XQUEC04\0", original bytes u64,
+//! catalog    := magic b"XQUEC05\0", original bytes u64,
 //!               object counts u64 x5, section lengths u64 x5
 //!               (both in section order; all little-endian)
 //! dictionary := (varint len, utf-8 name)*
@@ -72,7 +72,7 @@ use xquec_storage::{
 
 /// Catalog magic; the trailing digit is the image layout's version. Files
 /// of an older layout are rejected as corrupt, not read.
-const MAGIC: &[u8; 8] = b"XQUEC04\0";
+const MAGIC: &[u8; 8] = b"XQUEC05\0";
 /// The image's sections, in stream order.
 const SECTIONS: [&str; 5] = ["dictionary", "summary", "node", "model", "container"];
 /// Catalog bytes: magic, original size, then a count and a length per section.
@@ -597,6 +597,7 @@ mod tests {
     use crate::query::Engine;
     use crate::workload::PredOp;
     use std::ops::Range;
+    use xquec_compress::blz::BlockHeader;
     use xquec_storage::{FaultPager, FaultPlan, MemPager};
 
     #[test]
@@ -822,9 +823,11 @@ mod tests {
 
     #[test]
     fn previous_layout_magic_is_corrupt() {
-        let mut image = small_image();
-        image[..8].copy_from_slice(b"XQUEC03\0");
-        assert_corrupt(store_of(&image), "XQUEC03 image");
+        for magic in [b"XQUEC03\0", b"XQUEC04\0"] {
+            let mut image = small_image();
+            image[..8].copy_from_slice(magic);
+            assert_corrupt(store_of(&image), &String::from_utf8_lossy(magic));
+        }
     }
 
     #[test]
@@ -860,13 +863,14 @@ mod tests {
         }
     }
 
-    /// 200 KB XMark saved with the blz blob of its first block container
+    /// 200 KB XMark saved with the blz blob of its largest block container
     /// replaced by `edit(blob)`. The catalog follows the edit, so only the
     /// blob itself is damaged.
     fn store_with_edited_block_blob(edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Arc<MemPager> {
         let repo = xmark_200k_seed_1();
         let image = image_of(&repo);
-        let blob = repo.containers.iter().find_map(|c| c.block_blob()).unwrap();
+        let blob = repo.containers.iter().filter_map(|c| c.block_blob()).max_by_key(|b| b.len());
+        let blob = blob.unwrap();
         let containers = section(&image, 4);
         let at = containers.start
             + image[containers].windows(blob.len()).position(|w| w == blob).unwrap();
@@ -878,35 +882,45 @@ mod tests {
         with.extend_from_slice(&edited);
         store_of(&spliced(&image, 4, start..at + blob.len(), &with))
     }
-    /// The blob's header varints (total, then the first block's length,
-    /// primary index and RLE length), and the offset just past them.
-    fn blob_header(blob: &[u8]) -> ([usize; 4], usize) {
-        let mut fields = [0usize; 4];
-        let mut pos = 0;
-        for f in &mut fields {
-            let (v, used) = read_varint(&blob[pos..]).unwrap();
-            *f = v;
-            pos += used;
-        }
-        (fields, pos)
+
+    /// The header of a blob's first block (after the blob's total), and
+    /// the offset just past it (where the Huffman code lengths start).
+    fn blob_header(blob: &[u8]) -> (BlockHeader, usize) {
+        let mut pos = read_varint(blob).unwrap().1;
+        (BlockHeader::read(blob, &mut pos).unwrap(), pos)
     }
 
-    /// The blob with its first block's primary index and RLE length set by
-    /// `f(block length, primary, rle length)`.
-    fn with_header(blob: &[u8], f: impl Fn(usize, usize, usize) -> (usize, usize)) -> Vec<u8> {
-        let ([total, block_len, primary, rle_len], end) = blob_header(blob);
-        let (primary, rle_len) = f(block_len, primary, rle_len);
-        let mut out = Vec::new();
-        for v in [total, block_len, primary, rle_len] {
-            write_varint(&mut out, v);
-        }
+    /// The entry rows of a block header: its rows after `primary`.
+    fn entries(h: &mut BlockHeader) -> &mut [usize] {
+        &mut h.rows[1..xquec_compress::bwt::walks(h.len)]
+    }
+
+    /// The blob with its first block's header changed by `f`.
+    fn with_header(blob: &[u8], f: impl Fn(&mut BlockHeader)) -> Vec<u8> {
+        let total = read_varint(blob).unwrap().1;
+        let (mut h, end) = blob_header(blob);
+        f(&mut h);
+        let mut out = blob[..total].to_vec();
+        h.write(&mut out);
         out.extend_from_slice(&blob[end..]);
         out
     }
 
     #[test]
     fn relaid_image_with_the_blob_unchanged_reopens() {
-        let pager = store_with_edited_block_blob(|b| with_header(b, |_, p, r| (p, r)));
+        let pager = store_with_edited_block_blob(|b| {
+            // What the entry-row cases below need: two distinct entry
+            // rows, and room in their bits for a row past the block.
+            let mut h = blob_header(b).0;
+            let (len, primary) = (h.len, h.rows[0]);
+            let e = entries(&mut h);
+            assert!(e.len() >= 2 && e[0] != e[1], "{e:?}");
+            let last = e[e.len() - 1];
+            assert!(last < len && last + 1 != primary, "last entry row {last}");
+            let past = with_header(b, |h| entries(h)[0] = h.len + 1);
+            assert_eq!(entries(&mut blob_header(&past).0)[0], len + 1, "block of {len} bytes");
+            with_header(b, |_| {})
+        });
         let revived = load_from_pager(pager).unwrap();
         assert_eq!(revived.size_report(), xmark_200k_seed_1().size_report());
     }
@@ -918,44 +932,51 @@ mod tests {
     /// open, not at the first query that reads the container.
     #[test]
     fn damaged_block_blob_is_corrupt_at_open() {
-        let cases: [(&str, BlobEdit); 7] = [
-            ("primary 0", |b| with_header(b, |_, _, r| (0, r))),
-            ("primary past the block", |b| with_header(b, |n, _, r| (n + 1, r))),
-            ("rle length one over", |b| with_header(b, |_, p, r| (p, r + 1))),
-            ("rle length one under", |b| with_header(b, |_, p, r| (p, r - 1))),
-            ("rle length at its bound over a small payload", |b| {
-                with_header(b, |_, p, _| (p, 2 * xquec_compress::blz::BLOCK_SIZE))
+        // Each case with the part of its message that names the check.
+        let cases: [(&str, &str, BlobEdit); 11] = [
+            ("primary 0", "outside the block", |b| with_header(b, |h| h.rows[0] = 0)),
+            ("primary past the block", "outside the block", |b| {
+                with_header(b, |h| h.rows[0] = h.len + 1)
             }),
-            (
-                "first payload bit flipped",
-                |b| {
-                    // Past the header: the 256 code lengths, the payload's
-                    // length, then the Huffman stream's own bit count.
-                    let (_, mut pos) = blob_header(b);
-                    pos += 256;
-                    pos += read_varint(&b[pos..]).unwrap().1;
-                    pos += read_varint(&b[pos..]).unwrap().1;
-                    let mut out = b.to_vec();
-                    out[pos] ^= 0x80;
-                    out
-                },
-            ),
-            (
-                "one value fewer than parents",
-                |b| {
-                    let plain = xquec_compress::blz::decompress(b).unwrap();
-                    let (mut pos, mut last) = (0, 0);
-                    while pos < plain.len() {
-                        let (len, used) = read_varint(&plain[pos..]).unwrap();
-                        last = pos;
-                        pos += used + len;
-                    }
-                    xquec_compress::blz::compress(&plain[..last])
-                },
-            ),
+            ("entry row past the block", "inverse BWT rejects", |b| {
+                with_header(b, |h| entries(h)[0] = h.len + 1)
+            }),
+            ("entry row on the sentinel's row", "inverse BWT rejects", |b| {
+                with_header(b, |h| entries(h)[1] = h.rows[0])
+            }),
+            ("two entry rows swapped", "inverse BWT rejects", |b| {
+                with_header(b, |h| entries(h).swap(0, 1))
+            }),
+            // Only the last walk's end meets the damage.
+            ("last entry row one off", "inverse BWT rejects", |b| {
+                with_header(b, |h| *entries(h).last_mut().unwrap() += 1)
+            }),
+            ("rle length one over", "output exceeds bound", |b| with_header(b, |h| h.rle_len += 1)),
+            ("rle length one under", "short of the block", |b| with_header(b, |h| h.rle_len -= 1)),
+            ("rle length at its bound over a small payload", "output exceeds bound", |b| {
+                with_header(b, |h| h.rle_len = 2 * xquec_compress::blz::BLOCK_SIZE)
+            }),
+            ("first payload bit flipped", "blz stream", |b| {
+                // Past the header and the 256 code lengths.
+                let pos = blob_header(b).1 + 256;
+                let mut out = b.to_vec();
+                out[pos] ^= 0x80;
+                out
+            }),
+            ("one value fewer than parents", "values but", |b| {
+                let plain = xquec_compress::blz::decompress(b).unwrap();
+                let (mut pos, mut last) = (0, 0);
+                while pos < plain.len() {
+                    let (len, used) = read_varint(&plain[pos..]).unwrap();
+                    last = pos;
+                    pos += used + len;
+                }
+                xquec_compress::blz::compress(&plain[..last])
+            }),
         ];
-        for (why, edit) in cases {
-            assert_corrupt(store_with_edited_block_blob(edit), why);
+        for (why, check, edit) in cases {
+            let m = open_error(store_with_edited_block_blob(edit), why);
+            assert!(m.contains(check), "{why}: {m}");
         }
     }
 

@@ -39,14 +39,23 @@ fn blz_roundtrip() {
 }
 
 /// blz round-trips at the block edges (empty, one byte, one byte either
-/// side of a block, two blocks and a tail) over the shapes that stress its
-/// decoder: all-equal bytes (one long zero run after move-to-front), long
-/// zero runs between random bytes, and every one of the 256 symbols.
+/// side of a block, two blocks and a tail) and on both sides of every
+/// length at which a block's inverse BWT gets one more walk, over the
+/// shapes that stress its decoder: all-equal bytes (one long zero run
+/// after move-to-front), long zero runs between random bytes, and every
+/// one of the 256 symbols.
 #[test]
 fn blz_roundtrip_at_block_edges() {
     let mut rng = StdRng::seed_from_u64(0xB10C);
     let n = blz::BLOCK_SIZE;
-    for len in [0, 1, n - 1, n + 1, 2 * n + 77] {
+    let mut lens = vec![0, 1, n - 1, n, n + 1, 2 * n + 77];
+    for walks in 1..bwt::MAX_WALKS {
+        let at = walks * bwt::SEGMENT;
+        assert_eq!((bwt::walks(at - 1), bwt::walks(at)), (walks, walks + 1));
+        lens.extend([at - 1, at]);
+    }
+    assert_eq!(bwt::walks(bwt::MAX_WALKS * bwt::SEGMENT), bwt::MAX_WALKS);
+    for len in lens {
         let equal = vec![rng.gen_range(0u8..=255); len];
         let mut runs = Vec::with_capacity(len);
         while runs.len() < len {
@@ -69,19 +78,20 @@ fn blz_roundtrip_at_block_edges() {
 }
 
 /// BWT round-trips arbitrary bytes: the forward transform permutes the
-/// input with the sentinel's row in range, and blz, whose decoder holds the
-/// one inverse, gives the input back.
+/// input with the sentinel's row and the entry rows in range, and blz,
+/// whose decoder holds the one inverse, gives the input back.
 #[test]
 fn bwt_roundtrip() {
     let mut rng = StdRng::seed_from_u64(0xB37);
     for case in 0..64 {
         let data = bytes_nonempty(&mut rng, 2048);
-        let (l, p) = bwt::bwt(&data);
+        let (l, rows) = bwt::bwt(&data);
         let (mut sorted_l, mut sorted_data) = (l, data.clone());
         sorted_l.sort_unstable();
         sorted_data.sort_unstable();
         assert_eq!(sorted_l, sorted_data, "case {case}");
-        assert!((1..=data.len()).contains(&p), "case {case}: primary {p}");
+        assert_eq!(rows.len(), bwt::walks(data.len()), "case {case}");
+        assert!(rows.iter().all(|r| (1..=data.len()).contains(r)), "case {case}: rows {rows:?}");
         assert_eq!(blz::decompress(&blz::compress(&data)).unwrap(), data, "case {case}");
     }
 }
