@@ -77,7 +77,7 @@ fn codec_throughput(c: &mut Criterion) {
 /// 1 MB XMark (seed 1) loaded with the XMark workload on one thread.
 fn xmark_repository() -> xquec_core::Repository {
     let xml = XmarkGen::with_target_size(1_000_000).seed(1).generate();
-    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1, ..Default::default() };
+    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1 };
     load_with(&xml, &opts).expect("XMark loads")
 }
 

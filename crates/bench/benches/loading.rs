@@ -28,7 +28,7 @@ fn load_pipeline(c: &mut Criterion) {
         g.throughput(Throughput::Bytes(xml.len() as u64));
         g.sample_size(10).measurement_time(Duration::from_secs(5));
         for (label, threads) in [("sequential", 1usize), ("parallel", machine)] {
-            let opts = LoaderOptions { workload: workload.clone(), threads, ..Default::default() };
+            let opts = LoaderOptions { workload: workload.clone(), threads };
             g.bench_function(label, |b| {
                 b.iter(|| {
                     let repo = load_with(&xml, &opts).expect("load");

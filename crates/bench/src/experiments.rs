@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 use xquec_baselines::{GalaxEngine, XgrindDoc, XmillDoc, XpressDoc};
-use xquec_core::cost::{Configuration, CostModel, CostWeights, Group};
+use xquec_core::cost::{Configuration, CostModel, Group};
 use xquec_core::loader::{load, load_with, LoaderOptions};
 use xquec_core::queries::{xmark_workload, XMARK_QUERIES};
 use xquec_core::query::Engine;
@@ -151,9 +151,9 @@ fn cf_row(name: &str, xml: &str, query_opts: &LoaderOptions, archive_opts: &Load
     }
 }
 
-/// Loader options for the archive tuning: an empty workload with
-/// `block_untouched` means every textual container outside the predicate set
-/// is stored as a blz block (§3.3's prescription).
+/// Loader options for the archive tuning: with a workload, every textual
+/// container outside the predicate set is stored as a blz block (§3.3's
+/// prescription).
 fn archive_options(workload: Option<xquec_core::WorkloadSpec>) -> LoaderOptions {
     let mut spec = workload.unwrap_or_default();
     spec.projections.clear();
@@ -325,11 +325,11 @@ pub fn partition_example(p: Profile) -> PartitionReport {
     w.push(ContainerId(0), Some(ContainerId(1)), PredOp::Ineq);
     w.push(ContainerId(1), Some(ContainerId(2)), PredOp::Ineq);
     let matrices = w.matrices(5);
-    let cm = CostModel::new(&stats, &matrices, CostWeights::default());
+    let cm = CostModel::new(&stats, &matrices);
 
     let all: Vec<ContainerId> = (0..5).map(ContainerId).collect();
     let naive = Configuration { groups: vec![Group { containers: all.clone(), alg: xquec_compress::CodecKind::Alm }] };
-    let good = xquec_core::partition::choose_configuration(&cm, &w, xquec_core::partition::DEFAULT_POOL);
+    let good = xquec_core::partition::choose_configuration(&cm, &w, 1);
 
     // Measure actual compression under both configurations.
     let measure = |cfg: &Configuration| -> f64 {
@@ -543,11 +543,7 @@ pub fn loading(p: Profile) -> Vec<LoadingRow> {
             let xml = ds.generate(bytes);
             let workload =
                 (ds == Dataset::Xmark).then(xmark_workload);
-            let opts = |threads: usize| LoaderOptions {
-                workload: workload.clone(),
-                threads,
-                ..Default::default()
-            };
+            let opts = |threads: usize| LoaderOptions { workload: workload.clone(), threads };
             let (seq_opts, par_opts) = (opts(1), opts(threads));
             let (repo_seq, sequential_s) =
                 time_median(reps, || load_with(&xml, &seq_opts).expect("load"));

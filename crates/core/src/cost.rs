@@ -2,7 +2,7 @@
 //!
 //! A *compression configuration* `s = <P, alg>` partitions the textual
 //! containers and assigns each set one algorithm and one shared source
-//! model. Its cost is a weighted sum of storage costs (container payloads
+//! model. Its cost is the sum of storage costs (container payloads
 //! under the chosen codecs, `c_s`, plus source-model structures, `c_a`) and
 //! decompression costs charged by the workload matrices `E`, `I`, `D`:
 //! a comparison is free exactly when both containers share a source model
@@ -81,21 +81,6 @@ pub struct Prediction {
     pub group_model_bytes: usize,
 }
 
-/// Relative weights of the two cost components.
-#[derive(Debug, Clone, Copy)]
-pub struct CostWeights {
-    /// Weight of storage (container + source model bytes).
-    pub storage: f64,
-    /// Weight of workload decompression volume.
-    pub decompression: f64,
-}
-
-impl Default for CostWeights {
-    fn default() -> Self {
-        CostWeights { storage: 1.0, decompression: 1.0 }
-    }
-}
-
 /// Cost evaluator, caching trained group codecs across configurations.
 ///
 /// The trained-codec cache sits behind a mutex so configuration candidates
@@ -105,7 +90,6 @@ impl Default for CostWeights {
 pub struct CostModel<'a> {
     stats: &'a [ContainerStats],
     matrices: &'a Matrices,
-    weights: CostWeights,
     /// Cache: (sorted group containers, alg) -> (per-container ratios, model size).
     cache: Mutex<HashMap<(Vec<ContainerId>, CodecKind), GroupProfile>>,
 }
@@ -115,14 +99,13 @@ type GroupProfile = (Vec<f64>, usize);
 
 impl<'a> CostModel<'a> {
     /// Create a cost model over container statistics and workload matrices.
-    pub fn new(stats: &'a [ContainerStats], matrices: &'a Matrices, weights: CostWeights) -> Self {
-        CostModel { stats, matrices, weights, cache: Mutex::new(HashMap::new()) }
+    pub fn new(stats: &'a [ContainerStats], matrices: &'a Matrices) -> Self {
+        CostModel { stats, matrices, cache: Mutex::new(HashMap::new()) }
     }
 
-    /// Total cost of a configuration.
+    /// Total cost of a configuration: storage plus decompression.
     pub fn cost(&self, cfg: &Configuration) -> f64 {
-        self.weights.storage * self.storage_cost(cfg)
-            + self.weights.decompression * self.decompression_cost(cfg)
+        self.storage_cost(cfg) + self.decompression_cost(cfg)
     }
 
     /// Storage component: `Σ_p (Σ_{c∈p} ratio_c(p) * |c|) + model(p)`.
@@ -314,7 +297,7 @@ mod tests {
         let mut w = Workload::new();
         w.push(ContainerId(0), Some(ContainerId(1)), PredOp::Ineq);
         let m = w.matrices(3);
-        let cm = CostModel::new(&stats, &m, CostWeights::default());
+        let cm = CostModel::new(&stats, &m);
 
         // Separate groups with ALM: both sides charged.
         let separate = Configuration::singletons(
@@ -352,7 +335,7 @@ mod tests {
         let mut w = Workload::new();
         w.push(ContainerId(0), None, PredOp::Eq);
         let m = w.matrices(3);
-        let cm = CostModel::new(&stats, &m, CostWeights::default());
+        let cm = CostModel::new(&stats, &m);
         let huff = Configuration::singletons(
             &[ContainerId(0), ContainerId(1), ContainerId(2)],
             CodecKind::Huffman,
@@ -368,7 +351,7 @@ mod tests {
         let stats = stats3();
         let w = Workload::new();
         let m = w.matrices(3);
-        let cm = CostModel::new(&stats, &m, CostWeights::default());
+        let cm = CostModel::new(&stats, &m);
         let cfg = Configuration {
             groups: vec![
                 Group { containers: vec![ContainerId(1), ContainerId(0)], alg: CodecKind::Alm },
@@ -399,7 +382,7 @@ mod tests {
         let stats = stats3();
         let w = Workload::new();
         let m = w.matrices(3);
-        let cm = CostModel::new(&stats, &m, CostWeights::default());
+        let cm = CostModel::new(&stats, &m);
         let forward = [ContainerId(2), ContainerId(0), ContainerId(1)];
         let backward = [ContainerId(1), ContainerId(0), ContainerId(2)];
         let (a, model_a) = cm.group_profile(&forward, CodecKind::Huffman);
@@ -407,7 +390,7 @@ mod tests {
         assert_eq!(model_a, model_b);
         assert_eq!(a, [b[2], b[1], b[0]]);
         // The numbers are those of a fresh model asked in sorted order.
-        let fresh = CostModel::new(&stats, &m, CostWeights::default());
+        let fresh = CostModel::new(&stats, &m);
         let (sorted, _) = fresh.group_profile(&[ContainerId(0), ContainerId(1), ContainerId(2)], CodecKind::Huffman);
         assert_eq!(a, [sorted[2], sorted[0], sorted[1]]);
         // Distinct containers really have distinct ratios here, so a
@@ -420,7 +403,7 @@ mod tests {
         let stats = stats3();
         let w = Workload::new();
         let m = w.matrices(3);
-        let cm = CostModel::new(&stats, &m, CostWeights::default());
+        let cm = CostModel::new(&stats, &m);
         let raw = Configuration::singletons(
             &[ContainerId(0), ContainerId(1), ContainerId(2)],
             CodecKind::Raw,

@@ -18,11 +18,11 @@
 //! the thread count.
 
 use crate::container::{Container, ContainerLeaf, ValueType};
-use crate::cost::{CostModel, CostWeights, Prediction};
+use crate::cost::{CostModel, Prediction};
 use crate::dictionary::NameDictionary;
 use crate::ids::{ContainerId, ElemId, PathId};
 use crate::par::{par_map, par_map_into};
-use crate::partition::{choose_configuration_threaded, DEFAULT_POOL};
+use crate::partition::choose_configuration;
 use crate::repo::Repository;
 use crate::stats::ContainerStats;
 use crate::structure::TreeBuilder;
@@ -74,37 +74,20 @@ impl WorkloadSpec {
 }
 
 /// Loader configuration.
-#[derive(Debug, Clone)]
+///
+/// The cost-based search draws from [`crate::partition::DEFAULT_POOL`] and
+/// weighs storage and decompression alike. With a workload, containers it
+/// leaves untouched are stored as blz blocks (§3.3); string containers
+/// outside the search get ALM (§2.1: "In case the workload has not been
+/// provided, XQueC uses ALM for strings").
+#[derive(Debug, Clone, Default)]
 pub struct LoaderOptions {
-    /// Algorithm pool for the cost-based search.
-    pub pool: Vec<CodecKind>,
     /// Optional workload; drives partitioning and codec choice.
     pub workload: Option<WorkloadSpec>,
-    /// Codec for string containers when no workload is given (§2.1: "In
-    /// case the workload has not been provided, XQueC uses ALM for strings").
-    pub default_string_codec: CodecKind,
-    /// Store workload-untouched containers as blz blocks (§3.3). Only
-    /// applies when a workload is present.
-    pub block_untouched: bool,
-    /// Cost-model weights.
-    pub weights: CostWeights,
     /// Worker threads for the post-parse pipeline (statistics, cost search,
     /// codec training, container builds). `0` means one per hardware thread;
     /// the produced repository is byte-identical for every setting.
     pub threads: usize,
-}
-
-impl Default for LoaderOptions {
-    fn default() -> Self {
-        LoaderOptions {
-            pool: DEFAULT_POOL.to_vec(),
-            workload: None,
-            default_string_codec: CodecKind::Alm,
-            block_untouched: true,
-            weights: CostWeights::default(),
-            threads: 0,
-        }
-    }
 }
 
 /// Errors from loading.
@@ -491,9 +474,8 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
             .collect(),
     };
     let matrices = textual_workload.matrices(paths.len());
-    let cost_model = CostModel::new(&stats, &matrices, opts.weights);
-    let config =
-        choose_configuration_threaded(&cost_model, &textual_workload, &opts.pool, opts.threads);
+    let cost_model = CostModel::new(&stats, &matrices);
+    let config = choose_configuration(&cost_model, &textual_workload, opts.threads);
     // Persist what the search believed: the same cached sample estimates it
     // optimized, later joined with measured sizes by the calibration report.
     let predictions = cost_model.predict(&config);
@@ -567,9 +549,7 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
             } else {
                 match chosen[i] {
                     Some(CodecKind::Blz) | None
-                        if opts.workload.is_some()
-                            && opts.block_untouched
-                            && !touched_any[i] =>
+                        if opts.workload.is_some() && !touched_any[i] =>
                     {
                         // Untouched by the workload: block-compress (§3.3).
                         Container::build_block(cid, p, leaf, vtype, values)
@@ -583,8 +563,7 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
                         // No workload guidance: default string codec (ALM).
                         let corpus: Vec<&[u8]> =
                             values.iter().map(|(v, _)| v.as_bytes()).collect();
-                        let codec =
-                            Arc::new(ValueCodec::train(opts.default_string_codec, &corpus));
+                        let codec = Arc::new(ValueCodec::train(CodecKind::Alm, &corpus));
                         Container::build(cid, p, leaf, vtype, codec, values)
                     }
                 }
@@ -775,11 +754,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut images: Vec<Vec<u8>> = Vec::new();
         for threads in [1usize, 4] {
-            let opts = LoaderOptions {
-                workload: Some(spec.clone()),
-                threads,
-                ..Default::default()
-            };
+            let opts = LoaderOptions { workload: Some(spec.clone()), threads };
             let repo = load_with(&xml, &opts).unwrap();
             let file = dir.join(format!("repo-t{threads}.xqc"));
             crate::persist::save(&repo, &file).unwrap();

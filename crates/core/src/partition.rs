@@ -30,10 +30,10 @@ fn supports(alg: CodecKind, op: PredOp) -> bool {
     }
 }
 
-/// Algorithms from `pool` that enable `op`, "having the greatest number of
-/// algorithmic properties holding true" first.
-fn candidates(pool: &[CodecKind], op: PredOp) -> Vec<CodecKind> {
-    let mut c: Vec<CodecKind> = pool.iter().copied().filter(|&a| supports(a, op)).collect();
+/// Algorithms of [`DEFAULT_POOL`] that enable `op`, "having the greatest
+/// number of algorithmic properties holding true" first.
+fn candidates(op: PredOp) -> Vec<CodecKind> {
+    let mut c: Vec<CodecKind> = DEFAULT_POOL.iter().copied().filter(|&a| supports(a, op)).collect();
     c.sort_by(|a, b| {
         b.property_count()
             .cmp(&a.property_count())
@@ -42,31 +42,23 @@ fn candidates(pool: &[CodecKind], op: PredOp) -> Vec<CodecKind> {
     c
 }
 
-/// Run the greedy search over the textual containers touched by `workload`.
+/// Run the greedy search over the textual containers touched by `workload`,
+/// drawing algorithms from [`DEFAULT_POOL`].
 ///
 /// Returns the chosen configuration. Containers not referenced by any
 /// predicate are *not* in the result; §3.3 prescribes compressing them with
 /// an order-unaware algorithm with good ratios (bzip2) — the loader stores
 /// them block-compressed.
+///
+/// The candidate configurations of each greedy step are costed on up to
+/// `threads` worker threads (`0` = machine width). Costing a candidate
+/// trains codecs on group samples, which dominates the search; the
+/// candidates of one step are independent, so they fan out while the
+/// winner selection stays sequential in move order — the chosen
+/// configuration is the same for every thread count.
 pub fn choose_configuration(
     cost_model: &CostModel<'_>,
     workload: &Workload,
-    pool: &[CodecKind],
-) -> Configuration {
-    choose_configuration_threaded(cost_model, workload, pool, 1)
-}
-
-/// [`choose_configuration`] with the candidate configurations of each greedy
-/// step costed on up to `threads` worker threads (`0` = machine width).
-///
-/// Costing a candidate trains codecs on group samples, which dominates the
-/// search; the candidates of one step are independent, so they fan out while
-/// the winner selection stays sequential in move order — the chosen
-/// configuration is identical to the single-threaded search.
-pub fn choose_configuration_threaded(
-    cost_model: &CostModel<'_>,
-    workload: &Workload,
-    pool: &[CodecKind],
     threads: usize,
 ) -> Configuration {
     let touched = workload.touched();
@@ -91,7 +83,7 @@ pub fn choose_configuration_threaded(
         let pred = workload.predicates[pi];
         let ct_i = pred.left;
         let ct_j = pred.right.unwrap_or(pred.left);
-        let algs = candidates(pool, pred.op);
+        let algs = candidates(pred.op);
         if algs.is_empty() {
             continue;
         }
@@ -142,7 +134,6 @@ pub fn choose_configuration_threaded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostWeights;
     use crate::ids::ContainerId;
     use crate::stats::ContainerStats;
 
@@ -172,8 +163,8 @@ mod tests {
         }
         w.push(ContainerId(2), None, PredOp::Ineq);
         let m = w.matrices(3);
-        let cm = CostModel::new(&stats, &m, CostWeights::default());
-        let cfg = choose_configuration(&cm, &w, DEFAULT_POOL);
+        let cm = CostModel::new(&stats, &m);
+        let cfg = choose_configuration(&cm, &w, 1);
 
         // Both prose containers share a group with an ineq-capable codec.
         let g0 = cfg.group_of(ContainerId(0));
@@ -194,8 +185,8 @@ mod tests {
             w.push(ContainerId(0), Some(ContainerId(1)), PredOp::Eq);
         }
         let m = w.matrices(2);
-        let cm = CostModel::new(&stats, &m, CostWeights::default());
-        let cfg = choose_configuration(&cm, &w, DEFAULT_POOL);
+        let cm = CostModel::new(&stats, &m);
+        let cfg = choose_configuration(&cm, &w, 1);
         let g = cfg.group_of(ContainerId(0));
         assert_eq!(g, cfg.group_of(ContainerId(1)), "join sides share a model: {cfg:?}");
         assert!(cfg.groups[g].alg.properties().eq, "{cfg:?}");
@@ -210,8 +201,8 @@ mod tests {
         let mut w = Workload::new();
         w.push(ContainerId(0), None, PredOp::Eq);
         let m = w.matrices(2);
-        let cm = CostModel::new(&stats, &m, CostWeights::default());
-        let cfg = choose_configuration(&cm, &w, DEFAULT_POOL);
+        let cm = CostModel::new(&stats, &m);
+        let cfg = choose_configuration(&cm, &w, 1);
         assert!(cfg.groups.iter().all(|g| !g.containers.contains(&ContainerId(1))));
     }
 
@@ -220,8 +211,8 @@ mod tests {
         let stats = mk_stats(&[]);
         let w = Workload::new();
         let m = w.matrices(0);
-        let cm = CostModel::new(&stats, &m, CostWeights::default());
-        let cfg = choose_configuration(&cm, &w, DEFAULT_POOL);
+        let cm = CostModel::new(&stats, &m);
+        let cfg = choose_configuration(&cm, &w, 1);
         assert!(cfg.groups.is_empty());
     }
 }

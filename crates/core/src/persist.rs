@@ -660,11 +660,7 @@ mod tests {
 
     fn xmark_200k_seed_1() -> Repository {
         let xml = xquec_xml::gen::XmarkGen::with_target_size(200_000).seed(1).generate();
-        let opts = LoaderOptions {
-            workload: Some(crate::queries::xmark_workload()),
-            threads: 1,
-            ..Default::default()
-        };
+        let opts = LoaderOptions { workload: Some(crate::queries::xmark_workload()), threads: 1 };
         load_with(&xml, &opts).unwrap()
     }
 
@@ -710,11 +706,7 @@ mod tests {
     #[test]
     fn save_reads_no_page_back() {
         let xml = xquec_xml::gen::XmarkGen::with_target_size(1_000_000).seed(1).generate();
-        let opts = LoaderOptions {
-            workload: Some(crate::queries::xmark_workload()),
-            threads: 1,
-            ..Default::default()
-        };
+        let opts = LoaderOptions { workload: Some(crate::queries::xmark_workload()), threads: 1 };
         let repo = load_with(&xml, &opts).unwrap();
         let pager = Arc::new(FaultPager::new(MemPager::new(), FaultPlan::none()));
         save_to_pager(&repo, pager.clone()).unwrap();

@@ -6,6 +6,7 @@ use super::value::Item;
 use crate::loader::{load, load_with, LoaderOptions, WorkloadSpec};
 use crate::repo::Repository;
 use crate::workload::PredOp;
+use std::sync::Arc;
 
 const DOC: &str = r#"<site>
   <people>
@@ -442,54 +443,40 @@ fn string_function_extensions() {
         "Alice Smith, Bob Jones, Carol King");
 }
 
+/// Every read of an individual value is one fetch and one decompression,
+/// whichever operator reads it, and touches no cache: the three names are
+/// read once per closed auction (nine reads), by the serializer, by
+/// `string()` and by a `where` comparison with a string the names' model
+/// cannot encode ('#' is not in it), so it compares plaintexts.
 #[test]
-fn repeated_value_reads_hit_decompression_cache() {
+fn individual_value_reads_decode_once_per_read() {
     let r = repo();
     let e = Engine::new(&r);
-    // Every person's name is atomized once per closed auction (9 reads
-    // over 3 distinct values): the memo decodes each value at most once.
-    e.run(
-        r#"for $t in //closed_auction
-           for $p in //person
-           return string($p/name/text())"#,
-    )
-    .unwrap();
-    let stats = e.stats.borrow();
-    assert!(stats.cache_hits > 0, "{stats:?}");
-    assert!(
-        stats.decompressions <= 3,
-        "3 distinct names decode at most once each: {stats:?}"
-    );
-}
-
-/// The serializer decodes every individual value it writes straight into
-/// the output: one decompression per value, and the per-query memo is
-/// neither read nor filled.
-#[test]
-fn serialized_values_decode_once_each_and_skip_the_memo() {
-    let r = repo();
-    let e = Engine::new(&r);
-    let q = r#"for $t in //closed_auction
-               for $p in //person
-               return $p/name/text()"#;
-    let answer = e.run(q).unwrap();
-    assert_eq!(answer.matches("Alice Smith").count(), 3, "{answer}");
-    let stats = *e.stats.borrow();
-    assert_eq!(stats.value_fetches, 9, "{stats:?}");
-    assert_eq!(stats.decompressions, 9, "{stats:?}");
-    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0), "{stats:?}");
-    // Atomizing the same values afterwards still goes through the memo.
-    e.run(
-        r#"for $t in //closed_auction
-           for $p in //person
-           where string($p/name/text()) != ""
-           return $p/name/text()"#,
-    )
-    .unwrap();
-    let stats = *e.stats.borrow();
-    assert_eq!(stats.value_fetches, 18, "{stats:?}");
-    assert_eq!((stats.cache_misses, stats.cache_hits), (3, 6), "{stats:?}");
-    assert_eq!(stats.decompressions, 3 + 9, "{stats:?}");
+    let names = "Alice Smith Bob Jones Carol King";
+    for (reader, q, answer) in [
+        (
+            "serializer",
+            "for $t in //closed_auction for $p in //person return $p/name/text()",
+            [names; 3].join(" "),
+        ),
+        (
+            "string()",
+            "for $t in //closed_auction for $p in //person return string($p/name/text())",
+            [names; 3].join(" "),
+        ),
+        (
+            "where",
+            r##"for $t in //closed_auction for $p in //person
+                where $p/name/text() != "#" return 1"##,
+            ["1"; 9].join(" "),
+        ),
+    ] {
+        assert_eq!(e.run(q).unwrap(), answer, "{reader}");
+        let stats = *e.stats.borrow();
+        assert_eq!((stats.value_fetches, stats.decompressions), (9, 9), "{reader}: {stats:?}");
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0), "{reader}: {stats:?}");
+        assert_eq!(stats.compressed_eq, 0, "{reader}: {stats:?}");
+    }
 }
 
 #[test]
@@ -515,32 +502,55 @@ fn block_container_decompressed_once_across_reads() {
     assert!(second.cache_hits > 0, "{second:?}");
 }
 
-/// The documented counter semantics, asserted: a cache hit does NOT count
-/// as a decompression. Reads that hit the memo/LRU increment `cache_hits`
-/// only; `decompressions` counts codec work alone.
+/// `TextContent` reads a block container's value through the counted read:
+/// one fetch and one block-cache touch, a miss on the first query (which
+/// inflates the container's three values) and a hit on the next.
 #[test]
-fn cache_hit_is_not_a_decompression() {
-    let r = repo();
+fn block_value_read_is_one_fetch_and_one_cache_touch() {
+    let spec = WorkloadSpec::new().constant("//name/text()", PredOp::Eq);
+    let r = load_with(DOC, &LoaderOptions { workload: Some(spec), ..Default::default() })
+        .unwrap();
+    let ids = r.container_by_path("//person/@id").unwrap();
+    assert!(!r.container(ids).is_individual(), "untouched => block storage");
     let e = Engine::new(&r);
-    // 3 distinct names are atomized 3 times each (9 fetches): 3 decodes +
-    // 6 hits.
-    e.run(
-        r#"for $t in //closed_auction
-           for $p in //person
-           return string($p/name/text())"#,
-    )
-    .unwrap();
+    for (run, hits, misses, decompressions) in [("cold", 0, 1, 3), ("warm", 1, 0, 0)] {
+        assert_eq!(e.run("/site/people/person[2]/@id").unwrap(), "person1", "{run}");
+        let stats = *e.stats.borrow();
+        assert_eq!(stats.value_fetches, 1, "{run}: {stats:?}");
+        assert_eq!((stats.cache_hits, stats.cache_misses), (hits, misses), "{run}: {stats:?}");
+        assert_eq!(stats.decompressions, decompressions, "{run}: {stats:?}");
+    }
+}
+
+/// Values from two source models compare as plaintexts: a general
+/// comparison reads both operands, and a join probed with a key of another
+/// model decodes its index keys once each, every read a counted fetch.
+#[test]
+fn cross_model_values_compare_as_plaintexts() {
+    let r = repo();
+    let open = r.container_by_path("//open_auction/itemref/@item").unwrap();
+    let closed = r.container_by_path("//closed_auction/itemref/@item").unwrap();
+    assert!(!Arc::ptr_eq(r.container(open).codec(), r.container(closed).codec()));
+    let e = Engine::new(&r);
+    // Two comparisons of two values each.
+    let q = r#"for $o in //open_auction
+               return $o/itemref/@item = /site/closed_auctions/closed_auction[3]/itemref/@item"#;
+    assert_eq!(e.run(q).unwrap(), "false true");
     let stats = *e.stats.borrow();
-    assert!(stats.cache_hits > 0, "{stats:?}");
-    assert!(stats.decompressions > 0, "{stats:?}");
-    // Every fetch is either codec work or a hit — hits are not double
-    // counted into decompressions, so the two sum to the fetch count.
-    assert_eq!(
-        stats.decompressions + stats.cache_hits,
-        stats.value_fetches,
-        "a hit must not also count as a decompression: {stats:?}"
-    );
-    assert_eq!(stats.cache_misses, stats.decompressions, "{stats:?}");
+    assert_eq!((stats.value_fetches, stats.decompressions), (4, 4), "{stats:?}");
+    assert_eq!((stats.compressed_eq, stats.cache_hits + stats.cache_misses), (0, 0), "{stats:?}");
+    // The join index holds the closed auctions' three keys on compressed
+    // bytes; the open auctions' keys probe it as strings, so its keys are
+    // decoded once each, plus one read per probe.
+    let q = r#"for $o in //open_auction
+               let $c := for $t in //closed_auction
+                         where $t/itemref/@item = $o/itemref/@item
+                         return $t
+               return count($c)"#;
+    assert_eq!(e.run(q).unwrap(), "1 1");
+    assert!(e.last_plan().render().contains("HashJoin"), "{}", e.last_plan().render());
+    let stats = *e.stats.borrow();
+    assert_eq!((stats.value_fetches, stats.decompressions), (5, 5), "{stats:?}");
 }
 
 #[test]

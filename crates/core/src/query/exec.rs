@@ -25,27 +25,26 @@
 //! [`ExecStats`] counts decompressions and compressed-domain comparisons so
 //! tests and benchmarks can verify lazy decompression actually happens.
 //!
-//! Values read more than once — by predicates, order keys, join keys and
-//! atomization — are additionally *memoized*: a per-query cache maps a
-//! container's compressed bytes to an interned `Rc<str>`, so each distinct
-//! compressed value is decoded at most once per query however many of those
-//! operators touch it. The serializer neither reads nor fills that memo:
-//! each value it writes counts one decompression. Inflated block containers
-//! sit in a bounded LRU that survives across queries. Cache traffic is
-//! visible through [`ExecStats::cache_hits`] / [`ExecStats::cache_misses`];
-//! a hit does not count as a decompression.
+//! Every container value an operator reads goes through one counted read,
+//! `Engine::with_value`, whichever operator asks (`TextContent`,
+//! atomization, comparisons, string functions, order keys, join keys or the
+//! serializer), and counts one [`ExecStats::value_fetches`]. An individual
+//! record is decoded again on every read: one decompression each. Inflated
+//! block containers sit in a bounded LRU that survives across queries, the
+//! engine's one cache: [`ExecStats::cache_hits`] /
+//! [`ExecStats::cache_misses`] count its touches only, and a hit does not
+//! count as a decompression.
 //!
 //! How values are owned on the per-row path:
 //!
-//! * A value on its way to the output is never owned: an individual record
-//!   is decoded into the engine's one decode buffer, validated as UTF-8 in
-//!   place (a lossy copy only when it is not), and escaped into the output
-//!   `String`; a block container's value is read in place from the LRU's
-//!   shared `Rc<[Rc<str>]>`.
-//! * A value read by an operator is an `Rc<str>` from the cache it is
-//!   decoded into (the per-query memo, built with one copy out of the
-//!   decode buffer, or the LRU); `Item::Str` shares that `Rc` and no
-//!   operator copies it into a `String`.
+//! * An individual record is decoded into the engine's one decode buffer
+//!   and validated as UTF-8 in place (a lossy copy only when it is not).
+//!   Readers that only look at the text — the serializer, numbers,
+//!   `contains`, `starts-with`, `string-length`, a node's string value —
+//!   borrow it from there; readers that keep it (`string()`, order keys,
+//!   join keys) copy it once into an `Rc<str>` or a `String`.
+//! * A block container's value is the LRU's shared `Rc<str>`: `TextContent`
+//!   puts a clone of it in an `Item::Str`, and the other readers borrow it.
 //! * The environment binds variable names borrowed from the query's AST,
 //!   and a path rooted at `$v` or `.` reads the bound nodes in place.
 //! * A `for` loop's clauses run a clause at a time over all its rows, and a
@@ -117,10 +116,13 @@ fn err<T>(msg: impl Into<String>) -> Result<T, QueryError> {
 
 /// Execution counters (lazy-decompression instrumentation).
 ///
-/// Counter semantics: `decompressions` counts codec work only. A read
-/// served from the per-query value memo or the cross-query block LRU
-/// increments `cache_hits` and **not** `decompressions` — asserted by
-/// `cache_hit_is_not_a_decompression` in the engine tests.
+/// Counter semantics: every container-value read counts one
+/// `value_fetches`. `decompressions` counts codec work only: one per
+/// individual record read, and a block container's values when it is
+/// inflated. `cache_hits` and `cache_misses` count touches of the block
+/// cache only; a hit is not a decompression. So `cache_hits + cache_misses
+/// <= value_fetches`, and a query that reads no block container decodes
+/// each value it fetches: `decompressions == value_fetches`.
 ///
 /// This is the engine's one counter set: per query in [`Engine::stats`],
 /// accumulated in [`Engine::lifetime_stats`], and as per-operator deltas in
@@ -135,11 +137,12 @@ pub struct ExecStats {
     pub compressed_eq: usize,
     /// Order comparisons resolved on compressed bytes.
     pub compressed_cmp: usize,
-    /// Reads served from the decompression caches (no codec work done).
+    /// Block-container reads served from the block cache (no codec work
+    /// done).
     pub cache_hits: usize,
-    /// Reads that had to decompress and then populated a cache.
+    /// Block-container reads that inflated the container into the cache.
     pub cache_misses: usize,
-    /// Container-value fetches requested by operators (hit or miss).
+    /// Container values read by operators, individual or block.
     pub value_fetches: usize,
 }
 
@@ -363,10 +366,14 @@ struct Join<'q> {
 struct JoinIndex<'r> {
     rows: Vec<Item>,
     /// Rows by compressed key bytes, borrowed from the record arenas.
-    by_bytes: HashMap<&'r [u8], Vec<u32>>,
+    by_bytes: HashMap<&'r [u8], KeyRows>,
     codec: Option<Arc<ValueCodec>>,
     by_str: RefCell<Option<HashMap<String, Vec<u32>>>>,
 }
+
+/// Where the first key with given compressed bytes is stored, and the rows
+/// of every key with those bytes.
+type KeyRows = ((ContainerId, u32), Vec<u32>);
 
 struct Ctx<'r> {
     join_cache: RefCell<HashMap<usize, Rc<JoinIndex<'r>>>>,
@@ -381,6 +388,35 @@ const BLOCK_CACHE_CAPACITY: usize = 64;
 /// The values of one inflated block container, in record order, shared by
 /// the LRU and every item read from it.
 type BlockValues = Rc<[Rc<str>]>;
+
+/// A container value lent by `Engine::with_value`: decoded into the
+/// engine's decode buffer, or shared with the block LRU.
+enum Lent<'a> {
+    Decoded(&'a str),
+    Block(&'a Rc<str>),
+}
+
+impl Lent<'_> {
+    /// The value as a shared string: a block value's `Rc` is shared, a
+    /// decoded one is copied once.
+    fn to_rc(&self) -> Rc<str> {
+        match self {
+            Lent::Decoded(s) => Rc::from(*s),
+            Lent::Block(rc) => Rc::clone(rc),
+        }
+    }
+}
+
+impl std::ops::Deref for Lent<'_> {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            Lent::Decoded(s) => s,
+            Lent::Block(rc) => rc,
+        }
+    }
+}
 
 /// LRU of wholesale-inflated block containers, at most
 /// [`BLOCK_CACHE_CAPACITY`] of them.
@@ -427,11 +463,6 @@ pub struct Engine<'r> {
     /// Decompressed block containers (an XMill-style container must be
     /// inflated wholesale the first time any of its values is touched).
     block_cache: RefCell<BlockLru>,
-    /// Per-query memo: compressed bytes of an individual container record →
-    /// interned plaintext. Cleared at the start of every query. Its keys are
-    /// owned, not borrowed from the repository, because a `RefCell` holding
-    /// `'r` would make `Engine` invariant in `'r`.
-    value_cache: RefCell<HashMap<ContainerId, ValueMemo>>,
     /// The one buffer every individual value is decoded into, reused
     /// across values and queries.
     decode_buf: RefCell<Vec<u8>>,
@@ -445,9 +476,6 @@ pub struct Engine<'r> {
     timed: Cell<bool>,
 }
 
-/// Interned plaintexts of one container, keyed by compressed bytes.
-type ValueMemo = HashMap<Box<[u8]>, Rc<str>>;
-
 impl<'r> Engine<'r> {
     /// Build an engine. It allocates nothing per node: subtree ranges come
     /// from the repository's structure tree.
@@ -457,7 +485,6 @@ impl<'r> Engine<'r> {
             stats: RefCell::new(ExecStats::default()),
             lifetime: RefCell::new(ExecStats::default()),
             block_cache: RefCell::default(),
-            value_cache: RefCell::new(HashMap::new()),
             decode_buf: RefCell::new(Vec::new()),
             plan: RefCell::new(PlanRecorder::default()),
             phase_nanos: Cell::new([0; 3]),
@@ -559,14 +586,9 @@ impl<'r> Engine<'r> {
         out
     }
 
-    /// Read one value of a block container, inflating the whole container on
-    /// first touch (the deliberate cost of XMill-style storage).
-    fn block_value(&self, cid: ContainerId, idx: u32) -> Result<Rc<str>, QueryError> {
-        self.block_values(cid)?.get(idx as usize).cloned().ok_or_else(|| value_range(cid, idx))
-    }
-
     /// Every value of a block container, from the LRU (a hit) or inflated
-    /// into it (a miss).
+    /// into it on first touch (a miss: the deliberate cost of XMill-style
+    /// storage).
     fn block_values(&self, cid: ContainerId) -> Result<BlockValues, QueryError> {
         if let Some(all) = self.block_cache.borrow_mut().get(cid) {
             self.stats.borrow_mut().cache_hits += 1;
@@ -584,16 +606,34 @@ impl<'r> Engine<'r> {
         Ok(all)
     }
 
-    /// Read one container value as plaintext, going through the block cache
-    /// for block containers and the per-value memo otherwise.
-    fn read_value(&self, cid: ContainerId, idx: u32) -> Result<Rc<str>, QueryError> {
+    /// Read one container value and lend its text to `f`: the engine's one
+    /// counted read, one `value_fetches` per call. An individual record is
+    /// decoded into the engine's decode buffer (one decompression) and lent
+    /// from there, validated as UTF-8 in place (a lossy copy when it is
+    /// not); a block container's value is lent from the LRU (one cache hit
+    /// or miss). `f` runs while the decode buffer is borrowed, so it must
+    /// not read another value.
+    fn with_value<T>(
+        &self,
+        cid: ContainerId,
+        idx: u32,
+        f: impl FnOnce(Lent<'_>) -> T,
+    ) -> Result<T, QueryError> {
         self.stats.borrow_mut().value_fetches += 1;
         let c = self.repo.container(cid);
-        if c.is_individual() {
-            self.decompress_interned(cid, self.comp_bytes(cid, idx)?)
-        } else {
-            self.block_value(cid, idx)
+        if !c.is_individual() {
+            let all = self.block_values(cid)?;
+            return Ok(f(Lent::Block(all.get(idx as usize).ok_or_else(|| value_range(cid, idx))?)));
         }
+        let mut buf = self.decode_buf.borrow_mut();
+        buf.clear();
+        c.codec().decompress_into(c.compressed(idx)?, &mut buf)?;
+        {
+            let mut st = self.stats.borrow_mut();
+            st.decompressions += 1;
+            st.bytes_decompressed += buf.len();
+        }
+        Ok(f(Lent::Decoded(&String::from_utf8_lossy(&buf))))
     }
 
     /// Parse, evaluate and serialize a query.
@@ -621,7 +661,6 @@ impl<'r> Engine<'r> {
     pub fn eval_query(&self, query: &str) -> Result<Sequence, QueryError> {
         self.retire_stats();
         counter!("query.exec.queries").inc();
-        self.value_cache.borrow_mut().clear();
         self.plan.borrow_mut().reset();
         self.phase_nanos.set([0; 3]);
         let ast = self.phase(0, span!("query.phase.parse"), || parse(query))?;
@@ -1306,10 +1345,11 @@ impl<'r> Engine<'r> {
         }
         if uniform && codec.is_some() {
             // All keys come from one source model: index compressed bytes.
-            let mut by_bytes: HashMap<&[u8], Vec<u32>> = HashMap::new();
+            let mut by_bytes: HashMap<&[u8], KeyRows> = HashMap::new();
             for (row, k) in keyed {
                 let Item::Comp { container, index } = k else { unreachable!("uniform") };
-                by_bytes.entry(self.comp_bytes(container, index)?).or_default().push(row);
+                let key = self.comp_bytes(container, index)?;
+                by_bytes.entry(key).or_insert_with(|| ((container, index), Vec::new())).1.push(row);
             }
             return Ok(JoinIndex { rows, by_bytes, codec, by_str: RefCell::new(None) });
         }
@@ -1339,7 +1379,7 @@ impl<'r> Engine<'r> {
             {
                 // Same source model: probe on compressed bytes.
                 self.stats.borrow_mut().compressed_eq += 1;
-                if let Some(rows) = index.by_bytes.get(self.comp_bytes(container, idx)?) {
+                if let Some((_, rows)) = index.by_bytes.get(self.comp_bytes(container, idx)?) {
                     out.extend(rows.iter().copied());
                 }
             }
@@ -1349,17 +1389,9 @@ impl<'r> Engine<'r> {
                 let mut by_str = index.by_str.borrow_mut();
                 if by_str.is_none() {
                     let mut m: HashMap<String, Vec<u32>> = HashMap::new();
-                    if let Some(codec) = &index.codec {
-                        for (k, rows) in &index.by_bytes {
-                            let raw = codec.decompress(k)?;
-                            {
-                                let mut st = self.stats.borrow_mut();
-                                st.decompressions += 1;
-                                st.bytes_decompressed += raw.len();
-                            }
-                            let plain = String::from_utf8_lossy(&raw).into_owned();
-                            m.entry(plain).or_default().extend(rows.iter().copied());
-                        }
+                    for &((cid, idx), ref rows) in index.by_bytes.values() {
+                        let plain = self.with_value(cid, idx, |v| String::from(&*v))?;
+                        m.entry(plain).or_default().extend(rows.iter().copied());
                     }
                     *by_str = Some(m);
                 }
@@ -1707,12 +1739,12 @@ impl<'r> Engine<'r> {
                     _ => false,
                 };
                 if keep {
-                    if c.is_individual() {
-                        out.push(Item::Comp { container: vr.container, index: vr.index });
+                    out.push(if c.is_individual() {
+                        Item::Comp { container: vr.container, index: vr.index }
                     } else {
-                        // Block container: whole-container decompression.
-                        out.push(Item::Str(self.block_value(vr.container, vr.index)?));
-                    }
+                        // Block container: the LRU's shared value.
+                        Item::Str(self.with_value(vr.container, vr.index, |v| v.to_rc())?)
+                    });
                 }
             }
         }
@@ -1995,10 +2027,10 @@ impl<'r> Engine<'r> {
             }
             _ => {}
         }
-        // Otherwise compare the plaintexts.
+        // Otherwise compare the plaintexts: the first operand is copied out,
+        // since both may be values read through the one decode buffer.
         let x = self.string_value(a)?;
-        let y = self.string_value(b)?;
-        Ok(ord_ok(x.cmp(&y)))
+        self.with_text(b, |y| ord_ok(x.as_str().cmp(y)))
     }
 
     // ---- functions ----------------------------------------------------
@@ -2059,7 +2091,7 @@ impl<'r> Engine<'r> {
                 // operations decompress).
                 let mut found = false;
                 for h in &hay {
-                    if self.string_value(h)?.contains(&n) {
+                    if self.with_text(h, |t| t.contains(n.as_str()))? {
                         found = true;
                         break;
                     }
@@ -2081,7 +2113,7 @@ impl<'r> Engine<'r> {
                         return Ok(vec![Item::Bool(m)]);
                     }
                 }
-                Ok(vec![Item::Bool(self.string_value(first)?.starts_with(&prefix))])
+                Ok(vec![Item::Bool(self.with_text(first, |t| t.starts_with(prefix.as_str()))?)])
             }
             "zero-or-one" => {
                 let s = eval_arg(0, env)?;
@@ -2105,7 +2137,13 @@ impl<'r> Engine<'r> {
                 };
                 Ok(vec![Item::Num(v)])
             }
-            "string-length" => Ok(vec![Item::Num(str_arg(0, env)?.chars().count() as f64)]),
+            "string-length" => {
+                let n = match eval_arg(0, env)?.first() {
+                    Some(i) => self.with_text(i, |t| t.chars().count())?,
+                    None => 0,
+                };
+                Ok(vec![Item::Num(n as f64)])
+            }
             "concat" => {
                 let mut out = String::new();
                 for i in 0..args.len() {
@@ -2234,63 +2272,6 @@ impl<'r> Engine<'r> {
         Ok(self.repo.container(container).compressed(index)?)
     }
 
-    /// The plaintext of a compressed item (a counted fetch, memoized per
-    /// query).
-    fn comp_value(&self, container: ContainerId, index: u32) -> Result<Rc<str>, QueryError> {
-        self.stats.borrow_mut().value_fetches += 1;
-        self.decompress_interned(container, self.comp_bytes(container, index)?)
-    }
-
-    /// Decompress a container value through the per-query memo: each
-    /// distinct compressed byte string decodes at most once per query, and
-    /// repeated readers share one interned `Rc<str>`. Only a miss counts as
-    /// a decompression.
-    fn decompress_interned(
-        &self,
-        container: ContainerId,
-        bytes: &[u8],
-    ) -> Result<Rc<str>, QueryError> {
-        if let Some(hit) = self
-            .value_cache
-            .borrow()
-            .get(&container)
-            .and_then(|m| m.get(bytes))
-            .cloned()
-        {
-            self.stats.borrow_mut().cache_hits += 1;
-            return Ok(hit);
-        }
-        self.stats.borrow_mut().cache_misses += 1;
-        let plain: Rc<str> = self.with_decoded(container, bytes, |text| Rc::from(text))?;
-        self.value_cache
-            .borrow_mut()
-            .entry(container)
-            .or_default()
-            .insert(bytes.into(), plain.clone());
-        Ok(plain)
-    }
-
-    /// Decode an individual container's value into the engine's decode
-    /// buffer, counting one decompression, and hand it to `f` as text:
-    /// borrowed from the buffer when the bytes are valid UTF-8, a lossy
-    /// copy when not.
-    fn with_decoded<T>(
-        &self,
-        container: ContainerId,
-        bytes: &[u8],
-        f: impl FnOnce(&str) -> T,
-    ) -> Result<T, QueryError> {
-        let mut buf = self.decode_buf.borrow_mut();
-        buf.clear();
-        self.repo.container(container).codec().decompress_into(bytes, &mut buf)?;
-        {
-            let mut st = self.stats.borrow_mut();
-            st.decompressions += 1;
-            st.bytes_decompressed += buf.len();
-        }
-        Ok(f(&String::from_utf8_lossy(&buf)))
-    }
-
     /// Effective boolean value of a sequence (XPath rules, simplified to the
     /// types we have).
     fn effective_boolean(&self, seq: &[Item]) -> Result<bool, QueryError> {
@@ -2314,7 +2295,9 @@ impl<'r> Engine<'r> {
             Item::Str(s) => s.to_string(),
             Item::Num(n) => format_number(*n),
             Item::Bool(b) => b.to_string(),
-            Item::Comp { container, index } => self.comp_value(*container, *index)?.to_string(),
+            &Item::Comp { container, index } => {
+                self.with_value(container, index, |v| String::from(&*v))?
+            }
             Item::Node(n) => {
                 let mut out = String::new();
                 self.node_text(*n, &mut out)?;
@@ -2328,13 +2311,24 @@ impl<'r> Engine<'r> {
         })
     }
 
-    /// The string value of an item as a shared string: strings and
-    /// decompressed values are shared, not copied.
+    /// The string value of an item as a shared string: strings are shared,
+    /// a decoded value is copied once.
     fn text_value(&self, item: &Item) -> Result<Rc<str>, QueryError> {
         match item {
             Item::Str(s) => Ok(Rc::clone(s)),
-            Item::Comp { container, index } => self.comp_value(*container, *index),
+            &Item::Comp { container, index } => self.with_value(container, index, |v| v.to_rc()),
             other => Ok(Rc::from(self.string_value(other)?)),
+        }
+    }
+
+    /// Lend an item's string value to `f`: strings and container values are
+    /// borrowed, other items are built first. `f` must not read a value (see
+    /// [`Engine::with_value`]).
+    fn with_text<T>(&self, item: &Item, f: impl FnOnce(&str) -> T) -> Result<T, QueryError> {
+        match item {
+            Item::Str(s) => Ok(f(s)),
+            &Item::Comp { container, index } => self.with_value(container, index, |v| f(&v)),
+            other => Ok(f(&self.string_value(other)?)),
         }
     }
 
@@ -2342,7 +2336,7 @@ impl<'r> Engine<'r> {
         for vr in self.repo.tree.values(n) {
             let c = self.repo.container(vr.container);
             if matches!(c.leaf, ContainerLeaf::Text) {
-                out.push_str(&self.read_value(vr.container, vr.index)?);
+                self.with_value(vr.container, vr.index, |v| out.push_str(&v))?;
             }
         }
         for child in self.repo.tree.children(n, None) {
@@ -2367,7 +2361,7 @@ impl<'r> Engine<'r> {
         Ok(match item {
             Item::Num(n) => *n,
             Item::Bool(b) => f64::from(*b),
-            other => self.string_value(other)?.trim().parse().unwrap_or(f64::NAN),
+            other => self.with_text(other, |t| t.trim().parse().unwrap_or(f64::NAN))?,
         })
     }
 
@@ -2414,33 +2408,13 @@ impl<'r> Engine<'r> {
     /// value when `attr`.
     fn write_text(&self, item: &Item, attr: bool, out: &mut String) -> Result<(), QueryError> {
         match item {
-            Item::Comp { container, index } => self.write_value(*container, *index, attr, out)?,
+            &Item::Comp { container, index } => {
+                self.with_value(container, index, |v| escape_into(&v, attr, out))?
+            }
             Item::Str(s) => escape_into(s, attr, out),
             other => escape_into(&self.string_value(other)?, attr, out),
         }
         Ok(())
-    }
-
-    /// The final `Decompress`: write one container value, escaped as text
-    /// or as an attribute value, straight into the output. An individual
-    /// record decodes into the engine's decode buffer and is escaped from
-    /// there (a decompression, never a memo read); a block container's
-    /// value is read in place from the LRU.
-    fn write_value(
-        &self,
-        cid: ContainerId,
-        idx: u32,
-        attr: bool,
-        out: &mut String,
-    ) -> Result<(), QueryError> {
-        self.stats.borrow_mut().value_fetches += 1;
-        if self.repo.container(cid).is_individual() {
-            self.with_decoded(cid, self.comp_bytes(cid, idx)?, |text| escape_into(text, attr, out))
-        } else {
-            let all = self.block_values(cid)?;
-            escape_into(all.get(idx as usize).ok_or_else(|| value_range(cid, idx))?, attr, out);
-            Ok(())
-        }
     }
 
     /// Reconstruct an element subtree from the compressed repository. Its
@@ -2456,7 +2430,7 @@ impl<'r> Engine<'r> {
                     out.push(' ');
                     out.push_str(self.repo.dict.name(code));
                     out.push_str("=\"");
-                    self.write_value(vr.container, vr.index, true, out)?;
+                    self.with_value(vr.container, vr.index, |v| escape_into(&v, true, out))?;
                     out.push('"');
                 }
                 ContainerLeaf::Text => has_text = true,
@@ -2469,7 +2443,7 @@ impl<'r> Engine<'r> {
         out.push('>');
         for vr in self.repo.tree.values(n) {
             if matches!(self.repo.container(vr.container).leaf, ContainerLeaf::Text) {
-                self.write_value(vr.container, vr.index, false, out)?;
+                self.with_value(vr.container, vr.index, |v| escape_into(&v, false, out))?;
             }
         }
         for c in self.repo.tree.children(n, None) {

@@ -7,6 +7,12 @@
 //!   warm run (the same engine, block cache populated), and
 //! * the stable plan rendering (operators, details, cardinalities).
 //!
+//! It also checks the counters' accounting on every query, cold and warm:
+//! each value read is one fetch, and a block-cache touch happens only in a
+//! fetch, so `cache_hits + cache_misses <= value_fetches`; a query that
+//! touches no block container decodes each value it fetches, so
+//! `decompressions == value_fetches`.
+//!
 //! A change to the evaluator that claims to only move wall time or heap
 //! traffic must leave this file byte-identical: decompressions, value
 //! fetches, cache hits/misses, compressed comparisons and every plan line
@@ -21,7 +27,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use xquec_core::loader::{load_with, LoaderOptions};
 use xquec_core::queries::{xmark_workload, XMARK_QUERIES};
-use xquec_core::query::Engine;
+use xquec_core::query::{Engine, ExecStats};
 use xquec_xml::gen::Dataset;
 
 /// FNV-1a, 64 bit: a stable hash of the answer bytes.
@@ -35,10 +41,23 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/exec_counters.txt")
 }
 
+/// Assert that `stats` account for every value read through one counted
+/// read (see the module docs).
+fn assert_reads_accounted(id: &str, run: &str, stats: &ExecStats) {
+    let touches = stats.cache_hits + stats.cache_misses;
+    assert!(touches <= stats.value_fetches, "{id} {run}: block touches exceed fetches: {stats}");
+    if touches == 0 {
+        assert_eq!(
+            stats.decompressions, stats.value_fetches,
+            "{id} {run}: a query without block reads decodes each fetch once: {stats}"
+        );
+    }
+}
+
 /// The golden text: one block per catalog query.
 fn record() -> String {
     let xml = Dataset::Xmark.generate(200_000);
-    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1, ..Default::default() };
+    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1 };
     let repo = load_with(&xml, &opts).expect("load 200 KB XMark");
     let mut out = String::new();
     for q in XMARK_QUERIES {
@@ -49,6 +68,8 @@ fn record() -> String {
         let warm = engine.run(q.text).unwrap_or_else(|e| panic!("{} (warm): {e}", q.id));
         let warm_stats = *engine.stats.borrow();
         assert_eq!(cold, warm, "{}: warm answer differs from cold", q.id);
+        assert_reads_accounted(q.id, "cold", &cold_stats);
+        assert_reads_accounted(q.id, "warm", &warm_stats);
         assert_eq!(plan, engine.last_plan().render_stable(), "{}: warm plan differs", q.id);
         let _ =
             writeln!(out, "== {} bytes={} fnv={:016x}", q.id, cold.len(), fnv1a(cold.as_bytes()));

@@ -99,7 +99,7 @@ fn counts_raised_to_their_section_bytes_size_no_allocation() {
     // The XMark workload makes individual containers, so every section,
     // source models included, holds bytes.
     let xml = XmarkGen::with_target_size(200_000).seed(1).generate();
-    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1, ..Default::default() };
+    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1 };
     let repo = load_with(&xml, &opts).expect("load 200 KB XMark");
     let pager = Arc::new(MemPager::new());
     save_to_pager(&repo, pager.clone()).expect("save");

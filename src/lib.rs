@@ -8,7 +8,8 @@
 //!
 //! * [`xml`] — XML parser, DOM, and the synthetic evaluation datasets;
 //! * [`compress`] — the codec pool (Huffman, ALM, Hu-Tucker, numeric, blz);
-//! * [`storage`] — the embedded page/B+tree storage engine;
+//! * [`storage`] — the embedded page store: pages, pagers, a buffer pool,
+//!   page streams and the write-ahead journal;
 //! * [`core`] — the XQueC system: compressed repository, workload-aware
 //!   compression configuration, and the XQuery processor;
 //! * [`baselines`] — XMill-, XGrind-, XPRESS- and Galax-like comparators.

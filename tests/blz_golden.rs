@@ -50,7 +50,7 @@ fn blz_of_xmark_text_is_unchanged() {
 #[test]
 fn blz_of_xmark_block_containers_is_unchanged() {
     let xml = Dataset::Xmark.generate(250_000);
-    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1, ..Default::default() };
+    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1 };
     let repo = load_with(&xml, &opts).unwrap();
     let mut h = FNV_OFFSET;
     let mut blocks = 0usize;
@@ -75,7 +75,7 @@ fn blz_of_xmark_block_containers_is_unchanged() {
 #[test]
 fn saved_image_of_xmark_repository_is_unchanged() {
     let xml = Dataset::Xmark.generate(250_000);
-    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1, ..Default::default() };
+    let opts = LoaderOptions { workload: Some(xmark_workload()), threads: 1 };
     let repo = load_with(&xml, &opts).unwrap();
     let pager = Arc::new(MemPager::new());
     persist::save_to_pager(&repo, pager.clone()).unwrap();
