@@ -19,7 +19,7 @@
 
 use xquec_obs::json::Json;
 
-/// Field names whose values are wall-clock or throughput measurements:
+/// JSON keys whose values are wall-clock or throughput measurements:
 /// excluded from baselines and comparisons wherever they appear.
 pub const VOLATILE_KEYS: &[&str] = &[
     "xquec_s",

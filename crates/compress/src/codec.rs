@@ -201,12 +201,6 @@ impl ValueCodec {
         }
     }
 
-    /// Equality test in the compressed domain. Valid for every deterministic
-    /// codec in the pool (all of them).
-    pub fn eq_compressed(&self, a: &[u8], b: &[u8]) -> bool {
-        a == b
-    }
-
     /// Ordering in the compressed domain; `Ok(None)` when this codec does
     /// not support inequality predicates compressed (then the caller must
     /// decompress — exactly the cost the §3.2 matrices charge), `Err` when

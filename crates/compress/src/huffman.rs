@@ -128,20 +128,6 @@ impl Huffman {
         let mask = 0xffu8 << (8 - rem);
         (body[full] & mask) == (pbits[full] & mask)
     }
-
-    /// Expected bits per input byte under this model for the given
-    /// frequencies — used by the cost model to estimate storage cost.
-    pub fn expected_bits_per_byte(&self, freq: &[u64; SYMBOLS]) -> f64 {
-        let total: u64 = freq.iter().sum();
-        if total == 0 {
-            return 8.0;
-        }
-        let mut bits = 0.0f64;
-        for (s, &f) in freq.iter().enumerate() {
-            bits += f as f64 * self.codes[s].1 as f64;
-        }
-        bits / total as f64
-    }
 }
 
 /// Compute Huffman code lengths from frequencies with the two-queue build:

@@ -22,7 +22,7 @@
 use crate::ids::{ContainerId, ElemId, PathId, TagCode};
 use std::cmp::Ordering;
 use std::sync::Arc;
-use xquec_compress::{blz, CodecError, ValueCodec};
+use xquec_compress::{blz, CodecError, CodecKind, ValueCodec};
 
 /// A container whose stored bytes cannot be decoded — corrupt compressed
 /// records, a blz blob that does not parse, or a record index that the
@@ -328,6 +328,16 @@ impl Container {
     /// Whether records are individually accessible.
     pub fn is_individual(&self) -> bool {
         matches!(self.store, Store::Individual(_))
+    }
+
+    /// The codec that produced the stored bytes, the one load reports and
+    /// metrics name: blz for a block container (whose value codec is only a
+    /// placeholder), the value codec's kind otherwise.
+    pub fn stored_codec(&self) -> CodecKind {
+        match self.store {
+            Store::Block { .. } => CodecKind::Blz,
+            Store::Individual(_) => self.codec.kind(),
+        }
     }
 
     /// The stored blz blob of a block container: `blz::compress` of every

@@ -204,7 +204,7 @@ impl LoadProfile {
             .iter()
             .map(|c| ContainerSizeRow {
                 path: repo.container_path_string(c.id),
-                codec: c.codec().kind().name(),
+                codec: c.stored_codec().name(),
                 values: c.len(),
                 raw_bytes: c.plain_size(),
                 compressed_bytes: c.compressed_size(),
@@ -576,13 +576,13 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
     phases.push(PhaseTiming { name: "container_build", nanos: phase_span.close() });
 
     // Publish size accounting: overall raw/compressed totals plus per-codec
-    // splits, so a metrics snapshot carries Table 1-style numbers. Block
-    // containers count as blz, whatever per-value codec they carry.
+    // splits, so a metrics snapshot carries Table 1-style numbers under the
+    // same codec names as the load profile.
     for c in &containers {
         counter!("loader.bytes.raw").add(c.plain_size() as u64);
         counter!("loader.bytes.compressed").add(c.compressed_size() as u64);
-        let kind = if c.is_individual() { c.codec().kind() } else { CodecKind::Blz };
-        xquec_obs::metrics::counter_handle(codec_metric(kind)).add(c.compressed_size() as u64);
+        xquec_obs::metrics::counter_handle(codec_metric(c.stored_codec()))
+            .add(c.compressed_size() as u64);
     }
     counter!("loader.containers.built").add(containers.len() as u64);
 
@@ -711,6 +711,39 @@ mod tests {
         assert!(repo.container(names).is_individual());
         // Block containers still round-trip.
         assert_eq!(repo.container(ids).decompress_all().unwrap().len(), 3);
+    }
+
+    /// The load profile names a block container's codec `blz`, as the
+    /// `loader.codec.*` metrics do, and its per-codec totals are sums over
+    /// the built containers.
+    #[test]
+    fn load_profile_names_block_containers_blz() {
+        let xml = xquec_xml::gen::Dataset::Xmark.generate(100_000);
+        let opts =
+            LoaderOptions { workload: Some(crate::queries::xmark_workload()), ..Default::default() };
+        let (repo, profile) = load_profiled(&xml, &opts).unwrap();
+
+        assert_eq!(profile.containers.len(), repo.containers.len());
+        assert!(profile.containers.iter().any(|r| !r.individual), "no block container");
+        for row in profile.containers.iter().filter(|r| !r.individual) {
+            assert_eq!(row.codec, "blz", "{}", row.path);
+        }
+
+        let mut expected: std::collections::BTreeMap<&str, (usize, usize, usize)> =
+            std::collections::BTreeMap::new();
+        for c in &repo.containers {
+            let name = if c.is_individual() { c.codec().kind().name() } else { "blz" };
+            let t = expected.entry(name).or_default();
+            t.0 += 1;
+            t.1 += c.plain_size();
+            t.2 += c.compressed_size();
+        }
+        let got: std::collections::BTreeMap<&str, (usize, usize, usize)> = profile
+            .codecs
+            .iter()
+            .map(|t| (t.codec, (t.containers, t.raw_bytes, t.compressed_bytes)))
+            .collect();
+        assert_eq!(got, expected);
     }
 
     #[test]

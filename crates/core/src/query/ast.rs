@@ -204,13 +204,3 @@ pub enum Expr {
     /// Comma sequence.
     Seq(Vec<Expr>),
 }
-
-impl Expr {
-    /// Convenience: is this a path rooted at the given variable?
-    pub fn as_var_path(&self) -> Option<(&str, &[Step])> {
-        match self {
-            Expr::Path(PathExpr { root: PathRoot::Var(v), steps }) => Some((v, steps)),
-            _ => None,
-        }
-    }
-}

@@ -165,11 +165,6 @@ impl StructureSummary {
             .map(|n| 3 + 4 + 4 * n.children.len() + 4 + 2 * n.extent.len())
             .sum()
     }
-
-    /// Size without extents — the pure dataguide skeleton.
-    pub fn skeleton_size(&self) -> usize {
-        self.nodes.iter().map(|n| 3 + 4 + 4 * n.children.len() + 4).sum()
-    }
 }
 
 /// A summary path rendered on demand; see [`StructureSummary::path`].

@@ -1,10 +1,10 @@
 //! # xquec-obs
 //!
-//! The hermetic observability layer: a `tracing`-style span/event API with
-//! thread-safe subscribers, plus a metrics registry (counters, gauges,
+//! The hermetic observability layer: a metrics registry (counters, gauges,
 //! monotonic histograms with fixed log-scale buckets) cheap enough to leave
-//! on in production builds. Follows the `crates/shims` convention — no
-//! registry dependencies, `std` only.
+//! on in production builds, plus timed [`Span`]s that record into it and
+//! do nothing else. Follows the `crates/shims` convention — no registry
+//! dependencies, `std` only.
 //!
 //! Design constraints, in order:
 //!
@@ -12,14 +12,13 @@
 //!   [`counter!`]/[`gauge!`]/[`histogram!`]/[`span!`] macros resolve the
 //!   registry entry once per call site (a `OnceLock`) and every later touch
 //!   is a single relaxed atomic op.
-//! * **Thread-safe by construction.** All metric cells are atomics;
-//!   subscribers are `Send + Sync` behind an `RwLock`ed list, so the
-//!   parallel loader's worker threads can emit concurrently.
+//! * **Thread-safe by construction.** All metric cells are atomics, so the
+//!   parallel loader's worker threads record concurrently without a lock.
 //! * **One build.** Instrumentation is always compiled in. Its call sites
-//!   fire per query, phase, page or event, never per row (a query adds its
-//!   counters to the registry once, when it retires). Per-operator timing,
-//!   the one per-row cost, is asked for per query (`Engine::profile`), not
-//!   per build.
+//!   fire per query, phase, page or rare occurrence (a journal discarded, a
+//!   header rejected), never per row (a query adds its counters to the
+//!   registry once, when it retires). Per-operator timing, the one per-row
+//!   cost, is asked for per query (`Engine::profile`), not per build.
 //!
 //! Naming scheme (see DESIGN.md "Observability"): dot-separated
 //! `layer.component.detail` paths, e.g. `storage.page.read`,
@@ -32,13 +31,10 @@
 
 pub mod json;
 pub mod metrics;
-pub mod span;
+mod span;
 
-pub use metrics::{counter_handle, gauge_handle, histogram_handle, snapshot, MetricsSnapshot};
-pub use span::{
-    add_subscriber, event, remove_subscriber, span, Collector, Field, Span, Subscriber,
-    SubscriberId,
-};
+pub use metrics::{snapshot, MetricsSnapshot};
+pub use span::Span;
 
 /// Resolve a counter once per call site, then increment atomically.
 ///
@@ -64,7 +60,7 @@ macro_rules! gauge {
     }};
 }
 
-/// Open a [`span::Span`], resolving its histogram once per call site as
+/// Open a [`Span`], resolving its histogram once per call site as
 /// [`histogram!`] does. The name must be the same at every evaluation of
 /// the call site (a literal).
 ///
@@ -76,12 +72,7 @@ macro_rules! gauge {
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<&'static $crate::metrics::Histogram> =
-            ::std::sync::OnceLock::new();
-        $crate::span::Span::open(
-            $name,
-            *HANDLE.get_or_init(|| $crate::metrics::histogram_handle($name)),
-        )
+        $crate::Span::open($crate::histogram!($name))
     }};
 }
 

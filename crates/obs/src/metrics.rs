@@ -361,34 +361,6 @@ impl MetricsSnapshot {
             ("histograms", histograms),
         ])
     }
-
-    /// Human-readable text report (one metric per line, histograms with
-    /// count/mean).
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (n, v) in &self.counters {
-            let _ = writeln!(out, "{n:<44} {v}");
-        }
-        for (n, v) in &self.gauges {
-            let _ = writeln!(out, "{n:<44} {v} (gauge)");
-        }
-        for h in &self.histograms {
-            let mean = if h.count > 0 { h.sum as f64 / h.count as f64 } else { 0.0 };
-            let q = |q: f64| h.quantile(q).map_or("-".to_owned(), |v| v.to_string());
-            let _ = writeln!(
-                out,
-                "{:<44} count={} mean={:.0} p50={} p95={} p99={}",
-                h.name,
-                h.count,
-                mean,
-                q(0.50),
-                q(0.95),
-                q(0.99)
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -468,8 +440,7 @@ mod tests {
         assert!((512..=1024).contains(&p95), "p95={p95}");
         assert!((512..=1024).contains(&p99), "p99={p99}");
         assert!(p50 <= p95 && p95 <= p99);
-        // Render and JSON both carry the percentile fields.
-        assert!(snap.render().contains("p95="));
+        // JSON carries the percentile fields.
         let json = snap.to_json();
         let h_json = json
             .get("histograms")

@@ -76,25 +76,6 @@ impl Page {
         &self.data[off..off + len]
     }
 
-    /// Byte slice `[off, off+len)`, or `None` when the range leaves the
-    /// page. Use on read paths that consume untrusted on-disk offsets.
-    pub fn try_slice(&self, off: usize, len: usize) -> Option<&[u8]> {
-        let end = off.checked_add(len)?;
-        self.data.get(off..end)
-    }
-
-    /// Checked variant of [`Page::get_u16`] for untrusted offsets.
-    pub fn try_get_u16(&self, off: usize) -> Option<u16> {
-        let b = self.try_slice(off, 2)?;
-        Some(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Checked variant of [`Page::get_u64`] for untrusted offsets.
-    pub fn try_get_u64(&self, off: usize) -> Option<u64> {
-        let b = self.try_slice(off, 8)?;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
-    }
-
     /// Copy `src` into the page at `off`.
     pub fn write_at(&mut self, off: usize, src: &[u8]) {
         self.data[off..off + src.len()].copy_from_slice(src);

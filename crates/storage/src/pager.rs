@@ -33,19 +33,13 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use xquec_obs::{counter, event, Field};
+use xquec_obs::counter;
 
-/// Emit the `storage.pager.open_rejected` event and build the
-/// [`StorageError::BadHeader`] it accompanies, so every header-rejection
-/// path is observable rather than silent.
-fn reject_header(path: &Path, detail: String) -> StorageError {
-    event(
-        "storage.pager.open_rejected",
-        &[
-            Field::new("path", path.display()),
-            Field::new("detail", &detail),
-        ],
-    );
+/// Count the rejection in `storage.pager.open_rejected` and build the
+/// [`StorageError::BadHeader`] that carries its detail, so every
+/// header-rejection path is counted rather than silent.
+fn reject_header(detail: String) -> StorageError {
+    counter!("storage.pager.open_rejected").inc();
     StorageError::BadHeader { detail }
 }
 
@@ -214,7 +208,6 @@ impl FilePager {
         }
         if len < FILE_HEADER {
             return Err(reject_header(
-                path,
                 format!("file of {len} bytes is shorter than the {FILE_HEADER}-byte header"),
             ));
         }
@@ -222,31 +215,28 @@ impl FilePager {
         file.seek(SeekFrom::Start(0))?;
         file.read_exact(&mut h)?;
         if h[0..8] != FILE_MAGIC {
-            return Err(reject_header(path, "bad magic".into()));
+            return Err(reject_header("bad magic".into()));
         }
         let version = u16::from_le_bytes([h[8], h[9]]);
         if version != FORMAT_VERSION {
             return Err(reject_header(
-                path,
                 format!("unsupported format version {version} (expected {FORMAT_VERSION})"),
             ));
         }
         let page_size = u32::from_le_bytes([h[10], h[11], h[12], h[13]]);
         if page_size as usize != PAGE_SIZE {
             return Err(reject_header(
-                path,
                 format!("page size {page_size} does not match engine page size {PAGE_SIZE}"),
             ));
         }
         let stored_crc = u32::from_le_bytes([h[22], h[23], h[24], h[25]]);
         if crc32(&h[0..22]) != stored_crc {
-            return Err(reject_header(path, "header checksum mismatch".into()));
+            return Err(reject_header("header checksum mismatch".into()));
         }
         let count = u64::from_le_bytes(h[14..22].try_into().expect("8 bytes"));
         let expected = FILE_HEADER + count * FRAME_SIZE;
         if len != expected {
             return Err(reject_header(
-                path,
                 format!("file length {len} inconsistent with {count} pages (expected {expected})"),
             ));
         }
@@ -355,7 +345,7 @@ impl Pager for FilePager {
             // After a failed fsync the kernel may have dropped dirty pages;
             // nothing written from here on has a knowable durable state.
             self.poisoned.store(true, Ordering::Release);
-            event("storage.pager.sync_failed", &[Field::new("error", &e)]);
+            counter!("storage.pager.sync_failed").inc();
             return Err(e.into());
         }
         Ok(())

@@ -35,7 +35,7 @@ use crate::page::{Page, PageId};
 use crate::pager::{FilePager, Pager};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use xquec_obs::{counter, event, Field};
+use xquec_obs::counter;
 
 /// Magic bytes opening a valid commit record (journal page 0).
 const COMMIT_MAGIC: [u8; 8] = *b"XQWAL1\0\0";
@@ -269,17 +269,11 @@ pub fn recover_with(path: &Path, wrap: &PagerWrap) -> Result<bool> {
     }
     let wal = match FilePager::open_raw(&wp) {
         Ok(w) => wrap(Arc::new(w)),
-        Err(StorageError::BadHeader { detail }) => {
+        Err(StorageError::BadHeader { .. }) => {
             // Torn mid-staging: the journal never reached its commit
             // record, so the main store is still the untouched old image.
             std::fs::remove_file(&wp)?;
-            event(
-                "storage.wal.recovery_discarded",
-                &[
-                    Field::new("path", path.display()),
-                    Field::new("reason", format!("torn journal header: {detail}")),
-                ],
-            );
+            counter!("storage.wal.recovery_discarded").inc();
             return Ok(false);
         }
         Err(e) => return Err(e),
@@ -292,25 +286,13 @@ pub fn recover_with(path: &Path, wrap: &PagerWrap) -> Result<bool> {
             drop(wal);
             std::fs::remove_file(&wp)?;
             sync_parent_dir(path);
-            event(
-                "storage.wal.recovery_applied",
-                &[
-                    Field::new("path", path.display()),
-                    Field::new("pages", rec.pages),
-                ],
-            );
+            counter!("storage.wal.recovery_applied").inc();
             Ok(true)
         }
         None => {
             drop(wal);
             std::fs::remove_file(&wp)?;
-            event(
-                "storage.wal.recovery_discarded",
-                &[
-                    Field::new("path", path.display()),
-                    Field::new("reason", "journal has no durable commit record"),
-                ],
-            );
+            counter!("storage.wal.recovery_discarded").inc();
             Ok(false)
         }
     }

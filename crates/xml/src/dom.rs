@@ -133,11 +133,6 @@ impl Document {
         &self.names[id.0 as usize]
     }
 
-    /// Number of distinct interned names.
-    pub fn name_count(&self) -> usize {
-        self.names.len()
-    }
-
     fn push_node(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node { kind, parent: Some(parent), children: Vec::new() });

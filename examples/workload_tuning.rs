@@ -33,7 +33,7 @@ fn describe(tag: &str, repo: &Repository) {
             let c = repo.container(cid);
             println!(
                 "   {path}: codec={}, storage={}, records={}",
-                c.codec().kind().name(),
+                c.stored_codec().name(),
                 if c.is_individual() { "individual" } else { "blz block" },
                 c.len()
             );

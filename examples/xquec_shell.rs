@@ -70,7 +70,7 @@ fn main() {
                         i,
                         repo.container_path_string(xquec::core::ContainerId(i as u32)),
                         c.len(),
-                        c.codec().kind().name(),
+                        c.stored_codec().name(),
                         if c.is_individual() { "individual" } else { "blz block" },
                     );
                 }
