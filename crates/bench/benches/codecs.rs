@@ -82,9 +82,9 @@ fn xmark_repository() -> xquec_core::Repository {
 }
 
 /// Every block container of 1 MB XMark loaded with the XMark workload
-/// (seed 1): the real mix of block sizes that load encodes and open
-/// decodes, most of them a few KB, unlike the one large block of
-/// `blz_block`.
+/// (seed 1): the real mix of block sizes that load encodes and a cold
+/// engine's first reads decode, most of them a few KB, unlike the one
+/// large block of `blz_block`.
 fn xmark_block_blobs(c: &mut Criterion) {
     let repo = xmark_repository();
     let blobs: Vec<&[u8]> = repo.containers.iter().filter_map(|c| c.block_blob()).collect();

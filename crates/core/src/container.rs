@@ -264,18 +264,21 @@ impl Container {
         })
     }
 
-    /// Rebuild a block container from its persisted blz blob. The blob is
-    /// fully decoded and its value frames walked once up front; a record
-    /// count that does not match the parent list is corruption.
+    /// Rebuild a block container from its persisted blz blob and the plain
+    /// byte total saved with it. The blob is kept as it is: it is first
+    /// inflated when it is read ([`Container::decompress_all_with`]), and
+    /// that read checks its value frames against the parent list and
+    /// `plain_bytes`.
     pub fn from_block_parts(
         id: ContainerId,
         path: PathId,
         leaf: ContainerLeaf,
         vtype: ValueType,
         data: Vec<u8>,
+        plain_bytes: usize,
         parents: Vec<ElemId>,
-    ) -> Result<Container, ContainerError> {
-        let mut c = Container {
+    ) -> Container {
+        Container {
             id,
             path,
             leaf,
@@ -283,23 +286,8 @@ impl Container {
             codec: Arc::new(ValueCodec::Raw),
             parents,
             store: Store::Block { data },
-            plain_bytes: 0,
-        };
-        let concat = c.block_plain()?;
-        let mut count = 0usize;
-        let mut plain_bytes = 0usize;
-        c.for_each_frame(&concat, |v| {
-            count += 1;
-            plain_bytes += v.len();
-        })?;
-        if count != c.parents.len() {
-            return Err(c.err(format!(
-                "block holds {count} values but {} parents",
-                c.parents.len()
-            )));
+            plain_bytes,
         }
-        c.plain_bytes = plain_bytes;
-        Ok(c)
     }
 
     fn err(&self, detail: impl Into<String>) -> ContainerError {
@@ -389,7 +377,10 @@ impl Container {
 
     /// [`Container::decompress_all`], handing each value to `make` as it is
     /// decoded, so callers build the form they keep (`Rc<str>`, say) with
-    /// no intermediate `String`.
+    /// no intermediate `String`. A block container's values must number its
+    /// parents and sum to its plain byte total; a blob that does not is a
+    /// [`ContainerError`], raised before a value past the parent list is
+    /// built.
     pub fn decompress_all_with<T>(
         &self,
         mut make: impl FnMut(&str) -> T,
@@ -406,8 +397,37 @@ impl Container {
                 .collect(),
             Store::Block { .. } => {
                 let concat = self.block_plain()?;
-                let mut out = Vec::with_capacity(self.parents.len());
-                self.for_each_frame(&concat, |v| out.push(make(&String::from_utf8_lossy(v))))?;
+                let n = self.parents.len();
+                let mut out = Vec::with_capacity(n);
+                let (mut pos, mut plain_bytes) = (0usize, 0usize);
+                while pos < concat.len() {
+                    // Zero-length frames cost one byte each, so a small blob
+                    // can frame far more values than parents: stop at n + 1.
+                    if out.len() == n {
+                        let detail = format!("block holds more values than its {n} parents");
+                        return Err(self.err(detail));
+                    }
+                    let (len, used) = xquec_compress::bitio::read_varint(&concat[pos..])
+                        .ok_or_else(|| self.err("block value header truncated"))?;
+                    pos += used;
+                    let end = pos
+                        .checked_add(len)
+                        .filter(|&e| e <= concat.len())
+                        .ok_or_else(|| self.err("block value leaves the blob"))?;
+                    plain_bytes += len;
+                    out.push(make(&String::from_utf8_lossy(&concat[pos..end])));
+                    pos = end;
+                }
+                if out.len() != n {
+                    let detail = format!("block holds {} values but {n} parents", out.len());
+                    return Err(self.err(detail));
+                }
+                if plain_bytes != self.plain_bytes {
+                    return Err(self.err(format!(
+                        "block values hold {plain_bytes} plain bytes but its total says {}",
+                        self.plain_bytes
+                    )));
+                }
                 Ok(out)
             }
         }
@@ -420,23 +440,6 @@ impl Container {
             Store::Block { data } => blz::decompress(data).map_err(|e| self.codec_err(e)),
             Store::Individual(_) => Err(self.err("individual container has no block blob")),
         }
-    }
-
-    /// Hand each value framed in `concat` to `f`, in record order.
-    fn for_each_frame(&self, concat: &[u8], mut f: impl FnMut(&[u8])) -> Result<(), ContainerError> {
-        let mut pos = 0usize;
-        while pos < concat.len() {
-            let (len, used) = xquec_compress::bitio::read_varint(&concat[pos..])
-                .ok_or_else(|| self.err("block value header truncated"))?;
-            pos += used;
-            let end = pos
-                .checked_add(len)
-                .filter(|&e| e <= concat.len())
-                .ok_or_else(|| self.err("block value leaves the blob"))?;
-            f(&concat[pos..end]);
-            pos = end;
-        }
-        Ok(())
     }
 
     /// Iterate `(record index, parent)` in value order (`ContScan`).
@@ -653,5 +656,27 @@ mod tests {
             Store::Block { data } => assert_eq!(data.capacity(), data.len()),
             Store::Individual(_) => panic!("a block container"),
         }
+    }
+
+    /// A small blob of zero bytes frames a million empty values. A read
+    /// fails at the value past the parent list and builds no more values
+    /// than there are parents.
+    #[test]
+    fn block_with_more_values_than_parents_fails_at_the_first_extra_value() {
+        let data = blz::compress(&vec![0u8; 1 << 20]);
+        assert!(data.len() < 4096, "the blob is small: {} bytes", data.len());
+        let c = Container::from_block_parts(
+            ContainerId(7),
+            PathId(0),
+            ContainerLeaf::Text,
+            ValueType::Str,
+            data,
+            0,
+            vec![ElemId(1)],
+        );
+        let mut made = 0usize;
+        let e = c.decompress_all_with(|_| made += 1).unwrap_err();
+        assert!(e.to_string().contains("more values than its 1 parents"), "{e}");
+        assert_eq!(made, 1, "one value per parent, then the error");
     }
 }

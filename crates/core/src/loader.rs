@@ -593,14 +593,15 @@ fn load_impl(xml: &str, opts: &LoaderOptions) -> Result<Loaded, LoadError> {
     ))
 }
 
-/// Registry counter name for compressed bytes produced per codec. Static
-/// strings because the registry is `&'static`-keyed.
+/// Registry counter name for compressed bytes produced per codec,
+/// `loader.codec.<CodecKind::name()>.compressed_bytes`. Static strings
+/// because the registry is `&'static`-keyed.
 fn codec_metric(kind: CodecKind) -> &'static str {
     match kind {
         CodecKind::Raw => "loader.codec.raw.compressed_bytes",
         CodecKind::Huffman => "loader.codec.huffman.compressed_bytes",
         CodecKind::Alm => "loader.codec.alm.compressed_bytes",
-        CodecKind::HuTucker => "loader.codec.hu_tucker.compressed_bytes",
+        CodecKind::HuTucker => "loader.codec.hu-tucker.compressed_bytes",
         CodecKind::Arith => "loader.codec.arith.compressed_bytes",
         CodecKind::Numeric => "loader.codec.numeric.compressed_bytes",
         CodecKind::Blz => "loader.codec.blz.compressed_bytes",
@@ -631,6 +632,15 @@ mod tests {
             <closed_auction><buyer person="person0"/><price>5.00</price></closed_auction>
         </closed_auctions>
     </site>"#;
+
+    /// The metrics name each codec as the load report does.
+    #[test]
+    fn codec_metrics_use_the_codec_names() {
+        use CodecKind::*;
+        for k in [Raw, Huffman, Alm, HuTucker, Arith, Numeric, Blz] {
+            assert_eq!(codec_metric(k), format!("loader.codec.{}.compressed_bytes", k.name()));
+        }
+    }
 
     #[test]
     fn shreds_into_expected_containers() {

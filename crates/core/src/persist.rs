@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! image      := catalog dictionary summary nodes models containers
-//! catalog    := magic b"XQUEC05\0", original bytes u64,
+//! catalog    := magic b"XQUEC06\0", original bytes u64,
 //!               object counts u64 x5, section lengths u64 x5
 //!               (both in section order; all little-endian)
 //! dictionary := (varint len, utf-8 name)*
@@ -19,7 +19,8 @@
 //! models     := (varint len, serialized source model)*
 //! containers := (header, varint parent x count, body)*
 //! header     := varint path, u8 type (0 str | 1 int | 2 decimal, u8 scale),
-//!               u8 mode (0 individual, varint model | 1 block), varint count
+//!               u8 mode (0 individual, varint model
+//!                       | 1 block, varint plain bytes), varint count
 //! body       := (varint len, compressed bytes) x count   (individual)
 //!             | varint len, blz blob                      (block)
 //! ```
@@ -31,19 +32,23 @@
 //! are the inverse of the containers' parent lists
 //! (`StructureTree::attach_values`, which the loader calls too).
 //! Source models are stored once per partition set and shared by
-//! reference; block containers' blz blobs are written verbatim.
+//! reference; block containers' blz blobs are written verbatim, each with
+//! its values' plain byte total, so open inflates no blob.
 //!
 //! Loading treats the file as hostile: every field is bounds-checked, every
 //! count is capped by the bytes of its section and reserves at most
-//! `PREALLOC_BYTES` (64 KiB) up front, and every fact that others are
+//! `PREALLOC_BYTES` (32 KiB) up front, and every fact that others are
 //! derived from is validated: tree parents must keep the nodes in
 //! pre-order, summary parents must precede their children, each node's
 //! (parent path, tag) must be a summary element path, container paths must
 //! be value leaves in strictly ascending order, and each record's parent
-//! must lie on its container's parent path. Every decode failure surfaces
-//! as a typed [`PersistError`] — never a panic. [`save_to_pager`] and
-//! [`load_from_pager`] expose the pager seam so tests can drive the whole
-//! path through an in-memory or fault-injecting pager.
+//! must lie on its container's parent path. Individual records are decoded
+//! at open; a block blob is first inflated when a read needs its values,
+//! and a blob whose frames do not match its parent list or plain total
+//! fails that read with a typed `ContainerError`. Every decode failure at
+//! open surfaces as a typed [`PersistError`] — never a panic.
+//! [`save_to_pager`] and [`load_from_pager`] expose the pager seam so tests
+//! can drive the whole path through an in-memory or fault-injecting pager.
 //!
 //! [`save`] is crash-atomic: the new image is staged into a sidecar journal
 //! (`<path>.wal`), committed with a checksummed record, and only then
@@ -63,7 +68,7 @@ use crate::summary::{PathKind, StructureSummary};
 use std::path::Path;
 use std::sync::Arc;
 use xquec_compress::bitio::{read_varint, write_varint};
-use xquec_compress::ValueCodec;
+use xquec_compress::{ValueCodec, MAX_DECODE_OUTPUT};
 use xquec_storage::wal::{self, PagerWrap};
 use xquec_storage::{
     read_stream, write_stream, BufferPool, FilePager, Journal, PageId, Pager, StorageError,
@@ -72,15 +77,18 @@ use xquec_storage::{
 
 /// Catalog magic; the trailing digit is the image layout's version. Files
 /// of an older layout are rejected as corrupt, not read.
-const MAGIC: &[u8; 8] = b"XQUEC05\0";
+const MAGIC: &[u8; 8] = b"XQUEC06\0";
 /// The image's sections, in stream order.
 const SECTIONS: [&str; 5] = ["dictionary", "summary", "node", "model", "container"];
 /// Catalog bytes: magic, original size, then a count and a length per section.
 const CATALOG_LEN: usize = 16 + 16 * SECTIONS.len();
 /// Most bytes a count read from the file may reserve up front. A count is
 /// only capped by its section's bytes, and one byte can claim an object far
-/// larger than itself, so longer vectors grow as their objects parse.
-const PREALLOC_BYTES: usize = 64 << 10;
+/// larger than itself, so longer vectors grow as their objects parse. The
+/// cap stays below the largest allocation an honest open makes besides its
+/// image buffer (36,864 B at 200 KB XMark), so a hostile count asks for no
+/// more at once than the honest image does.
+const PREALLOC_BYTES: usize = 32 << 10;
 
 /// Errors from saving/loading a repository.
 #[derive(Debug)]
@@ -304,6 +312,7 @@ pub fn save_to_pager(repo: &Repository, pager: Arc<dyn Pager>) -> Result<(), Per
             write_varint(&mut image, mid);
         } else {
             image.push(1);
+            write_varint(&mut image, c.plain_size());
         }
         write_varint(&mut image, c.len());
         for (_, parent) in c.scan() {
@@ -522,14 +531,18 @@ pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError
             2 => ValueType::Decimal(r.u8()?),
             k => return corrupt(format!("vtype {k}")),
         };
-        let codec = match r.u8()? {
-            0 => Some(
-                models
-                    .get(r.varint()?)
-                    .cloned()
-                    .ok_or_else(|| PersistError::Corrupt("model id out of range".into()))?,
-            ),
-            1 => None,
+        // An individual container's model, or a block container's plain total.
+        let (codec, plain_bytes) = match r.u8()? {
+            0 => match models.get(r.varint()?) {
+                Some(model) => (Some(model.clone()), 0),
+                None => return corrupt("model id out of range"),
+            },
+            // No blob inflates past the decode bound, so neither may its
+            // total, which `plain_size()` hands out before any read checks it.
+            1 => match r.varint()? {
+                plain if plain <= MAX_DECODE_OUTPUT => (None, plain),
+                plain => return corrupt(format!("container {ci} claims {plain} plain bytes")),
+            },
             k => return corrupt(format!("container {ci} storage mode {k}")),
         };
         // Each record's parent takes at least one byte.
@@ -578,7 +591,7 @@ pub fn load_from_pager(pager: Arc<dyn Pager>) -> Result<Repository, PersistError
             None => {
                 let len = r.varint()?;
                 let blob = r.bytes(len)?.to_vec();
-                Container::from_block_parts(cid, path, leaf, vtype, blob, parents)?
+                Container::from_block_parts(cid, path, leaf, vtype, blob, plain_bytes, parents)
             }
         };
         containers.push(c);
@@ -815,7 +828,7 @@ mod tests {
 
     #[test]
     fn previous_layout_magic_is_corrupt() {
-        for magic in [b"XQUEC03\0", b"XQUEC04\0"] {
+        for magic in [b"XQUEC03\0", b"XQUEC04\0", b"XQUEC05\0"] {
             let mut image = small_image();
             image[..8].copy_from_slice(magic);
             assert_corrupt(store_of(&image), &String::from_utf8_lossy(magic));
@@ -855,24 +868,31 @@ mod tests {
         }
     }
 
-    /// 200 KB XMark saved with the blz blob of its largest block container
-    /// replaced by `edit(blob)`. The catalog follows the edit, so only the
-    /// blob itself is damaged.
-    fn store_with_edited_block_blob(edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Arc<MemPager> {
+    /// 200 KB XMark saved with its largest block container's plain total
+    /// replaced by `plain(total)` and its blz blob by `edit(blob)`, and that
+    /// container's id. The catalog follows the edits, so only the
+    /// container's own fields are damaged.
+    fn store_with_edited_block(
+        plain: impl FnOnce(usize) -> usize,
+        edit: impl FnOnce(&[u8]) -> Vec<u8>,
+    ) -> (Arc<MemPager>, ContainerId) {
         let repo = xmark_200k_seed_1();
         let image = image_of(&repo);
-        let blob = repo.containers.iter().filter_map(|c| c.block_blob()).max_by_key(|b| b.len());
-        let blob = blob.unwrap();
-        let containers = section(&image, 4);
-        let at = containers.start
-            + image[containers].windows(blob.len()).position(|w| w == blob).unwrap();
-        let framed = varint_bytes(blob.len());
-        let start = at - framed.len();
-        assert_eq!(image[start..at], framed[..], "the blob's length prefix");
-        let edited = edit(blob);
+        let c = repo.containers.iter().filter(|c| !c.is_individual());
+        let c = c.max_by_key(|c| c.compressed_size()).unwrap();
+        let fields = container_fields(&image).swap_remove(c.id.0 as usize);
+        let (total, blob) = (fields.plain.unwrap(), fields.body);
+        let framed = varint_bytes(c.compressed_size());
+        assert_eq!(image[blob.start..blob.start + framed.len()], framed[..], "the blob's length");
+        assert_eq!(image[blob.start + framed.len()..blob.end], *c.block_blob().unwrap());
+        assert_eq!(image[total.clone()], varint_bytes(c.plain_size())[..], "the plain total");
+        // The blob lies behind the plain total, so edit it first.
+        let edited = edit(&image[blob.start + framed.len()..blob.end]);
         let mut with = varint_bytes(edited.len());
         with.extend_from_slice(&edited);
-        store_of(&spliced(&image, 4, start..at + blob.len(), &with))
+        let image = spliced(&image, 4, blob, &with);
+        let image = spliced(&image, 4, total, &varint_bytes(plain(c.plain_size())));
+        (store_of(&image), c.id)
     }
 
     /// The header of a blob's first block (after the blob's total), and
@@ -900,7 +920,7 @@ mod tests {
 
     #[test]
     fn relaid_image_with_the_blob_unchanged_reopens() {
-        let pager = store_with_edited_block_blob(|b| {
+        let relaid = |b: &[u8]| {
             // What the entry-row cases below need: two distinct entry
             // rows, and room in their bits for a row past the block.
             let mut h = blob_header(b).0;
@@ -912,20 +932,35 @@ mod tests {
             let past = with_header(b, |h| entries(h)[0] = h.len + 1);
             assert_eq!(entries(&mut blob_header(&past).0)[0], len + 1, "block of {len} bytes");
             with_header(b, |_| {})
-        });
+        };
+        let (pager, cid) = store_with_edited_block(|total| total, relaid);
         let revived = load_from_pager(pager).unwrap();
         assert_eq!(revived.size_report(), xmark_200k_seed_1().size_report());
+        let query = revived.container_path_string(cid);
+        revived.container(cid).decompress_all().unwrap();
+        Engine::new(&revived).run(&query).unwrap();
     }
 
     /// A change to a blz blob.
     type BlobEdit = fn(&[u8]) -> Vec<u8>;
 
-    /// Open decodes every block blob, so damage inside one is caught at
-    /// open, not at the first query that reads the container.
+    /// Open inflates no blob, so a damaged block container opens, and the
+    /// first read of its values fails with a typed error naming the check:
+    /// `decompress_all`, and a query that reads the container.
+    fn assert_fails_at_first_read(store: (Arc<MemPager>, ContainerId), why: &str, check: &str) {
+        let (pager, cid) = store;
+        let revived = load_from_pager(pager).unwrap_or_else(|e| panic!("{why}: open: {e}"));
+        let m = revived.container(cid).decompress_all().unwrap_err().to_string();
+        assert!(m.contains(check), "{why}: decompress_all: {m}");
+        let query = revived.container_path_string(cid);
+        let m = Engine::new(&revived).run(&query).unwrap_err().to_string();
+        assert!(m.contains(check), "{why}: {query}: {m}");
+    }
+
     #[test]
-    fn damaged_block_blob_is_corrupt_at_open() {
+    fn damaged_block_blob_fails_at_first_read() {
         // Each case with the part of its message that names the check.
-        let cases: [(&str, &str, BlobEdit); 11] = [
+        let cases: [(&str, &str, BlobEdit); 12] = [
             ("primary 0", "outside the block", |b| with_header(b, |h| h.rows[0] = 0)),
             ("primary past the block", "outside the block", |b| {
                 with_header(b, |h| h.rows[0] = h.len + 1)
@@ -965,11 +1000,32 @@ mod tests {
                 }
                 xquec_compress::blz::compress(&plain[..last])
             }),
+            // A few hundred bytes that frame a million empty values.
+            ("empty values past the parents", "more values than", |_| {
+                xquec_compress::blz::compress(&vec![0u8; 1 << 20])
+            }),
         ];
         for (why, check, edit) in cases {
-            let m = open_error(store_with_edited_block_blob(edit), why);
-            assert!(m.contains(check), "{why}: {m}");
+            assert_fails_at_first_read(store_with_edited_block(|total| total, edit), why, check);
         }
+        let off_by_one = store_with_edited_block(|total| total + 1, <[u8]>::to_vec);
+        assert_fails_at_first_read(off_by_one, "plain total one over", "plain bytes but");
+    }
+
+    /// The plain total is read at open, so a container section that ends
+    /// inside it, or a total past the decode bound, is corrupt there.
+    #[test]
+    fn truncated_or_unbounded_plain_total_is_corrupt_at_open() {
+        let image = image_of(&xmark_200k_seed_1());
+        let fields = container_fields(&image);
+        let total = fields.iter().find_map(|f| f.plain.clone()).unwrap();
+        let end = section(&image, 4).end;
+        // A continuation byte with nothing behind it.
+        let m = open_error(store_of(&spliced(&image, 4, total.start..end, &[0x80])), "cut total");
+        assert!(m.contains("container section truncated"), "{m}");
+        let past = varint_bytes(MAX_DECODE_OUTPUT + 1);
+        let m = open_error(store_of(&spliced(&image, 4, total, &past)), "total past the bound");
+        assert!(m.contains(&format!("claims {} plain bytes", MAX_DECODE_OUTPUT + 1)), "{m}");
     }
 
     /// The `[tag, parent delta]` fields of the first `k` node records of
@@ -1024,9 +1080,18 @@ mod tests {
         assert!(m.contains("node 1's tag") && m.contains("no path"), "{m}");
     }
 
-    /// Per container of `image`: the byte ranges of its path varint and of
-    /// its first record's parent.
-    fn container_fields(image: &[u8]) -> Vec<[Range<usize>; 2]> {
+    /// The byte ranges of one container's fields in an image.
+    struct ContainerFields {
+        path: Range<usize>,
+        /// A block container's plain total.
+        plain: Option<Range<usize>>,
+        first_parent: Range<usize>,
+        /// The records, or the blob behind its length.
+        body: Range<usize>,
+    }
+
+    /// The fields of each container of `image`, in container order.
+    fn container_fields(image: &[u8]) -> Vec<ContainerFields> {
         let end = section(image, 4).end;
         let mut pos = section(image, 4).start;
         let mut out = Vec::new();
@@ -1035,23 +1100,25 @@ mod tests {
             pos += if image[pos] == 2 { 2 } else { 1 }; // value type (+ scale)
             let individual = image[pos] == 0;
             pos += 1;
-            if individual {
-                varint_at(image, &mut pos); // model
-            }
+            // The model, or the plain total.
+            let field = varint_at(image, &mut pos).0;
+            let plain = (!individual).then_some(field);
             let count = varint_at(image, &mut pos).1;
             let parents: Vec<Range<usize>> =
                 (0..count).map(|_| varint_at(image, &mut pos).0).collect();
+            let body = pos;
             for _ in 0..if individual { count } else { 1 } {
                 pos += varint_at(image, &mut pos).1;
             }
-            out.push([path, parents[0].clone()]);
+            let first_parent = parents[0].clone();
+            out.push(ContainerFields { path, plain, first_parent, body: body..pos });
         }
         out
     }
 
     /// `image` with container `ci`'s path set to `path`.
     fn with_container_path(image: &[u8], ci: usize, path: usize) -> Arc<MemPager> {
-        let [range, _] = container_fields(image).swap_remove(ci);
+        let range = container_fields(image).swap_remove(ci).path;
         store_of(&spliced(image, 4, range, &varint_bytes(path)))
     }
 
@@ -1069,7 +1136,7 @@ mod tests {
         let image = small_image();
         let fields = container_fields(&image);
         assert_eq!(fields.len(), get_u64(&image, count_at(4)) as usize);
-        let first = read_varint(&image[fields[0][0].clone()]).unwrap().0;
+        let first = read_varint(&image[fields[0].path.clone()]).unwrap().0;
         let cases = [(first, "two containers on one path"), (0, "containers out of path order")];
         for (path, why) in cases {
             let m = open_error(with_container_path(&image, 1, path), why);
@@ -1083,7 +1150,7 @@ mod tests {
     #[test]
     fn record_parent_off_its_containers_parent_path_is_corrupt() {
         let image = small_image();
-        let [_, parent] = container_fields(&image).swap_remove(0);
+        let parent = container_fields(&image).swap_remove(0).first_parent;
         let m = open_error(store_of(&spliced(&image, 4, parent, &[0])), "record parent 0");
         assert!(m.contains("container 0 record parent 0 is not on its leaf's parent path"), "{m}");
     }

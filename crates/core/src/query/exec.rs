@@ -600,8 +600,9 @@ impl<'r> Engine<'r> {
             st.cache_misses += 1;
             st.decompressions += c.len();
         }
+        // The read checks that the values sum to the stored plain total.
         let all: BlockValues = c.decompress_all_with(|v| Rc::from(v))?.into();
-        self.stats.borrow_mut().bytes_decompressed += all.iter().map(|v| v.len()).sum::<usize>();
+        self.stats.borrow_mut().bytes_decompressed += c.plain_size();
         self.block_cache.borrow_mut().insert(cid, all.clone());
         Ok(all)
     }

@@ -1,6 +1,8 @@
 //! Corruption fuzz: a persisted repository mutated by random single-bit
 //! flips and truncations must always load-and-query to `Ok` or a typed
-//! error — never a panic, never a hang.
+//! error — never a panic, never a hang. Open inflates no block blob, so
+//! damage inside one shows at the first read: each loaded image also has
+//! every container decoded.
 //!
 //! The flip positions are driven by seeded xorshift streams so runs are
 //! reproducible; `XQUEC_FUZZ_SEEDS` widens the sweep (`XQUEC_FUZZ_SEEDS=0..8`
@@ -57,16 +59,29 @@ fn save_to_file(repo: &Repository, name: &str) -> std::path::PathBuf {
     file
 }
 
-/// Load a mutated image and, if it loads, run queries over it. Any panic
-/// unwinds out and fails the test; the return value only feeds the summary.
-fn exercise(path: &std::path::Path) -> Result<(), PersistError> {
-    let repo = persist::load(path)?;
-    let engine = Engine::new(&repo);
+/// Run queries over a loaded image and decode every container of it. A
+/// corrupt value may legitimately fail to decode, so both `Ok` and a typed
+/// error are acceptable; only panics are bugs, and they unwind out and
+/// fail the test. Returns whether some container failed to decode.
+fn read_everything(repo: &Repository) -> bool {
+    let engine = Engine::new(repo);
     for q in ["count(//person)", "sum(//closed_auction/price/text())"] {
-        // A corrupt value may legitimately fail to decode mid-query; only
-        // panics are bugs, so both Ok and Err are acceptable here.
         let _ = engine.run(q);
     }
+    let mut failed = false;
+    for c in &repo.containers {
+        if let Err(e) = c.decompress_all() {
+            assert_eq!(e.container, c.id, "{e}");
+            failed = true;
+        }
+    }
+    failed
+}
+
+/// Load a mutated image and, if it loads, read all of it. The return value
+/// only feeds the summary.
+fn exercise(path: &std::path::Path) -> Result<(), PersistError> {
+    read_everything(&persist::load(path)?);
     Ok(())
 }
 
@@ -113,7 +128,7 @@ fn seeded_logical_flips_never_panic() {
     persist::save_to_pager(&repo, mem.clone()).expect("save to memory");
     let pages = mem.page_count();
 
-    let (mut ok, mut err) = (0u64, 0u64);
+    let (mut ok, mut err, mut read_err) = (0u64, 0u64, 0u64);
     let mut total = 0u64;
     for seed in seeds() {
         let mut state = seed.wrapping_mul(0xD134_2543_DE82_EF95).wrapping_add(7);
@@ -129,12 +144,8 @@ fn seeded_logical_flips_never_panic() {
             mem.write_page(page, &p).expect("write page");
 
             match persist::load_from_pager(mem.clone()) {
-                Ok(revived) => {
-                    let engine = Engine::new(&revived);
-                    let _ = engine.run("count(//person)");
-                    let _ = engine.run("sum(//closed_auction/price/text())");
-                    ok += 1;
-                }
+                Ok(revived) if read_everything(&revived) => read_err += 1,
+                Ok(_) => ok += 1,
                 Err(_) => err += 1,
             }
             total += 1;
@@ -146,7 +157,10 @@ fn seeded_logical_flips_never_panic() {
     assert!(total >= 200, "mutation floor: ran {total}");
     // Sanity: the restored store still loads cleanly.
     assert!(persist::load_from_pager(mem.clone()).is_ok(), "store not restored after flips");
-    println!("logical flips: {total} total, {ok} ok, {err} typed errors");
+    println!(
+        "logical flips: {total} total, {ok} ok, {err} typed errors at open, \
+         {read_err} typed errors at first read"
+    );
 }
 
 #[test]

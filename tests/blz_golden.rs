@@ -99,10 +99,14 @@ const GOLDEN_TEXT_FNV: &str = "a5f26b64130f5868";
 const GOLDEN_BLOCKS: usize = 86;
 const GOLDEN_BLOCKS_FNV: &str = "27a757ef9c0fdd6e";
 const GOLDEN_ACCOUNTED: usize = 157_002;
-// Recorded for the `XQUEC05` image layout: the `XQUEC04` one (one stream; no
-// stored paths, extents or value refs; "df626cb55c4c61d0") with the blz
-// blobs of the block layout above. Every model and record in it is what
-// the `XQUEC03` image (20 pages, "dbb9bac3ebffd5be") held, recorded before
-// the blz encode stages and ALM training were rewritten.
+// Recorded for the `XQUEC06` image layout: the `XQUEC05` one
+// ("5da03ba31736f0bf", also 14 pages) with each block container's plain
+// byte total in its header, one varint for each of the 86 blocks; that
+// image with those varints taken out and its old magic back hashes to the
+// `XQUEC05` value. `XQUEC05` was the `XQUEC04` one (one stream; no stored
+// paths, extents or value refs; "df626cb55c4c61d0") with the blz blobs of
+// the block layout above. Every model and record in it is what the
+// `XQUEC03` image (20 pages, "dbb9bac3ebffd5be") held, recorded before the
+// blz encode stages and ALM training were rewritten.
 const GOLDEN_IMAGE_PAGES: u64 = 14;
-const GOLDEN_IMAGE_FNV: &str = "5da03ba31736f0bf";
+const GOLDEN_IMAGE_FNV: &str = "24f08432c2e200ff";
